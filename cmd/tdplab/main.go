@@ -30,6 +30,7 @@ import (
 	"repro/internal/darray"
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/internal/msg/wire"
 )
 
 // partRegister is the symmetric per-part setup for cluster runs: the
@@ -359,9 +360,11 @@ func offlineMeta(seq int, dims []int, p int, distribArg string) (*darray.Meta, [
 
 // showRedist computes and prints the owner-pair transfer schedule for
 // redistributing a whole array from one distribution to another: which
-// processor ships how much to which, and the resulting message budget of
-// the direct plane against the gather-then-scatter bounce — all static
-// arithmetic, no machine and no data movement.
+// processor ships how much to which, each pair's form (descriptor with
+// per-side steps, or offset set), the bytes it puts on the wire (values
+// plus encoded index ints) and the resulting message budget of the
+// direct plane against the gather-then-scatter bounce, for a caller on
+// processor 0 — all static arithmetic, no machine and no data movement.
 func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	dims, err := parseDims(dimsArg)
 	if err != nil {
@@ -387,37 +390,66 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	const elemBytes = 8
 	fmt.Printf("redistribute %v: (%s) -> (%s) over %d processors\n",
 		dims, grid.DistribString(srcSpecs), grid.DistribString(dstSpecs), p)
-	kind := "irregular offset sets"
-	if len(sched.Sets) == 0 {
-		kind = "regular strided blocks"
+	fmt.Printf("  schedule: %d owner pairs (%d descriptor, %d offset set)\n",
+		sched.NPairs(), len(sched.Blocks), len(sched.Sets))
+	fmt.Println("  src -> dst  piece       src step  dst step   elements wire bytes  transport")
+	// srcIdx/dstIdx are the index ints each side of a pair ships: bounds
+	// and step for a descriptor, one offset per element for a set.
+	type edge struct {
+		srcProc, dstProc, elems int
+		kind, srcStep, dstStep  string
+		srcIdx, dstIdx          [][]int
 	}
-	fmt.Printf("  schedule: %d owner pairs (%s)\n", sched.NPairs(), kind)
-	fmt.Println("  src -> dst   elements      bytes  transport")
-	type edge struct{ srcProc, dstProc, elems int }
+	stepString := func(st []int) string {
+		if st == nil {
+			return "dense"
+		}
+		return fmt.Sprint(st)
+	}
 	edges := make([]edge, 0, sched.NPairs())
 	for _, b := range sched.Blocks {
 		elems := grid.RectSize(b.SrcLo, b.SrcHi)
-		if sched.Step != nil {
-			elems = grid.StridedRectSize(b.SrcLo, b.SrcHi, sched.Step)
+		if b.SrcStep != nil {
+			elems = grid.StridedRectSize(b.SrcLo, b.SrcHi, b.SrcStep)
 		}
-		edges = append(edges, edge{b.SrcProc, b.DstProc, elems})
+		edges = append(edges, edge{b.SrcProc, b.DstProc, elems, "descriptor",
+			stepString(b.SrcStep), stepString(b.DstStep),
+			[][]int{b.SrcLo, b.SrcHi, b.SrcStep}, [][]int{b.DstLo, b.DstHi, b.DstStep}})
 	}
 	for _, s := range sched.Sets {
-		edges = append(edges, edge{s.SrcProc, s.DstProc, len(s.SrcOffs)})
+		edges = append(edges, edge{s.SrcProc, s.DstProc, len(s.SrcOffs), "offset set", "-", "-",
+			[][]int{s.SrcOffs}, [][]int{s.DstOffs}})
 	}
-	totalElems, crossPairs := 0, 0
+	// encoded is the wire size of index ints (varints with a length).
+	encoded := func(xss [][]int) int {
+		var b []byte
+		for _, xs := range xss {
+			b = wire.AppendInts(b, xs)
+		}
+		return len(b)
+	}
+	totalElems, totalBytes, crossPairs := 0, 0, 0
 	srcOwners, dstOwners := map[int]bool{}, map[int]bool{}
 	for _, e := range edges {
+		// The ship order to a remote source owner carries both sides'
+		// index ints; a cross-process ship carries the values and the
+		// destination side again.
+		bytes := 0
+		if e.srcProc != 0 {
+			bytes += encoded(e.srcIdx) + encoded(e.dstIdx)
+		}
 		transport := "local copy (0 messages)"
 		if e.srcProc != e.dstProc {
 			transport = "1 message"
 			crossPairs++
+			bytes += e.elems*elemBytes + encoded(e.dstIdx)
 		}
 		srcOwners[e.srcProc] = true
 		dstOwners[e.dstProc] = true
 		totalElems += e.elems
-		fmt.Printf("  %3d -> %-3d %10d %10d  %s\n",
-			e.srcProc, e.dstProc, e.elems, e.elems*elemBytes, transport)
+		totalBytes += bytes
+		fmt.Printf("  %3d -> %-3d %-11s %-9s %-9s %9d %10d  %s\n",
+			e.srcProc, e.dstProc, e.kind, e.srcStep, e.dstStep, e.elems, bytes, transport)
 	}
 	// The direct plane's budget for a caller on processor 0: the
 	// coordinator request, one ship order per remote source owner, one
@@ -448,8 +480,8 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	if remoteDst > 0 || len(dstOwners) > 1 || !dstOwners[0] {
 		bounce += 1 + remoteDst
 	}
-	fmt.Printf("  total: %d elements, %d bytes, %d source owner(s), %d destination owner(s)\n",
-		totalElems, totalElems*elemBytes, len(srcOwners), len(dstOwners))
+	fmt.Printf("  total: %d elements, %d wire bytes, %d source owner(s), %d destination owner(s)\n",
+		totalElems, totalBytes, len(srcOwners), len(dstOwners))
 	fmt.Printf("  messages (caller on processor 0): direct %d, gather-then-scatter bounce %d\n", direct, bounce)
 	return nil
 }

@@ -106,9 +106,10 @@ func appendRequest(b []byte, v any) []byte {
 		b = wire.AppendInt(b, sh.DstProc)
 		b = wire.AppendInts(b, sh.SrcLo)
 		b = wire.AppendInts(b, sh.SrcHi)
+		b = wire.AppendInts(b, sh.SrcStep)
 		b = wire.AppendInts(b, sh.DstLo)
 		b = wire.AppendInts(b, sh.DstHi)
-		b = wire.AppendInts(b, sh.Step)
+		b = wire.AppendInts(b, sh.DstStep)
 		b = wire.AppendInts(b, sh.SrcOffs)
 		b = wire.AppendInts(b, sh.DstOffs)
 		b = wire.AppendInt(b, sh.SrcSlot)
@@ -209,13 +210,16 @@ func readRequest(b []byte) (any, []byte, error) {
 			if sh.SrcHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
+			if sh.SrcStep, b, err = wire.ReadInts(b); err != nil {
+				return nil, b, err
+			}
 			if sh.DstLo, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
 			if sh.DstHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.Step, b, err = wire.ReadInts(b); err != nil {
+			if sh.DstStep, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
 			if sh.SrcOffs, b, err = wire.ReadInts(b); err != nil {

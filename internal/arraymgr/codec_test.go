@@ -75,18 +75,33 @@ func randWireRequest(rng *rand.Rand) *wireRequest {
 			w.Vals[i] = rng.NormFloat64()
 		}
 	}
-	for i := rng.Intn(3); i > 0; i-- {
-		w.Ships = append(w.Ships, wireShip{
-			DstProc: rng.Intn(8),
-			SrcLo:   randInts(rng, 3), SrcHi: randInts(rng, 3),
-			DstLo: randInts(rng, 3), DstHi: randInts(rng, 3),
-			Step:    randInts(rng, 3),
-			SrcOffs: randInts(rng, 6), DstOffs: randInts(rng, 6),
-			SrcSlot: rng.Intn(8), DstSlot: rng.Intn(8),
-			Pair: rng.Intn(8),
-		})
+	for i := rng.Intn(4); i > 0; i-- {
+		w.Ships = append(w.Ships, randWireShip(rng))
 	}
 	return w
+}
+
+// randWireShip draws one ship in one of the forms the schedule emits:
+// a descriptor with its own step per side, a descriptor with nil (dense)
+// steps on either side, or an offset set.
+func randWireShip(rng *rand.Rand) wireShip {
+	sh := wireShip{DstProc: rng.Intn(8), SrcSlot: rng.Intn(8), DstSlot: rng.Intn(8), Pair: rng.Intn(8)}
+	switch rng.Intn(3) {
+	case 0:
+		sh.SrcLo, sh.SrcHi, sh.SrcStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
+		sh.DstLo, sh.DstHi, sh.DstStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
+	case 1:
+		sh.SrcLo, sh.SrcHi = randInts(rng, 3), randInts(rng, 3)
+		sh.DstLo, sh.DstHi = randInts(rng, 3), randInts(rng, 3)
+		if rng.Intn(2) == 0 {
+			sh.SrcStep = randInts(rng, 3)
+		} else {
+			sh.DstStep = randInts(rng, 3)
+		}
+	default:
+		sh.SrcOffs, sh.DstOffs = randInts(rng, 6), randInts(rng, 6)
+	}
+	return sh
 }
 
 func randWireResponse(rng *rand.Rand) *wireResponse {
@@ -146,6 +161,18 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	bothWays(t, &wireRequest{})
 	bothWays(t, &wireResponse{})
 	bothWays(t, &wireAck{})
+	// The ship forms of a redistribution order: a panel pair (rows step 4
+	// at the source, dense at the destination), the converse, both sides
+	// dense, empty steps (which gob and the codec both collapse to nil),
+	// and an offset set.
+	bothWays(t, &wireRequest{Op: "redist_src", Ships: []wireShip{
+		{DstProc: 1, SrcLo: []int{1, 0}, SrcHi: []int{510, 128}, SrcStep: []int{4, 1},
+			DstLo: []int{0, 128}, DstHi: []int{128, 256}, SrcSlot: 1, DstSlot: 1, Pair: 0},
+		{DstProc: 2, SrcLo: []int{0}, SrcHi: []int{4}, DstLo: []int{2}, DstHi: []int{15}, DstStep: []int{4}, Pair: 1},
+		{DstProc: 3, SrcLo: []int{0}, SrcHi: []int{4}, DstLo: []int{0}, DstHi: []int{4}, Pair: 2},
+		{DstProc: 0, SrcLo: []int{0}, SrcHi: []int{4}, SrcStep: []int{}, DstLo: []int{0}, DstHi: []int{4}, DstStep: []int{}, Pair: 3},
+		{DstProc: 1, SrcOffs: []int{0, 3, 6}, DstOffs: []int{7, 2, 1}, SrcSlot: 2, Pair: 4},
+	}})
 	for i := 0; i < 50; i++ {
 		bothWays(t, randWireRequest(rng))
 		bothWays(t, randWireResponse(rng))
@@ -172,7 +199,7 @@ func TestAMCodecTruncated(t *testing.T) {
 // fuzz-smoke job runs: for any protocol envelope, the custom codec and
 // the gob fallback must decode to identical values.
 func FuzzAMWireCodec(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {

@@ -16,6 +16,11 @@
 //     on the same process — the piece moves with darray.CopyRect or
 //     CopyOffsets under that server's lock.
 //
+// A pair ships as bounds: a strided local rectangle on each side, with
+// its own step per side (a block→cyclic panel pair reads every P-th row
+// at the source and lands dense at the destination). Only a block-cyclic
+// side of width > 1 ships paired offset lists instead.
+//
 // That is ≤1 message per non-empty owner pair (plus the per-owner
 // redist_src fan-out), against read+write coordinator rounds for the
 // bounce. Completion travels on an in-process ack channel shared by all
@@ -41,16 +46,15 @@ import (
 const kindAMShip = -102
 
 // redistShip is one owner pair's piece of a redistribution, as shipped
-// to the source owner: either matching strided local rectangles on both
-// sides (regular×regular schedules) or paired storage offsets (srcOffs
-// non-nil marks the irregular form).
+// to the source owner: either a strided local rectangle on each side,
+// each with its own step (nil = dense), or paired storage offsets
+// (srcOffs non-nil marks that form).
 type redistShip struct {
-	dstProc      int
-	srcLo, srcHi []int
-	dstLo, dstHi []int
-	step         []int
-	srcOffs      []int
-	dstOffs      []int
+	dstProc               int
+	srcLo, srcHi, srcStep []int
+	dstLo, dstHi, dstStep []int
+	srcOffs               []int
+	dstOffs               []int
 	// srcSlot/dstSlot are the grid slots the pair's cells belong to:
 	// after a failover promotion a processor may own several slots, so
 	// owners route each piece to the right section by slot, not by
@@ -202,9 +206,8 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 	for _, pb := range sched.Blocks {
 		pairs = append(pairs, pairRec{pb.SrcProc, redistShip{
 			dstProc: pb.DstProc,
-			srcLo:   pb.SrcLo, srcHi: pb.SrcHi,
-			dstLo: pb.DstLo, dstHi: pb.DstHi,
-			step:    sched.Step,
+			srcLo:   pb.SrcLo, srcHi: pb.SrcHi, srcStep: pb.SrcStep,
+			dstLo: pb.DstLo, dstHi: pb.DstHi, dstStep: pb.DstStep,
 			srcSlot: pb.SrcSlot, dstSlot: pb.DstSlot,
 		}})
 	}
@@ -398,14 +401,14 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			if sec.GatherInto(vals, sh.srcOffs) != nil {
 				fail = StatusError
 			}
-		case sh.step != nil:
+		case sh.srcStep != nil:
 			// Validate before sizing the buffer: getBuf of a bogus extent
 			// must not happen.
-			if grid.CheckStridedRect(sh.srcLo, sh.srcHi, sh.step, e.meta.LocalDims) != nil {
+			if grid.CheckStridedRect(sh.srcLo, sh.srcHi, sh.srcStep, e.meta.LocalDims) != nil {
 				fail = StatusInvalid
 			} else {
-				vals = alloc(grid.StridedRectSize(sh.srcLo, sh.srcHi, sh.step))
-				if sec.ReadBlockStridedInto(vals, sh.srcLo, sh.srcHi, sh.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
+				vals = alloc(grid.StridedRectSize(sh.srcLo, sh.srcHi, sh.srcStep))
+				if sec.ReadBlockStridedInto(vals, sh.srcLo, sh.srcHi, sh.srcStep, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
 					fail = StatusInvalid
 				}
 			}
@@ -427,7 +430,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		}
 		dreq := newShipReq(faulty)
 		*dreq = request{op: "redist_ship", id: req.id2, slot: sh.dstSlot,
-			lo: sh.dstLo, hi: sh.dstHi, step: sh.step, offs: sh.dstOffs,
+			lo: sh.dstLo, hi: sh.dstHi, step: sh.dstStep, offs: sh.dstOffs,
 			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
 		remote := !router.Local(sh.dstProc)
@@ -468,7 +471,7 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 			srv.mu.Unlock()
 			return StatusError
 		}
-	} else if darray.CopyRect(dsec, de.meta, sh.dstLo, ssec, srcE.meta, sh.srcLo, sh.srcHi, sh.step) != nil {
+	} else if darray.CopyRect(dsec, de.meta, sh.dstLo, sh.dstStep, ssec, srcE.meta, sh.srcLo, sh.srcHi, sh.srcStep) != nil {
 		srv.mu.Unlock()
 		return StatusInvalid
 	}
@@ -487,9 +490,9 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 	case sh.srcOffs != nil:
 		vals = make([]float64, len(sh.dstOffs))
 		err = dsec.GatherInto(vals, sh.dstOffs)
-	case sh.step != nil:
-		vals = make([]float64, grid.StridedRectSize(sh.dstLo, sh.dstHi, sh.step))
-		err = dsec.ReadBlockStridedInto(vals, sh.dstLo, sh.dstHi, sh.step, meta.LocalDims, meta.Borders, meta.Indexing)
+	case sh.dstStep != nil:
+		vals = make([]float64, grid.StridedRectSize(sh.dstLo, sh.dstHi, sh.dstStep))
+		err = dsec.ReadBlockStridedInto(vals, sh.dstLo, sh.dstHi, sh.dstStep, meta.LocalDims, meta.Borders, meta.Indexing)
 	default:
 		vals = make([]float64, grid.RectSize(sh.dstLo, sh.dstHi))
 		err = dsec.ReadBlockInto(vals, sh.dstLo, sh.dstHi, meta.LocalDims, meta.Borders, meta.Indexing)
@@ -499,7 +502,7 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 		return StatusError
 	}
 	return m.mirrorWrite(proc, meta, &request{id: dstID, slot: sh.dstSlot,
-		lo: sh.dstLo, hi: sh.dstHi, step: sh.step, offs: sh.dstOffs, vals: vals})
+		lo: sh.dstLo, hi: sh.dstHi, step: sh.dstStep, offs: sh.dstOffs, vals: vals})
 }
 
 // doRedistShip lands one shipped piece at its destination owner: the
@@ -629,7 +632,7 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 	if !de.meta.LocalRect(proc, dstLo, hiEffD[:n], dLo[:n], dHi[:n]) {
 		return StatusOK, false
 	}
-	if darray.CopyRect(de.section, de.meta, dLo[:n], se.section, se.meta, sLo[:n], sHi[:n], step) != nil {
+	if darray.CopyRect(de.section, de.meta, dLo[:n], step, se.section, se.meta, sLo[:n], sHi[:n], step) != nil {
 		return StatusInvalid, true
 	}
 	return StatusOK, true

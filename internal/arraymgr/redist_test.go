@@ -255,6 +255,36 @@ func TestRedistributeMessageBudget(t *testing.T) {
 		t.Errorf("strided redistribute sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
+	// The panel handoff, (*,block) → (cyclic,*): columns [4,8) of a 16x16
+	// array live on source owner 1 and fan out over the 4 cyclic row
+	// owners: 4 descriptor pairs, 1 of them same-process. Budget:
+	// 1 + 1 (remote src owner) + 3 (cross pairs) = 5.
+	pa := mustCreate(t, m, 0, panelSpec(grid.NoDecomp(), grid.BlockDefault()))
+	pw := mustCreate(t, m, 0, panelSpec(grid.CyclicDefault(), grid.NoDecomp()))
+	panel := make([]float64, 16*4)
+	for i := range panel {
+		panel[i] = float64(i + 1)
+	}
+	if st := m.WriteBlock(0, pa, []int{0, 4}, []int{16, 8}, panel); st != StatusOK {
+		t.Fatalf("panel fill: %v", st)
+	}
+	before = machine.Router().Sent()
+	if st := m.Redistribute(0, pw, pa, []int{0, 4}, []int{16, 8}); st != StatusOK {
+		t.Fatalf("panel Redistribute: %v", st)
+	}
+	if got, want := machine.Router().Sent()-before, uint64(1+1+3); got != want {
+		t.Errorf("(*,block)->(cyclic,*) panel redistribute sent %d messages, want %d", got, want)
+	}
+	got, st := m.ReadBlock(0, pw, []int{0, 4}, []int{16, 8})
+	if st != StatusOK {
+		t.Fatalf("panel read: %v", st)
+	}
+	for i := range panel {
+		if got[i] != panel[i] {
+			t.Fatalf("panel element %d = %v, want %v", i, got[i], panel[i])
+		}
+	}
+
 	// The bounce on the same whole-array transfer: a read round (1
 	// coordinator + 3 remote owners) plus a write round (1 + 3) = 8
 	// messages against 16 — but serialized through one process and
@@ -271,6 +301,16 @@ func TestRedistributeMessageBudget(t *testing.T) {
 	}
 	if got, want := machine.Router().Sent()-before, uint64((1+3)+(1+3)); got != want {
 		t.Errorf("bounce sent %d messages, want %d", got, want)
+	}
+}
+
+// panelSpec builds a 16x16 row-major array over 4 processors with the
+// given row and column decompositions.
+func panelSpec(rows, cols grid.Decomp) CreateSpec {
+	return CreateSpec{
+		Type: darray.Double, Dims: []int{16, 16}, Procs: []int{0, 1, 2, 3},
+		Distrib: []grid.Decomp{rows, cols},
+		Borders: NoBorderSpec{}, Indexing: grid.RowMajor,
 	}
 }
 
@@ -319,7 +359,8 @@ func TestRedistributeLocalFastPath(t *testing.T) {
 // TestRedistOwnerServerAllocs pins the redistribution owner servers at
 // zero heap allocations per operation once the pools are warm: landing
 // a shipped piece (doRedistShip) and servicing a same-process pair
-// (doRedistSrc via redistLocalPair).
+// (doRedistSrc via redistLocalPair), each also in the panel shape whose
+// source and destination steps differ.
 func TestRedistOwnerServerAllocs(t *testing.T) {
 	const p, n = 4, 16
 	_, m := newTestManager(t, p)
@@ -366,6 +407,72 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, local); allocs != 0 {
 		t.Errorf("same-process doRedistSrc pair: %v allocs/op, want 0", allocs)
+	}
+
+	// The panel handoff's proc-0 pair, as the coordinator schedules it:
+	// every 4th row at the (*,block) source, dense at the (cyclic,*)
+	// destination.
+	pa := mustCreate(t, m, 0, panelSpec(grid.NoDecomp(), grid.BlockDefault()))
+	pw := mustCreate(t, m, 0, panelSpec(grid.CyclicDefault(), grid.NoDecomp()))
+	am, st := m.Meta(0, pa)
+	if st != StatusOK {
+		t.Fatalf("meta: %v", st)
+	}
+	wm, st := m.Meta(0, pw)
+	if st != StatusOK {
+		t.Fatalf("meta: %v", st)
+	}
+	sched, err := wm.TransferSchedule(am, []int{0, 0}, []int{0, 0}, []int{16, 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pb darray.PairBlock
+	for _, b := range sched.Blocks {
+		if b.SrcProc == 0 && b.DstProc == 0 {
+			pb = b
+		}
+	}
+	if pb.SrcStep == nil || pb.DstStep != nil {
+		t.Fatalf("panel pair 0->0 = %+v, want a strided source and a dense destination", pb)
+	}
+	stridedReq := &request{id: pa, id2: pw,
+		ships: []redistShip{{dstProc: 0, srcLo: pb.SrcLo, srcHi: pb.SrcHi, srcStep: pb.SrcStep,
+			dstLo: pb.DstLo, dstHi: pb.DstHi, srcSlot: pb.SrcSlot, dstSlot: pb.DstSlot}},
+		ack: ack}
+	stridedLocal := func() {
+		m.doRedistSrc(0, stridedReq)
+		if r := <-ack; r.status != StatusOK {
+			t.Errorf("doRedistSrc: %v", r.status)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		stridedLocal()
+	}
+	if allocs := testing.AllocsPerRun(200, stridedLocal); allocs != 0 {
+		t.Errorf("same-process doRedistSrc pair, source step %v, dense destination: %v allocs/op, want 0", pb.SrcStep, allocs)
+	}
+
+	// The same piece landing by redist_ship: packed from the strided
+	// source into a pooled buffer, written dense at the destination.
+	asec := srv.entries[pa].section
+	elems := grid.StridedRectSize(pb.SrcLo, pb.SrcHi, pb.SrcStep)
+	denseShip := func() {
+		buf := srv.getBuf(elems)
+		if err := asec.ReadBlockStridedInto(buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, am.LocalDims, am.Borders, am.Indexing); err != nil {
+			t.Fatal(err)
+		}
+		req := getShipReq()
+		*req = request{op: "redist_ship", id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ack: ack}
+		m.doRedistShip(0, req)
+		if r := <-ack; r.status != StatusOK {
+			t.Errorf("doRedistShip: %v", r.status)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		denseShip()
+	}
+	if allocs := testing.AllocsPerRun(200, denseShip); allocs != 0 {
+		t.Errorf("doRedistShip dense landing of a strided source: %v allocs/op, want 0", allocs)
 	}
 }
 

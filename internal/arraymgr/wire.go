@@ -57,13 +57,12 @@ func init() {
 
 // wireShip is redistShip with exported fields.
 type wireShip struct {
-	DstProc          int
-	SrcLo, SrcHi     []int
-	DstLo, DstHi     []int
-	Step             []int
-	SrcOffs, DstOffs []int
-	SrcSlot, DstSlot int
-	Pair             int
+	DstProc               int
+	SrcLo, SrcHi, SrcStep []int
+	DstLo, DstHi, DstStep []int
+	SrcOffs, DstOffs      []int
+	SrcSlot, DstSlot      int
+	Pair                  int
 }
 
 // wireRequest is the gob-encodable subset of request: every field an op
@@ -138,9 +137,8 @@ func toWire(req *request) *wireRequest {
 		for i, sh := range req.ships {
 			w.Ships[i] = wireShip{
 				DstProc: sh.dstProc,
-				SrcLo:   sh.srcLo, SrcHi: sh.srcHi,
-				DstLo: sh.dstLo, DstHi: sh.dstHi,
-				Step:    sh.step,
+				SrcLo:   sh.srcLo, SrcHi: sh.srcHi, SrcStep: sh.srcStep,
+				DstLo: sh.dstLo, DstHi: sh.dstHi, DstStep: sh.dstStep,
 				SrcOffs: sh.srcOffs, DstOffs: sh.dstOffs,
 				SrcSlot: sh.srcSlot, DstSlot: sh.dstSlot,
 				Pair: sh.pair,
@@ -170,9 +168,8 @@ func (w *wireRequest) toRequest() *request {
 		for i, sh := range w.Ships {
 			req.ships[i] = redistShip{
 				dstProc: sh.DstProc,
-				srcLo:   sh.SrcLo, srcHi: sh.SrcHi,
-				dstLo: sh.DstLo, dstHi: sh.DstHi,
-				step:    sh.Step,
+				srcLo:   sh.SrcLo, srcHi: sh.SrcHi, srcStep: sh.SrcStep,
+				dstLo: sh.DstLo, dstHi: sh.DstHi, dstStep: sh.DstStep,
 				srcOffs: sh.SrcOffs, dstOffs: sh.DstOffs,
 				srcSlot: sh.SrcSlot, dstSlot: sh.DstSlot,
 				pair: sh.Pair,

@@ -20,24 +20,27 @@ import (
 	"repro/internal/grid"
 )
 
-// PairBlock is one regular piece of a transfer schedule: the lattice
+// PairBlock is one descriptor piece of a transfer schedule: the lattice
 // points held by SrcProc on the source array and DstProc on the
-// destination, as matching strided local rectangles on both sides (the
-// shared step lives on the Schedule). Row-major enumeration of
-// (SrcLo, SrcHi) and (DstLo, DstHi) visits corresponding elements in
-// the same order, so the piece moves with one packed buffer.
+// destination, as strided local rectangles on both sides. Each side has
+// its own step (nil = dense): a block→cyclic pair is typically strided at
+// the source and dense at the destination. Row-major enumeration of
+// (SrcLo, SrcHi, SrcStep) and (DstLo, DstHi, DstStep) visits
+// corresponding elements in the same order, so the piece moves with one
+// packed buffer.
 type PairBlock struct {
-	SrcProc, DstProc int
-	SrcSlot, DstSlot int   // grid slots of the two owning sections
-	SrcLo, SrcHi     []int // interior-local strided bounds at the source owner
-	DstLo, DstHi     []int // the same lattice at the destination owner
+	SrcProc, DstProc      int
+	SrcSlot, DstSlot      int   // grid slots of the two owning sections
+	SrcLo, SrcHi, SrcStep []int // interior-local strided bounds at the source owner
+	DstLo, DstHi, DstStep []int // the same lattice at the destination owner
 }
 
-// PairSet is one irregular piece of a transfer schedule: the lattice
-// points held by SrcProc on the source array and DstProc on the
-// destination, as paired border-displaced storage offsets — element
-// SrcOffs[i] of the source section moves to element DstOffs[i] of the
-// destination section.
+// PairSet is one enumerated piece of a transfer schedule, produced only
+// when a side has a block-cyclic dimension of width > 1 over several
+// cells (whose holdings are not single progressions): the lattice points
+// held by SrcProc on the source array and DstProc on the destination, as
+// paired border-displaced storage offsets — element SrcOffs[i] of the
+// source section moves to element DstOffs[i] of the destination section.
 type PairSet struct {
 	SrcProc, DstProc int
 	SrcSlot, DstSlot int // grid slots of the two owning sections
@@ -46,13 +49,13 @@ type PairSet struct {
 
 // Schedule is an owner-pair transfer schedule produced by
 // TransferSchedule. Every lattice point of the transferred rectangle
-// appears in exactly one pair (a Block when both arrays are Regular, a
-// Set otherwise), so shipping each pair once moves the whole rectangle:
-// the ≤1-message-per-owner-pair budget of the redistribution plane.
+// appears in exactly one pair (Blocks, or Sets when a side is
+// block-cyclic of width > 1), so shipping each pair once moves the whole
+// rectangle: the ≤1-message-per-owner-pair budget of the redistribution
+// plane.
 type Schedule struct {
 	Blocks []PairBlock
 	Sets   []PairSet
-	Step   []int // shared lattice step of the Blocks; nil = dense
 }
 
 // NPairs returns the number of non-empty owner pairs in the schedule.
@@ -62,13 +65,19 @@ func (s *Schedule) NPairs() int { return len(s.Blocks) + len(s.Sets) }
 // copying a lattice of elements from array src onto array dst: lattice
 // offset j (componentwise 0 <= j < dims, every step[i]-th per
 // dimension; step nil = dense) moves source element srcLo+j to
-// destination element dstLo+j. When both arrays are Regular the
-// intersections are computed by pairwise rectangle intersection of the
-// two owner splits in offset space; any irregular side routes through
-// the per-point ownership arithmetic (ResolveIndex), bucketing the
-// lattice by owner pair into paired storage-offset vectors. Ranks must
-// match and both rectangles are validated against their arrays; element
-// types may differ (values convert on write).
+// destination element dstLo+j.
+//
+// When every dimension of both arrays is block or width-1 cyclic, each
+// cell holds, per dimension, one arithmetic progression of lattice
+// positions (dimShares). Two progressions intersect in another one,
+// with step the lcm of theirs, so the schedule is closed-form: intersect
+// every source cell's progression with every destination cell's per
+// dimension, and emit the cartesian product of the non-empty
+// intersections as one PairBlock per owner pair. Only a block-cyclic
+// side of width > 1 falls back to resolving every lattice point
+// (walkSchedule). Ranks must match and both rectangles are validated
+// against their arrays; element types may differ (values convert on
+// write).
 func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
 	n := dst.NDims()
 	if src.NDims() != n || len(dstLo) != n || len(srcLo) != n || len(dims) != n {
@@ -99,78 +108,83 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	if err != nil {
 		return nil, err
 	}
+	if !src.progressive() || !dst.progressive() {
+		return dst.walkSchedule(src, dstLo, srcLo, dims, step)
+	}
+	pairs := make([][]dimPair, n)
+	counts := make([]int, n)
+	for i := 0; i < n; i++ {
+		st := 1
+		if step != nil {
+			st = step[i]
+		}
+		cnt := (dims[i] + st - 1) / st
+		ds := dst.dimShares(i, dstLo[i], st, cnt)
+		for _, s := range src.dimShares(i, srcLo[i], st, cnt) {
+			for _, d := range ds {
+				if p, ok := intersectShares(s, d); ok {
+					pairs[i] = append(pairs[i], p)
+				}
+			}
+		}
+		counts[i] = len(pairs[i])
+	}
+	total := grid.Size(counts)
+	sched := &Schedule{Blocks: make([]PairBlock, total)}
+	// One backing array holds every block's six bound vectors.
+	slab := make([]int, 6*n*total)
+	sCells := make([]int, n)
+	dCells := make([]int, n)
+	err = grid.ForEachRect(make([]int, n), counts, func(idx []int, b int) error {
+		v := slab[6*n*b:]
+		sLo, sHi, sStep := v[0:n:n], v[n:2*n:2*n], v[2*n:3*n:3*n]
+		dLo, dHi, dStep := v[3*n:4*n:4*n], v[4*n:5*n:5*n], v[5*n:6*n:6*n]
+		sDense, dDense := true, true
+		for i, j := range idx {
+			p := pairs[i][j]
+			sCells[i], dCells[i] = p.sCell, p.dCell
+			sLo[i], sStep[i], sHi[i] = p.sLo, p.sStep, p.sLo+(p.cnt-1)*p.sStep+1
+			dLo[i], dStep[i], dHi[i] = p.dLo, p.dStep, p.dLo+(p.cnt-1)*p.dStep+1
+			sDense = sDense && p.sStep == 1
+			dDense = dDense && p.dStep == 1
+		}
+		sSlot, err := grid.ProcSlot(sCells, src.GridDims, src.GridIndexing)
+		if err != nil {
+			return err
+		}
+		dSlot, err := grid.ProcSlot(dCells, dst.GridDims, dst.GridIndexing)
+		if err != nil {
+			return err
+		}
+		pb := &sched.Blocks[b]
+		*pb = PairBlock{
+			SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
+			SrcSlot: sSlot, DstSlot: dSlot,
+			SrcLo: sLo, SrcHi: sHi, DstLo: dLo, DstHi: dHi,
+		}
+		if !sDense {
+			pb.SrcStep = sStep
+		}
+		if !dDense {
+			pb.DstStep = dStep
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
+// walkSchedule is the per-point schedule: resolve every lattice point on
+// both sides (ResolveIndex) and bucket by (source slot, destination
+// slot) into paired storage-offset vectors, pairs ordered by first
+// appearance in row-major lattice order. TransferSchedule uses it only
+// for block-cyclic sides of width > 1; for every other layout it is the
+// tests' oracle. Bounds are already validated.
+func (dst *Meta) walkSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
+	n := dst.NDims()
 	sched := &Schedule{}
-	if step != nil {
-		sched.Step = append([]int(nil), step...)
-	}
-	if src.Regular() && dst.Regular() {
-		var sBlocks, dBlocks []OwnerBlock
-		if step == nil {
-			sBlocks, err = src.OwnerBlocks(srcLo, srcHi)
-		} else {
-			sBlocks, err = src.OwnerBlocksStrided(srcLo, srcHi, step)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if step == nil {
-			dBlocks, err = dst.OwnerBlocks(dstLo, dstHi)
-		} else {
-			dBlocks, err = dst.OwnerBlocksStrided(dstLo, dstHi, step)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Intersect every source block with every destination block in
-		// offset space (global minus the rectangle origin, so the two
-		// sides share coordinates). Block origins lie on the request
-		// lattice and the per-block global→local map is a unit-slope
-		// translation, so intersections translate back to local bounds
-		// by plain differences.
-		aLo := make([]int, n)
-		aHi := make([]int, n)
-		bLo := make([]int, n)
-		bHi := make([]int, n)
-		for _, sb := range sBlocks {
-			for i := 0; i < n; i++ {
-				aLo[i] = sb.GlobalLo[i] - srcLo[i]
-				aHi[i] = sb.GlobalHi[i] - srcLo[i]
-			}
-			for _, db := range dBlocks {
-				for i := 0; i < n; i++ {
-					bLo[i] = db.GlobalLo[i] - dstLo[i]
-					bHi[i] = db.GlobalHi[i] - dstLo[i]
-				}
-				var olo, ohi []int
-				var ok bool
-				if step == nil {
-					olo, ohi, ok = grid.IntersectRect(aLo, aHi, bLo, bHi)
-				} else {
-					olo, ohi, ok = grid.IntersectStridedRect(aLo, aHi, step, bLo, bHi)
-				}
-				if !ok {
-					continue
-				}
-				pb := PairBlock{
-					SrcProc: sb.Proc, DstProc: db.Proc,
-					SrcSlot: sb.Slot, DstSlot: db.Slot,
-					SrcLo: make([]int, n), SrcHi: make([]int, n),
-					DstLo: make([]int, n), DstHi: make([]int, n),
-				}
-				for i := 0; i < n; i++ {
-					pb.SrcLo[i] = sb.LocalLo[i] + olo[i] - aLo[i]
-					pb.SrcHi[i] = sb.LocalLo[i] + ohi[i] - aLo[i]
-					pb.DstLo[i] = db.LocalLo[i] + olo[i] - bLo[i]
-					pb.DstHi[i] = db.LocalLo[i] + ohi[i] - bLo[i]
-				}
-				sched.Blocks = append(sched.Blocks, pb)
-			}
-		}
-		return sched, nil
-	}
-	// At least one side is irregular: resolve every lattice point on
-	// both sides and bucket by (source slot, destination slot), pairs
-	// ordered by first appearance in row-major lattice order.
 	srcStrides := grid.Strides(src.LocalDimsPlus, src.Indexing)
 	dstStrides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
 	srcIdx := make([]int, n)
@@ -206,6 +220,7 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 		return nil
 	}
 	zero := make([]int, n)
+	var err error
 	if step == nil {
 		err = grid.ForEachRect(zero, dims, visit)
 	} else {
@@ -217,50 +232,107 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	return sched, nil
 }
 
-// CopyRect copies the strided interior rectangle (srcLo, srcHi, step) —
-// dense when step is nil — of the source section onto the same-shaped
-// lattice anchored at dstLo in the destination section, the two
-// sections belonging to (possibly different) arrays described by their
-// metadata. This is the zero-message service routine of the
+// dimPair is one dimension's intersection of a source cell's and a
+// destination cell's lattice progressions: cnt points, at local sLo +
+// t*sStep in source cell sCell and dLo + t*dStep in destination cell
+// dCell.
+type dimPair struct {
+	sCell, dCell int
+	sLo, sStep   int
+	dLo, dStep   int
+	cnt          int
+}
+
+// intersectShares intersects two per-cell progressions of one lattice
+// dimension. The source holds positions s.posLo + k*s.posStep and the
+// destination d.posLo + m*d.posStep; their common positions form a
+// progression of step lcm(s.posStep, d.posStep), found by solving the two
+// congruences, and each side's local step scales by the same factor as
+// its position step.
+func intersectShares(s, d dimShare) (dimPair, bool) {
+	sLast := s.posLo + ((s.hi-s.lo-1)/s.step)*s.posStep
+	dLast := d.posLo + ((d.hi-d.lo-1)/d.step)*d.posStep
+	x, l, ok := progressionMeet(s.posLo, s.posStep, d.posLo, d.posStep)
+	if !ok {
+		return dimPair{}, false
+	}
+	if x < d.posLo {
+		x += (d.posLo - x + l - 1) / l * l
+	}
+	last := min(sLast, dLast)
+	if x > last {
+		return dimPair{}, false
+	}
+	return dimPair{
+		sCell: s.cell, dCell: d.cell,
+		sLo: s.lo + (x-s.posLo)/s.posStep*s.step, sStep: s.step * (l / s.posStep),
+		dLo: d.lo + (x-d.posLo)/d.posStep*d.step, dStep: d.step * (l / d.posStep),
+		cnt: (last-x)/l + 1,
+	}, true
+}
+
+// progressionMeet solves x ≡ a (mod p), x ≡ b (mod q) for positive p, q:
+// x is the least solution >= a and l = lcm(p, q) the period of all of
+// them; ok is false when the residue classes never meet.
+func progressionMeet(a, p, b, q int) (x, l int, ok bool) {
+	// Extended Euclid: u*p ≡ g (mod q).
+	g, u, r, u1 := p, 1, q, 0
+	for r != 0 {
+		t := g / r
+		g, r = r, g-t*r
+		u, u1 = u1, u-t*u1
+	}
+	diff := b - a
+	if diff%g != 0 {
+		return 0, 0, false
+	}
+	qg := q / g
+	// a + k*p ≡ b (mod q) with k ≡ (diff/g)*u (mod q/g).
+	k := (diff / g % qg) * (u % qg) % qg
+	if k < 0 {
+		k += qg
+	}
+	return a + k*p, p * qg, true
+}
+
+// CopyRect copies the strided interior rectangle (srcLo, srcHi, srcStep)
+// of the source section onto the same-shaped lattice anchored at dstLo
+// with step dstStep in the destination section (a nil step is dense),
+// the two sections belonging to (possibly different) arrays described
+// by their metadata. This is the zero-message service routine of the
 // redistribution plane's same-process pairs: for rectangles of at most
 // MaxFastDims dimensions the dual-odometer walk performs no heap
 // allocation, moving contiguous runs with copy when both sections are
-// row-major doubles with a unit innermost step. Element types may
-// differ (values convert). Both rectangles are validated against the
-// sections' interior dimensions.
-func CopyRect(dst *Section, dstMeta *Meta, dstLo []int, src *Section, srcMeta *Meta, srcLo, srcHi, step []int) error {
+// row-major doubles with unit innermost steps. Element types may differ
+// (values convert). Both rectangles are validated against the sections'
+// interior dimensions.
+func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep []int) error {
 	n := len(srcLo)
 	if dstMeta.NDims() != n || srcMeta.NDims() != n || len(dstLo) != n || len(srcHi) != n {
 		return fmt.Errorf("darray: copy-rect rank mismatch: dst %d, src %d, bounds %d/%d/%d",
 			dstMeta.NDims(), srcMeta.NDims(), len(dstLo), len(srcLo), len(srcHi))
 	}
-	if step != nil && len(step) != n {
-		return fmt.Errorf("darray: copy-rect step of rank %d for %d dimensions", len(step), n)
+	if (srcStep != nil && len(srcStep) != n) || (dstStep != nil && len(dstStep) != n) {
+		return fmt.Errorf("darray: copy-rect steps of rank %d/%d for %d dimensions", len(srcStep), len(dstStep), n)
 	}
-	if step == nil {
+	if srcStep == nil {
 		if err := grid.CheckRect(srcLo, srcHi, srcMeta.LocalDims); err != nil {
 			return err
 		}
-	} else if err := grid.CheckStridedRect(srcLo, srcHi, step, srcMeta.LocalDims); err != nil {
+	} else if err := grid.CheckStridedRect(srcLo, srcHi, srcStep, srcMeta.LocalDims); err != nil {
 		return err
 	}
 	if n <= MaxFastDims {
-		return copyRectFast(dst, dstMeta, dstLo, src, srcMeta, srcLo, srcHi, step)
+		return copyRectFast(dst, dstMeta, dstLo, dstStep, src, srcMeta, srcLo, srcHi, srcStep)
 	}
-	st := step
-	if st == nil {
-		st = make([]int, n)
-		for i := range st {
-			st[i] = 1
-		}
-	}
+	sSt, dSt := orDense(srcStep, n), orDense(dstStep, n)
 	cnt := make([]int, n)
 	dstHi := make([]int, n)
 	for i := 0; i < n; i++ {
-		cnt[i] = (srcHi[i] - srcLo[i] + st[i] - 1) / st[i]
-		dstHi[i] = dstLo[i] + (cnt[i]-1)*st[i] + 1
+		cnt[i] = (srcHi[i] - srcLo[i] + sSt[i] - 1) / sSt[i]
+		dstHi[i] = dstLo[i] + (cnt[i]-1)*dSt[i] + 1
 	}
-	if err := grid.CheckStridedRect(dstLo, dstHi, st, dstMeta.LocalDims); err != nil {
+	if err := grid.CheckStridedRect(dstLo, dstHi, dSt, dstMeta.LocalDims); err != nil {
 		return err
 	}
 	sStr := grid.Strides(srcMeta.LocalDimsPlus, srcMeta.Indexing)
@@ -269,8 +341,8 @@ func CopyRect(dst *Section, dstMeta *Meta, dstLo []int, src *Section, srcMeta *M
 	for i := 0; i < n; i++ {
 		sBase += (srcLo[i] + srcMeta.Borders[2*i]) * sStr[i]
 		dBase += (dstLo[i] + dstMeta.Borders[2*i]) * dStr[i]
-		sStr[i] *= st[i]
-		dStr[i] *= st[i]
+		sStr[i] *= sSt[i]
+		dStr[i] *= dSt[i]
 	}
 	zero := make([]int, n)
 	return grid.ForEachRect(zero, cnt, func(idx []int, _ int) error {
@@ -284,24 +356,39 @@ func CopyRect(dst *Section, dstMeta *Meta, dstLo []int, src *Section, srcMeta *M
 	})
 }
 
+// orDense returns step, or a fresh all-ones step of rank n when it is nil.
+func orDense(step []int, n int) []int {
+	if step != nil {
+		return step
+	}
+	st := make([]int, n)
+	for i := range st {
+		st[i] = 1
+	}
+	return st
+}
+
 // copyRectFast is CopyRect specialised to at most MaxFastDims
 // dimensions: all scratch lives in fixed-size stack arrays and a dual
 // odometer advances both sections' storage offsets incrementally, so
 // the copy performs no heap allocation. The source bounds are already
 // validated; the destination bounds are validated here from the lattice
 // counts.
-func copyRectFast(dst *Section, dstMeta *Meta, dstLo []int, src *Section, srcMeta *Meta, srcLo, srcHi, step []int) error {
+func copyRectFast(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep []int) error {
 	n := len(srcLo)
-	if step == nil {
-		step = denseStep[:n]
+	if srcStep == nil {
+		srcStep = denseStep[:n]
+	}
+	if dstStep == nil {
+		dstStep = denseStep[:n]
 	}
 	var dstHi [MaxFastDims]int
 	var cnt, sStride, dStride, pos [MaxFastDims]int
 	for i := 0; i < n; i++ {
-		cnt[i] = (srcHi[i] - srcLo[i] + step[i] - 1) / step[i]
-		dstHi[i] = dstLo[i] + (cnt[i]-1)*step[i] + 1
+		cnt[i] = (srcHi[i] - srcLo[i] + srcStep[i] - 1) / srcStep[i]
+		dstHi[i] = dstLo[i] + (cnt[i]-1)*dstStep[i] + 1
 	}
-	if err := grid.CheckStridedRect(dstLo, dstHi[:n], step, dstMeta.LocalDims); err != nil {
+	if err := grid.CheckStridedRect(dstLo, dstHi[:n], dstStep, dstMeta.LocalDims); err != nil {
 		return err
 	}
 	var sPlus, dPlus [MaxFastDims]int
@@ -329,13 +416,13 @@ func copyRectFast(dst *Section, dstMeta *Meta, dstLo []int, src *Section, srcMet
 	for i := 0; i < n; i++ {
 		sOff += (srcLo[i] + srcMeta.Borders[2*i]) * sStride[i]
 		dOff += (dstLo[i] + dstMeta.Borders[2*i]) * dStride[i]
-		sStride[i] *= step[i]
-		dStride[i] *= step[i]
+		sStride[i] *= srcStep[i]
+		dStride[i] *= dstStep[i]
 	}
 	last := n - 1
 	run := cnt[last]
 	contiguous := srcMeta.Indexing == grid.RowMajor && dstMeta.Indexing == grid.RowMajor &&
-		src.Type == Double && dst.Type == Double && step[last] == 1
+		src.Type == Double && dst.Type == Double && srcStep[last] == 1 && dstStep[last] == 1
 	for {
 		if contiguous {
 			copy(dst.F[dOff:dOff+run], src.F[sOff:sOff+run])
@@ -410,9 +497,9 @@ type StridedShare struct {
 	PosLo, PosStep []int // placement of the piece on the request lattice
 }
 
-// dimShare is one dimension's owner progression inside StridedShares:
-// the cell, its local strided run, and the run's placement on the
-// request lattice along that dimension.
+// dimShare is one dimension's owner progression inside StridedShares and
+// TransferSchedule: the cell, its local strided run, and the run's
+// placement on the request lattice along that dimension.
 type dimShare struct {
 	cell           int
 	lo, hi, step   int
@@ -439,12 +526,10 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 	if err != nil {
 		return nil, false, err
 	}
-	n := m.NDims()
-	for i := 0; i < n; i++ {
-		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock && m.Dists[i].B > 1 {
-			return nil, false, nil // block-cyclic holdings are not single progressions
-		}
+	if !m.progressive() {
+		return nil, false, nil
 	}
+	n := m.NDims()
 	dims := make([][]dimShare, n)
 	counts := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -452,12 +537,7 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 		if step != nil {
 			st = step[i]
 		}
-		cnt := (hi[i] - lo[i] + st - 1) / st
-		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
-			dims[i] = cyclicDimShares(lo[i], st, cnt, m.GridDims[i])
-		} else {
-			dims[i] = blockDimShares(lo[i], st, cnt, m.LocalDims[i], m.Dims[i])
-		}
+		dims[i] = m.dimShares(i, lo[i], st, (hi[i]-lo[i]+st-1)/st)
 		counts[i] = len(dims[i])
 	}
 	shares = make([]StridedShare, 0, grid.Size(counts))
@@ -493,6 +573,28 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 			return shares, true, nil
 		}
 	}
+}
+
+// progressive reports whether every dimension maps a lattice onto each
+// cell as a single arithmetic progression: block dimensions, width-1
+// cyclic ones, and any distribution over a 1-cell grid dimension. A
+// block-cyclic dimension of width > 1 over several cells does not.
+func (m *Meta) progressive() bool {
+	for i := range m.Dims {
+		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock && m.Dists[i].B > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// dimShares splits the lattice {lo + j*st : 0 <= j < cnt} along
+// dimension i of a progressive array into its per-cell progressions.
+func (m *Meta) dimShares(i, lo, st, cnt int) []dimShare {
+	if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
+		return cyclicDimShares(lo, st, cnt, m.GridDims[i])
+	}
+	return blockDimShares(lo, st, cnt, m.LocalDims[i], m.Dims[i])
 }
 
 // cyclicDimShares computes the per-cell progressions of the lattice

@@ -2,6 +2,7 @@ package darray
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/grid"
@@ -50,7 +51,7 @@ func fillGlobal(t *testing.T, m *Meta, secs map[int]*Section, encode func([]int)
 func applySchedule(t *testing.T, sched *Schedule, dst *Meta, dstSecs map[int]*Section, src *Meta, srcSecs map[int]*Section) {
 	t.Helper()
 	for _, pb := range sched.Blocks {
-		err := CopyRect(dstSecs[pb.DstProc], dst, pb.DstLo, srcSecs[pb.SrcProc], src, pb.SrcLo, pb.SrcHi, sched.Step)
+		err := CopyRect(dstSecs[pb.DstProc], dst, pb.DstLo, pb.DstStep, srcSecs[pb.SrcProc], src, pb.SrcLo, pb.SrcHi, pb.SrcStep)
 		if err != nil {
 			t.Fatalf("CopyRect(%+v): %v", pb, err)
 		}
@@ -95,8 +96,8 @@ func redistLayouts(t *testing.T, dims []int) map[string]*Meta {
 }
 
 // TestTransferScheduleCompleteness drives every ordered pair of layouts
-// (regular×regular through the block path, every other mix through the
-// offset-set path) with random dense and strided rectangles and checks
+// (descriptor blocks unless a side is block-cyclic of width > 1, offset
+// sets otherwise) with random dense and strided rectangles and checks
 // element-for-element delivery.
 func TestTransferScheduleCompleteness(t *testing.T) {
 	for _, dims := range [][]int{{29}, {11, 10}} {
@@ -146,12 +147,8 @@ func TestTransferScheduleCompleteness(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s->%s: TransferSchedule: %v", sname, dname, err)
 					}
-					if src.Regular() && dst.Regular() {
-						if len(sched.Sets) != 0 {
-							t.Fatalf("%s->%s: regular pair produced %d offset sets", sname, dname, len(sched.Sets))
-						}
-					} else if len(sched.Blocks) != 0 {
-						t.Fatalf("%s->%s: irregular pair produced %d blocks", sname, dname, len(sched.Blocks))
+					if len(sched.Sets) != 0 && src.progressive() && dst.progressive() {
+						t.Fatalf("%s->%s: progression layouts produced %d offset sets", sname, dname, len(sched.Sets))
 					}
 					srcSecs := sectionsFor(src)
 					dstSecs := sectionsFor(dst)
@@ -329,8 +326,8 @@ func TestStridedSharesMatchOwnerLattice(t *testing.T) {
 }
 
 // TestCopyRectConverts exercises the allocating >MaxFastDims dispatch
-// indirectly by crossing element types and indexing orders through the
-// fast path (conversion and non-contiguous walks).
+// indirectly by crossing element types, indexing orders and per-side
+// steps through the fast path (conversion and non-contiguous walks).
 func TestCopyRectConverts(t *testing.T) {
 	src := metaForDist(t, []int{6, 4}, []int{1, 1},
 		[]grid.Decomp{grid.NoDecomp(), grid.NoDecomp()}, []int{0, 0, 0, 0}, grid.RowMajor)
@@ -342,7 +339,8 @@ func TestCopyRectConverts(t *testing.T) {
 	for i := 0; i < s.Len(); i++ {
 		s.SetFloat(i, float64(i)+0.5)
 	}
-	if err := CopyRect(d, dst, []int{1, 0}, s, src, []int{0, 1}, []int{5, 4}, []int{2, 1}); err != nil {
+	// Every other source row lands on consecutive destination rows.
+	if err := CopyRect(d, dst, []int{1, 0}, nil, s, src, []int{0, 1}, []int{5, 4}, []int{2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	strides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
@@ -350,10 +348,10 @@ func TestCopyRectConverts(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
 			sOff := (2*r)*sStrides[0] + (1+c)*sStrides[1]
-			dOff := (1+2*r+dst.Borders[0])*strides[0] + c*strides[1]
+			dOff := (1+r+dst.Borders[0])*strides[0] + c*strides[1]
 			want := float64(int64(s.GetFloat(sOff))) // Int storage truncates
 			if got := d.GetFloat(dOff); got != want {
-				t.Fatalf("dst[%d,%d] = %v, want %v", 1+2*r, c, got, want)
+				t.Fatalf("dst[%d,%d] = %v, want %v", 1+r, c, got, want)
 			}
 		}
 	}
@@ -385,4 +383,169 @@ func randomDistRect(rng *rand.Rand, dims []int) (lo, hi, step []int) {
 		step[i] = 1 + rng.Intn(3)
 	}
 	return lo, hi, step
+}
+
+// fuzzBytes doles out fuzz input one bounded choice at a time; an
+// exhausted input yields zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// fuzzMeta draws one layout of the given rank: per dimension an extent,
+// a grid extent and block, cyclic(N), block-cyclic(B) or star, plus
+// borders and an indexing order.
+func fuzzMeta(t *testing.T, in *fuzzBytes, rank int) *Meta {
+	dims := make([]int, rank)
+	gridDims := make([]int, rank)
+	specs := make([]grid.Decomp, rank)
+	borders := make([]int, 2*rank)
+	for i := 0; i < rank; i++ {
+		dims[i] = 1 + in.next(24)
+		gridDims[i] = 1 + in.next(4)
+		switch in.next(4) {
+		case 0:
+			specs[i] = grid.BlockOf(gridDims[i])
+		case 1:
+			specs[i] = grid.CyclicOf(gridDims[i])
+		case 2:
+			specs[i] = grid.BlockCyclicOfN(1+in.next(4), gridDims[i])
+		default:
+			specs[i], gridDims[i] = grid.NoDecomp(), 1
+		}
+		borders[2*i], borders[2*i+1] = in.next(3), in.next(3)
+	}
+	ix := grid.RowMajor
+	if in.next(2) == 1 {
+		ix = grid.ColMajor
+	}
+	return metaForDist(t, dims, gridDims, specs, borders, ix)
+}
+
+// schedulePairs flattens a schedule into its (srcSlot, dstSlot) →
+// (srcOff, dstOff) pairs, enumerating each descriptor block's two local
+// lattices in lockstep. It fails the test on a block whose sides differ
+// in shape or leave their sections, and on an owner pair that appears
+// twice.
+func schedulePairs(t *testing.T, sched *Schedule, dst, src *Meta) map[[2]int][][2]int {
+	t.Helper()
+	out := make(map[[2]int][][2]int)
+	claim := func(s, d int) [2]int {
+		k := [2]int{s, d}
+		if _, dup := out[k]; dup {
+			t.Fatalf("owner pair (%d,%d) appears twice in the schedule", s, d)
+		}
+		out[k] = nil
+		return k
+	}
+	n := dst.NDims()
+	sStr := grid.Strides(src.LocalDimsPlus, src.Indexing)
+	dStr := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
+	for _, pb := range sched.Blocks {
+		if pb.SrcProc != src.Procs[pb.SrcSlot] || pb.DstProc != dst.Procs[pb.DstSlot] {
+			t.Fatalf("block %+v: processors disagree with slots", pb)
+		}
+		sSt, dSt := orDense(pb.SrcStep, n), orDense(pb.DstStep, n)
+		if err := grid.CheckStridedRect(pb.SrcLo, pb.SrcHi, sSt, src.LocalDims); err != nil {
+			t.Fatalf("block %+v: source side: %v", pb, err)
+		}
+		if err := grid.CheckStridedRect(pb.DstLo, pb.DstHi, dSt, dst.LocalDims); err != nil {
+			t.Fatalf("block %+v: destination side: %v", pb, err)
+		}
+		cnt := grid.StridedRectDims(pb.SrcLo, pb.SrcHi, sSt)
+		if !EqualInts(cnt, grid.StridedRectDims(pb.DstLo, pb.DstHi, dSt)) {
+			t.Fatalf("block %+v: sides differ in shape", pb)
+		}
+		k := claim(pb.SrcSlot, pb.DstSlot)
+		zero := make([]int, n)
+		_ = grid.ForEachRect(zero, cnt, func(j []int, _ int) error {
+			so, do := 0, 0
+			for i := range j {
+				so += (pb.SrcLo[i] + j[i]*sSt[i] + src.Borders[2*i]) * sStr[i]
+				do += (pb.DstLo[i] + j[i]*dSt[i] + dst.Borders[2*i]) * dStr[i]
+			}
+			out[k] = append(out[k], [2]int{so, do})
+			return nil
+		})
+	}
+	for _, ps := range sched.Sets {
+		k := claim(ps.SrcSlot, ps.DstSlot)
+		for i := range ps.SrcOffs {
+			out[k] = append(out[k], [2]int{ps.SrcOffs[i], ps.DstOffs[i]})
+		}
+	}
+	return out
+}
+
+// FuzzTransferSchedule pins the closed-form schedule to the per-point
+// walk: over random layout pairs (block, cyclic(N), block-cyclic(B) and
+// star dimensions; 1-D and 2-D; uneven trailing blocks, borders and both
+// indexing orders) and random dense or strided lattices at distinct
+// source and destination origins, every owner pair must move exactly the
+// (srcOff, dstOff) pairs the walk resolves — none missing, none extra.
+func FuzzTransferSchedule(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 9, 3, 0, 0, 0, 17, 3, 1, 0, 0, 1, 1, 2, 0, 3, 3})
+	// The panel handoff: columns [4,8) of a 16x16 (*,block) array onto
+	// the same columns of a (cyclic,*) one, 4 cells each, dense.
+	f.Add([]byte{1, 15, 0, 3, 0, 0, 15, 3, 0, 0, 0, 0, 15, 3, 1, 0, 0, 15, 0, 3, 0, 0, 0,
+		0, 15, 0, 0, 0, 0, 3, 0, 4, 4, 0})
+	f.Add([]byte{0, 22, 2, 2, 2, 1, 2, 1, 20, 3, 1, 0, 1, 0, 1, 2, 5, 4, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		rank := 1 + in.next(2)
+		src := fuzzMeta(t, &in, rank)
+		dst := fuzzMeta(t, &in, rank)
+		srcLo := make([]int, rank)
+		dstLo := make([]int, rank)
+		ext := make([]int, rank)
+		step := make([]int, rank)
+		for i := 0; i < rank; i++ {
+			step[i] = 1 + in.next(4)
+			room := min(src.Dims[i], dst.Dims[i])
+			cnt := 1 + in.next((room-1)/step[i]+1)
+			span := (cnt-1)*step[i] + 1
+			ext[i] = span + in.next(min(step[i], room-span+1)) // hi need not be tight
+			srcLo[i] = in.next(src.Dims[i] - ext[i] + 1)
+			dstLo[i] = in.next(dst.Dims[i] - ext[i] + 1)
+		}
+		if in.next(2) == 0 {
+			step = nil
+		}
+		sched, err := dst.TransferSchedule(src, dstLo, srcLo, ext, step)
+		if err != nil {
+			t.Fatalf("TransferSchedule(%v, %v, %v, %v): %v", dstLo, srcLo, ext, step, err)
+		}
+		if len(sched.Sets) != 0 && src.progressive() && dst.progressive() {
+			t.Fatalf("progression layouts produced %d offset sets", len(sched.Sets))
+		}
+		oracle, err := dst.walkSchedule(src, dstLo, srcLo, ext, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := schedulePairs(t, sched, dst, src)
+		want := schedulePairs(t, oracle, dst, src)
+		if len(got) != len(want) {
+			t.Fatalf("%d owner pairs, walk has %d", len(got), len(want))
+		}
+		for k, w := range want {
+			g := got[k]
+			sort.Slice(g, func(a, b int) bool { return g[a][0] < g[b][0] || g[a][0] == g[b][0] && g[a][1] < g[b][1] })
+			sort.Slice(w, func(a, b int) bool { return w[a][0] < w[b][0] || w[a][0] == w[b][0] && w[a][1] < w[b][1] })
+			if len(g) != len(w) {
+				t.Fatalf("owner pair %v moves %d points, walk %d", k, len(g), len(w))
+			}
+			for i := range w {
+				if g[i] != w[i] {
+					t.Fatalf("owner pair %v: point %d moves %v, walk %v", k, i, g[i], w[i])
+				}
+			}
+		}
+	})
 }
