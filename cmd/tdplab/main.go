@@ -12,10 +12,10 @@
 //	tdplab redist 16x16 4 "*,block" "cyclic,*"   # show a transfer schedule
 //	tdplab chaos [seed]             # run a verified workload under a fault plan
 //	tdplab heal [seed]              # kill processors mid-run and watch the machine heal
+//	tdplab netrun                   # run climate across two OS processes over TCP
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -97,20 +97,6 @@ func main() {
 		}
 		if err := runNet(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "tdplab: netrun: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if args[0] == "bench" {
-		out := "BENCH_pr10.json"
-		if len(args) == 2 {
-			out = args[1]
-		} else if len(args) > 2 {
-			fmt.Fprintln(os.Stderr, "usage: tdplab bench [out.json]")
-			os.Exit(2)
-		}
-		if err := runBench(os.Stdout, out); err != nil {
-			fmt.Fprintf(os.Stderr, "tdplab: bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -198,12 +184,7 @@ usage:
   tdplab netrun                      run the climate example three ways — sequential
                                      reference, one process, and two real OS processes
                                      over loopback TCP — and verify the fields are
-                                     bit-identical
-  tdplab bench [out.json]            measure the transport seam (E29: in-process switch
-                                     vs the PR-9 star wire) and the fast-wire layers
-                                     (E30: star vs mesh vs mesh+batch at 2 and 3 parts,
-                                     block transfer + redistribution) and write the
-                                     numbers as JSON (default BENCH_pr10.json)`)
+                                     bit-identical`)
 }
 
 // runNet executes the coupled climate example on a single-process
@@ -271,42 +252,6 @@ func runNet(w *os.File) error {
 		return fmt.Errorf("cross-process run differs from in-process run")
 	}
 	fmt.Fprintln(w, "  fields bit-identical across all three runs")
-	return nil
-}
-
-// runBench measures the transport seam (E29, pinned to the PR-9 wire)
-// and the fast-wire layers (E30: star vs mesh vs mesh+batch) and writes
-// the numbers as a JSON artifact for cross-commit comparison.
-func runBench(w *os.File, out string) error {
-	res29, err := experiments.MeasureE29()
-	if err != nil {
-		return err
-	}
-	res30, err := experiments.MeasureE30()
-	if err != nil {
-		return err
-	}
-	doc := struct {
-		PR        int                   `json:"pr"`
-		Generator string                `json:"generator"`
-		E29       experiments.E29Result `json:"E29"`
-		E30       experiments.E30Result `json:"E30"`
-	}{PR: 10, Generator: "tdplab bench", E29: res29, E30: res30}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E29 (in-proc vs PR-9 star wire): read %d vs %d ns/op, write %d vs %d ns/op\n",
-		res29.InProc.ReadNsPerOp, res29.TCP.ReadNsPerOp, res29.InProc.WriteNsPerOp, res29.TCP.WriteNsPerOp)
-	for _, sh := range res30.Shapes {
-		fmt.Fprintf(w, "E30 %d parts: mesh+batch vs star read %.2fx, write %.2fx\n",
-			sh.NParts, sh.ReadSpeedup, sh.WriteSpeedup)
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
 	return nil
 }
 

@@ -473,8 +473,6 @@ func (m *Manager) handle(proc int, req *request) {
 		resp = m.doWriteVectorLocal(proc, req)
 	case "read_block":
 		resp = m.doReadBlock(proc, req)
-	case "read_block_serial":
-		resp = m.doReadBlockSerial(proc, req)
 	case "read_block_local":
 		resp = m.doReadBlockLocal(proc, req)
 	case "write_block":
@@ -1158,63 +1156,6 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 	}
 	if status != StatusOK {
 		return response{status: status}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// doReadBlockSerial is the pre-concurrency coordinator, kept verbatim for
-// the E22 ablation: owners are visited one at a time, each paying a full
-// round trip before the next is contacted.
-func (m *Manager) doReadBlockSerial(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		// Serial ablation of the irregular path: one owner at a time, a
-		// full round trip each, through the same offset sets.
-		sets, err := e.meta.OwnerLattice(req.lo, req.hi, nil)
-		if err != nil {
-			return response{status: StatusInvalid}
-		}
-		out := make([]float64, grid.RectSize(req.lo, req.hi))
-		for _, s := range sets {
-			sub := &request{op: "read_vector_local", id: req.id, offs: s.Offs, slot: s.Slot}
-			var r response
-			if s.Proc == proc {
-				r = m.doReadVectorLocal(proc, sub)
-			} else {
-				r = m.send(proc, s.Proc, sub)
-			}
-			if r.status != StatusOK {
-				return response{status: r.status}
-			}
-			for j, p := range s.Pos {
-				out[p] = r.vals[j]
-			}
-			m.recycle(s.Proc, r.vals)
-		}
-		return response{status: StatusOK, vals: out}
-	}
-	blocks, err := e.meta.OwnerBlocks(req.lo, req.hi)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	rectDims := grid.RectDims(req.lo, req.hi)
-	out := make([]float64, grid.RectSize(req.lo, req.hi))
-	for _, b := range blocks {
-		sub := &request{op: "read_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot}
-		var r response
-		if b.Proc == proc {
-			r = m.doReadBlockLocal(proc, sub)
-		} else {
-			r = m.send(proc, b.Proc, sub)
-		}
-		if r.status != StatusOK {
-			return response{status: r.status}
-		}
-		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		m.recycle(b.Proc, r.vals)
 	}
 	return response{status: StatusOK, vals: out}
 }
@@ -1970,17 +1911,6 @@ func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []fl
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
 		return &request{op: "read_block", id: id, lo: lo, hi: hi, vals: dst}
 	}).status
-}
-
-// ReadBlockSerial is ReadBlock through the serial owner-at-a-time
-// coordinator. Ablation/benchmark use only (E22): it exists to measure
-// what the concurrent scatter/gather coordinator buys.
-func (m *Manager) ReadBlockSerial(onProc int, id darray.ID, lo, hi []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
-	}
-	r := m.send(onProc, onProc, &request{op: "read_block_serial", id: id, lo: lo, hi: hi})
-	return r.vals, r.status
 }
 
 // WriteBlock writes a dense row-major buffer into the global rectangle

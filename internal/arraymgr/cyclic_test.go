@@ -178,33 +178,3 @@ func TestCyclicOwnerServerAllocs(t *testing.T) {
 		t.Errorf("cyclic owner service: %v allocs/op, want 0 (pooled)", allocs)
 	}
 }
-
-// TestCyclicSerialEquivalence keeps the serial ablation honest on the
-// irregular path: owner-at-a-time reads of a cyclic array must return
-// exactly what the concurrent coordinator returns.
-func TestCyclicSerialEquivalence(t *testing.T) {
-	const p, n = 4, 24
-	_, m := newTestManager(t, p)
-	id := mustCreate(t, m, 0, cyclicSpec(n, p))
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(7*i + 3)
-	}
-	if st := m.WriteBlock(0, id, []int{0}, []int{n}, vals); st != StatusOK {
-		t.Fatalf("WriteBlock: %v", st)
-	}
-	lo, hi := []int{3}, []int{21}
-	want, st := m.ReadBlock(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlock: %v", st)
-	}
-	got, st := m.ReadBlockSerial(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlockSerial: %v", st)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("serial[%d] = %v, concurrent %v", i, got[i], want[i])
-		}
-	}
-}

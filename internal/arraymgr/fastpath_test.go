@@ -194,35 +194,6 @@ func TestReadBlockIntoMatchesReadBlock(t *testing.T) {
 	}
 }
 
-// TestSerialCoordinatorEquivalence keeps the E22 ablation honest: the
-// serial owner-at-a-time coordinator must return exactly what the
-// concurrent scatter/gather coordinator returns.
-func TestSerialCoordinatorEquivalence(t *testing.T) {
-	_, m := newTestManager(t, 4)
-	id := mustCreate(t, m, 0, fastPathSpec())
-	vals := make([]float64, 32*32)
-	for i := range vals {
-		vals[i] = float64(i * 7)
-	}
-	if st := m.WriteBlock(0, id, []int{0, 0}, []int{32, 32}, vals); st != StatusOK {
-		t.Fatalf("WriteBlock: %v", st)
-	}
-	lo, hi := []int{3, 5}, []int{29, 31}
-	want, st := m.ReadBlock(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlock: %v", st)
-	}
-	got, st := m.ReadBlockSerial(0, id, lo, hi)
-	if st != StatusOK {
-		t.Fatalf("ReadBlockSerial: %v", st)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("serial[%d] = %v, concurrent %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestControlFanoutBudget asserts the combining-tree message budget of the
 // batched control plane: creating or freeing an array distributed over P
 // processors costs exactly one user request plus P-1 tree messages (each

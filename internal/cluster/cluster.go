@@ -12,12 +12,7 @@
 // where programs are registered and call policies installed, keeping
 // the two sides symmetric by construction.
 //
-// The transport defaults to its production mode (mesh topology, frame
-// batching, binary codec). The Config knobs Star/NoBatch/Gob each turn
-// one optimization off — the driver passes them to its own transport
-// and forwards them to every spawned worker, so the whole machine
-// always runs one mode. Worker mesh listen addresses default to
-// loopback ephemeral ports; explicit per-worker addresses (real remote
+// Worker mesh listen addresses default to loopback ephemeral ports; explicit per-worker addresses (real remote
 // hosts, or loopback aliases in tests) come from Config.WorkerAddrs,
 // the TDP_CLUSTER_ADDRS environment variable, or a SpawnWorkers option.
 package cluster
@@ -38,7 +33,7 @@ import (
 
 // WorkerEnv is the environment variable carrying a worker's role:
 // "P=<procs>;NPARTS=<parts>;RANK=<rank>;ADDR=<host:port>" plus the
-// optional mode fields "STAR=1;NOBATCH=1;GOB=1;MADDR=<host:port>".
+// optional mesh listen address ";MADDR=<host:port>".
 const WorkerEnv = "TDP_CLUSTER_WORKER"
 
 // AddrsEnv optionally lists explicit worker mesh listen addresses,
@@ -53,13 +48,6 @@ type Config struct {
 	NParts int    // OS processes
 	Rank   int    // this part (0 = driver)
 	Addr   string // driver listen address; "" = 127.0.0.1:0 (driver only)
-
-	// Transport mode. The zero value is the production default (mesh +
-	// batching + binary codec); each knob disables one optimization,
-	// and Star+NoBatch+Gob together reproduce the PR-9 wire.
-	Star    bool // relay all worker↔worker traffic through part 0
-	NoBatch bool // flush every frame synchronously under the peer mutex
-	Gob     bool // gob-encode every payload (no binary fast paths)
 
 	// MeshAddr is this worker's mesh listen address (workers only;
 	// "" = 127.0.0.1:0). Set from MADDR by WorkerConfig.
@@ -77,19 +65,6 @@ func (c Config) check() error {
 		return fmt.Errorf("cluster: rank %d out of range (nparts=%d)", c.Rank, c.NParts)
 	}
 	return nil
-}
-
-// transportOptions maps the config's mode knobs to transport options.
-func (c Config) transportOptions() []msgnet.Option {
-	opts := []msgnet.Option{
-		msgnet.WithMesh(!c.Star),
-		msgnet.WithBatch(!c.NoBatch),
-		msgnet.WithForceGob(c.Gob),
-	}
-	if c.MeshAddr != "" {
-		opts = append(opts, msgnet.WithMeshAddr(c.MeshAddr))
-	}
-	return opts
 }
 
 // callBase gives each part a disjoint call-id space (see
@@ -122,7 +97,7 @@ func StartDriver(cfg Config, register func(*core.Machine) error) (*Node, error) 
 			cfg.WorkerAddrs = strings.Split(v, ",")
 		}
 	}
-	tr, err := msgnet.Listen(addr, cfg.P, cfg.NParts, cfg.transportOptions()...)
+	tr, err := msgnet.Listen(addr, cfg.P, cfg.NParts)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +120,9 @@ func StartDriver(cfg Config, register func(*core.Machine) error) (*Node, error) 
 // Addr returns the rendezvous address workers dial.
 func (n *Node) Addr() string { return n.Cfg.Addr }
 
-// WaitPeers blocks until every worker part is connected — and, in mesh
-// mode, every worker-pair link established — (driver only).
+// WaitPeers blocks until every worker part is connected and every
+// worker has registered its programs and resolved its mesh dials
+// (driver only).
 func (n *Node) WaitPeers(timeout time.Duration) error { return n.Tr.WaitPeers(timeout) }
 
 // Kill fail-stops processor proc machine-wide: applied locally and
@@ -195,15 +171,6 @@ func WithWorkerAddrs(addrs []string) SpawnOption {
 // workerEnvValue builds the WorkerEnv payload for one worker rank.
 func (n *Node) workerEnvValue(rank int, meshAddr string) string {
 	v := fmt.Sprintf("P=%d;NPARTS=%d;RANK=%d;ADDR=%s", n.Cfg.P, n.Cfg.NParts, rank, n.Cfg.Addr)
-	if n.Cfg.Star {
-		v += ";STAR=1"
-	}
-	if n.Cfg.NoBatch {
-		v += ";NOBATCH=1"
-	}
-	if n.Cfg.Gob {
-		v += ";GOB=1"
-	}
 	if meshAddr != "" {
 		v += ";MADDR=" + meshAddr
 	}
@@ -211,8 +178,8 @@ func (n *Node) workerEnvValue(rank int, meshAddr string) string {
 }
 
 // SpawnWorkers re-execs this binary once per worker rank, each with
-// WorkerEnv set to dial this driver (carrying the transport mode and
-// any explicit mesh address). Workers inherit stderr for diagnostics;
+// WorkerEnv set to dial this driver (carrying any explicit mesh
+// address). Workers inherit stderr for diagnostics;
 // stdout is discarded so driver output stays clean.
 func (n *Node) SpawnWorkers(opt ...SpawnOption) error {
 	if !SelfSpawnEnabled() {
@@ -276,12 +243,6 @@ func ParseWorkerEnv(v string) (Config, error) {
 			cfg.Rank, _ = strconv.Atoi(val)
 		case "ADDR":
 			cfg.Addr = val
-		case "STAR":
-			cfg.Star = val == "1"
-		case "NOBATCH":
-			cfg.NoBatch = val == "1"
-		case "GOB":
-			cfg.Gob = val == "1"
 		case "MADDR":
 			cfg.MeshAddr = val
 		}
@@ -291,8 +252,14 @@ func ParseWorkerEnv(v string) (Config, error) {
 
 // RunWorker boots a worker part and blocks until the driver shuts the
 // machine down (bye frame or lost connection): dial, build the
-// partitioned machine, run register, park. The worker's task level runs
-// nothing — its processors serve array-manager and spawn traffic.
+// partitioned machine, run register, attach, park. The worker's task
+// level runs nothing — its processors serve array-manager and spawn
+// traffic.
+//
+// The transport is attached only after register returns: until then no
+// frame is read, so the mesh directory, this worker's mesh dials and its
+// mesh-ready report — and with them the driver's WaitPeers — all wait
+// until every program is registered.
 func RunWorker(cfg Config, register func(*core.Machine) error) error {
 	if err := cfg.check(); err != nil {
 		return err
@@ -300,13 +267,16 @@ func RunWorker(cfg Config, register func(*core.Machine) error) error {
 	if cfg.Rank == 0 {
 		return fmt.Errorf("cluster: RunWorker with rank 0 — use StartDriver")
 	}
-	tr, err := msgnet.Dial(cfg.Addr, cfg.P, cfg.NParts, cfg.Rank, cfg.transportOptions()...)
+	var opts []msgnet.Option
+	if cfg.MeshAddr != "" {
+		opts = append(opts, msgnet.WithMeshAddr(cfg.MeshAddr))
+	}
+	tr, err := msgnet.Dial(cfg.Addr, cfg.P, cfg.NParts, cfg.Rank, opts...)
 	if err != nil {
 		return err
 	}
 	m := core.New(cfg.P, core.WithRouterSetup(func(r *msg.Router) {
 		r.SetTransport(tr, msgnet.HostedMap(cfg.P, cfg.NParts, cfg.Rank))
-		tr.Attach(r)
 	}))
 	m.RT.SetCallBase(callBase(cfg.Rank))
 	if register != nil {
@@ -316,6 +286,7 @@ func RunWorker(cfg Config, register func(*core.Machine) error) error {
 			return err
 		}
 	}
+	tr.Attach(m.VM.Router())
 	tr.Wait()
 	m.Close()
 	return nil

@@ -65,13 +65,10 @@ func All() []Experiment {
 		{"E17", "§3.2.1.3", "Border verification/reallocation", E17VerifyBorders},
 		{"E18", "§D", "SPMD linear-algebra library", E18LinAlg},
 		{"E19", "§7.2.1", "Extension: channel-coupled data-parallel programs", E19Channels},
-		{"E20", "ablation", "Combine tree vs linear merge", E20CombineAblation},
 		{"E25", "extension", "Cyclic vs block decomposition on a triangular update", E25TriangularCyclic},
 		{"E26", "extension", "Direct redistribution vs gather-then-scatter panel handoff", E26PanelHandoff},
 		{"E27", "robustness", "Goodput vs drop probability under the fault plane", E27GoodputUnderDrops},
 		{"E28", "robustness", "Replication write overhead and time-to-recover after a kill", E28ReplicationRecovery},
-		{"E29", "transport", "In-process switch vs gob/TCP loopback on the block-transfer workload", E29Transport},
-		{"E30", "transport", "Fast wire: star vs mesh vs mesh+batch on block transfer and redistribution", E30FastWire},
 	}
 }
 
@@ -1023,57 +1020,6 @@ func E19Channels(w io.Writer) error {
 	fmt.Fprintf(w, "  base model (boundary rows via read_element + constants): %v\n", tBase.Round(time.Microsecond))
 	fmt.Fprintf(w, "  extension  (boundary rows via direct channels):          %v\n", tChan.Round(time.Microsecond))
 	fmt.Fprintf(w, "  channel coupling avoids 2*cols*steps = %d task-level element reads\n", 2*cfg.Cols*cfg.Steps)
-	return nil
-}
-
-// --- E20: combine-tree ablation ---
-
-// E20CombineAblation compares the binomial-tree collective used by the
-// wrapper/SPMD runtime with a naive linear merge, validating equality and
-// measuring latency across group sizes.
-func E20CombineAblation(w io.Writer) error {
-	fmt.Fprintln(w, "E20 (ablation) binomial-tree vs linear reduction")
-	fmt.Fprintln(w, "P   tree mean     linear mean")
-	for _, p := range []int{2, 4, 8, 16} {
-		m := core.New(p)
-		procs := m.AllProcs()
-		add := func(a, b any) any { return a.(float64) + b.(float64) }
-		const iters = 100
-		var tTree, tLinear time.Duration
-		for _, mode := range []string{"tree", "linear"} {
-			mode := mode
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				want := float64(p*(p-1)) / 2
-				if err := m.CallFn(procs, func(wd *spmd.World, a *dcall.Args) {
-					var got any
-					var err error
-					if mode == "tree" {
-						got, err = wd.AllReduce(float64(wd.Rank()), add)
-					} else {
-						got, err = wd.AllReduceLinear(float64(wd.Rank()), add)
-					}
-					if err != nil {
-						panic(err)
-					}
-					if got.(float64) != want {
-						panic(fmt.Sprintf("reduce mismatch: %v != %v", got, want))
-					}
-				}); err != nil {
-					m.Close()
-					return err
-				}
-			}
-			if mode == "tree" {
-				tTree = time.Since(t0) / iters
-			} else {
-				tLinear = time.Since(t0) / iters
-			}
-		}
-		m.Close()
-		fmt.Fprintf(w, "%-3d %-12v %v\n", p, tTree.Round(100*time.Nanosecond), tLinear.Round(100*time.Nanosecond))
-	}
-	fmt.Fprintln(w, "both orders agree on all inputs; the tree's critical path is O(log P) vs O(P).")
 	return nil
 }
 

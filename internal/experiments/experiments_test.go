@@ -43,8 +43,8 @@ func TestAllHaveDistinctIDs(t *testing.T) {
 			t.Fatalf("incomplete experiment %+v", e)
 		}
 	}
-	if len(seen) != 26 {
-		t.Fatalf("%d experiments, want 26", len(seen))
+	if len(seen) != 23 {
+		t.Fatalf("%d experiments, want 23", len(seen))
 	}
 }
 

@@ -20,11 +20,14 @@ func waitState(t *testing.T, m *Membership, proc int, want MemberState) {
 }
 
 // TestMembershipAliveSteadyState: with every responder running, all peers
-// stay Alive and the monitor accumulates pings and acks.
+// stay Alive and the monitor accumulates pings and acks. Pings flow every
+// millisecond, but the suspect and dead windows sit far above any
+// scheduler stall, so a slow host cannot fake a transition.
 func TestMembershipAliveSteadyState(t *testing.T) {
 	r := NewRouter(4)
 	defer r.Close()
-	m, err := NewMembership(r, MembershipConfig{Home: 0, Period: time.Millisecond, Seed: 7})
+	m, err := NewMembership(r, MembershipConfig{Home: 0, Period: time.Millisecond, Seed: 7,
+		SuspectAfter: 250 * time.Millisecond, DeadAfter: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // # Topology
 //
 // Bootstrap is a star: part 0 listens, every other part dials it, and
-// by default the star is then upgraded to a mesh. Each worker opens its
+// the star is then upgraded to a mesh. Each worker opens its
 // own mesh listening socket before dialing part 0 and advertises the
 // bound address in its hello; once every worker has said hello, part 0
 // publishes the directory (rank -> mesh address) to all workers, and
@@ -17,9 +17,9 @@
 // after every hello AND every mesh-ready, so all direct links exist
 // before traffic starts.
 //
-// Worker pairs whose direct link is missing (mesh disabled, dial
-// refused, or an unreachable advertised address) fall back to the PR-9
-// star relay through part 0. Routes are sticky: the first send to a
+// Worker pairs whose direct link is missing (dial refused, or an
+// unreachable advertised address) fall back to the star relay through
+// part 0. Routes are sticky: the first send to a
 // part latches direct-or-relay for that destination, so every frame of
 // a (src, dst) pair follows one path forever and delivery stays FIFO —
 // TCP neither drops nor duplicates, and a single path cannot reorder.
@@ -40,10 +40,9 @@
 // msg.Transport: the caller may recycle a pooled buffer the moment
 // Send returns, and the receiver still sees the pre-mutation bytes.
 // That one encode is the only copy — ownership of the encoded frame
-// passes to the connection's writer goroutine (batch mode), which
-// coalesces all queued frames into one flush per wakeup, turning N
-// syscalls under load into ~1. With batching off, Send writes and
-// flushes under the peer mutex (one syscall per frame, PR-9 style).
+// passes to the connection's writer goroutine, which coalesces all
+// queued frames into one flush per wakeup, turning N syscalls under
+// load into ~1.
 //
 // Latency and loss are real, not modeled — the fault plane and
 // SetLatency stay in-process tools.
@@ -120,22 +119,16 @@ func putBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// Options tune one part's side of the wire. The zero value of each
-// knob is overridden by defaults(): production runs mesh + batching
-// with the binary codec.
+// Options tune one part's side of the wire.
 type Options struct {
-	Mesh        bool          // upgrade the star to direct worker links
-	Batch       bool          // per-peer writer goroutines that coalesce flushes
-	ForceGob    bool          // route every payload through the gob fallback
-	FlushWindow time.Duration // optional linger before flushing a non-full batch
-	MeshAddr    string        // workers: mesh listen address (host:port, port may be 0)
+	MeshAddr string // workers: mesh listen address (host:port, port may be 0)
 }
 
 // Option mutates Options; pass to Listen/Dial.
 type Option func(*Options)
 
 func defaults() Options {
-	return Options{Mesh: true, Batch: true, MeshAddr: "127.0.0.1:0"}
+	return Options{MeshAddr: "127.0.0.1:0"}
 }
 
 func buildOptions(opt []Option) Options {
@@ -145,21 +138,6 @@ func buildOptions(opt []Option) Options {
 	}
 	return o
 }
-
-// WithMesh enables or disables the mesh upgrade (default on).
-func WithMesh(on bool) Option { return func(o *Options) { o.Mesh = on } }
-
-// WithBatch enables or disables writer-goroutine batching (default on).
-func WithBatch(on bool) Option { return func(o *Options) { o.Batch = on } }
-
-// WithForceGob forces every payload through the gob fallback instead of
-// the binary fast paths — the PR-9 encoding, kept for baselines.
-func WithForceGob(on bool) Option { return func(o *Options) { o.ForceGob = on } }
-
-// WithFlushWindow sets a linger: after writing a non-full batch the
-// writer waits up to d for more frames before paying the flush syscall.
-// Zero (the default) flushes as soon as the queue is empty.
-func WithFlushWindow(d time.Duration) Option { return func(o *Options) { o.FlushWindow = d } }
 
 // WithMeshAddr sets the worker's mesh listen address. The advertised
 // directory entry is the bound address, so the host part must be
@@ -174,9 +152,8 @@ type outFrame struct {
 	barrier chan struct{}
 }
 
-// peer is one live connection. In batch mode a dedicated writer
-// goroutine owns bw and drains q; otherwise writes happen under mu,
-// one flush per frame.
+// peer is one live connection. A dedicated writer goroutine owns bw
+// and drains q.
 type peer struct {
 	rank int
 	conn net.Conn
@@ -184,29 +161,23 @@ type peer struct {
 	bw   *bufio.Writer
 	dead atomic.Bool
 
-	mu sync.Mutex // sync path (q == nil): serializes write+flush
-
-	q        chan outFrame // batch path; nil in sync mode
+	q        chan outFrame
 	quit     chan struct{}
 	quitOnce sync.Once
 }
 
-// newPeer builds one connection's state. batch decides the write path
-// up front — q must exist before the peer is published to other
-// goroutines, the writer itself starts later (startPeer), once the
-// handshake frames are on the wire.
-func newPeer(conn net.Conn, rank int, batch bool) *peer {
-	p := &peer{
+// newPeer builds one connection's state. q exists before the peer is
+// published to other goroutines; the writer itself starts later
+// (startPeer), once the handshake frames are on the wire.
+func newPeer(conn net.Conn, rank int) *peer {
+	return &peer{
 		rank: rank,
 		conn: conn,
 		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
+		q:    make(chan outFrame, 256),
 		quit: make(chan struct{}),
 	}
-	if batch {
-		p.q = make(chan outFrame, 256)
-	}
-	return p
 }
 
 // writeFrame appends the length prefix and body to the buffered writer.
@@ -222,49 +193,24 @@ func (p *peer) writeFrame(body []byte) error {
 }
 
 // post hands one encoded frame to the connection; ownership of body
-// transfers (it is recycled or written by this side). In batch mode
-// the frame is enqueued for the writer; in sync mode it is written and
-// flushed before returning. A dead or closing peer eats frames
-// silently — fail-stop connections behave like dead processors.
-func (p *peer) post(body []byte) error {
-	if p.q == nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.dead.Load() {
-			putBuf(body)
-			return nil
-		}
-		err := p.writeFrame(body)
-		putBuf(body)
-		if err == nil {
-			err = p.bw.Flush()
-		}
-		if err != nil {
-			p.dead.Store(true)
-			return err
-		}
-		return nil
-	}
+// transfers (it is recycled or written by the writer). A dead or
+// closing peer eats frames silently — fail-stop connections behave like
+// dead processors.
+func (p *peer) post(body []byte) {
 	if p.dead.Load() {
 		putBuf(body)
-		return nil
+		return
 	}
 	select {
 	case p.q <- outFrame{body: body}:
-		return nil
 	case <-p.quit:
 		putBuf(body)
-		return nil
 	}
 }
 
 // barrier waits (bounded) until every frame enqueued before it has
-// been flushed to the socket. Sync mode flushes per frame, so it is a
-// no-op there.
+// been flushed to the socket.
 func (p *peer) barrier(timeout time.Duration) {
-	if p.q == nil {
-		return
-	}
 	ch := make(chan struct{})
 	select {
 	case p.q <- outFrame{barrier: ch}:
@@ -277,12 +223,11 @@ func (p *peer) barrier(timeout time.Duration) {
 	}
 }
 
-// writeLoop is the batch-mode writer: block for one frame, then keep
-// writing until the queue runs dry (optionally lingering flushWindow
-// for stragglers), then flush once. Under load this coalesces many
-// frames per syscall; idle, it degenerates to write+flush per frame.
-func (p *peer) writeLoop(flushWindow time.Duration) {
-	var timer *time.Timer
+// writeLoop is the peer's writer: block for one frame, then keep
+// writing until the queue runs dry, then flush once. Under load this
+// coalesces many frames per syscall; idle, it degenerates to
+// write+flush per frame.
+func (p *peer) writeLoop() {
 	flush := func() {
 		if !p.dead.Load() {
 			if err := p.bw.Flush(); err != nil {
@@ -323,27 +268,6 @@ func (p *peer) writeLoop(flushWindow time.Duration) {
 				continue
 			default:
 			}
-			if flushWindow > 0 && batched > 0 {
-				if timer == nil {
-					timer = time.NewTimer(flushWindow)
-				} else {
-					timer.Reset(flushWindow)
-				}
-				select {
-				case of = <-p.q:
-					if !timer.Stop() {
-						<-timer.C
-					}
-					continue
-				case <-timer.C:
-				case <-p.quit:
-					if !timer.Stop() {
-						<-timer.C
-					}
-					flush()
-					return
-				}
-			}
 			break
 		}
 		flush()
@@ -366,7 +290,7 @@ type Transport struct {
 	attached chan struct{}
 
 	ln     net.Listener // part 0 only
-	meshLn net.Listener // workers with mesh enabled
+	meshLn net.Listener // workers only
 
 	mu       sync.Mutex
 	peers    map[int]*peer // part rank -> connection
@@ -380,8 +304,8 @@ type Transport struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	readyMu sync.Mutex
-	ready   chan struct{} // part 0: closed when the machine is fully wired
+	readyOnce sync.Once
+	ready     chan struct{} // part 0: closed when the machine is fully wired
 }
 
 // PartBounds returns the processor interval [lo, hi) hosted by one part
@@ -451,45 +375,37 @@ func Listen(addr string, p, nparts int, opt ...Option) (*Transport, error) {
 }
 
 // Dial starts a worker part's side of the wire: a mesh listening socket
-// (unless mesh is disabled) plus one connection to part 0.
+// plus one connection to part 0.
 func Dial(addr string, p, nparts, rank int, opt ...Option) (*Transport, error) {
 	if rank <= 0 || rank >= nparts {
 		return nil, fmt.Errorf("msgnet: worker rank %d out of range (nparts=%d)", rank, nparts)
 	}
 	t := newTransport(p, nparts, rank, buildOptions(opt))
-	advertise := ""
-	if t.opts.Mesh {
-		ln, err := net.Listen("tcp", t.opts.MeshAddr)
-		if err != nil {
-			return nil, fmt.Errorf("msgnet: mesh listen %s: %w", t.opts.MeshAddr, err)
-		}
-		t.meshLn = ln
-		advertise = ln.Addr().String()
-		t.wg.Add(1)
-		go t.meshAcceptLoop()
+	ln, err := net.Listen("tcp", t.opts.MeshAddr)
+	if err != nil {
+		return nil, fmt.Errorf("msgnet: mesh listen %s: %w", t.opts.MeshAddr, err)
 	}
+	t.meshLn = ln
+	t.wg.Add(1)
+	go t.meshAcceptLoop()
 	conn, err := net.DialTimeout("tcp", addr, 30*time.Second)
 	if err != nil {
-		if t.meshLn != nil {
-			t.meshLn.Close()
-		}
+		t.meshLn.Close()
 		return nil, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	pr := newPeer(conn, 0, t.opts.Batch)
+	pr := newPeer(conn, 0)
 	hello := getBuf()
 	hello = append(hello, frameHello)
 	hello = wire.AppendUvarint(hello, uint64(rank))
-	hello = wire.AppendString(hello, advertise)
+	hello = wire.AppendString(hello, ln.Addr().String())
 	err = rawWriteFrame(conn, hello)
 	putBuf(hello)
 	if err != nil {
 		conn.Close()
-		if t.meshLn != nil {
-			t.meshLn.Close()
-		}
+		t.meshLn.Close()
 		return nil, err
 	}
 	t.mu.Lock()
@@ -529,15 +445,12 @@ func readRawFrame(br *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// startPeer launches the batch writer for a fully-handshaken peer.
+// startPeer launches the writer for a fully-handshaken peer.
 func (t *Transport) startPeer(pr *peer) {
-	if pr.q == nil {
-		return
-	}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		pr.writeLoop(t.opts.FlushWindow)
+		pr.writeLoop()
 	}()
 }
 
@@ -551,15 +464,16 @@ func (t *Transport) Addr() string {
 
 // Attach binds the transport to its router. Frames received before
 // Attach wait in the TCP buffers; nothing is delivered until the router
-// is in place.
+// is in place. A worker's mesh setup rides those frames, so part 0's
+// WaitPeers cannot return before every worker has attached.
 func (t *Transport) Attach(r *msg.Router) {
 	t.router = r
 	close(t.attached)
 }
 
 // WaitPeers blocks until the machine is fully wired (part 0): every
-// worker said hello and — when mesh is on — every worker reported its
-// mesh dials resolved, so every direct link that will ever exist
+// worker said hello and every worker reported its mesh dials resolved,
+// so every direct link that will ever exist
 // already does and sticky routes latch the fast path. Workers return
 // immediately: their connections are established by construction.
 func (t *Transport) WaitPeers(timeout time.Duration) error {
@@ -583,13 +497,7 @@ func (t *Transport) missingPeers() int {
 }
 
 func (t *Transport) closeReady() {
-	t.readyMu.Lock()
-	select {
-	case <-t.ready:
-	default:
-		close(t.ready)
-	}
-	t.readyMu.Unlock()
+	t.readyOnce.Do(func() { close(t.ready) })
 }
 
 func (t *Transport) acceptLoop() {
@@ -608,11 +516,10 @@ func (t *Transport) acceptLoop() {
 }
 
 // handshake is part 0's accept path: read the worker's hello, register
-// the peer, and — once everyone is here — either publish the mesh
-// directory or (mesh off) declare the machine wired.
+// the peer, and — once everyone is here — publish the mesh directory.
 func (t *Transport) handshake(conn net.Conn) {
 	defer t.wg.Done()
-	pr := newPeer(conn, -1, t.opts.Batch)
+	pr := newPeer(conn, -1)
 	body, err := readRawFrame(pr.br)
 	if err != nil {
 		conn.Close()
@@ -633,8 +540,7 @@ func (t *Transport) handshake(conn net.Conn) {
 	}
 	t.peers[rank] = pr
 	t.dir[rank] = meshAddr
-	allHello := len(t.peers) == t.nparts-1
-	sendDir := allHello && t.opts.Mesh && !t.dirSent
+	sendDir := len(t.peers) == t.nparts-1 && !t.dirSent
 	if sendDir {
 		t.dirSent = true
 	}
@@ -654,8 +560,6 @@ func (t *Transport) handshake(conn net.Conn) {
 			wp.post(b)
 		}
 		putBuf(dirBody)
-	} else if allHello && !t.opts.Mesh {
-		t.closeReady()
 	}
 }
 
@@ -714,7 +618,7 @@ func (t *Transport) meshAcceptLoop() {
 
 func (t *Transport) meshHandshakeIn(conn net.Conn) {
 	defer t.wg.Done()
-	pr := newPeer(conn, -1, t.opts.Batch)
+	pr := newPeer(conn, -1)
 	conn.SetReadDeadline(time.Now().Add(meshDialWait))
 	body, err := readRawFrame(pr.br)
 	conn.SetReadDeadline(time.Time{})
@@ -781,7 +685,7 @@ func (t *Transport) meshDial(rank int, addr string) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	pr := newPeer(conn, rank, t.opts.Batch)
+	pr := newPeer(conn, rank)
 	hello := getBuf()
 	hello = append(hello, frameMeshHello)
 	hello = wire.AppendUvarint(hello, uint64(t.rank))
@@ -830,7 +734,11 @@ func parseRankFrame(body []byte, kind byte) (rank int, ok bool) {
 
 func (t *Transport) readLoop(from int, pr *peer) {
 	defer t.wg.Done()
-	<-t.attached
+	select {
+	case <-t.attached:
+	case <-t.done:
+		return
+	}
 	for {
 		body, err := readRawFrame(pr.br)
 		if err != nil {
@@ -1014,9 +922,7 @@ func (t *Transport) Kill(proc int) error {
 		b := getBuf()
 		b = append(b, frameKill)
 		b = wire.AppendUvarint(b, uint64(proc))
-		if err := pr.post(b); err != nil {
-			return err
-		}
+		pr.post(b)
 	}
 	return nil
 }
@@ -1068,19 +974,12 @@ func (t *Transport) Send(m msg.Message) error {
 	body = wire.AppendUvarint(body, m.Tag.Call)
 	body = wire.AppendInt(body, m.Tag.Kind)
 	var err error
-	body, err = wire.AppendAny(body, m.Data, t.opts.ForceGob)
+	body, err = wire.AppendAny(body, m.Data, false)
 	if err != nil {
 		putBuf(body)
 		return fmt.Errorf("msgnet: encode %d -> %d: %w", m.Src, m.Dst, err)
 	}
-	if err := pr.post(body); err != nil {
-		select {
-		case <-t.done:
-			return fmt.Errorf("msgnet: send %d -> %d: %w", m.Src, m.Dst, msg.ErrClosed)
-		default:
-		}
-		return err
-	}
+	pr.post(body)
 	return nil
 }
 

@@ -329,8 +329,8 @@ type gobAny struct{ V any }
 // typed encoding. Hot payload shapes take the binary fast path, types
 // with a registered codec take theirs, and everything else rides the
 // gob fallback (self-describing, length-prefixed). forceGob routes even
-// fast-path shapes through gob — the measured baseline of E30 and the
-// compatibility escape hatch.
+// fast-path shapes through gob, for the codec-vs-gob equivalence tests
+// and for pricing the fallback; the transport always passes false.
 func AppendAny(b []byte, v any, forceGob bool) ([]byte, error) {
 	if v == nil {
 		return append(b, tNil), nil

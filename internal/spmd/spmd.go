@@ -346,63 +346,6 @@ func (w *World) AllReduceMax(x float64) (float64, error) {
 	})
 }
 
-// Reserved kind for the linear (ablation) collectives.
-const kindLinear = -5
-
-// ReduceLinear is the naive alternative to the binomial-tree Reduce used
-// for the ablation study (DESIGN.md): every member sends its value
-// directly to the root, which combines in rank order and is the only
-// member to return the result. O(P) serialized messages at the root
-// versus the tree's O(log P) critical path.
-func (w *World) ReduceLinear(root int, val any, combine func(a, b any) any) (any, error) {
-	if root < 0 || root >= len(w.procs) {
-		return nil, fmt.Errorf("spmd: root rank %d outside group", root)
-	}
-	if w.index != root {
-		return nil, w.sendInternal(root, kindLinear, val)
-	}
-	vals := make([]any, len(w.procs))
-	vals[root] = val
-	for r := 0; r < len(w.procs); r++ {
-		if r == root {
-			continue
-		}
-		m, err := w.recvInternal(r, kindLinear)
-		if err != nil {
-			return nil, err
-		}
-		vals[r] = m.Data
-	}
-	// Fold in rank order so non-commutative operators agree with Reduce.
-	acc := vals[0]
-	for r := 1; r < len(w.procs); r++ {
-		acc = combine(acc, vals[r])
-	}
-	return acc, nil
-}
-
-// AllReduceLinear is ReduceLinear to rank 0 followed by a linear fan-out —
-// the fully naive collective, for ablation benchmarks only.
-func (w *World) AllReduceLinear(val any, combine func(a, b any) any) (any, error) {
-	out, err := w.ReduceLinear(0, val, combine)
-	if err != nil {
-		return nil, err
-	}
-	if w.index == 0 {
-		for r := 1; r < len(w.procs); r++ {
-			if err := w.sendInternal(r, kindLinear, out); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	m, err := w.recvInternal(0, kindLinear)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
 // AllGather concatenates every member's slice in rank order and delivers
 // the concatenation to all members. It rides the reduce/broadcast trees
 // with a rank-indexed merge, so it works for any group size and uneven
