@@ -215,15 +215,12 @@ type Manager struct {
 	jmu  sync.Mutex
 	jrng *rand.Rand
 
-	// Wire completion tables (wire.go): replies and acks from remote
-	// owners carry table ids instead of channels. Maps are allocated
-	// lazily, so unpartitioned managers pay nothing.
+	// Wire completion table (wire.go): replies and redistribution acks
+	// from remote owners carry a table id instead of a channel. The map
+	// is allocated lazily, so unpartitioned managers pay nothing.
 	pendMu    sync.Mutex
 	pending   map[uint64]chan response
 	nextReply atomic.Uint64
-	ackMu     sync.Mutex
-	acks      map[uint64]chan response
-	nextAck   atomic.Uint64
 
 	mu     sync.Mutex
 	closed bool
@@ -233,10 +230,81 @@ type Manager struct {
 // array-manager requests.
 const kindAMRequest = -100
 
+// opCode names an array-manager operation; it crosses the wire as one
+// byte. The zero value is no operation: owner routines a coordinator
+// calls directly leave it unset.
+type opCode uint8
+
+const (
+	opCreateArray opCode = iota + 1
+	opCreateLocal
+	opFreeArray
+	opFreeLocal
+	opReadVector
+	opReadVectorLocal
+	opWriteVector
+	opWriteVectorLocal
+	opReadBlock
+	opReadBlockLocal
+	opWriteBlock
+	opWriteBlockLocal
+	opReadBlockStrided
+	opReadBlockStridedLocal
+	opWriteBlockStrided
+	opWriteBlockStridedLocal
+	opMirrorWrite
+	opRedistribute
+	opRedistSrc
+	opRedistShip
+	opFindLocal
+	opFindInfo
+	opVerifyArray
+	opCopyLocal
+	opTree
+	opUpdateMeta
+)
+
+// opNames are the operation names of the paper's am_debug trace lines.
+var opNames = [...]string{
+	opCreateArray:            "create_array",
+	opCreateLocal:            "create_local",
+	opFreeArray:              "free_array",
+	opFreeLocal:              "free_local",
+	opReadVector:             "read_vector",
+	opReadVectorLocal:        "read_vector_local",
+	opWriteVector:            "write_vector",
+	opWriteVectorLocal:       "write_vector_local",
+	opReadBlock:              "read_block",
+	opReadBlockLocal:         "read_block_local",
+	opWriteBlock:             "write_block",
+	opWriteBlockLocal:        "write_block_local",
+	opReadBlockStrided:       "read_block_strided",
+	opReadBlockStridedLocal:  "read_block_strided_local",
+	opWriteBlockStrided:      "write_block_strided",
+	opWriteBlockStridedLocal: "write_block_strided_local",
+	opMirrorWrite:            "mirror_write",
+	opRedistribute:           "redistribute",
+	opRedistSrc:              "redist_src",
+	opRedistShip:             "redist_ship",
+	opFindLocal:              "find_local",
+	opFindInfo:               "find_info",
+	opVerifyArray:            "verify_array",
+	opCopyLocal:              "copy_local",
+	opTree:                   "tree",
+	opUpdateMeta:             "update_meta",
+}
+
+func (o opCode) String() string {
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
+	}
+	return fmt.Sprintf("op(%d)", o)
+}
+
 // request is one array-manager request in flight. Reply delivery uses a
 // definitional-style one-shot channel.
 type request struct {
-	op    string
+	op    opCode
 	id    darray.ID
 	spec  *CreateSpec
 	meta  *darray.Meta // for create_local / update_meta
@@ -250,7 +318,8 @@ type request struct {
 	slot  int          // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
 	// slots after a promotion routes to the right storage (sectionFor)
-	which string // find_info selector; tree fan-out inner op
+	which string // find_info selector
+	inner opCode // tree fan-out: the control op every node applies
 	procs []int  // tree fan-out: the target processors, in tree order
 	node  int    // tree fan-out: this request's node index within procs
 	// verify parameters
@@ -281,13 +350,11 @@ type request struct {
 
 	// Wire identity (wire.go): origin scopes the dedup window to the
 	// issuing processor; replyID / (ackProc, ackID) stand in for the
-	// reply and ack channels when a request crosses process boundaries;
-	// wire caches the envelope so retransmits re-send identical bytes.
+	// reply and ack channels when a request crosses process boundaries.
 	origin  int
 	replyID uint64
 	ackProc int
 	ackID   uint64
-	wire    *wireRequest
 
 	reply chan response
 }
@@ -346,7 +413,7 @@ func (m *Manager) serve(proc int) {
 				return false
 			}
 			switch mm.Tag.Kind {
-			case kindAMRequest, kindAMShip, kindAMReply, kindAMAck:
+			case kindAMRequest, kindAMShip, kindAMReply:
 				return true
 			}
 			return false
@@ -354,30 +421,17 @@ func (m *Manager) serve(proc int) {
 		if err != nil {
 			return // router closed (or this processor killed)
 		}
-		// Wire completions: replies and acks addressed to a coordinator
-		// on this processor are routed straight into their tables.
-		switch message.Tag.Kind {
-		case kindAMReply:
+		if message.Tag.Kind == kindAMReply {
+			// A wire reply or ack addressed to a coordinator on this
+			// processor goes straight into the completion table.
 			if w, ok := message.Data.(*wireResponse); ok {
 				m.deliverReply(w)
-			}
-			continue
-		case kindAMAck:
-			if w, ok := message.Data.(*wireAck); ok {
-				m.deliverAck(w)
 			}
 			continue
 		}
 		req, ok := message.Data.(*request)
 		if !ok {
-			// A request that crossed the wire arrives as its envelope;
-			// rebuild it before the dedup filter so retransmitted wire
-			// requests are filtered exactly like in-process ones.
-			w, okw := message.Data.(*wireRequest)
-			if !okw {
-				continue
-			}
-			req = w.toRequest()
+			continue
 		}
 		// Retransmits and router-injected duplicates of an already
 		// dispatched request are dropped here, before any handler runs —
@@ -424,17 +478,12 @@ func (m *Manager) sendAsync(src, dst int, req *request) *request {
 			return req
 		}
 	}
-	tag := msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}
 	if !router.Local(dst) {
-		// Remote owner: enter the reply in the pending table and ship
-		// the envelope; await unregisters when it has the answer.
-		m.registerReply(req)
-		if err := router.Send(src, dst, tag, req.wire); err != nil {
-			req.reply <- response{status: sendStatus(err)}
-		}
-		return req
+		// Remote owner: enter the reply channel in the completion table;
+		// await unregisters when it has the answer.
+		req.replyID = m.register(req.reply)
 	}
-	if err := router.Send(src, dst, tag, req); err != nil {
+	if err := router.Send(src, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}, req); err != nil {
 		req.reply <- response{status: sendStatus(err)}
 	}
 	return req
@@ -455,53 +504,53 @@ func (m *Manager) handle(proc int, req *request) {
 	}
 	var resp response
 	switch req.op {
-	case "create_array":
+	case opCreateArray:
 		resp = m.doCreate(proc, req)
-	case "create_local":
+	case opCreateLocal:
 		resp = m.doCreateLocal(proc, req)
-	case "free_array":
+	case opFreeArray:
 		resp = m.doFree(proc, req)
-	case "free_local":
+	case opFreeLocal:
 		resp = m.doFreeLocal(proc, req)
-	case "read_vector":
+	case opReadVector:
 		resp = m.doReadVector(proc, req)
-	case "read_vector_local":
+	case opReadVectorLocal:
 		resp = m.doReadVectorLocal(proc, req)
-	case "write_vector":
+	case opWriteVector:
 		resp = m.doWriteVector(proc, req)
-	case "write_vector_local":
+	case opWriteVectorLocal:
 		resp = m.doWriteVectorLocal(proc, req)
-	case "read_block":
+	case opReadBlock:
 		resp = m.doReadBlock(proc, req)
-	case "read_block_local":
+	case opReadBlockLocal:
 		resp = m.doReadBlockLocal(proc, req)
-	case "write_block":
+	case opWriteBlock:
 		resp = m.doWriteBlock(proc, req)
-	case "write_block_local":
+	case opWriteBlockLocal:
 		resp = m.doWriteBlockLocal(proc, req)
-	case "read_block_strided":
+	case opReadBlockStrided:
 		resp = m.doReadBlockStrided(proc, req)
-	case "read_block_strided_local":
+	case opReadBlockStridedLocal:
 		resp = m.doReadBlockStridedLocal(proc, req)
-	case "write_block_strided":
+	case opWriteBlockStrided:
 		resp = m.doWriteBlockStrided(proc, req)
-	case "write_block_strided_local":
+	case opWriteBlockStridedLocal:
 		resp = m.doWriteBlockStridedLocal(proc, req)
-	case "mirror_write":
+	case opMirrorWrite:
 		resp = m.doMirrorWrite(proc, req)
-	case "redistribute":
+	case opRedistribute:
 		resp = m.doRedistribute(proc, req)
-	case "find_local":
+	case opFindLocal:
 		resp = m.doFindLocal(proc, req)
-	case "find_info":
+	case opFindInfo:
 		resp = m.doFindInfo(proc, req)
-	case "verify_array":
+	case opVerifyArray:
 		resp = m.doVerify(proc, req)
-	case "copy_local":
+	case opCopyLocal:
 		resp = m.doCopyLocal(proc, req)
-	case "tree":
+	case opTree:
 		resp = m.doTree(proc, req)
-	case "update_meta":
+	case opUpdateMeta:
 		resp = m.doUpdateMeta(proc, req)
 	default:
 		resp = response{status: StatusError}
@@ -651,7 +700,7 @@ func (m *Manager) doCreate(proc int, req *request) response {
 	for _, p := range meta.SectionProcs() {
 		targets[p] = true
 	}
-	if st := m.fanout(proc, "create_local", &request{id: id, meta: meta}, targets); st != StatusOK {
+	if st := m.fanout(proc, opCreateLocal, &request{id: id, meta: meta}, targets); st != StatusOK {
 		return response{status: st}
 	}
 	return response{status: StatusOK, info: id}
@@ -665,7 +714,7 @@ func (m *Manager) doCreate(proc int, req *request) response {
 // messages in O(log P) sequential round trips instead of P serial ones.
 // req supplies the operation's payload (id, meta, borders); statuses
 // combine with max on the way back up.
-func (m *Manager) fanout(proc int, op string, req *request, targets map[int]bool) Status {
+func (m *Manager) fanout(proc int, op opCode, req *request, targets map[int]bool) Status {
 	list := make([]int, 0, len(targets))
 	// Root the tree at this processor when it is itself a target, so its
 	// own copy is serviced by a direct call rather than a message.
@@ -682,7 +731,7 @@ func (m *Manager) fanout(proc int, op string, req *request, targets map[int]bool
 		rest = list[1:]
 	}
 	sort.Ints(rest)
-	treq := &request{op: "tree", which: op, id: req.id, meta: req.meta, gidx: req.gidx, procs: list, node: 0}
+	treq := &request{op: opTree, inner: op, id: req.id, meta: req.meta, gidx: req.gidx, procs: list, node: 0}
 	if list[0] == proc {
 		return m.doTree(proc, treq).status
 	}
@@ -697,31 +746,31 @@ func (m *Manager) doTree(proc int, req *request) response {
 	// The tree is transport; the inner operation is what am_debug-style
 	// tracing reports, one line per processor it runs on.
 	if trace.Enabled(trace.Ops) {
-		trace.Logf(trace.Ops, proc, "am: %s %v", req.which, req.id)
+		trace.Logf(trace.Ops, proc, "am: %s %v", req.inner, req.id)
 	}
 	var left, right *request
 	if c := 2*req.node + 1; c < len(req.procs) {
 		left = m.sendAsync(proc, req.procs[c],
-			&request{op: "tree", which: req.which, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
+			&request{op: opTree, inner: req.inner, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
 	}
 	if c := 2*req.node + 2; c < len(req.procs) {
 		right = m.sendAsync(proc, req.procs[c],
-			&request{op: "tree", which: req.which, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
+			&request{op: opTree, inner: req.inner, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
 	}
 	local := &request{id: req.id, meta: req.meta, gidx: req.gidx}
 	var r response
-	switch req.which {
-	case "create_local":
+	switch req.inner {
+	case opCreateLocal:
 		r = m.doCreateLocal(proc, local)
-	case "free_local":
+	case opFreeLocal:
 		r = m.doFreeLocal(proc, local)
-	case "copy_local":
+	case opCopyLocal:
 		r = m.doCopyLocal(proc, local)
 	default:
 		r = response{status: StatusError}
 	}
 	st := r.status
-	if req.which == "free_local" && st == StatusNotFound {
+	if req.inner == opFreeLocal && st == StatusNotFound {
 		st = StatusOK // freeing is idempotent per target (§5.1.3)
 	}
 	for _, c := range []*request{left, right} {
@@ -789,7 +838,7 @@ func (m *Manager) doFree(proc int, req *request) response {
 	// Tree fan-out; a target that already lost its entry reports
 	// STATUS_NOT_FOUND, normalized to OK at the node (freeing is
 	// idempotent).
-	return response{status: m.fanout(proc, "free_local", &request{id: req.id}, targets)}
+	return response{status: m.fanout(proc, opFreeLocal, &request{id: req.id}, targets)}
 }
 
 func (m *Manager) doFreeLocal(proc int, req *request) response {
@@ -850,7 +899,7 @@ func (m *Manager) readSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, 
 			continue
 		}
 		replies[i] = m.sendAsync(proc, s.Proc,
-			&request{op: "read_vector_local", id: id, offs: s.Offs, slot: s.Slot})
+			&request{op: opReadVectorLocal, id: id, offs: s.Offs, slot: s.Slot})
 	}
 	status := StatusOK
 	// scatter places one owner's reply values at their request positions
@@ -949,7 +998,7 @@ func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet,
 			continue
 		}
 		replies[i] = m.sendAsync(proc, s.Proc,
-			&request{op: "write_vector_local", id: id, offs: s.Offs, vals: pack(s), slot: s.Slot})
+			&request{op: opWriteVectorLocal, id: id, offs: s.Offs, vals: pack(s), slot: s.Slot})
 	}
 	status := StatusOK
 	// Service every local set: after a failover promotion one processor
@@ -1124,7 +1173,7 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 			continue
 		}
 		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "read_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot})
+			&request{op: opReadBlockLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot})
 	}
 	// Service the local piece while the remote owners work.
 	status := StatusOK
@@ -1217,7 +1266,7 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 		vals := make([]float64, grid.RectSize(b.GlobalLo, b.GlobalHi))
 		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
 		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "write_block_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
+			&request{op: opWriteBlockLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
 	}
 	status := StatusOK
 	// Service every local block: after a failover promotion one processor
@@ -1323,7 +1372,7 @@ func (m *Manager) doReadBlockStrided(proc int, req *request) response {
 			continue
 		}
 		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "read_block_strided_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, slot: b.Slot})
+			&request{op: opReadBlockStridedLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, slot: b.Slot})
 	}
 	status := StatusOK
 	for i, b := range blocks {
@@ -1413,7 +1462,7 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 		vals := make([]float64, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
 		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
 		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: "write_block_strided_local", id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
+			&request{op: opWriteBlockStridedLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
 	}
 	status := StatusOK
 	// Service every local block: after a failover promotion one processor
@@ -1548,7 +1597,7 @@ func (m *Manager) doVerify(proc int, req *request) response {
 	for _, p := range meta.SectionProcs() {
 		targets[p] = true
 	}
-	return response{status: m.fanout(proc, "copy_local", &request{id: req.id, gidx: expected}, targets)}
+	return response{status: m.fanout(proc, opCopyLocal, &request{id: req.id, gidx: expected}, targets)}
 }
 
 // doCopyLocal reallocates this processor's local section with new borders
@@ -1613,7 +1662,7 @@ func (m *Manager) CreateArray(onProc int, spec CreateSpec) (darray.ID, Status) {
 	if m.machine.CheckProc(onProc) != nil {
 		return darray.ID{}, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "create_array", spec: &spec})
+	r := m.send(onProc, onProc, &request{op: opCreateArray, spec: &spec})
 	if r.status != StatusOK {
 		return darray.ID{}, r.status
 	}
@@ -1625,7 +1674,7 @@ func (m *Manager) FreeArray(onProc int, id darray.ID) Status {
 	if m.machine.CheckProc(onProc) != nil {
 		return StatusInvalid
 	}
-	return m.send(onProc, onProc, &request{op: "free_array", id: id}).status
+	return m.send(onProc, onProc, &request{op: opFreeArray, id: id}).status
 }
 
 // GatherElements reads the elements at the given global index tuples,
@@ -1655,7 +1704,7 @@ func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, 
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_vector", id: id, gidxs: indices, vals: dst}
+		return &request{op: opReadVector, id: id, gidxs: indices, vals: dst}
 	}).status
 }
 
@@ -1674,7 +1723,7 @@ func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, val
 		}
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "write_vector", id: id, gidxs: indices, vals: vals}
+		return &request{op: opWriteVector, id: id, gidxs: indices, vals: vals}
 	}).status
 }
 
@@ -1692,7 +1741,7 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, true, s.val[:])
 	if !ok {
 		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: "read_vector", id: id, gidxs: s.gidxs, vals: s.val[:]}
+			return &request{op: opReadVector, id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
 	v := s.val[0]
@@ -1717,7 +1766,7 @@ func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float6
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, false, s.val[:])
 	if !ok {
 		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: "write_vector", id: id, gidxs: s.gidxs, vals: s.val[:]}
+			return &request{op: opWriteVector, id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
 	s.idx[0] = nil
@@ -1889,7 +1938,7 @@ func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, 
 		return nil, StatusInvalid
 	}
 	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block", id: id, lo: lo, hi: hi}
+		return &request{op: opReadBlock, id: id, lo: lo, hi: hi}
 	})
 	return r.vals, r.status
 }
@@ -1909,7 +1958,7 @@ func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []fl
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block", id: id, lo: lo, hi: hi, vals: dst}
+		return &request{op: opReadBlock, id: id, lo: lo, hi: hi, vals: dst}
 	}).status
 }
 
@@ -1928,7 +1977,7 @@ func (m *Manager) WriteBlock(onProc int, id darray.ID, lo, hi []int, vals []floa
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "write_block", id: id, lo: lo, hi: hi, vals: vals}
+		return &request{op: opWriteBlock, id: id, lo: lo, hi: hi, vals: vals}
 	}).status
 }
 
@@ -1958,7 +2007,7 @@ func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int)
 		return m.ReadBlock(onProc, id, lo, hi)
 	}
 	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block_strided", id: id, lo: lo, hi: hi, step: step}
+		return &request{op: opReadBlockStrided, id: id, lo: lo, hi: hi, step: step}
 	})
 	return r.vals, r.status
 }
@@ -1979,7 +2028,7 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "read_block_strided", id: id, lo: lo, hi: hi, step: step, vals: dst}
+		return &request{op: opReadBlockStrided, id: id, lo: lo, hi: hi, step: step, vals: dst}
 	}).status
 }
 
@@ -2000,7 +2049,7 @@ func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: "write_block_strided", id: id, lo: lo, hi: hi, step: step, vals: vals}
+		return &request{op: opWriteBlockStrided, id: id, lo: lo, hi: hi, step: step, vals: vals}
 	}).status
 }
 
@@ -2011,7 +2060,7 @@ func (m *Manager) FindLocal(onProc int, id darray.ID) (*darray.Section, Status) 
 	if m.machine.CheckProc(onProc) != nil {
 		return nil, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "find_local", id: id})
+	r := m.send(onProc, onProc, &request{op: opFindLocal, id: id})
 	return r.section, r.status
 }
 
@@ -2024,7 +2073,7 @@ func (m *Manager) FindInfo(onProc int, id darray.ID, which string) (any, Status)
 	if m.machine.CheckProc(onProc) != nil {
 		return nil, StatusInvalid
 	}
-	r := m.send(onProc, onProc, &request{op: "find_info", id: id, which: which})
+	r := m.send(onProc, onProc, &request{op: opFindInfo, id: id, which: which})
 	return r.info, r.status
 }
 
@@ -2046,6 +2095,6 @@ func (m *Manager) VerifyArray(onProc int, id darray.ID, ndims int, borders Borde
 		return StatusInvalid
 	}
 	return m.send(onProc, onProc, &request{
-		op: "verify_array", id: id, ndims: ndims, borders: borders, indexing: indexing,
+		op: opVerifyArray, id: id, ndims: ndims, borders: borders, indexing: indexing,
 	}).status
 }

@@ -1,14 +1,16 @@
-// Binary wire codecs for the array-manager envelopes. The protocol
-// structs dominate the data plane's byte stream (every remote request,
-// reply, and redistribution ack is one of them), so they get custom
-// wire.Codec entries instead of riding the gob fallback: field-by-field
-// varint/raw encoding with none of gob's per-message type description
-// or reflect walk.
+// Binary wire codecs for the array-manager protocol: the *request
+// itself and the reply envelope. They dominate the data plane's byte
+// stream (every remote request, reply and redistribution ack is one of
+// them), so they get custom wire.Codec entries instead of riding the gob
+// fallback: field-by-field varint/raw encoding of the unexported fields,
+// with none of gob's per-message type description or reflect walk.
 //
 // Layouts are positional and fixed; the IDs are package constants and
 // every part runs the same binary, so both sides agree by construction.
-// The rare nested fields that are genuinely polymorphic (Meta, Info)
-// recurse through wire.AppendAny and keep their gob fallback.
+// The encoding is deterministic, so re-encoding an unchanged request
+// (a retransmit) reproduces the same bytes. The rare nested fields that
+// are genuinely polymorphic (Meta, Info) recurse through wire.AppendAny
+// and keep their gob fallback.
 package arraymgr
 
 import (
@@ -23,13 +25,12 @@ import (
 const (
 	codecRequest  = wire.CustomBase + 0
 	codecResponse = wire.CustomBase + 1
-	codecAck      = wire.CustomBase + 2
 )
 
 func init() {
 	wire.Register(wire.Codec{
 		ID:     codecRequest,
-		Type:   reflect.TypeOf(&wireRequest{}),
+		Type:   reflect.TypeOf(&request{}),
 		Append: appendRequest,
 		Read:   readRequest,
 	})
@@ -39,19 +40,12 @@ func init() {
 		Append: appendResponse,
 		Read:   readResponse,
 	})
-	wire.Register(wire.Codec{
-		ID:     codecAck,
-		Type:   reflect.TypeOf(&wireAck{}),
-		Append: appendAck,
-		Read:   readAck,
-	})
 }
 
 // appendNested encodes a polymorphic field via the any-payload encoding.
 // Codec Append cannot return an error; an unencodable nested value is a
 // protocol bug of the same class as a codec-ID collision, so it panics
-// rather than silently corrupting the stream. (Under PR-9's whole-frame
-// gob the same value would have failed the frame encode.)
+// rather than silently corrupting the stream.
 func appendNested(b []byte, v any, what string) []byte {
 	b, err := wire.AppendAny(b, v, false)
 	if err != nil {
@@ -77,66 +71,81 @@ func readID(b []byte) (darray.ID, []byte, error) {
 	return darray.ID{Proc: proc, Seq: seq}, b, nil
 }
 
+func readOp(b []byte) (opCode, []byte, error) {
+	if len(b) < 1 {
+		return 0, b, &wire.DecodeError{What: "request op"}
+	}
+	return opCode(b[0]), b[1:], nil
+}
+
+// appendRequest encodes every request field an op that can target a
+// remote owner uses. The reply and ack channels stand in as replyID and
+// (ackProc, ackID). spec, ndims, borders and indexing are never encoded:
+// they belong to create_array and verify_array, which are always
+// coordinator self-sends and so never cross the wire.
 func appendRequest(b []byte, v any) []byte {
-	w := v.(*wireRequest)
-	b = wire.AppendString(b, w.Op)
-	b = appendID(b, w.ID)
-	b = appendID(b, w.ID2)
-	if w.Meta == nil {
+	r := v.(*request)
+	b = append(b, byte(r.op))
+	b = appendID(b, r.id)
+	b = appendID(b, r.id2)
+	if r.meta == nil {
 		b = wire.AppendBool(b, false)
 	} else {
 		b = wire.AppendBool(b, true)
-		b = appendNested(b, w.Meta, "request meta")
+		b = appendNested(b, r.meta, "request meta")
 	}
-	b = wire.AppendInts(b, w.Gidx)
-	b = wire.AppendIntRows(b, w.Gidxs)
-	b = wire.AppendInts(b, w.Offs)
-	b = wire.AppendInts(b, w.Lo)
-	b = wire.AppendInts(b, w.Hi)
-	b = wire.AppendInts(b, w.Step)
-	b = wire.AppendInts(b, w.Lo2)
-	b = wire.AppendFloat64s(b, w.Vals)
-	b = wire.AppendInt(b, w.Slot)
-	b = wire.AppendString(b, w.Which)
-	b = wire.AppendInts(b, w.Procs)
-	b = wire.AppendInt(b, w.Node)
-	b = wire.AppendUvarint(b, uint64(len(w.Ships)))
-	for i := range w.Ships {
-		sh := &w.Ships[i]
-		b = wire.AppendInt(b, sh.DstProc)
-		b = wire.AppendInts(b, sh.SrcLo)
-		b = wire.AppendInts(b, sh.SrcHi)
-		b = wire.AppendInts(b, sh.SrcStep)
-		b = wire.AppendInts(b, sh.DstLo)
-		b = wire.AppendInts(b, sh.DstHi)
-		b = wire.AppendInts(b, sh.DstStep)
-		b = wire.AppendInts(b, sh.SrcOffs)
-		b = wire.AppendInts(b, sh.DstOffs)
-		b = wire.AppendInt(b, sh.SrcSlot)
-		b = wire.AppendInt(b, sh.DstSlot)
-		b = wire.AppendInt(b, sh.Pair)
+	b = wire.AppendInts(b, r.gidx)
+	b = wire.AppendIntRows(b, r.gidxs)
+	b = wire.AppendInts(b, r.offs)
+	b = wire.AppendInts(b, r.lo)
+	b = wire.AppendInts(b, r.hi)
+	b = wire.AppendInts(b, r.step)
+	b = wire.AppendInts(b, r.lo2)
+	b = wire.AppendFloat64s(b, r.vals)
+	b = wire.AppendInt(b, r.slot)
+	b = wire.AppendString(b, r.which)
+	b = append(b, byte(r.inner))
+	b = wire.AppendInts(b, r.procs)
+	b = wire.AppendInt(b, r.node)
+	b = wire.AppendUvarint(b, uint64(len(r.ships)))
+	for i := range r.ships {
+		sh := &r.ships[i]
+		b = wire.AppendInt(b, sh.dstProc)
+		b = wire.AppendInts(b, sh.srcLo)
+		b = wire.AppendInts(b, sh.srcHi)
+		b = wire.AppendInts(b, sh.srcStep)
+		b = wire.AppendInts(b, sh.dstLo)
+		b = wire.AppendInts(b, sh.dstHi)
+		b = wire.AppendInts(b, sh.dstStep)
+		b = wire.AppendInts(b, sh.srcOffs)
+		b = wire.AppendInts(b, sh.dstOffs)
+		b = wire.AppendInt(b, sh.srcSlot)
+		b = wire.AppendInt(b, sh.dstSlot)
+		b = wire.AppendInt(b, sh.pair)
 	}
-	b = wire.AppendUvarint(b, w.Seq)
-	b = wire.AppendUvarint(b, w.Call)
-	b = wire.AppendInt(b, w.Pair)
-	b = wire.AppendInt(b, w.Src)
-	b = wire.AppendInt(b, w.Dst)
-	b = wire.AppendInt(b, w.Origin)
-	b = wire.AppendUvarint(b, w.ReplyID)
-	b = wire.AppendInt(b, w.AckProc)
-	return wire.AppendUvarint(b, w.AckID)
+	b = wire.AppendUvarint(b, r.seq)
+	b = wire.AppendUvarint(b, r.call)
+	b = wire.AppendInt(b, r.pair)
+	b = wire.AppendInt(b, r.src)
+	b = wire.AppendInt(b, r.dst)
+	b = wire.AppendInt(b, r.origin)
+	b = wire.AppendUvarint(b, r.replyID)
+	b = wire.AppendInt(b, r.ackProc)
+	return wire.AppendUvarint(b, r.ackID)
 }
 
+// readRequest decodes a request with nil reply and ack channels: a nil
+// reply routes respond through the wire, a nil ack routes shipAck.
 func readRequest(b []byte) (any, []byte, error) {
 	var err error
-	w := &wireRequest{}
-	if w.Op, b, err = wire.ReadString(b); err != nil {
+	r := &request{}
+	if r.op, b, err = readOp(b); err != nil {
 		return nil, b, err
 	}
-	if w.ID, b, err = readID(b); err != nil {
+	if r.id, b, err = readID(b); err != nil {
 		return nil, b, err
 	}
-	if w.ID2, b, err = readID(b); err != nil {
+	if r.id2, b, err = readID(b); err != nil {
 		return nil, b, err
 	}
 	hasMeta, b, err := wire.ReadBool(b)
@@ -152,126 +161,130 @@ func readRequest(b []byte) (any, []byte, error) {
 		if !ok {
 			return nil, b, fmt.Errorf("arraymgr: request meta decoded as %T", m)
 		}
-		w.Meta = meta
+		r.meta = meta
 	}
-	if w.Gidx, b, err = wire.ReadInts(b); err != nil {
+	if r.gidx, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Gidxs, b, err = wire.ReadIntRows(b); err != nil {
+	if r.gidxs, b, err = wire.ReadIntRows(b); err != nil {
 		return nil, b, err
 	}
-	if w.Offs, b, err = wire.ReadInts(b); err != nil {
+	if r.offs, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Lo, b, err = wire.ReadInts(b); err != nil {
+	if r.lo, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Hi, b, err = wire.ReadInts(b); err != nil {
+	if r.hi, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Step, b, err = wire.ReadInts(b); err != nil {
+	if r.step, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Lo2, b, err = wire.ReadInts(b); err != nil {
+	if r.lo2, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if w.Vals, b, err = wire.ReadFloat64s(b); err != nil {
+	if r.vals, b, err = wire.ReadFloat64s(b); err != nil {
 		return nil, b, err
 	}
-	if w.Slot, b, err = wire.ReadInt(b); err != nil {
+	if r.slot, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.Which, b, err = wire.ReadString(b); err != nil {
+	if r.which, b, err = wire.ReadString(b); err != nil {
 		return nil, b, err
 	}
-	if w.Procs, b, err = wire.ReadInts(b); err != nil {
+	if r.inner, b, err = readOp(b); err != nil {
 		return nil, b, err
 	}
-	if w.Node, b, err = wire.ReadInt(b); err != nil {
+	if r.procs, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if r.node, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
 	nships, b, err := wire.ReadUvarint(b)
 	if err != nil {
 		return nil, b, err
 	}
-	if nships > uint64(len(b)) {
+	// Each ship encodes twelve fields of at least one byte each.
+	if nships > uint64(len(b)/12) {
 		return nil, b, fmt.Errorf("arraymgr: ship count %d exceeds buffer", nships)
 	}
 	if nships > 0 {
-		w.Ships = make([]wireShip, nships)
-		for i := range w.Ships {
-			sh := &w.Ships[i]
-			if sh.DstProc, b, err = wire.ReadInt(b); err != nil {
+		r.ships = make([]redistShip, nships)
+		for i := range r.ships {
+			sh := &r.ships[i]
+			if sh.dstProc, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.SrcLo, b, err = wire.ReadInts(b); err != nil {
+			if sh.srcLo, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.SrcHi, b, err = wire.ReadInts(b); err != nil {
+			if sh.srcHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.SrcStep, b, err = wire.ReadInts(b); err != nil {
+			if sh.srcStep, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.DstLo, b, err = wire.ReadInts(b); err != nil {
+			if sh.dstLo, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.DstHi, b, err = wire.ReadInts(b); err != nil {
+			if sh.dstHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.DstStep, b, err = wire.ReadInts(b); err != nil {
+			if sh.dstStep, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.SrcOffs, b, err = wire.ReadInts(b); err != nil {
+			if sh.srcOffs, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.DstOffs, b, err = wire.ReadInts(b); err != nil {
+			if sh.dstOffs, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.SrcSlot, b, err = wire.ReadInt(b); err != nil {
+			if sh.srcSlot, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.DstSlot, b, err = wire.ReadInt(b); err != nil {
+			if sh.dstSlot, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.Pair, b, err = wire.ReadInt(b); err != nil {
+			if sh.pair, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
 		}
 	}
-	if w.Seq, b, err = wire.ReadUvarint(b); err != nil {
+	if r.seq, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
-	if w.Call, b, err = wire.ReadUvarint(b); err != nil {
+	if r.call, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
-	if w.Pair, b, err = wire.ReadInt(b); err != nil {
+	if r.pair, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.Src, b, err = wire.ReadInt(b); err != nil {
+	if r.src, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.Dst, b, err = wire.ReadInt(b); err != nil {
+	if r.dst, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.Origin, b, err = wire.ReadInt(b); err != nil {
+	if r.origin, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.ReplyID, b, err = wire.ReadUvarint(b); err != nil {
+	if r.replyID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
-	if w.AckProc, b, err = wire.ReadInt(b); err != nil {
+	if r.ackProc, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if w.AckID, b, err = wire.ReadUvarint(b); err != nil {
+	if r.ackID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
-	return w, b, nil
+	return r, b, nil
 }
 
 func appendResponse(b []byte, v any) []byte {
 	w := v.(*wireResponse)
-	b = wire.AppendUvarint(b, w.ReplyID)
+	b = wire.AppendUvarint(b, w.ID)
 	b = wire.AppendInt(b, int(w.Status))
 	b = wire.AppendFloat64s(b, w.Vals)
 	b = appendNested(b, w.Info, "response info")
@@ -281,7 +294,7 @@ func appendResponse(b []byte, v any) []byte {
 func readResponse(b []byte) (any, []byte, error) {
 	var err error
 	w := &wireResponse{}
-	if w.ReplyID, b, err = wire.ReadUvarint(b); err != nil {
+	if w.ID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
 	var status int
@@ -295,30 +308,6 @@ func readResponse(b []byte) (any, []byte, error) {
 	if w.Info, b, err = wire.ReadAny(b); err != nil {
 		return nil, b, err
 	}
-	if w.Pair, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
-	return w, b, nil
-}
-
-func appendAck(b []byte, v any) []byte {
-	w := v.(*wireAck)
-	b = wire.AppendUvarint(b, w.AckID)
-	b = wire.AppendInt(b, int(w.Status))
-	return wire.AppendInt(b, w.Pair)
-}
-
-func readAck(b []byte) (any, []byte, error) {
-	var err error
-	w := &wireAck{}
-	if w.AckID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, b, err
-	}
-	var status int
-	if status, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
-	w.Status = Status(status)
 	if w.Pair, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}

@@ -13,8 +13,8 @@ import (
 // arrival and its coordinator would retry until timeout.
 func TestDedupOriginScoping(t *testing.T) {
 	var d deduper
-	reqA := &request{op: "write", seq: 7, origin: 0}
-	reqB := &request{op: "write", seq: 7, origin: 2}
+	reqA := &request{op: opWriteBlockLocal, seq: 7, origin: 0}
+	reqB := &request{op: opWriteBlockLocal, seq: 7, origin: 2}
 
 	kA, ok := dedupKeyOf(reqA)
 	if !ok {
@@ -40,7 +40,7 @@ func TestDedupOriginScoping(t *testing.T) {
 
 	// Ship keys scope the same way, and never collide with seq keys
 	// even on equal numbers.
-	shipA := &request{op: "redist_ship", call: 7, pair: 0, origin: 0}
+	shipA := &request{op: opRedistShip, call: 7, pair: 0, origin: 0}
 	kSA, ok := dedupKeyOf(shipA)
 	if !ok {
 		t.Fatal("ship request has no dedup key")
@@ -48,7 +48,7 @@ func TestDedupOriginScoping(t *testing.T) {
 	if kSA == kA {
 		t.Fatal("ship key collides with seq key on equal numbers")
 	}
-	shipB := &request{op: "redist_ship", call: 7, pair: 0, origin: 2}
+	shipB := &request{op: opRedistShip, call: 7, pair: 0, origin: 2}
 	if kSB, _ := dedupKeyOf(shipB); kSB == kSA {
 		t.Fatal("same ship from different origins collapsed to one key")
 	}
@@ -61,7 +61,7 @@ func TestDedupOriginScoping(t *testing.T) {
 func TestDedupEvictionThenReuse(t *testing.T) {
 	var d deduper
 	keyOf := func(origin int, seq uint64) dedupKey {
-		k, ok := dedupKeyOf(&request{op: "write", seq: seq, origin: origin})
+		k, ok := dedupKeyOf(&request{op: opWriteBlockLocal, seq: seq, origin: origin})
 		if !ok {
 			t.Fatalf("no key for seq %d", seq)
 		}
@@ -106,10 +106,10 @@ func TestNextSeqSkipsZero(t *testing.T) {
 // TestDedupReliableModeNoKey: requests without recovery ids (reliable
 // mode) carry no dedup identity and are never filtered.
 func TestDedupReliableModeNoKey(t *testing.T) {
-	if _, ok := dedupKeyOf(&request{op: "write"}); ok {
+	if _, ok := dedupKeyOf(&request{op: opWriteBlockLocal}); ok {
 		t.Fatal("reliable-mode request has a dedup key")
 	}
-	if _, ok := dedupKeyOf(&request{op: "redist_ship"}); ok {
+	if _, ok := dedupKeyOf(&request{op: opRedistShip}); ok {
 		t.Fatal("reliable-mode ship has a dedup key")
 	}
 }

@@ -74,7 +74,7 @@ func (m *Manager) UseMembership(mem *msg.Membership) { m.membership.Store(mem) }
 // the server lock is released: buddies mirror to each other, so
 // awaiting under the lock could deadlock a buddy ring.
 func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status {
-	if meta.Replicas == 0 || req.op == "mirror_write" {
+	if meta.Replicas == 0 || req.op == opMirrorWrite {
 		return StatusOK
 	}
 	router := m.machine.Router()
@@ -90,7 +90,7 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 		}
 		m.mirrors.Add(1)
 		replies = append(replies, m.sendAsync(proc, buddy, &request{
-			op: "mirror_write", id: req.id, slot: req.slot,
+			op: opMirrorWrite, id: req.id, slot: req.slot,
 			lo: req.lo, hi: req.hi, step: req.step, offs: req.offs, vals: req.vals,
 		}))
 	}
@@ -222,7 +222,7 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 			}
 			continue
 		}
-		replies = append(replies, m.sendAsync(onProc, p, &request{op: "update_meta", id: id, meta: meta}))
+		replies = append(replies, m.sendAsync(onProc, p, &request{op: opUpdateMeta, id: id, meta: meta}))
 	}
 	for _, r := range replies {
 		rr := m.await(r)

@@ -129,10 +129,10 @@ func (m *Manager) handleShip(proc int, req *request) {
 		trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
 	}
 	switch req.op {
-	case "redist_src":
+	case opRedistSrc:
 		m.doRedistSrc(proc, req)
 		recycleShipReq(m.machine.Router().Faulty(), req)
-	case "redist_ship":
+	case opRedistShip:
 		m.doRedistShip(proc, req)
 	}
 }
@@ -190,13 +190,14 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		ackCap = npairs * (pol.Retries + 3)
 	}
 	ack := make(chan response, ackCap)
-	// On a partitioned router remote owners acknowledge through the ack
-	// table (wire.go) instead of the channel; deliverAck's non-blocking
-	// send plus the acked[] filter below make straggler overflow safe.
+	// On a partitioned router remote owners acknowledge through the
+	// completion table (wire.go) instead of the channel; deliverReply's
+	// non-blocking send plus the acked[] filter below make straggler
+	// overflow safe.
 	var ackID uint64
 	if router.Partitioned() {
-		ackID = m.registerAck(ack)
-		defer m.unregisterAck(ackID)
+		ackID = m.register(ack)
+		defer m.unregister(ackID)
 	}
 	type pairRec struct {
 		srcProc int
@@ -240,12 +241,12 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 				// The inline group still carries (ackProc, ackID): its
 				// onward ships may target remote destination owners, which
 				// acknowledge over the wire.
-				m.doRedistSrc(proc, &request{op: "redist_src", id: req.id2, id2: req.id, ships: bySrc[sp],
+				m.doRedistSrc(proc, &request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
 					ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID})
 				continue
 			}
 			sreq := newShipReq(faulty)
-			*sreq = request{op: "redist_src", id: req.id2, id2: req.id, ships: bySrc[sp],
+			*sreq = request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
 				ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID}
 			if pol != nil {
 				sreq.seq = m.nextSeq()
@@ -257,15 +258,14 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 				recycleShipReq(faulty, sreq)
 				continue
 			}
-			remote := !router.Local(sp)
 			if err := m.postShip(proc, sp, sreq); err != nil {
 				for _, sh := range bySrc[sp] {
 					ack <- response{status: sendStatus(err), pair: sh.pair}
 				}
 				recycleShipReq(faulty, sreq)
-			} else if remote {
-				// A remote send serialized the envelope before returning,
-				// so the request object is already free.
+			} else if !router.Local(sp) {
+				// A remote send serialized the request before returning,
+				// so the object is already free.
 				putShipReq(sreq)
 			}
 		}
@@ -429,16 +429,15 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			continue
 		}
 		dreq := newShipReq(faulty)
-		*dreq = request{op: "redist_ship", id: req.id2, slot: sh.dstSlot,
+		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.dstSlot,
 			lo: sh.dstLo, hi: sh.dstHi, step: sh.dstStep, offs: sh.dstOffs,
 			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
-		remote := !router.Local(sh.dstProc)
 		if err := m.postShip(proc, sh.dstProc, dreq); err != nil {
 			srv.putBuf(vals)
 			recycleShipReq(faulty, dreq)
 			m.shipAck(proc, req, response{status: sendStatus(err), pair: sh.pair})
-		} else if remote {
+		} else if !router.Local(sh.dstProc) {
 			// Remote ship: the transport serialized the piece before
 			// returning, so the buffer and request recycle immediately —
 			// the wire analogue of the destination owner's putBuf.
@@ -549,9 +548,9 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 	m.shipAck(proc, req, response{status: st, pair: req.pair})
 	router := m.machine.Router()
 	if !router.Faulty() {
-		// A piece that crossed the wire was decoded onto fresh heap, and
-		// its request was built by toRequest — neither came from (or
-		// returns to) the source owner's pools.
+		// A piece that crossed the wire was decoded onto fresh heap, its
+		// request included — neither came from (or returns to) the source
+		// owner's pools.
 		if router.Local(node) {
 			m.servers[node].putBuf(vals)
 			putShipReq(req)
@@ -667,7 +666,7 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 		}
 	}
 	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: "redistribute", id: dst, id2: src, lo: lo, hi: hi, lo2: lo}
+		return &request{op: opRedistribute, id: dst, id2: src, lo: lo, hi: hi, lo2: lo}
 	}).status
 }
 
@@ -690,7 +689,7 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 		}
 	}
 	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: "redistribute", id: dst, id2: src, lo: dstLo, hi: hi, lo2: srcLo}
+		return &request{op: opRedistribute, id: dst, id2: src, lo: dstLo, hi: hi, lo2: srcLo}
 	}).status
 }
 
@@ -722,6 +721,6 @@ func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, st
 		}
 	}
 	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: "redistribute", id: dst, id2: src, lo: lo, hi: hi, lo2: lo, step: step}
+		return &request{op: opRedistribute, id: dst, id2: src, lo: lo, hi: hi, lo2: lo, step: step}
 	}).status
 }

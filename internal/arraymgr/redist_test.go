@@ -377,7 +377,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	ship := func() {
 		req := getShipReq()
 		buf := srv.getBuf(4)
-		*req = request{op: "redist_ship", id: dst, lo: lo, hi: hi, vals: buf, node: 0, ack: ack}
+		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, ack: ack}
 		m.doRedistShip(0, req)
 		if r := <-ack; r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)
@@ -462,7 +462,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := getShipReq()
-		*req = request{op: "redist_ship", id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ack: ack}
+		*req = request{op: opRedistShip, id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ack: ack}
 		m.doRedistShip(0, req)
 		if r := <-ack; r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)

@@ -169,7 +169,7 @@ func (d *deduper) dup(k dedupKey) bool {
 // dedupKeyOf extracts the request's dedup identity; ok=false (reliable
 // mode: no ids assigned) disables filtering.
 func dedupKeyOf(req *request) (dedupKey, bool) {
-	if req.op == "redist_ship" && req.call != 0 {
+	if req.op == opRedistShip && req.call != 0 {
 		return dedupKey{req.origin, req.call, uint64(req.pair) + 1}, true
 	}
 	if req.seq != 0 {
@@ -186,7 +186,7 @@ func dedupKeyOf(req *request) (dedupKey, bool) {
 // exhausted retry budget into StatusTimeout.
 func (m *Manager) await(req *request) response {
 	router := m.machine.Router()
-	defer m.unregisterReply(req)
+	defer m.unregister(req.replyID)
 	pol := m.policy.Load()
 	if pol == nil {
 		select {
@@ -230,15 +230,10 @@ func (m *Manager) await(req *request) response {
 			backoff *= 2
 		}
 		m.retransmits.Add(1)
-		tag := msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}
-		// A remote destination gets the cached envelope — byte-identical
-		// to the first transmission, like re-sending the same *request
-		// pointer in-process.
-		var payload any = req
-		if req.wire != nil {
-			payload = req.wire
-		}
-		if err := router.Send(req.src, req.dst, tag, payload); err != nil {
+		// The same request object again: in-process the same pointer, over
+		// the wire the same bytes (it is read-only once sent and the codec
+		// is deterministic).
+		if err := router.Send(req.src, req.dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}, req); err != nil {
 			return response{status: sendStatus(err)}
 		}
 		timer.Reset(pol.Timeout)

@@ -89,7 +89,7 @@ func (m *Manager) readShares(proc int, id darray.ID, shares []darray.StridedShar
 			continue
 		}
 		replies[i] = m.sendAsync(proc, sh.Proc,
-			&request{op: "read_block_strided_local", id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, slot: sh.Slot})
+			&request{op: opReadBlockStridedLocal, id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, slot: sh.Slot})
 	}
 	status := StatusOK
 	// unpack places one owner's reply at its request-lattice positions
@@ -137,7 +137,7 @@ func (m *Manager) writeShares(proc int, id darray.ID, shares []darray.StridedSha
 			continue
 		}
 		replies[i] = m.sendAsync(proc, sh.Proc,
-			&request{op: "write_block_strided_local", id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: pack(sh), slot: sh.Slot})
+			&request{op: opWriteBlockStridedLocal, id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: pack(sh), slot: sh.Slot})
 	}
 	status := StatusOK
 	// Service every local share: after a failover promotion one processor

@@ -2,9 +2,9 @@
 // transport: a hand-rolled, length-delimited encoding for the payload
 // shapes that dominate the data plane ([]float64 slabs, []byte, []int
 // offset vectors, nested slabs, the scalar types), a registry through
-// which protocol packages install codecs for their own envelope structs
-// (arraymgr's wire request/reply/ack), and a gob fallback that keeps
-// every other registered type shippable.
+// which protocol packages install codecs for their own protocol structs
+// (arraymgr's request and reply), and a gob fallback that keeps every
+// other registered type shippable.
 //
 // Why not gob everywhere: gob prices every byte with reflection and,
 // used one encoder per frame (required once frames are relayed and
@@ -20,9 +20,10 @@
 //   - integers travel as uvarint (counts, ids) or zigzag varint (signed
 //     values);
 //   - slices are length-prefixed, and a length of zero decodes as nil —
-//     the same empty-to-nil collapse gob performs, so a payload decodes
-//     to exactly the value the PR-9 gob wire would have delivered and
-//     the codec-vs-gob equivalence fuzz holds field for field;
+//     the same empty-to-nil collapse gob performs, so a built-in payload
+//     decodes to exactly the value its gob fallback delivers
+//     (FuzzPayloadCodec); a count the remaining bytes cannot hold is a
+//     decode error, never an allocation;
 //   - every Read* consumes exactly the bytes the matching Append* wrote
 //     and returns the remainder, so values nest without outer length
 //     prefixes (a registered codec may call AppendAny/ReadAny for its
@@ -142,9 +143,14 @@ func ReadInt(b []byte) (int, []byte, error) {
 
 // --- slice length convention: plain count; zero decodes as nil ---
 
-func readLen(b []byte, what string) (n int, rest []byte, err error) {
+// readLen consumes a slice count whose elements take at least size
+// encoded bytes each. A count the remaining bytes cannot hold is
+// rejected before anything is allocated, so a corrupt or hostile frame
+// costs an error, never an out-of-memory crash; the bound also keeps the
+// count within int.
+func readLen(b []byte, what string, size int) (n int, rest []byte, err error) {
 	v, rest, err := ReadUvarint(b)
-	if err != nil {
+	if err != nil || v > uint64(len(rest)/size) {
 		return 0, b, short(what + " length")
 	}
 	return int(v), rest, nil
@@ -164,12 +170,9 @@ func AppendFloat64s(b []byte, xs []float64) []byte {
 
 // ReadFloat64s consumes a []float64. The result is freshly allocated.
 func ReadFloat64s(b []byte) ([]float64, []byte, error) {
-	n, b, err := readLen(b, "[]float64")
+	n, b, err := readLen(b, "[]float64", 8)
 	if err != nil || n == 0 {
 		return nil, b, err
-	}
-	if len(b) < 8*n {
-		return nil, b, short("[]float64 body")
 	}
 	xs := make([]float64, n)
 	for i := range xs {
@@ -187,12 +190,9 @@ func AppendBytes(b []byte, xs []byte) []byte {
 // ReadBytes consumes a []byte. The result is freshly allocated (never
 // aliases the input buffer, which transports recycle).
 func ReadBytes(b []byte) ([]byte, []byte, error) {
-	n, b, err := readLen(b, "[]byte")
+	n, b, err := readLen(b, "[]byte", 1)
 	if err != nil || n == 0 {
 		return nil, b, err
-	}
-	if len(b) < n {
-		return nil, b, short("[]byte body")
 	}
 	xs := make([]byte, n)
 	copy(xs, b[:n])
@@ -210,7 +210,7 @@ func AppendInts(b []byte, xs []int) []byte {
 
 // ReadInts consumes a []int.
 func ReadInts(b []byte) ([]int, []byte, error) {
-	n, b, err := readLen(b, "[]int")
+	n, b, err := readLen(b, "[]int", 1)
 	if err != nil || n == 0 {
 		return nil, b, err
 	}
@@ -236,7 +236,7 @@ func AppendIntRows(b []byte, rows [][]int) []byte {
 }
 
 func ReadIntRows(b []byte) ([][]int, []byte, error) {
-	n, b, err := readLen(b, "[][]int")
+	n, b, err := readLen(b, "[][]int", 1)
 	if err != nil || n == 0 {
 		return nil, b, err
 	}
@@ -260,7 +260,7 @@ func AppendFloat64Rows(b []byte, rows [][]float64) []byte {
 }
 
 func ReadFloat64Rows(b []byte) ([][]float64, []byte, error) {
-	n, b, err := readLen(b, "[][]float64")
+	n, b, err := readLen(b, "[][]float64", 1)
 	if err != nil || n == 0 {
 		return nil, b, err
 	}

@@ -114,6 +114,36 @@ func TestTruncatedInputs(t *testing.T) {
 	}
 }
 
+// hostileLength builds a payload of the given slice shape whose count
+// claims n elements, followed by a few bytes of body.
+func hostileLength(code byte, n uint64) []byte {
+	return append(AppendUvarint([]byte{code}, n), 1, 2, 3)
+}
+
+// TestHostileLength feeds every slice shape a count far beyond its
+// payload. Each must be a decode error: a count of 2^40 used to exhaust
+// memory (a fatal error recover cannot catch) and one of 2^63 or more to
+// panic in makeslice, so one bad frame took down the receiving process.
+func TestHostileLength(t *testing.T) {
+	shapes := []struct {
+		name string
+		code byte
+	}{
+		{"[]float64", tF64s},
+		{"[][]float64", tF64Rows},
+		{"[]byte", tBytes},
+		{"[]int", tInts},
+		{"[][]int", tIntRows},
+	}
+	for _, s := range shapes {
+		for _, n := range []uint64{1 << 40, 1<<63 + 5} {
+			if _, _, err := ReadAny(hostileLength(s.code, n)); err == nil {
+				t.Errorf("%s with count %d decoded without error", s.name, n)
+			}
+		}
+	}
+}
+
 // randomPayload builds one randomized payload value covering every
 // builtin shape.
 func randomPayload(rng *rand.Rand) any {
@@ -214,6 +244,12 @@ func FuzzReadAnyRobust(f *testing.F) {
 	f.Add([]byte{tGob, 5, 1, 2})
 	seed, _ := AppendAny(nil, []float64{1, 2}, false)
 	f.Add(seed)
+	f.Add([]byte{tInts, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20})
+	for _, code := range []byte{tF64s, tF64Rows, tBytes, tInts, tIntRows} {
+		for _, n := range []uint64{1 << 40, 1<<63 + 5} {
+			f.Add(hostileLength(code, n))
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, _, err := ReadAny(b)
 		_ = v
