@@ -19,6 +19,7 @@ package arraymgr
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -143,47 +144,75 @@ type server struct {
 	mu      sync.Mutex
 	entries map[darray.ID]*entry
 	nextSeq int
-
-	// bufMu guards the reply-buffer pool. It is separate from (and may be
-	// taken under) mu, so owner-side service routines can draw a buffer
-	// while holding the entry lock and coordinators can recycle one without
-	// it.
-	bufMu sync.Mutex
-	bufs  [][]float64
 }
 
-// maxPooledBufs bounds each server's reply-buffer pool; buffers returned
-// beyond the bound are dropped to the garbage collector.
+// maxPooledBufs bounds each free list: the ship-request list and each
+// class of the float-buffer pool.
 const maxPooledBufs = 64
 
-// getBuf draws a reply buffer of exactly n elements from the server's
-// pool, allocating only when no pooled buffer is large enough — at a
-// steady state of same-shaped requests, zero allocations per call.
-func (s *server) getBuf(n int) []float64 {
-	s.bufMu.Lock()
-	for i := len(s.bufs) - 1; i >= 0; i-- {
-		if cap(s.bufs[i]) >= n {
-			b := s.bufs[i]
-			s.bufs = append(s.bufs[:i], s.bufs[i+1:]...)
-			s.bufMu.Unlock()
-			return b[:n]
-		}
+// The float-buffer pool. Every payload-sized []float64 the manager moves
+// is drawn here and returned by whoever holds it last: an owner's reply
+// (returned by the coordinator after assembling, or by the owner itself
+// once the transport has serialized it), a shipped redistribution
+// piece, a coordinator's per-owner share of a write, and every payload
+// the codec decodes off the wire. One pool serves all of them because a
+// buffer drawn in one role is released in another, and the codec, which
+// draws decoded payloads, has no Manager. Class k holds buffers of
+// capacity [2^k, 2^(k+1)), at most maxPooledBufs of them and at most
+// about floatClassBytes worth; buffers of 2^floatClasses elements or
+// more go to the garbage collector. Each class is a mutex-guarded free
+// list rather than a sync.Pool, whose GC interaction would flake the
+// 0 allocs/op pins.
+const (
+	floatClasses    = 23       // up to 4 Mi-element (32 MiB) buffers
+	floatClassBytes = 32 << 20 // per-class retention bound
+)
+
+var floatPool [floatClasses]struct {
+	mu   sync.Mutex
+	bufs [][]float64
+}
+
+// getBuf draws a buffer of exactly n elements, allocating only when no
+// pooled buffer is large enough: at a steady state of same-shaped
+// requests, zero allocations per call. It looks in n's own class, whose
+// buffers may be too short, and in the class above, whose buffers never
+// are, so a buffer is never more than four times the size asked for.
+func getBuf(n int) []float64 {
+	if n == 0 {
+		return []float64{}
 	}
-	s.bufMu.Unlock()
+	k := bits.Len(uint(n)) - 1
+	for c := k; c <= k+1 && c < floatClasses; c++ {
+		p := &floatPool[c]
+		p.mu.Lock()
+		for i := len(p.bufs) - 1; i >= 0; i-- {
+			if b := p.bufs[i]; cap(b) >= n {
+				last := len(p.bufs) - 1
+				p.bufs[i], p.bufs[last] = p.bufs[last], nil
+				p.bufs = p.bufs[:last]
+				p.mu.Unlock()
+				return b[:n]
+			}
+		}
+		p.mu.Unlock()
+	}
 	return make([]float64, n)
 }
 
-// putBuf returns a reply buffer to the pool. Callers must not touch the
-// buffer afterwards; the owning server will hand it to a later request.
-func (s *server) putBuf(b []float64) {
-	if b == nil {
+// putBuf returns a buffer to the pool. Callers must not touch the buffer
+// afterwards; a later getBuf hands it out again.
+func putBuf(b []float64) {
+	c := bits.Len(uint(cap(b))) - 1
+	if c < 0 || c >= floatClasses {
 		return
 	}
-	s.bufMu.Lock()
-	if len(s.bufs) < maxPooledBufs {
-		s.bufs = append(s.bufs, b)
+	p := &floatPool[c]
+	p.mu.Lock()
+	if len(p.bufs) < min(maxPooledBufs, max(1, floatClassBytes>>(c+3))) {
+		p.bufs = append(p.bufs, b)
 	}
-	s.bufMu.Unlock()
+	p.mu.Unlock()
 }
 
 // Manager is the whole array manager: one server per virtual processor plus
@@ -903,7 +932,7 @@ func (m *Manager) readSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, 
 	}
 	status := StatusOK
 	// scatter places one owner's reply values at their request positions
-	// and returns the pooled reply buffer to the owner's server.
+	// and returns the pooled reply buffer.
 	scatter := func(i int, r response) {
 		if r.status != StatusOK {
 			status = r.status
@@ -912,7 +941,7 @@ func (m *Manager) readSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, 
 		for j, p := range sets[i].Pos {
 			out[p] = r.vals[j]
 		}
-		m.recycle(sets[i].Proc, r.vals)
+		putBuf(r.vals)
 	}
 	for i, s := range sets {
 		if replies[i] != nil {
@@ -945,9 +974,9 @@ func (m *Manager) doReadVectorLocal(proc int, req *request) response {
 	if sec == nil {
 		return response{status: StatusError}
 	}
-	vals := srv.getBuf(len(req.offs))
+	vals := getBuf(len(req.offs))
 	if err := sec.GatherInto(vals, req.offs); err != nil {
-		srv.putBuf(vals)
+		putBuf(vals)
 		return response{status: StatusError}
 	}
 	return response{status: StatusOK, vals: vals}
@@ -977,16 +1006,15 @@ func (m *Manager) doWriteVector(proc int, req *request) response {
 
 // writeSets drives the scatter half of the offset-set transfer: each
 // remote owner in sets receives one write_vector_local request carrying
-// its offsets and a fresh snapshot of its values (messages between address
-// spaces carry copies, never views), all posted before any reply is
-// awaited; the local set is written in place and the statuses gathered.
+// its offsets and a snapshot of its values, all posted before any reply
+// is awaited; the local set is written in place and the statuses gathered.
 // Offsets within a set preserve request order, so repeated positions keep
 // last-writer-wins semantics. Shared by the indexed coordinators and the
 // irregular rectangle coordinators.
 func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, vals []float64) Status {
 	// pack builds one owner's value vector in set order.
 	pack := func(s darray.OwnerIndexSet) []float64 {
-		out := make([]float64, len(s.Pos))
+		out := m.snapshot(len(s.Pos))
 		for j, p := range s.Pos {
 			out[j] = vals[p]
 		}
@@ -1007,17 +1035,22 @@ func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet,
 		if replies[i] != nil {
 			continue
 		}
-		if r := m.doWriteVectorLocal(proc, &request{id: id, offs: s.Offs, vals: pack(s), slot: s.Slot}); r.status != StatusOK {
+		vals := pack(s)
+		r := m.doWriteVectorLocal(proc, &request{id: id, offs: s.Offs, vals: vals, slot: s.Slot})
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(proc, r.status, vals)
 	}
-	for i := range sets {
+	for i, s := range sets {
 		if replies[i] == nil {
 			continue
 		}
-		if r := m.await(replies[i]); r.status != StatusOK {
+		r := m.await(replies[i])
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(s.Proc, r.status, replies[i].vals)
 	}
 	return status
 }
@@ -1115,6 +1148,35 @@ func (m *Manager) doWriteVectorLocal(proc int, req *request) response {
 	return response{status: m.mirrorWrite(proc, meta, req)}
 }
 
+// snapshot draws the buffer carrying one owner's share of a write:
+// messages carry copies, never views. It is pooled, and unsnapshot
+// returns it, except under a fault plan, where the router may deliver
+// the request again after its await has returned.
+func (m *Manager) snapshot(n int) []float64 {
+	if m.machine.Router().Faulty() {
+		return make([]float64, n)
+	}
+	return getBuf(n)
+}
+
+// unsnapshot releases one owner's share once the write's await (or
+// direct call) has returned with status st. A share sent to another OS
+// process is free by then: the transport serialized it on every send,
+// await's retransmit included, which is why it is not released after
+// the send. An owner in this process reads the share itself, so an
+// await that stopped waiting on it (down, timed out, closed) leaves the
+// buffer to the garbage collector.
+func (m *Manager) unsnapshot(owner int, st Status, vals []float64) {
+	router := m.machine.Router()
+	if router.Faulty() {
+		return
+	}
+	if router.Local(owner) && (st == StatusDown || st == StatusTimeout || st == StatusClosed) {
+		return
+	}
+	putBuf(vals)
+}
+
 // copyRuns moves the dense data of owner block b between full (the buffer
 // covering the whole request rectangle [lo, lo+rectDims)) and sub (the
 // buffer covering just b), in the direction selected by toFull. Both
@@ -1187,7 +1249,7 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 			continue
 		}
 		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		m.recycle(b.Proc, r.vals)
+		putBuf(r.vals)
 	}
 	// Gather: drain every reply even after a failure, so no owner's
 	// response is left dangling.
@@ -1201,7 +1263,7 @@ func (m *Manager) doReadBlock(proc int, req *request) response {
 			continue
 		}
 		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		m.recycle(b.Proc, r.vals)
+		putBuf(r.vals)
 	}
 	if status != StatusOK {
 		return response{status: status}
@@ -1228,9 +1290,9 @@ func (m *Manager) doReadBlockLocal(proc int, req *request) response {
 	if grid.CheckRect(req.lo, req.hi, e.meta.LocalDims) != nil {
 		return response{status: StatusInvalid}
 	}
-	vals := srv.getBuf(grid.RectSize(req.lo, req.hi))
+	vals := getBuf(grid.RectSize(req.lo, req.hi))
 	if err := sec.ReadBlockInto(vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing); err != nil {
-		srv.putBuf(vals)
+		putBuf(vals)
 		return response{status: StatusInvalid}
 	}
 	return response{status: StatusOK, vals: vals}
@@ -1261,9 +1323,7 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 		if b.Proc == proc {
 			continue
 		}
-		// Each remote owner gets its own dense snapshot of its piece —
-		// messages between address spaces carry copies, never views.
-		vals := make([]float64, grid.RectSize(b.GlobalLo, b.GlobalHi))
+		vals := m.snapshot(grid.RectSize(b.GlobalLo, b.GlobalHi))
 		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
 		replies[i] = m.sendAsync(proc, b.Proc,
 			&request{op: opWriteBlockLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
@@ -1275,20 +1335,23 @@ func (m *Manager) doWriteBlock(proc int, req *request) response {
 		if replies[i] != nil {
 			continue
 		}
-		vals := make([]float64, grid.RectSize(b.GlobalLo, b.GlobalHi))
+		vals := m.snapshot(grid.RectSize(b.GlobalLo, b.GlobalHi))
 		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
 		r := m.doWriteBlockLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
 		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(proc, r.status, vals)
 	}
-	for i := range blocks {
+	for i, b := range blocks {
 		if replies[i] == nil {
 			continue
 		}
-		if r := m.await(replies[i]); r.status != StatusOK {
+		r := m.await(replies[i])
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(b.Proc, r.status, replies[i].vals)
 	}
 	return response{status: status}
 }
@@ -1385,7 +1448,7 @@ func (m *Manager) doReadBlockStrided(proc int, req *request) response {
 			continue
 		}
 		copyRunsStrided(true, out, r.vals, b, req.lo, req.step, sdims)
-		m.recycle(b.Proc, r.vals)
+		putBuf(r.vals)
 	}
 	for i, b := range blocks {
 		if replies[i] == nil {
@@ -1397,7 +1460,7 @@ func (m *Manager) doReadBlockStrided(proc int, req *request) response {
 			continue
 		}
 		copyRunsStrided(true, out, r.vals, b, req.lo, req.step, sdims)
-		m.recycle(b.Proc, r.vals)
+		putBuf(r.vals)
 	}
 	if status != StatusOK {
 		return response{status: status}
@@ -1423,9 +1486,9 @@ func (m *Manager) doReadBlockStridedLocal(proc int, req *request) response {
 	if grid.CheckStridedRect(req.lo, req.hi, req.step, e.meta.LocalDims) != nil {
 		return response{status: StatusInvalid}
 	}
-	vals := srv.getBuf(grid.StridedRectSize(req.lo, req.hi, req.step))
+	vals := getBuf(grid.StridedRectSize(req.lo, req.hi, req.step))
 	if err := sec.ReadBlockStridedInto(vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing); err != nil {
-		srv.putBuf(vals)
+		putBuf(vals)
 		return response{status: StatusInvalid}
 	}
 	return response{status: StatusOK, vals: vals}
@@ -1457,9 +1520,7 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 		if b.Proc == proc {
 			continue
 		}
-		// Each remote owner gets its own packed snapshot of its piece —
-		// messages between address spaces carry copies, never views.
-		vals := make([]float64, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
+		vals := m.snapshot(grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
 		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
 		replies[i] = m.sendAsync(proc, b.Proc,
 			&request{op: opWriteBlockStridedLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
@@ -1471,20 +1532,23 @@ func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
 		if replies[i] != nil {
 			continue
 		}
-		vals := make([]float64, grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
+		vals := m.snapshot(grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
 		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
 		r := m.doWriteBlockStridedLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
 		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(proc, r.status, vals)
 	}
-	for i := range blocks {
+	for i, b := range blocks {
 		if replies[i] == nil {
 			continue
 		}
-		if r := m.await(replies[i]); r.status != StatusOK {
+		r := m.await(replies[i])
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(b.Proc, r.status, replies[i].vals)
 	}
 	return response{status: status}
 }

@@ -10,7 +10,10 @@
 // The encoding is deterministic, so re-encoding an unchanged request
 // (a retransmit) reproduces the same bytes. The rare nested fields that
 // are genuinely polymorphic (Meta, Info) recurse through wire.AppendAny
-// and keep their gob fallback.
+// and keep their gob fallback. Each codec's Size walks the same fields
+// as its Append, so the transport draws a frame that holds the whole
+// encoding; payloads decode into the float-buffer pool (getBuf), and
+// whoever consumes them returns them there.
 package arraymgr
 
 import (
@@ -33,12 +36,14 @@ func init() {
 		Type:   reflect.TypeOf(&request{}),
 		Append: appendRequest,
 		Read:   readRequest,
+		Size:   sizeRequest,
 	})
 	wire.Register(wire.Codec{
 		ID:     codecResponse,
 		Type:   reflect.TypeOf(&wireResponse{}),
 		Append: appendResponse,
 		Read:   readResponse,
+		Size:   sizeResponse,
 	})
 }
 
@@ -58,6 +63,8 @@ func appendID(b []byte, id darray.ID) []byte {
 	b = wire.AppendInt(b, id.Proc)
 	return wire.AppendInt(b, id.Seq)
 }
+
+func sizeID(id darray.ID) int { return wire.SizeInt(id.Proc) + wire.SizeInt(id.Seq) }
 
 func readID(b []byte) (darray.ID, []byte, error) {
 	proc, b, err := wire.ReadInt(b)
@@ -134,6 +141,29 @@ func appendRequest(b []byte, v any) []byte {
 	return wire.AppendUvarint(b, r.ackID)
 }
 
+// sizeRequest returns the bytes appendRequest writes for v.
+func sizeRequest(v any) int {
+	r := v.(*request)
+	n := 1 + sizeID(r.id) + sizeID(r.id2) + 1
+	if r.meta != nil {
+		n += wire.SizeAny(r.meta)
+	}
+	n += wire.SizeInts(r.gidx) + wire.SizeIntRows(r.gidxs) + wire.SizeInts(r.offs) +
+		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.lo2) +
+		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) + wire.SizeString(r.which) + 1 +
+		wire.SizeInts(r.procs) + wire.SizeInt(r.node) + wire.SizeUvarint(uint64(len(r.ships)))
+	for i := range r.ships {
+		sh := &r.ships[i]
+		n += wire.SizeInt(sh.dstProc) + wire.SizeInts(sh.srcLo) + wire.SizeInts(sh.srcHi) +
+			wire.SizeInts(sh.srcStep) + wire.SizeInts(sh.dstLo) + wire.SizeInts(sh.dstHi) +
+			wire.SizeInts(sh.dstStep) + wire.SizeInts(sh.srcOffs) + wire.SizeInts(sh.dstOffs) +
+			wire.SizeInt(sh.srcSlot) + wire.SizeInt(sh.dstSlot) + wire.SizeInt(sh.pair)
+	}
+	return n + wire.SizeUvarint(r.seq) + wire.SizeUvarint(r.call) + wire.SizeInt(r.pair) +
+		wire.SizeInt(r.src) + wire.SizeInt(r.dst) + wire.SizeInt(r.origin) +
+		wire.SizeUvarint(r.replyID) + wire.SizeInt(r.ackProc) + wire.SizeUvarint(r.ackID)
+}
+
 // readRequest decodes a request with nil reply and ack channels: a nil
 // reply routes respond through the wire, a nil ack routes shipAck.
 func readRequest(b []byte) (any, []byte, error) {
@@ -184,7 +214,7 @@ func readRequest(b []byte) (any, []byte, error) {
 	if r.lo2, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if r.vals, b, err = wire.ReadFloat64s(b); err != nil {
+	if r.vals, b, err = wire.ReadFloat64sWith(b, getBuf); err != nil {
 		return nil, b, err
 	}
 	if r.slot, b, err = wire.ReadInt(b); err != nil {
@@ -291,6 +321,12 @@ func appendResponse(b []byte, v any) []byte {
 	return wire.AppendInt(b, w.Pair)
 }
 
+func sizeResponse(v any) int {
+	w := v.(*wireResponse)
+	return wire.SizeUvarint(w.ID) + wire.SizeInt(int(w.Status)) + wire.SizeFloat64s(w.Vals) +
+		wire.SizeAny(w.Info) + wire.SizeInt(w.Pair)
+}
+
 func readResponse(b []byte) (any, []byte, error) {
 	var err error
 	w := &wireResponse{}
@@ -302,7 +338,7 @@ func readResponse(b []byte) (any, []byte, error) {
 		return nil, b, err
 	}
 	w.Status = Status(status)
-	if w.Vals, b, err = wire.ReadFloat64s(b); err != nil {
+	if w.Vals, b, err = wire.ReadFloat64sWith(b, getBuf); err != nil {
 		return nil, b, err
 	}
 	if w.Info, b, err = wire.ReadAny(b); err != nil {

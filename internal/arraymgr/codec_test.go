@@ -2,6 +2,8 @@ package arraymgr
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -140,9 +142,23 @@ func randResponse(rng *rand.Rand) *wireResponse {
 	return w
 }
 
+// nestsGob reports whether a protocol value carries a field that rides
+// the gob fallback, whose bytes its codec's Size does not count.
+func nestsGob(v any) bool {
+	switch x := v.(type) {
+	case *request:
+		return x.meta != nil
+	case *wireResponse:
+		_, small := x.Info.(int)
+		return x.Info != nil && !small
+	}
+	return false
+}
+
 // roundTrip drives v through its custom codec and requires the decoded
-// value to equal v, and a second encoding to repeat the first byte for
-// byte (a remote retransmit re-encodes the same request).
+// value to equal v, a second encoding to repeat the first byte for byte
+// (a remote retransmit re-encodes the same request), and the codec's
+// Size to count every byte that does not ride the gob fallback.
 func roundTrip(t *testing.T, v any) {
 	t.Helper()
 	b, err := wire.AppendAny(nil, v, false)
@@ -151,6 +167,9 @@ func roundTrip(t *testing.T, v any) {
 	}
 	if b[0] < wire.CustomBase {
 		t.Fatalf("%T did not take the custom codec path (type code %d)", v, b[0])
+	}
+	if n := wire.SizeAny(v); n > len(b) || (!nestsGob(v) && n != len(b)) {
+		t.Fatalf("SizeAny(%T) = %d, encoding is %d bytes", v, n, len(b))
 	}
 	if again, _ := wire.AppendAny(nil, v, false); !bytes.Equal(again, b) {
 		t.Fatalf("%T encodes nondeterministically", v)
@@ -185,6 +204,19 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		roundTrip(t, randRequest(rng))
 		roundTrip(t, randResponse(rng))
+	}
+}
+
+// TestAMReplyGolden pins the reply envelope's bytes, payload words
+// included, to the positional format: sizing the frame up front and
+// decoding into pooled buffers changed where the bytes go, not which
+// bytes a reply (or its retransmitted twin) puts on the wire.
+func TestAMReplyGolden(t *testing.T) {
+	w := &wireResponse{ID: 300, Status: StatusInvalid, Vals: []float64{0.5, math.Copysign(0, -1), 1e300}, Info: 7, Pair: -2}
+	want, _ := hex.DecodeString("21ac020203000000000000e03f00000000000000809c7500883ce4377e070e03")
+	got, err := wire.AppendAny(nil, w, false)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("reply encodes as %x (%v), want %x", got, err, want)
 	}
 }
 

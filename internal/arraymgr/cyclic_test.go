@@ -159,20 +159,19 @@ func TestCyclicOwnerServerAllocs(t *testing.T) {
 		t.Fatal("no local owner set")
 	}
 	req := &request{id: id, offs: local.Offs}
-	srv := m.servers[0]
 	for i := 0; i < 3; i++ { // warm the reply pool
 		r := m.doReadVectorLocal(0, req)
 		if r.status != StatusOK {
 			t.Fatalf("doReadVectorLocal: %v", r.status)
 		}
-		srv.putBuf(r.vals)
+		putBuf(r.vals)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		r := m.doReadVectorLocal(0, req)
 		if r.status != StatusOK {
 			t.Errorf("doReadVectorLocal: %v", r.status)
 		}
-		srv.putBuf(r.vals)
+		putBuf(r.vals)
 	})
 	if allocs != 0 {
 		t.Errorf("cyclic owner service: %v allocs/op, want 0 (pooled)", allocs)

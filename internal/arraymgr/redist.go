@@ -66,11 +66,11 @@ type redistShip struct {
 	pair int
 }
 
-// The ship-request free list. Ship requests are created by one process
-// and released by another after a one-way send, so they cannot ride a
-// per-server pool; a deterministic shared free list (rather than a
-// sync.Pool, whose GC interaction would flake the 0 allocs/op pins)
-// keeps the steady state allocation-free.
+// The ship-request free list. Ship requests are created by one processor
+// and released by another after a one-way send, so the list is shared;
+// being deterministic (rather than a sync.Pool, whose GC interaction
+// would flake the 0 allocs/op pins) it keeps the steady state
+// allocation-free.
 var (
 	shipReqMu   sync.Mutex
 	shipReqFree []*request
@@ -376,7 +376,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		if faulty {
 			return make([]float64, n)
 		}
-		return srv.getBuf(n)
+		return getBuf(n)
 	}
 	for _, sh := range req.ships {
 		if st != StatusOK {
@@ -424,7 +424,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		}
 		srv.mu.Unlock()
 		if fail != StatusOK {
-			srv.putBuf(vals)
+			putBuf(vals)
 			m.shipAck(proc, req, response{status: fail, pair: sh.pair})
 			continue
 		}
@@ -434,14 +434,13 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
 		if err := m.postShip(proc, sh.dstProc, dreq); err != nil {
-			srv.putBuf(vals)
+			putBuf(vals)
 			recycleShipReq(faulty, dreq)
 			m.shipAck(proc, req, response{status: sendStatus(err), pair: sh.pair})
 		} else if !router.Local(sh.dstProc) {
 			// Remote ship: the transport serialized the piece before
-			// returning, so the buffer and request recycle immediately —
-			// the wire analogue of the destination owner's putBuf.
-			srv.putBuf(vals)
+			// returning, so the buffer and request recycle immediately.
+			putBuf(vals)
 			putShipReq(dreq)
 		}
 	}
@@ -548,11 +547,12 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 	m.shipAck(proc, req, response{status: st, pair: req.pair})
 	router := m.machine.Router()
 	if !router.Faulty() {
-		// A piece that crossed the wire was decoded onto fresh heap, its
-		// request included — neither came from (or returns to) the source
-		// owner's pools.
+		// The piece came from the float-buffer pool either way: drawn by
+		// the source owner in this process, or by the codec that decoded
+		// it off the wire. A decoded request is fresh heap, so only a
+		// same-process one returns to the ship-request free list.
+		putBuf(vals)
 		if router.Local(node) {
-			m.servers[node].putBuf(vals)
 			putShipReq(req)
 		}
 	}

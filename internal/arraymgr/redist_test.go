@@ -376,7 +376,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 
 	ship := func() {
 		req := getShipReq()
-		buf := srv.getBuf(4)
+		buf := getBuf(4)
 		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, ack: ack}
 		m.doRedistShip(0, req)
 		if r := <-ack; r.status != StatusOK {
@@ -457,7 +457,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	asec := srv.entries[pa].section
 	elems := grid.StridedRectSize(pb.SrcLo, pb.SrcHi, pb.SrcStep)
 	denseShip := func() {
-		buf := srv.getBuf(elems)
+		buf := getBuf(elems)
 		if err := asec.ReadBlockStridedInto(buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, am.LocalDims, am.Borders, am.Indexing); err != nil {
 			t.Fatal(err)
 		}

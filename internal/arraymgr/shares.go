@@ -93,14 +93,14 @@ func (m *Manager) readShares(proc int, id darray.ID, shares []darray.StridedShar
 	}
 	status := StatusOK
 	// unpack places one owner's reply at its request-lattice positions
-	// and returns the pooled reply buffer to the owner's server.
+	// and returns the pooled reply buffer.
 	unpack := func(i int, r response) {
 		if r.status != StatusOK {
 			status = r.status
 			return
 		}
 		copyShare(true, out, r.vals, shares[i], sdims)
-		m.recycle(shares[i].Proc, r.vals)
+		putBuf(r.vals)
 	}
 	for i, sh := range shares {
 		if replies[i] != nil {
@@ -119,15 +119,14 @@ func (m *Manager) readShares(proc int, id darray.ID, shares []darray.StridedShar
 
 // writeShares drives the scatter half of the descriptor transfer: each
 // remote owner share receives one write_block_strided_local request
-// carrying its bounds and a fresh packed snapshot of its values
-// (messages between address spaces carry copies, never views), all
-// posted before any reply is awaited; the local share is written in
+// carrying its bounds and a packed snapshot of its values, all posted
+// before any reply is awaited; the local share is written in
 // place and the statuses gathered.
 func (m *Manager) writeShares(proc int, id darray.ID, shares []darray.StridedShare, sdims []int, vals []float64) Status {
 	// pack builds one share's value vector in the share's row-major
 	// lattice order.
 	pack := func(sh darray.StridedShare) []float64 {
-		sub := make([]float64, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
+		sub := m.snapshot(grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
 		copyShare(false, vals, sub, sh, sdims)
 		return sub
 	}
@@ -146,17 +145,22 @@ func (m *Manager) writeShares(proc int, id darray.ID, shares []darray.StridedSha
 		if replies[i] != nil {
 			continue
 		}
-		if r := m.doWriteBlockStridedLocal(proc, &request{id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: pack(sh), slot: sh.Slot}); r.status != StatusOK {
+		vals := pack(sh)
+		r := m.doWriteBlockStridedLocal(proc, &request{id: id, lo: sh.Lo, hi: sh.Hi, step: sh.Step, vals: vals, slot: sh.Slot})
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(proc, r.status, vals)
 	}
-	for i := range shares {
+	for i, sh := range shares {
 		if replies[i] == nil {
 			continue
 		}
-		if r := m.await(replies[i]); r.status != StatusOK {
+		r := m.await(replies[i])
+		if r.status != StatusOK {
 			status = r.status
 		}
+		m.unsnapshot(sh.Proc, r.status, replies[i].vals)
 	}
 	return status
 }

@@ -221,12 +221,11 @@ func TestStridedOwnerReplyZeroAllocs(t *testing.T) {
 	id := mustCreate(t, m, 0, fastPathSpec())
 
 	req := &request{id: id, lo: []int{0, 0}, hi: []int{16, 16}, step: []int{2, 3}}
-	srv := m.servers[0]
 	for i := 0; i < 3; i++ {
 		if r := m.doReadBlockStridedLocal(0, req); r.status != StatusOK {
 			t.Fatalf("doReadBlockStridedLocal: %v", r.status)
 		} else {
-			srv.putBuf(r.vals)
+			putBuf(r.vals)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -234,7 +233,7 @@ func TestStridedOwnerReplyZeroAllocs(t *testing.T) {
 		if r.status != StatusOK {
 			t.Errorf("doReadBlockStridedLocal: %v", r.status)
 		}
-		srv.putBuf(r.vals)
+		putBuf(r.vals)
 	})
 	if allocs != 0 {
 		t.Errorf("read_block_strided_local reply: %v allocs/op, want 0 (pooled)", allocs)

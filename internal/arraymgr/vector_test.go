@@ -187,7 +187,7 @@ func TestScatterDuplicateIndices(t *testing.T) {
 }
 
 // TestOwnerReplyZeroAllocs pins the owner-side service routines — the
-// block and vector read servers backed by the per-server reply-buffer pool
+// block and vector read servers backed by the float-buffer pool
 // — at zero heap allocations per request at a steady state.
 func TestOwnerReplyZeroAllocs(t *testing.T) {
 	_, m := newTestManager(t, 4)
@@ -195,19 +195,18 @@ func TestOwnerReplyZeroAllocs(t *testing.T) {
 
 	blockReq := &request{id: id, lo: []int{0, 0}, hi: []int{16, 16}}
 	vectorReq := &request{id: id, offs: []int{0, 5, 17, 100, 255, 5}}
-	srv := m.servers[0]
 
 	// Warm the pool: the first requests allocate their buffers.
 	for i := 0; i < 3; i++ {
 		if r := m.doReadBlockLocal(0, blockReq); r.status != StatusOK {
 			t.Fatalf("doReadBlockLocal: %v", r.status)
 		} else {
-			srv.putBuf(r.vals)
+			putBuf(r.vals)
 		}
 		if r := m.doReadVectorLocal(0, vectorReq); r.status != StatusOK {
 			t.Fatalf("doReadVectorLocal: %v", r.status)
 		} else {
-			srv.putBuf(r.vals)
+			putBuf(r.vals)
 		}
 	}
 
@@ -216,14 +215,14 @@ func TestOwnerReplyZeroAllocs(t *testing.T) {
 		if r.status != StatusOK {
 			t.Errorf("doReadBlockLocal: %v", r.status)
 		}
-		srv.putBuf(r.vals)
+		putBuf(r.vals)
 	})
 	vector := testing.AllocsPerRun(200, func() {
 		r := m.doReadVectorLocal(0, vectorReq)
 		if r.status != StatusOK {
 			t.Errorf("doReadVectorLocal: %v", r.status)
 		}
-		srv.putBuf(r.vals)
+		putBuf(r.vals)
 	})
 	if block != 0 {
 		t.Errorf("read_block_local reply: %v allocs/op, want 0 (pooled)", block)

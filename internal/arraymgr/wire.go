@@ -9,10 +9,12 @@
 //     table (pending), and the owner answers with a *wireResponse
 //     message (kindAMReply) addressed to the coordinator's processor;
 //   - pooled buffers never cross: the Transport contract says Send
-//     serializes synchronously, so a pooled buffer or ship request can
-//     be recycled the moment a remote Send returns, and a decoded
-//     payload on the receiving side is fresh heap that is dropped, not
-//     pooled (recycle guards every coordinator put site);
+//     serializes synchronously, so an owner's reply buffer or a ship
+//     request can be recycled the moment a remote Send returns. The
+//     codec decodes every payload into the float-buffer pool, so the
+//     receiving side recycles it exactly like a same-process buffer: the
+//     coordinator after assembling a reply, the owner after applying a
+//     write;
 //   - retransmission re-sends the same *request, which is read-only once
 //     sent, so a remote retransmit re-encodes to identical bytes.
 //
@@ -115,6 +117,16 @@ func (m *Manager) sendReply(proc, dst int, id uint64, r response) {
 func (m *Manager) respond(proc int, req *request, resp response) {
 	if req.reply == nil {
 		m.sendReply(proc, req.src, req.replyID, resp)
+		// The transport serialized the reply before Send returned, so a
+		// read's pooled reply buffer is free; a write's payload, decoded
+		// into the pool, was spent before the op answered (mirrors
+		// included, as doRedistShip's landing relies on too).
+		switch req.op {
+		case opReadBlockLocal, opReadBlockStridedLocal, opReadVectorLocal:
+			putBuf(resp.vals)
+		case opWriteBlockLocal, opWriteBlockStridedLocal, opWriteVectorLocal, opMirrorWrite:
+			putBuf(req.vals)
+		}
 		return
 	}
 	if req.seq != 0 {
@@ -146,17 +158,6 @@ func (m *Manager) shipAck(proc int, req *request, r response) {
 // the request and its buffers as soon as postShip returns.
 func (m *Manager) postShip(src, dst int, req *request) error {
 	return m.machine.Router().Send(src, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMShip}, req)
-}
-
-// recycle returns a reply buffer to the pool of the server that drew
-// it — unless that server lives in another OS process, in which case
-// the local bytes are a decoded copy on fresh heap and are left to the
-// garbage collector.
-func (m *Manager) recycle(owner int, vals []float64) {
-	if !m.machine.Router().Local(owner) {
-		return
-	}
-	m.servers[owner].putBuf(vals)
 }
 
 // sendStatus maps a router send failure to a status: a closed router is

@@ -3,6 +3,7 @@ package arraymgr
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,5 +94,32 @@ func TestLateAckDropped(t *testing.T) {
 	}
 	if len(ack) != 1 || (<-ack).pair != 0 {
 		t.Fatal("a late ack reached the channel")
+	}
+}
+
+// TestWireOwnerReplyRecycled pins the owner side of a read that arrived
+// over the wire (no reply channel): the transport serializes the reply
+// before Send returns, so the owner returns its pooled reply buffer as
+// soon as sendReply does, and at a steady state a wire-served
+// read_block_local allocates only its small reply envelope, never the
+// payload. The in-process router here does not serialize, but nothing
+// reads the reply's values: no completion-table entry waits for its id.
+func TestWireOwnerReplyRecycled(t *testing.T) {
+	const perProc = 8192 // 64 KiB of float64 per owner
+	_, m := newTestManager(t, 4)
+	id := mustCreate(t, m, 0, distSpec(4*perProc, 4, grid.BlockDefault(), darray.Double))
+	req := &request{op: opReadBlockLocal, id: id, lo: []int{0}, hi: []int{perProc}, src: 1, replyID: 1 << 40}
+	for i := 0; i < 3; i++ { // warm the pool
+		m.handle(0, req)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m.handle(0, req)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= perProc {
+		t.Errorf("wire-served read_block_local: %d bytes/op, want under %d (an eighth of the %d-byte payload: the reply buffer is recycled)", perOp, perProc, 8*perProc)
 	}
 }

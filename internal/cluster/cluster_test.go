@@ -261,6 +261,57 @@ func TestOracleAllPathsAcrossWire(t *testing.T) {
 	}
 }
 
+// TestLargePayloadsAcrossWire moves payload-sized buffers through every
+// recycling hop at once: a 1 Mi-element block array on 4 processors
+// split over two parts, so each owner's piece is 2 MiB, above the
+// frame and float-buffer sizes small transfers use. Two goroutines own
+// disjoint halves, one served in the driver process and one across the
+// wire, and each round writes fresh values and reads them back into a
+// poisoned buffer. A buffer recycled while a frame, a reply or a
+// retransmit still referenced it would show as a mismatch here or as a
+// race under -race.
+func TestLargePayloadsAcrossWire(t *testing.T) {
+	const n, rounds = 1 << 20, 6
+	node := startCluster(t, 4, 2)
+	a, err := node.M.NewArray(core.ArraySpec{Dims: []int{n}})
+	if err != nil {
+		t.Fatalf("NewArray: %v", err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			lo, hi := []int{g * n / 2}, []int{(g + 1) * n / 2}
+			rng := rand.New(rand.NewSource(int64(g)))
+			want := make([]float64, n/2)
+			got := make([]float64, n/2)
+			for r := 0; r < rounds; r++ {
+				for i := range want {
+					want[i] = rng.NormFloat64()
+					got[i] = math.NaN()
+				}
+				if err := a.WriteBlock(lo, hi, want); err != nil {
+					errs <- fmt.Errorf("half %d round %d: WriteBlock: %w", g, r, err)
+					return
+				}
+				if err := a.ReadBlockInto(lo, hi, got); err != nil {
+					errs <- fmt.Errorf("half %d round %d: ReadBlockInto: %w", g, r, err)
+					return
+				}
+				if !sameBits(got, want) {
+					errs <- fmt.Errorf("half %d round %d: read back differs from the values written", g, r)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestKillRecoverAcrossWire creates a replicated array spanning both
 // parts, fail-stops a worker-hosted processor, promotes the buddy
 // copies, and requires the full contents back — the recovery plane

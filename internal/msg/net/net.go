@@ -35,14 +35,15 @@
 // Since every part runs the same binary, package init-time
 // registration keeps the two sides agreeing by construction.
 //
-// Send encodes the payload into a pooled buffer synchronously before
-// returning, which is the deep-copy-at-the-seam contract of
-// msg.Transport: the caller may recycle a pooled buffer the moment
-// Send returns, and the receiver still sees the pre-mutation bytes.
-// That one encode is the only copy — ownership of the encoded frame
-// passes to the connection's writer goroutine, which coalesces all
-// queued frames into one flush per wakeup, turning N syscalls under
-// load into ~1.
+// Send encodes the payload synchronously before returning, which is the
+// deep-copy-at-the-seam contract of msg.Transport: the caller may
+// recycle a pooled buffer the moment Send returns, and the receiver
+// still sees the pre-mutation bytes. The frame comes from the pool's
+// size class that holds the whole encoding (wire.SizeAny), so the encode
+// never regrows it, and that one encode is the only copy — ownership of
+// the encoded frame passes to the connection's writer goroutine, which
+// coalesces all queued frames into one flush per wakeup, turning N
+// syscalls under load into ~1.
 //
 // Latency and loss are real, not modeled — the fault plane and
 // SetLatency stay in-process tools.
@@ -54,6 +55,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -91,32 +93,72 @@ const (
 
 const (
 	maxFrame     = 1 << 30   // corrupt-stream guard on decoded frame lengths
-	maxPooledBuf = 1 << 20   // buffers above this return to the GC, not the pool
 	batchBytes   = 256 << 10 // writer flushes mid-batch past this many bytes
 	meshDialWait = 10 * time.Second
 	byeDrainWait = 2 * time.Second
+
+	// msgHeaderMax bounds a message frame's header: the frame kind, the
+	// tag class, and four varints (src, dst, call, kind).
+	msgHeaderMax = 2 + 4*binary.MaxVarintLen64
 )
 
-// bufPool recycles frame buffers across sends and receives.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// The frame pool: one sync.Pool per power-of-two size class, from 4 KiB
+// (every control frame and small message) to 16 MiB. Class k holds
+// buffers of capacity at least 4 KiB << k, so a frame of n bytes is
+// drawn from the smallest class that holds it and a large transfer
+// reuses its frames instead of allocating (and zeroing) fresh ones on
+// both ends. Frames above the top class are left to the GC. The pools
+// hold *[]byte, and a buffer travels with the pointer it was drawn
+// with, so recycling a frame allocates nothing.
+const (
+	minFrameShift = 12 // 4 KiB
+	maxFrameShift = 24 // 16 MiB
+)
 
-func getBuf() []byte { return (*bufPool.Get().(*[]byte))[:0] }
+var framePools [maxFrameShift - minFrameShift + 1]sync.Pool
 
-func getBufN(n int) []byte {
-	b := getBuf()
-	if cap(b) < n {
-		putBuf(b)
-		return make([]byte, n)
+// frameClass returns the class a frame of n bytes is drawn from: the
+// smallest whose buffers hold n, or len(framePools) above the top class.
+func frameClass(n int) int {
+	if n <= 1<<minFrameShift {
+		return 0
 	}
-	return b[:n]
+	return bits.Len(uint(n-1)) - minFrameShift
 }
 
-func putBuf(b []byte) {
-	if b == nil || cap(b) > maxPooledBuf {
-		return
+// poolClass returns the class a buffer of capacity c is recycled into:
+// the largest whose size c covers, so a frame that grew past its class
+// lands where its capacity now puts it. It is -1 for a buffer below the
+// smallest class or above the top one.
+func poolClass(c int) int {
+	if c < 1<<minFrameShift || c > 1<<maxFrameShift {
+		return -1
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	return bits.Len(uint(c)) - 1 - minFrameShift
+}
+
+// getBufN draws a frame buffer of length n and capacity at least n.
+func getBufN(n int) *[]byte {
+	c := frameClass(n)
+	if c >= len(framePools) {
+		b := make([]byte, n)
+		return &b
+	}
+	if bp, ok := framePools[c].Get().(*[]byte); ok {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n, 1<<(c+minFrameShift))
+	return &b
+}
+
+// putBuf recycles a frame buffer. Callers must not touch the buffer
+// afterwards.
+func putBuf(bp *[]byte) {
+	if c := poolClass(cap(*bp)); c >= 0 {
+		*bp = (*bp)[:0]
+		framePools[c].Put(bp)
+	}
 }
 
 // Options tune one part's side of the wire.
@@ -148,7 +190,7 @@ func WithMeshAddr(addr string) Option { return func(o *Options) { o.MeshAddr = a
 // frame whose buffer the writer now owns, or a barrier (flush the
 // connection, then close the channel).
 type outFrame struct {
-	body    []byte
+	body    *[]byte
 	barrier chan struct{}
 }
 
@@ -196,7 +238,7 @@ func (p *peer) writeFrame(body []byte) error {
 // transfers (it is recycled or written by the writer). A dead or
 // closing peer eats frames silently — fail-stop connections behave like
 // dead processors.
-func (p *peer) post(body []byte) {
+func (p *peer) post(body *[]byte) {
 	if p.dead.Load() {
 		putBuf(body)
 		return
@@ -251,10 +293,10 @@ func (p *peer) writeLoop() {
 				close(of.barrier)
 			} else {
 				if !p.dead.Load() {
-					if err := p.writeFrame(of.body); err != nil {
+					if err := p.writeFrame(*of.body); err != nil {
 						p.dead.Store(true)
 					} else {
-						batched += len(of.body)
+						batched += len(*of.body)
 					}
 				}
 				putBuf(of.body)
@@ -397,13 +439,10 @@ func Dial(addr string, p, nparts, rank int, opt ...Option) (*Transport, error) {
 		tc.SetNoDelay(true)
 	}
 	pr := newPeer(conn, 0)
-	hello := getBuf()
-	hello = append(hello, frameHello)
+	hello := []byte{frameHello}
 	hello = wire.AppendUvarint(hello, uint64(rank))
 	hello = wire.AppendString(hello, ln.Addr().String())
-	err = rawWriteFrame(conn, hello)
-	putBuf(hello)
-	if err != nil {
+	if err := rawWriteFrame(conn, hello); err != nil {
 		conn.Close()
 		t.meshLn.Close()
 		return nil, err
@@ -429,7 +468,7 @@ func rawWriteFrame(conn net.Conn, body []byte) error {
 
 // readRawFrame reads one length-prefixed frame body into a pooled
 // buffer the caller owns.
-func readRawFrame(br *bufio.Reader) ([]byte, error) {
+func readRawFrame(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -438,7 +477,7 @@ func readRawFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("msgnet: oversized frame (%d bytes)", n)
 	}
 	body := getBufN(int(n))
-	if _, err := io.ReadFull(br, body); err != nil {
+	if _, err := io.ReadFull(br, *body); err != nil {
 		putBuf(body)
 		return nil, err
 	}
@@ -525,7 +564,7 @@ func (t *Transport) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	rank, meshAddr, ok := parseHello(body)
+	rank, meshAddr, ok := parseHello(*body)
 	putBuf(body)
 	if !ok || rank <= 0 || rank >= t.nparts {
 		conn.Close()
@@ -555,11 +594,10 @@ func (t *Transport) handshake(conn net.Conn) {
 	if sendDir {
 		dirBody := t.dirFrame()
 		for _, wp := range prs {
-			b := getBuf()
-			b = append(b, dirBody...)
+			b := getBufN(len(dirBody))
+			copy(*b, dirBody)
 			wp.post(b)
 		}
-		putBuf(dirBody)
 	}
 }
 
@@ -582,8 +620,7 @@ func parseHello(body []byte) (rank int, meshAddr string, ok bool) {
 // write-once-per-rank before dirSent flips, so reading it unlocked
 // after the flip is safe.
 func (t *Transport) dirFrame() []byte {
-	b := getBuf()
-	b = append(b, frameDir)
+	b := []byte{frameDir}
 	b = wire.AppendUvarint(b, uint64(t.nparts))
 	for _, addr := range t.dir {
 		b = wire.AppendString(b, addr)
@@ -626,7 +663,7 @@ func (t *Transport) meshHandshakeIn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	rank, ok := parseRankFrame(body, frameMeshHello)
+	rank, ok := parseRankFrame(*body, frameMeshHello)
 	putBuf(body)
 	if !ok || rank <= 0 || rank >= t.nparts || rank == t.rank {
 		conn.Close()
@@ -641,12 +678,8 @@ func (t *Transport) meshHandshakeIn(conn net.Conn) {
 	}
 	t.peers[rank] = pr
 	t.mu.Unlock()
-	welcome := getBuf()
-	welcome = append(welcome, frameMeshWelcome)
-	welcome = wire.AppendUvarint(welcome, uint64(t.rank))
-	err = rawWriteFrame(conn, welcome)
-	putBuf(welcome)
-	if err != nil {
+	welcome := wire.AppendUvarint([]byte{frameMeshWelcome}, uint64(t.rank))
+	if err := rawWriteFrame(conn, welcome); err != nil {
 		pr.dead.Store(true)
 		conn.Close()
 		return
@@ -670,10 +703,7 @@ func (t *Transport) meshDialAll(dir []string) {
 	pr := t.peers[0]
 	t.mu.Unlock()
 	if pr != nil {
-		b := getBuf()
-		b = append(b, frameMeshReady)
-		b = wire.AppendUvarint(b, uint64(t.rank))
-		pr.post(b)
+		pr.post(rankFrame(frameMeshReady, t.rank))
 	}
 }
 
@@ -686,12 +716,7 @@ func (t *Transport) meshDial(rank int, addr string) {
 		tc.SetNoDelay(true)
 	}
 	pr := newPeer(conn, rank)
-	hello := getBuf()
-	hello = append(hello, frameMeshHello)
-	hello = wire.AppendUvarint(hello, uint64(t.rank))
-	err = rawWriteFrame(conn, hello)
-	putBuf(hello)
-	if err != nil {
+	if err := rawWriteFrame(conn, wire.AppendUvarint([]byte{frameMeshHello}, uint64(t.rank))); err != nil {
 		conn.Close()
 		return
 	}
@@ -702,7 +727,7 @@ func (t *Transport) meshDial(rank int, addr string) {
 		conn.Close()
 		return
 	}
-	from, ok := parseRankFrame(body, frameMeshWelcome)
+	from, ok := parseRankFrame(*body, frameMeshWelcome)
 	putBuf(body)
 	if !ok || from != rank {
 		conn.Close()
@@ -719,6 +744,14 @@ func (t *Transport) meshDial(rank int, addr string) {
 	t.startPeer(pr)
 	t.wg.Add(1)
 	go t.readLoop(rank, pr)
+}
+
+// rankFrame builds a pooled frame of one kind byte and one processor or
+// part rank, to post on a connection.
+func rankFrame(kind byte, rank int) *[]byte {
+	b := getBufN(0)
+	*b = wire.AppendUvarint(append(*b, kind), uint64(rank))
+	return b
 }
 
 func parseRankFrame(body []byte, kind byte) (rank int, ok bool) {
@@ -755,16 +788,16 @@ func (t *Transport) readLoop(from int, pr *peer) {
 
 // handleFrame dispatches one received frame body. Ownership of body is
 // taken: it is recycled here unless forwarded verbatim.
-func (t *Transport) handleFrame(from int, body []byte) {
-	if len(body) == 0 {
+func (t *Transport) handleFrame(from int, body *[]byte) {
+	if len(*body) == 0 {
 		putBuf(body)
 		return
 	}
-	switch body[0] {
+	switch (*body)[0] {
 	case frameMsg:
 		t.handleMsg(body)
 	case frameKill:
-		proc, ok := parseRankFrame(body, frameKill)
+		proc, ok := parseRankFrame(*body, frameKill)
 		putBuf(body)
 		if !ok {
 			return
@@ -783,14 +816,11 @@ func (t *Transport) handleFrame(from int, body []byte) {
 			}
 			t.mu.Unlock()
 			for _, pr := range prs {
-				b := getBuf()
-				b = append(b, frameKill)
-				b = wire.AppendUvarint(b, uint64(proc))
-				pr.post(b)
+				pr.post(rankFrame(frameKill, proc))
 			}
 		}
 	case frameDir:
-		addrs, ok := parseDir(body, t.nparts)
+		addrs, ok := parseDir(*body, t.nparts)
 		putBuf(body)
 		if !ok || t.rank == 0 {
 			return
@@ -835,8 +865,8 @@ func parseDir(body []byte, nparts int) ([]string, bool) {
 // handleMsg delivers or relays one message frame. The relay leg (part 0,
 // destination hosted elsewhere) forwards the raw bytes without decoding
 // the payload — the star costs part 0 two copies, never two codecs.
-func (t *Transport) handleMsg(body []byte) {
-	b := body[1:]
+func (t *Transport) handleMsg(body *[]byte) {
+	b := (*body)[1:]
 	src64, b, err := wire.ReadUvarint(b)
 	if err != nil {
 		putBuf(body)
@@ -919,10 +949,7 @@ func (t *Transport) Kill(proc int) error {
 	prs := t.peerList()
 	t.mu.Unlock()
 	for _, pr := range prs {
-		b := getBuf()
-		b = append(b, frameKill)
-		b = wire.AppendUvarint(b, uint64(proc))
-		pr.post(b)
+		pr.post(rankFrame(frameKill, proc))
 	}
 	return nil
 }
@@ -966,20 +993,20 @@ func (t *Transport) Send(m msg.Message) error {
 	if pr == nil {
 		return fmt.Errorf("msgnet: no connection toward part %d (dst processor %d)", t.owner[m.Dst], m.Dst)
 	}
-	body := getBuf()
-	body = append(body, frameMsg)
+	bp := getBufN(msgHeaderMax + wire.SizeAny(m.Data))
+	body := append((*bp)[:0], frameMsg)
 	body = wire.AppendUvarint(body, uint64(m.Src))
 	body = wire.AppendUvarint(body, uint64(m.Dst))
 	body = append(body, byte(m.Tag.Class))
 	body = wire.AppendUvarint(body, m.Tag.Call)
 	body = wire.AppendInt(body, m.Tag.Kind)
-	var err error
-	body, err = wire.AppendAny(body, m.Data, false)
+	body, err := wire.AppendAny(body, m.Data, false)
+	*bp = body
 	if err != nil {
-		putBuf(body)
+		putBuf(bp)
 		return fmt.Errorf("msgnet: encode %d -> %d: %w", m.Src, m.Dst, err)
 	}
-	pr.post(body)
+	pr.post(bp)
 	return nil
 }
 
@@ -992,8 +1019,8 @@ func (t *Transport) Shutdown() {
 		prs := t.peerList()
 		t.mu.Unlock()
 		for _, pr := range prs {
-			b := getBuf()
-			b = append(b, frameBye)
+			b := getBufN(1)
+			(*b)[0] = frameBye
 			pr.post(b)
 		}
 		for _, pr := range prs {

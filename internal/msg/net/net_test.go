@@ -428,3 +428,44 @@ func TestPartBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameClasses pins the frame pool's size classes: a drawn frame
+// holds its n bytes on both sides of every class boundary, a buffer
+// recycles into the class below its capacity (so one that grew past its
+// class still only serves frames it can hold), and nothing outside the
+// class range is pooled.
+func TestFrameClasses(t *testing.T) {
+	for shift := minFrameShift; shift <= maxFrameShift; shift++ {
+		for _, n := range []int{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			bp := getBufN(n)
+			if len(*bp) != n || cap(*bp) < n {
+				t.Errorf("getBufN(%d): len %d cap %d", n, len(*bp), cap(*bp))
+			}
+			c := frameClass(n)
+			if c < len(framePools) && poolClass(cap(*bp)) != c {
+				t.Errorf("getBufN(%d) drew from class %d but recycles into class %d", n, c, poolClass(cap(*bp)))
+			}
+			if n > 1<<maxFrameShift && poolClass(cap(*bp)) != -1 {
+				t.Errorf("a %d-byte frame, above the top class, is pooled in class %d", n, poolClass(cap(*bp)))
+			}
+			putBuf(bp)
+		}
+	}
+	for _, c := range []struct{ cap, class int }{
+		{0, -1},
+		{1<<minFrameShift - 1, -1},
+		{1 << minFrameShift, 0},
+		{1<<(minFrameShift+1) - 1, 0}, // grew past class 0, short of class 1
+		{3 << minFrameShift, 1},
+		{1<<maxFrameShift - 1, maxFrameShift - minFrameShift - 1},
+		{1 << maxFrameShift, maxFrameShift - minFrameShift},
+		{1<<maxFrameShift + 1, -1},
+	} {
+		if got := poolClass(c.cap); got != c.class {
+			t.Errorf("poolClass(%d) = %d, want %d", c.cap, got, c.class)
+		}
+		if c.class >= 0 && c.cap < 1<<(c.class+minFrameShift) {
+			t.Errorf("capacity %d recycles into class %d, whose frames need %d bytes", c.cap, c.class, 1<<(c.class+minFrameShift))
+		}
+	}
+}

@@ -30,7 +30,11 @@
 //     interface-typed fields).
 //
 // All Append functions append to the caller's buffer and return it, so
-// a pooled scratch buffer serves the whole encode without copies.
+// a pooled scratch buffer serves the whole encode without copies. The
+// Size functions report how many bytes the matching Append writes, so a
+// caller can draw a buffer that holds the whole encoding and the encode
+// never regrows it: regrowing a small buffer word by word is what makes
+// a multi-megabyte []float64 payload cost far more than its bytes.
 package wire
 
 import (
@@ -39,7 +43,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -71,6 +77,10 @@ type Codec struct {
 	Type   reflect.Type // concrete type handled (e.g. reflect.TypeOf(&req{}))
 	Append func(b []byte, v any) []byte
 	Read   func(b []byte) (any, []byte, error)
+	// Size returns the bytes Append writes for v. It sizes the encode
+	// buffer, so a value it undercounts still encodes correctly, at the
+	// price of a regrow.
+	Size func(v any) int
 }
 
 var (
@@ -110,6 +120,9 @@ func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
+// SizeUvarint returns the bytes AppendUvarint writes for v.
+func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // ReadUvarint consumes one unsigned varint.
 func ReadUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
@@ -136,6 +149,12 @@ func ReadVarint(b []byte) (int64, []byte, error) {
 // AppendInt / ReadInt are the int-sized convenience forms.
 func AppendInt(b []byte, v int) []byte { return AppendVarint(b, int64(v)) }
 
+// SizeInt returns the bytes AppendInt writes for v.
+func SizeInt(v int) int {
+	x := int64(v)
+	return SizeUvarint(uint64(x<<1) ^ uint64(x>>63))
+}
+
 func ReadInt(b []byte) (int, []byte, error) {
 	v, rest, err := ReadVarint(b)
 	return int(v), rest, err
@@ -159,22 +178,36 @@ func readLen(b []byte, what string, size int) (n int, rest []byte, err error) {
 // --- typed slices and scalars ---
 
 // AppendFloat64s appends a []float64 as a length prefix plus raw
-// little-endian IEEE-754 words.
+// little-endian IEEE-754 words. The buffer grows at most once, to hold
+// every word, before the word loop runs.
 func AppendFloat64s(b []byte, xs []float64) []byte {
 	b = AppendUvarint(b, uint64(len(xs)))
+	b = slices.Grow(b, 8*len(xs))
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
 }
 
+// SizeFloat64s returns the bytes AppendFloat64s writes for xs.
+func SizeFloat64s(xs []float64) int { return SizeUvarint(uint64(len(xs))) + 8*len(xs) }
+
 // ReadFloat64s consumes a []float64. The result is freshly allocated.
 func ReadFloat64s(b []byte) ([]float64, []byte, error) {
+	return ReadFloat64sWith(b, func(n int) []float64 { return make([]float64, n) })
+}
+
+// ReadFloat64sWith consumes a []float64 into alloc(n), a slice of
+// exactly n elements the caller supplies (a protocol with its own
+// buffer pool passes its pool's get). alloc is called only for a count
+// the buffer can hold, and never for an empty slice, which decodes as
+// nil.
+func ReadFloat64sWith(b []byte, alloc func(n int) []float64) ([]float64, []byte, error) {
 	n, b, err := readLen(b, "[]float64", 8)
 	if err != nil || n == 0 {
 		return nil, b, err
 	}
-	xs := make([]float64, n)
+	xs := alloc(n)
 	for i := range xs {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -208,6 +241,15 @@ func AppendInts(b []byte, xs []int) []byte {
 	return b
 }
 
+// SizeInts returns the bytes AppendInts writes for xs.
+func SizeInts(xs []int) int {
+	n := SizeUvarint(uint64(len(xs)))
+	for _, x := range xs {
+		n += SizeInt(x)
+	}
+	return n
+}
+
 // ReadInts consumes a []int.
 func ReadInts(b []byte) ([]int, []byte, error) {
 	n, b, err := readLen(b, "[]int", 1)
@@ -235,6 +277,15 @@ func AppendIntRows(b []byte, rows [][]int) []byte {
 	return b
 }
 
+// SizeIntRows returns the bytes AppendIntRows writes for rows.
+func SizeIntRows(rows [][]int) int {
+	n := SizeUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		n += SizeInts(r)
+	}
+	return n
+}
+
 func ReadIntRows(b []byte) ([][]int, []byte, error) {
 	n, b, err := readLen(b, "[][]int", 1)
 	if err != nil || n == 0 {
@@ -259,6 +310,15 @@ func AppendFloat64Rows(b []byte, rows [][]float64) []byte {
 	return b
 }
 
+// SizeFloat64Rows returns the bytes AppendFloat64Rows writes for rows.
+func SizeFloat64Rows(rows [][]float64) int {
+	n := SizeUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		n += SizeFloat64s(r)
+	}
+	return n
+}
+
 func ReadFloat64Rows(b []byte) ([][]float64, []byte, error) {
 	n, b, err := readLen(b, "[][]float64", 1)
 	if err != nil || n == 0 {
@@ -279,6 +339,9 @@ func AppendString(b []byte, s string) []byte {
 	b = AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
+
+// SizeString returns the bytes AppendString writes for s.
+func SizeString(s string) int { return SizeUvarint(uint64(len(s))) + len(s) }
 
 func ReadString(b []byte) (string, []byte, error) {
 	n, b, err := ReadUvarint(b)
@@ -370,6 +433,42 @@ func AppendAny(b []byte, v any, forceGob bool) ([]byte, error) {
 	b = append(b, tGob)
 	b = AppendUvarint(b, uint64(gb.Len()))
 	return append(b, gb.Bytes()...), nil
+}
+
+// SizeAny returns the bytes AppendAny(b, v, false) writes for v: exact
+// for the built-in shapes and for registered codecs, whose Size reports
+// theirs. A value that rides the gob fallback counts only its type code;
+// its encoding is small and grows the buffer as it goes.
+func SizeAny(v any) int {
+	switch x := v.(type) {
+	case nil:
+		return 1
+	case []float64:
+		return 1 + SizeFloat64s(x)
+	case [][]float64:
+		return 1 + SizeFloat64Rows(x)
+	case []byte:
+		return 1 + SizeUvarint(uint64(len(x))) + len(x)
+	case []int:
+		return 1 + SizeInts(x)
+	case [][]int:
+		return 1 + SizeIntRows(x)
+	case float64:
+		return 1 + 8
+	case int:
+		return 1 + SizeInt(x)
+	case string:
+		return 1 + SizeString(x)
+	case bool:
+		return 1 + 1
+	}
+	codecMu.RLock()
+	c := codecsByType[reflect.TypeOf(v)]
+	codecMu.RUnlock()
+	if c != nil {
+		return 1 + c.Size(v)
+	}
+	return 1
 }
 
 // ReadAny consumes one payload value written by AppendAny. Decoded

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -26,6 +28,9 @@ func roundTrip(t *testing.T, v any, forceGob bool) any {
 	b, err := AppendAny(nil, v, forceGob)
 	if err != nil {
 		t.Fatalf("AppendAny(%T, forceGob=%v): %v", v, forceGob, err)
+	}
+	if n := SizeAny(v); !forceGob && n != len(b) {
+		t.Fatalf("SizeAny(%T) = %d, encoding is %d bytes", v, n, len(b))
 	}
 	got, rest, err := ReadAny(b)
 	if err != nil {
@@ -97,6 +102,24 @@ func TestDecodedPayloadDoesNotAlias(t *testing.T) {
 	got := v.([]float64)
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("decoded slice aliases the wire buffer: %v", got)
+	}
+}
+
+// TestFloat64sGolden pins the []float64 encoding byte for byte (type
+// code, uvarint count, little-endian IEEE-754 words, NaN payload bits
+// kept), whether the encode starts from an empty buffer or appends to a
+// short one that must grow: sizing the buffer up front changed how the
+// bytes are written, not which.
+func TestFloat64sGolden(t *testing.T) {
+	xs := []float64{1, -2.5, math.Inf(-1), math.Float64frombits(0x7ff8000000001234)}
+	want, _ := hex.DecodeString("0104000000000000f03f00000000000004c0000000000000f0ff341200000000f87f")
+	got, err := AppendAny(nil, xs, false)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("AppendAny(%v) = %x (%v), want %x", xs, got, err, want)
+	}
+	prefixed, err := AppendAny(append(make([]byte, 0, 4), 0xAA, 0xBB), xs, false)
+	if err != nil || !bytes.Equal(prefixed, append([]byte{0xAA, 0xBB}, want...)) {
+		t.Fatalf("AppendAny after a 2-byte prefix = %x (%v)", prefixed, err)
 	}
 }
 
@@ -212,6 +235,9 @@ func FuzzPayloadCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("binary AppendAny(%T): %v", v, err)
 			}
+			if n := SizeAny(v); n != len(bin) {
+				t.Fatalf("SizeAny(%T) = %d, encoding is %d bytes", v, n, len(bin))
+			}
 			gotBin, rest, err := ReadAny(bin)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("binary ReadAny(%T): %v (rest %d)", v, err, len(rest))
@@ -255,4 +281,20 @@ func FuzzReadAnyRobust(f *testing.F) {
 		_ = v
 		_ = err
 	})
+}
+
+// BenchmarkAppendFloat64sLarge encodes one 2 MiB piece (a quarter of
+// the 8 MiB array the large-transfer workload moves) into a buffer sized
+// up front, as the transport sizes its frames: the word loop alone,
+// without buffer growth.
+func BenchmarkAppendFloat64sLarge(b *testing.B) {
+	xs := make([]float64, 1<<18)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	buf := make([]byte, 0, SizeFloat64s(xs))
+	b.SetBytes(int64(8 * len(xs)))
+	for b.Loop() {
+		buf = AppendFloat64s(buf[:0], xs)
+	}
 }
