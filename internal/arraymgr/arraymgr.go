@@ -269,18 +269,10 @@ const (
 	opCreateLocal
 	opFreeArray
 	opFreeLocal
-	opReadVector
-	opReadVectorLocal
-	opWriteVector
-	opWriteVectorLocal
-	opReadBlock
-	opReadBlockLocal
-	opWriteBlock
-	opWriteBlockLocal
-	opReadBlockStrided
-	opReadBlockStridedLocal
-	opWriteBlockStrided
-	opWriteBlockStridedLocal
+	opRead       // read coordinator: a rectangle or an index vector
+	opReadLocal  // owner read of one piece
+	opWrite      // write coordinator
+	opWriteLocal // owner write of one piece
 	opMirrorWrite
 	opRedistribute
 	opRedistSrc
@@ -295,32 +287,24 @@ const (
 
 // opNames are the operation names of the paper's am_debug trace lines.
 var opNames = [...]string{
-	opCreateArray:            "create_array",
-	opCreateLocal:            "create_local",
-	opFreeArray:              "free_array",
-	opFreeLocal:              "free_local",
-	opReadVector:             "read_vector",
-	opReadVectorLocal:        "read_vector_local",
-	opWriteVector:            "write_vector",
-	opWriteVectorLocal:       "write_vector_local",
-	opReadBlock:              "read_block",
-	opReadBlockLocal:         "read_block_local",
-	opWriteBlock:             "write_block",
-	opWriteBlockLocal:        "write_block_local",
-	opReadBlockStrided:       "read_block_strided",
-	opReadBlockStridedLocal:  "read_block_strided_local",
-	opWriteBlockStrided:      "write_block_strided",
-	opWriteBlockStridedLocal: "write_block_strided_local",
-	opMirrorWrite:            "mirror_write",
-	opRedistribute:           "redistribute",
-	opRedistSrc:              "redist_src",
-	opRedistShip:             "redist_ship",
-	opFindLocal:              "find_local",
-	opFindInfo:               "find_info",
-	opVerifyArray:            "verify_array",
-	opCopyLocal:              "copy_local",
-	opTree:                   "tree",
-	opUpdateMeta:             "update_meta",
+	opCreateArray:  "create_array",
+	opCreateLocal:  "create_local",
+	opFreeArray:    "free_array",
+	opFreeLocal:    "free_local",
+	opRead:         "read",
+	opReadLocal:    "read_local",
+	opWrite:        "write",
+	opWriteLocal:   "write_local",
+	opMirrorWrite:  "mirror_write",
+	opRedistribute: "redistribute",
+	opRedistSrc:    "redist_src",
+	opRedistShip:   "redist_ship",
+	opFindLocal:    "find_local",
+	opFindInfo:     "find_info",
+	opVerifyArray:  "verify_array",
+	opCopyLocal:    "copy_local",
+	opTree:         "tree",
+	opUpdateMeta:   "update_meta",
 }
 
 func (o opCode) String() string {
@@ -338,11 +322,11 @@ type request struct {
 	spec  *CreateSpec
 	meta  *darray.Meta // for create_local / update_meta
 	gidx  []int        // copy_local: new borders (via fanout)
-	gidxs [][]int      // read/write vector: global index tuples (coordinator)
-	offs  []int        // read/write vector: storage offsets (owner)
-	lo    []int        // read/write block: rectangle bounds (global at the
+	gidxs [][]int      // read/write coordinator: an index vector (nil for a rectangle)
+	offs  []int        // owner read/write: an offset-set piece's storage offsets
+	lo    []int        // read/write: rectangle bounds (global at the
 	hi    []int        // coordinator, interior-local at the owner)
-	step  []int        // strided block ops: per-dimension stride (>= 1)
+	step  []int        // read/write: per-dimension stride (>= 1; nil = dense)
 	vals  []float64    // write data; read: optional caller buffer
 	slot  int          // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
@@ -484,7 +468,7 @@ func (m *Manager) serve(proc int) {
 // immediately; the server's response is collected with await. Router
 // sends never block, so a coordinator can scatter requests to any number
 // of owners before gathering a single reply — the async request/reply
-// facility behind the concurrent block-transfer coordinators and the
+// facility behind the concurrent data-plane coordinators and the
 // control fan-out tree. Under a call policy the request is stamped with
 // a fresh dedup id and a known-dead destination is refused up front
 // (saving a full timeout per tree level when an owner is down).
@@ -541,32 +525,14 @@ func (m *Manager) handle(proc int, req *request) {
 		resp = m.doFree(proc, req)
 	case opFreeLocal:
 		resp = m.doFreeLocal(proc, req)
-	case opReadVector:
-		resp = m.doReadVector(proc, req)
-	case opReadVectorLocal:
-		resp = m.doReadVectorLocal(proc, req)
-	case opWriteVector:
-		resp = m.doWriteVector(proc, req)
-	case opWriteVectorLocal:
-		resp = m.doWriteVectorLocal(proc, req)
-	case opReadBlock:
-		resp = m.doReadBlock(proc, req)
-	case opReadBlockLocal:
-		resp = m.doReadBlockLocal(proc, req)
-	case opWriteBlock:
-		resp = m.doWriteBlock(proc, req)
-	case opWriteBlockLocal:
-		resp = m.doWriteBlockLocal(proc, req)
-	case opReadBlockStrided:
-		resp = m.doReadBlockStrided(proc, req)
-	case opReadBlockStridedLocal:
-		resp = m.doReadBlockStridedLocal(proc, req)
-	case opWriteBlockStrided:
-		resp = m.doWriteBlockStrided(proc, req)
-	case opWriteBlockStridedLocal:
-		resp = m.doWriteBlockStridedLocal(proc, req)
-	case opMirrorWrite:
-		resp = m.doMirrorWrite(proc, req)
+	case opRead:
+		resp = m.doRead(proc, req)
+	case opReadLocal:
+		resp = m.doReadLocal(proc, req)
+	case opWrite:
+		resp = m.doWrite(proc, req)
+	case opWriteLocal, opMirrorWrite:
+		resp = m.doWriteLocal(proc, req)
 	case opRedistribute:
 		resp = m.doRedistribute(proc, req)
 	case opFindLocal:
@@ -884,270 +850,6 @@ func (m *Manager) doFreeLocal(proc int, req *request) response {
 	return response{status: StatusOK}
 }
 
-// doReadVector is the indexed-gather coordinator: it splits the request's
-// global index tuples by owning processor (darray.Meta.OwnerIndices),
-// scatters one read_vector_local request to every remote owner before
-// waiting on any reply, services its own set while the remote owners work,
-// then gathers the replies and scatters the values into the result vector
-// by request position. A k-element gather across P owners costs one
-// request/reply pair per owner, never one per element. If the request
-// carries a caller-supplied buffer, values land straight in it.
-func (m *Manager) doReadVector(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	sets, err := e.meta.OwnerIndices(req.gidxs)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	out := req.vals
-	if out != nil && len(out) != len(req.gidxs) {
-		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, len(req.gidxs))
-	}
-	if st := m.readSets(proc, req.id, sets, out); st != StatusOK {
-		return response{status: st}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// readSets drives the gather half of the offset-set transfer: one
-// concurrent read_vector_local request per remote owner in sets (all
-// scattered before any reply is awaited), the local set serviced in place,
-// and each reply's values placed at their request positions in out. It is
-// shared by the indexed coordinators and by the rectangle coordinators of
-// irregular (cyclic/block-cyclic) arrays, whose owner shares are offset
-// sets rather than rectangles.
-func (m *Manager) readSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, out []float64) Status {
-	replies := make([]*request, len(sets))
-	for i, s := range sets {
-		if s.Proc == proc {
-			continue
-		}
-		replies[i] = m.sendAsync(proc, s.Proc,
-			&request{op: opReadVectorLocal, id: id, offs: s.Offs, slot: s.Slot})
-	}
-	status := StatusOK
-	// scatter places one owner's reply values at their request positions
-	// and returns the pooled reply buffer.
-	scatter := func(i int, r response) {
-		if r.status != StatusOK {
-			status = r.status
-			return
-		}
-		for j, p := range sets[i].Pos {
-			out[p] = r.vals[j]
-		}
-		putBuf(r.vals)
-	}
-	for i, s := range sets {
-		if replies[i] != nil {
-			continue
-		}
-		scatter(i, m.doReadVectorLocal(proc, &request{id: id, offs: s.Offs, slot: s.Slot}))
-	}
-	for i := range sets {
-		if replies[i] == nil {
-			continue
-		}
-		scatter(i, m.await(replies[i]))
-	}
-	return status
-}
-
-// doReadVectorLocal services one owner's share of an indexed gather: the
-// requested storage offsets are read into a pooled reply buffer — zero
-// allocations per request at a steady state. Ownership of the buffer
-// passes to the coordinator, which returns it via putBuf after unpacking.
-func (m *Manager) doReadVectorLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		return response{status: StatusError}
-	}
-	vals := getBuf(len(req.offs))
-	if err := sec.GatherInto(vals, req.offs); err != nil {
-		putBuf(vals)
-		return response{status: StatusError}
-	}
-	return response{status: StatusOK, vals: vals}
-}
-
-// doWriteVector is the indexed-scatter coordinator: it splits the request
-// by owning processor and sends each remote owner one write_vector_local
-// request carrying that owner's offsets and values, all posted before any
-// reply is awaited. Offsets within an owner's set preserve request order,
-// so a global index repeated in one request takes the value at its last
-// occurrence (last writer wins), exactly as a sequential loop of
-// write_element calls would leave it.
-func (m *Manager) doWriteVector(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if len(req.vals) != len(req.gidxs) {
-		return response{status: StatusInvalid}
-	}
-	sets, err := e.meta.OwnerIndices(req.gidxs)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.writeSets(proc, req.id, sets, req.vals)}
-}
-
-// writeSets drives the scatter half of the offset-set transfer: each
-// remote owner in sets receives one write_vector_local request carrying
-// its offsets and a snapshot of its values, all posted before any reply
-// is awaited; the local set is written in place and the statuses gathered.
-// Offsets within a set preserve request order, so repeated positions keep
-// last-writer-wins semantics. Shared by the indexed coordinators and the
-// irregular rectangle coordinators.
-func (m *Manager) writeSets(proc int, id darray.ID, sets []darray.OwnerIndexSet, vals []float64) Status {
-	// pack builds one owner's value vector in set order.
-	pack := func(s darray.OwnerIndexSet) []float64 {
-		out := m.snapshot(len(s.Pos))
-		for j, p := range s.Pos {
-			out[j] = vals[p]
-		}
-		return out
-	}
-	replies := make([]*request, len(sets))
-	for i, s := range sets {
-		if s.Proc == proc {
-			continue
-		}
-		replies[i] = m.sendAsync(proc, s.Proc,
-			&request{op: opWriteVectorLocal, id: id, offs: s.Offs, vals: pack(s), slot: s.Slot})
-	}
-	status := StatusOK
-	// Service every local set: after a failover promotion one processor
-	// can own several slots, so "local" is not necessarily unique.
-	for i, s := range sets {
-		if replies[i] != nil {
-			continue
-		}
-		vals := pack(s)
-		r := m.doWriteVectorLocal(proc, &request{id: id, offs: s.Offs, vals: vals, slot: s.Slot})
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(proc, r.status, vals)
-	}
-	for i, s := range sets {
-		if replies[i] == nil {
-			continue
-		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(s.Proc, r.status, replies[i].vals)
-	}
-	return status
-}
-
-// readLattice is the rectangle-read coordinator for irregular
-// (cyclic/block-cyclic) arrays: a cell's share of the (lo, hi, step)
-// lattice — dense when step is nil — is not a rectangle, so the transfer
-// cannot ride the owner-block split. When every owner share is a
-// per-dimension arithmetic progression (pure-cyclic and block
-// dimensions), the request travels as bounds+step descriptors
-// (StridedShares, O(ndims) payload per owner); block-cyclic shares fall
-// back to materialized offset sets served by the indexed-gather owner
-// routine. Either way it is one request per owner, with values landing
-// at their packed lattice positions in the dense result buffer.
-func (m *Manager) readLattice(proc int, meta *darray.Meta, req *request, step []int) response {
-	shares, descriptors, err := meta.StridedShares(req.lo, req.hi, step)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	size := grid.RectSize(req.lo, req.hi)
-	sdims := grid.RectDims(req.lo, req.hi)
-	if step != nil {
-		size = grid.StridedRectSize(req.lo, req.hi, step)
-		sdims = grid.StridedRectDims(req.lo, req.hi, step)
-	}
-	out := req.vals
-	if out != nil && len(out) != size {
-		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, size)
-	}
-	var st Status
-	if descriptors {
-		st = m.readShares(proc, req.id, shares, sdims, out)
-	} else {
-		sets, err := meta.OwnerLattice(req.lo, req.hi, step)
-		if err != nil {
-			return response{status: StatusInvalid}
-		}
-		st = m.readSets(proc, req.id, sets, out)
-	}
-	if st != StatusOK {
-		return response{status: st}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// writeLattice is readLattice's write-side companion, with the same
-// descriptor-first split.
-func (m *Manager) writeLattice(proc int, meta *darray.Meta, req *request, step []int) response {
-	shares, descriptors, err := meta.StridedShares(req.lo, req.hi, step)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	size := grid.RectSize(req.lo, req.hi)
-	sdims := grid.RectDims(req.lo, req.hi)
-	if step != nil {
-		size = grid.StridedRectSize(req.lo, req.hi, step)
-		sdims = grid.StridedRectDims(req.lo, req.hi, step)
-	}
-	if len(req.vals) != size {
-		return response{status: StatusInvalid}
-	}
-	if descriptors {
-		return response{status: m.writeShares(proc, req.id, shares, sdims, req.vals)}
-	}
-	sets, err := meta.OwnerLattice(req.lo, req.hi, step)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.writeSets(proc, req.id, sets, req.vals)}
-}
-
-// doWriteVectorLocal services one owner's share of an indexed scatter,
-// applying the values in request order (last writer wins for repeats).
-func (m *Manager) doWriteVectorLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.ScatterFrom(req.vals, req.offs)
-	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusError}
-	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
-}
-
 // snapshot draws the buffer carrying one owner's share of a write:
 // messages carry copies, never views. It is pooled, and unsnapshot
 // returns it, except under a fault plan, where the router may deliver
@@ -1175,403 +877,6 @@ func (m *Manager) unsnapshot(owner int, st Status, vals []float64) {
 		return
 	}
 	putBuf(vals)
-}
-
-// copyRuns moves the dense data of owner block b between full (the buffer
-// covering the whole request rectangle [lo, lo+rectDims)) and sub (the
-// buffer covering just b), in the direction selected by toFull. Both
-// buffers are row-major, so runs along the last dimension are contiguous
-// in each and move with copy.
-func copyRuns(toFull bool, full, sub []float64, b darray.OwnerBlock, lo, rectDims []int) {
-	last := len(rectDims) - 1
-	run := b.GlobalHi[last] - b.GlobalLo[last]
-	_ = grid.ForEachRect(b.GlobalLo[:last], b.GlobalHi[:last], func(outer []int, k int) error {
-		pos := 0
-		for i, x := range outer {
-			pos = pos*rectDims[i] + (x - lo[i])
-		}
-		pos = pos*rectDims[last] + (b.GlobalLo[last] - lo[last])
-		if toFull {
-			copy(full[pos:pos+run], sub[k*run:(k+1)*run])
-		} else {
-			copy(sub[k*run:(k+1)*run], full[pos:pos+run])
-		}
-		return nil
-	})
-}
-
-// doReadBlock is the bulk-read coordinator: it splits the global rectangle
-// [lo, hi) by owning processor, scatters one read_block_local request to
-// every remote owner before waiting on any reply, services its own piece
-// while the remote owners work, then gathers the replies and assembles the
-// sub-blocks into one dense row-major buffer. Latency is one round trip to
-// the slowest owner, not the sum over owners. If the request carries a
-// caller-supplied buffer (ReadBlockInto), the rectangle is assembled
-// straight into it.
-func (m *Manager) doReadBlock(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		return m.readLattice(proc, e.meta, req, nil)
-	}
-	blocks, err := e.meta.OwnerBlocks(req.lo, req.hi)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	rectDims := grid.RectDims(req.lo, req.hi)
-	out := req.vals
-	if out != nil && len(out) != grid.RectSize(req.lo, req.hi) {
-		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, grid.RectSize(req.lo, req.hi))
-	}
-	// Scatter: post every remote request up front (sends never block).
-	replies := make([]*request, len(blocks))
-	for i, b := range blocks {
-		if b.Proc == proc {
-			continue
-		}
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: opReadBlockLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot})
-	}
-	// Service the local piece while the remote owners work.
-	status := StatusOK
-	for i, b := range blocks {
-		if replies[i] != nil {
-			continue
-		}
-		r := m.doReadBlockLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
-			continue
-		}
-		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		putBuf(r.vals)
-	}
-	// Gather: drain every reply even after a failure, so no owner's
-	// response is left dangling.
-	for i, b := range blocks {
-		if replies[i] == nil {
-			continue
-		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-			continue
-		}
-		copyRuns(true, out, r.vals, b, req.lo, rectDims)
-		putBuf(r.vals)
-	}
-	if status != StatusOK {
-		return response{status: status}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// doReadBlockLocal services one owner's share of a bulk read into a pooled
-// reply buffer — zero allocations per request at a steady state. Ownership
-// of the buffer passes to the coordinator, which returns it via putBuf
-// after assembling the rectangle.
-func (m *Manager) doReadBlockLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		return response{status: StatusError}
-	}
-	if grid.CheckRect(req.lo, req.hi, e.meta.LocalDims) != nil {
-		return response{status: StatusInvalid}
-	}
-	vals := getBuf(grid.RectSize(req.lo, req.hi))
-	if err := sec.ReadBlockInto(vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing); err != nil {
-		putBuf(vals)
-		return response{status: StatusInvalid}
-	}
-	return response{status: StatusOK, vals: vals}
-}
-
-// doWriteBlock is the bulk-write coordinator: it splits the dense
-// row-major buffer into per-owner sub-blocks, scatters one
-// write_block_local request to every remote owner before waiting on any
-// reply, writes its own piece while they work, then gathers the statuses.
-func (m *Manager) doWriteBlock(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		return m.writeLattice(proc, e.meta, req, nil)
-	}
-	blocks, err := e.meta.OwnerBlocks(req.lo, req.hi)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	rectDims := grid.RectDims(req.lo, req.hi)
-	if len(req.vals) != grid.RectSize(req.lo, req.hi) {
-		return response{status: StatusInvalid}
-	}
-	replies := make([]*request, len(blocks))
-	for i, b := range blocks {
-		if b.Proc == proc {
-			continue
-		}
-		vals := m.snapshot(grid.RectSize(b.GlobalLo, b.GlobalHi))
-		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: opWriteBlockLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
-	}
-	status := StatusOK
-	// Service every local block: after a failover promotion one processor
-	// can own several slots, so "local" is not necessarily unique.
-	for i, b := range blocks {
-		if replies[i] != nil {
-			continue
-		}
-		vals := m.snapshot(grid.RectSize(b.GlobalLo, b.GlobalHi))
-		copyRuns(false, req.vals, vals, b, req.lo, rectDims)
-		r := m.doWriteBlockLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, vals: vals, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(proc, r.status, vals)
-	}
-	for i, b := range blocks {
-		if replies[i] == nil {
-			continue
-		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(b.Proc, r.status, replies[i].vals)
-	}
-	return response{status: status}
-}
-
-func (m *Manager) doWriteBlockLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.WriteBlock(req.vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
-}
-
-// copyRunsStrided is copyRuns for a strided transfer: it moves owner block
-// b's lattice points between full (the packed buffer covering the whole
-// request lattice, sdims = StridedRectDims(lo, hi, step)) and sub (the
-// packed buffer covering just b). Both buffers pack the lattice row-major,
-// so runs along the last dimension are contiguous in each and move with
-// copy regardless of the stride.
-func copyRunsStrided(toFull bool, full, sub []float64, b darray.OwnerBlock, lo, step, sdims []int) {
-	last := len(sdims) - 1
-	run := (b.GlobalHi[last] - b.GlobalLo[last] + step[last] - 1) / step[last]
-	_ = grid.ForEachStridedRect(b.GlobalLo[:last], b.GlobalHi[:last], step[:last], func(outer []int, k int) error {
-		pos := 0
-		for i, x := range outer {
-			pos = pos*sdims[i] + (x-lo[i])/step[i]
-		}
-		pos = pos*sdims[last] + (b.GlobalLo[last]-lo[last])/step[last]
-		if toFull {
-			copy(full[pos:pos+run], sub[k*run:(k+1)*run])
-		} else {
-			copy(sub[k*run:(k+1)*run], full[pos:pos+run])
-		}
-		return nil
-	})
-}
-
-// doReadBlockStrided is the strided bulk-read coordinator: the lattice of
-// every step[i]-th element of [lo, hi) is split by owning processor
-// (darray.Meta.OwnerBlocksStrided), one read_block_strided_local request is
-// scattered to every remote owner before any reply is awaited (the same
-// sendAsync machinery as the dense coordinator), the local piece is
-// serviced in place, and the replies are assembled into one packed
-// row-major lattice buffer. Every-k-th-row access costs one request/reply
-// pair per owner, never one offset per element.
-func (m *Manager) doReadBlockStrided(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		return m.readLattice(proc, e.meta, req, req.step)
-	}
-	blocks, err := e.meta.OwnerBlocksStrided(req.lo, req.hi, req.step)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	sdims := grid.StridedRectDims(req.lo, req.hi, req.step)
-	out := req.vals
-	if out != nil && len(out) != grid.StridedRectSize(req.lo, req.hi, req.step) {
-		return response{status: StatusInvalid}
-	}
-	if out == nil {
-		out = make([]float64, grid.StridedRectSize(req.lo, req.hi, req.step))
-	}
-	replies := make([]*request, len(blocks))
-	for i, b := range blocks {
-		if b.Proc == proc {
-			continue
-		}
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: opReadBlockStridedLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, slot: b.Slot})
-	}
-	status := StatusOK
-	for i, b := range blocks {
-		if replies[i] != nil {
-			continue
-		}
-		r := m.doReadBlockStridedLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
-			continue
-		}
-		copyRunsStrided(true, out, r.vals, b, req.lo, req.step, sdims)
-		putBuf(r.vals)
-	}
-	for i, b := range blocks {
-		if replies[i] == nil {
-			continue
-		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-			continue
-		}
-		copyRunsStrided(true, out, r.vals, b, req.lo, req.step, sdims)
-		putBuf(r.vals)
-	}
-	if status != StatusOK {
-		return response{status: status}
-	}
-	return response{status: StatusOK, vals: out}
-}
-
-// doReadBlockStridedLocal services one owner's share of a strided bulk
-// read into a pooled reply buffer — zero allocations per request at a
-// steady state, exactly like the dense owner server it mirrors.
-func (m *Manager) doReadBlockStridedLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		return response{status: StatusError}
-	}
-	if grid.CheckStridedRect(req.lo, req.hi, req.step, e.meta.LocalDims) != nil {
-		return response{status: StatusInvalid}
-	}
-	vals := getBuf(grid.StridedRectSize(req.lo, req.hi, req.step))
-	if err := sec.ReadBlockStridedInto(vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing); err != nil {
-		putBuf(vals)
-		return response{status: StatusInvalid}
-	}
-	return response{status: StatusOK, vals: vals}
-}
-
-// doWriteBlockStrided is the strided bulk-write coordinator: the packed
-// lattice buffer is split into per-owner sub-buffers, one
-// write_block_strided_local request is scattered to every remote owner
-// before any reply is awaited, the local piece is written in place, and the
-// statuses are gathered.
-func (m *Manager) doWriteBlockStrided(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	if !e.meta.Regular() {
-		return m.writeLattice(proc, e.meta, req, req.step)
-	}
-	blocks, err := e.meta.OwnerBlocksStrided(req.lo, req.hi, req.step)
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	sdims := grid.StridedRectDims(req.lo, req.hi, req.step)
-	if len(req.vals) != grid.StridedRectSize(req.lo, req.hi, req.step) {
-		return response{status: StatusInvalid}
-	}
-	replies := make([]*request, len(blocks))
-	for i, b := range blocks {
-		if b.Proc == proc {
-			continue
-		}
-		vals := m.snapshot(grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
-		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
-		replies[i] = m.sendAsync(proc, b.Proc,
-			&request{op: opWriteBlockStridedLocal, id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
-	}
-	status := StatusOK
-	// Service every local block: after a failover promotion one processor
-	// can own several slots, so "local" is not necessarily unique.
-	for i, b := range blocks {
-		if replies[i] != nil {
-			continue
-		}
-		vals := m.snapshot(grid.StridedRectSize(b.GlobalLo, b.GlobalHi, req.step))
-		copyRunsStrided(false, req.vals, vals, b, req.lo, req.step, sdims)
-		r := m.doWriteBlockStridedLocal(proc, &request{id: req.id, lo: b.LocalLo, hi: b.LocalHi, step: req.step, vals: vals, slot: b.Slot})
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(proc, r.status, vals)
-	}
-	for i, b := range blocks {
-		if replies[i] == nil {
-			continue
-		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(b.Proc, r.status, replies[i].vals)
-	}
-	return response{status: status}
-}
-
-func (m *Manager) doWriteBlockStridedLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		srv.mu.Unlock()
-		return response{status: StatusError}
-	}
-	err := sec.WriteBlockStrided(req.vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	meta := e.meta
-	srv.mu.Unlock()
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: m.mirrorWrite(proc, meta, req)}
 }
 
 func (m *Manager) doFindLocal(proc int, req *request) response {
@@ -1767,8 +1072,9 @@ func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, 
 	if st, ok := m.localVectorFast(onProc, id, indices, true, dst); ok {
 		return st
 	}
+	indices = vector(indices)
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opReadVector, id: id, gidxs: indices, vals: dst}
+		return &request{op: opRead, id: id, gidxs: indices, vals: dst}
 	}).status
 }
 
@@ -1786,8 +1092,9 @@ func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, val
 			return st
 		}
 	}
+	indices = vector(indices)
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWriteVector, id: id, gidxs: indices, vals: vals}
+		return &request{op: opWrite, id: id, gidxs: indices, vals: vals}
 	}).status
 }
 
@@ -1805,7 +1112,7 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, true, s.val[:])
 	if !ok {
 		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: opReadVector, id: id, gidxs: s.gidxs, vals: s.val[:]}
+			return &request{op: opRead, id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
 	v := s.val[0]
@@ -1830,7 +1137,7 @@ func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float6
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, false, s.val[:])
 	if !ok {
 		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: opWriteVector, id: id, gidxs: s.gidxs, vals: s.val[:]}
+			return &request{op: opWrite, id: id, gidxs: s.gidxs, vals: s.val[:]}
 		}).status
 	}
 	s.idx[0] = nil
@@ -1893,21 +1200,7 @@ func (m *Manager) localBlockFast(proc int, id darray.ID, lo, hi, step []int, rea
 	if !e.meta.LocalRect(proc, lo, hiUse, loBuf[:n], hiBuf[:n]) {
 		return StatusOK, false
 	}
-	var err error
-	switch {
-	case step == nil && read:
-		err = e.section.ReadBlockInto(buf, loBuf[:n], hiBuf[:n], e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	case step == nil:
-		err = e.section.WriteBlock(buf, loBuf[:n], hiBuf[:n], e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	case read:
-		err = e.section.ReadBlockStridedInto(buf, loBuf[:n], hiBuf[:n], step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	default:
-		err = e.section.WriteBlockStrided(buf, loBuf[:n], hiBuf[:n], step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	}
-	if err != nil {
-		return StatusInvalid, true
-	}
-	return StatusOK, true
+	return movePiece(read, e.section, e.meta, buf, nil, loBuf[:n], hiBuf[:n], step), true
 }
 
 // localVectorFast attempts the local fast path of the indexed plane: when
@@ -1992,6 +1285,16 @@ var elemScratchPool = sync.Pool{New: func() any {
 	return s
 }}
 
+// vector marks an index list as one for the coordinator, which tells an
+// index vector from a rectangle by a non-nil gidxs: a nil list becomes
+// the empty vector.
+func vector(indices [][]int) [][]int {
+	if indices == nil {
+		return [][]int{}
+	}
+	return indices
+}
+
 // ReadBlock reads the global rectangle [lo, hi) (half-open per dimension)
 // into a dense buffer linearized row-major over the rectangle. The
 // transfer is split by owning processor: the coordinator scatters one
@@ -2002,7 +1305,7 @@ func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, 
 		return nil, StatusInvalid
 	}
 	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opReadBlock, id: id, lo: lo, hi: hi}
+		return &request{op: opRead, id: id, lo: lo, hi: hi}
 	})
 	return r.vals, r.status
 }
@@ -2022,7 +1325,7 @@ func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []fl
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opReadBlock, id: id, lo: lo, hi: hi, vals: dst}
+		return &request{op: opRead, id: id, lo: lo, hi: hi, vals: dst}
 	}).status
 }
 
@@ -2041,19 +1344,8 @@ func (m *Manager) WriteBlock(onProc int, id darray.ID, lo, hi []int, vals []floa
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWriteBlock, id: id, lo: lo, hi: hi, vals: vals}
+		return &request{op: opWrite, id: id, lo: lo, hi: hi, vals: vals}
 	}).status
-}
-
-// unitStep reports whether every stride is 1 — the degenerate case the
-// strided entry points hand to the dense path.
-func unitStep(step []int) bool {
-	for _, s := range step {
-		if s != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // ReadBlockStrided reads the lattice of every step[i]-th element of the
@@ -2062,16 +1354,13 @@ func unitStep(step []int) bool {
 // concurrent request per owner holding a lattice point, however many
 // rows/columns the stride selects — so every-k-th-row access costs
 // O(#owners) messages instead of an index vector with one offset per
-// element. A unit step in every dimension delegates to the dense path.
+// element.
 func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int) ([]float64, Status) {
 	if m.machine.CheckProc(onProc) != nil {
 		return nil, StatusInvalid
 	}
-	if len(step) == len(lo) && unitStep(step) {
-		return m.ReadBlock(onProc, id, lo, hi)
-	}
 	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opReadBlockStrided, id: id, lo: lo, hi: hi, step: step}
+		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step}
 	})
 	return r.vals, r.status
 }
@@ -2085,14 +1374,11 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 	if m.machine.CheckProc(onProc) != nil {
 		return StatusInvalid
 	}
-	if len(step) == len(lo) && unitStep(step) {
-		return m.ReadBlockInto(onProc, id, lo, hi, dst)
-	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, true, dst); ok {
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opReadBlockStrided, id: id, lo: lo, hi: hi, step: step, vals: dst}
+		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step, vals: dst}
 	}).status
 }
 
@@ -2100,20 +1386,16 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 // lattice onto every step[i]-th element of the global rectangle [lo, hi):
 // straight into section storage when the lattice is wholly local, one
 // concurrent message per remote owning processor otherwise. Elements off
-// the lattice are untouched; vals is never retained. A unit step in every
-// dimension delegates to the dense path.
+// the lattice are untouched; vals is never retained.
 func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int, vals []float64) Status {
 	if m.machine.CheckProc(onProc) != nil {
 		return StatusInvalid
-	}
-	if len(step) == len(lo) && unitStep(step) {
-		return m.WriteBlock(onProc, id, lo, hi, vals)
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, false, vals); ok {
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWriteBlockStrided, id: id, lo: lo, hi: hi, step: step, vals: vals}
+		return &request{op: opWrite, id: id, lo: lo, hi: hi, step: step, vals: vals}
 	}).status
 }
 

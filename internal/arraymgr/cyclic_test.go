@@ -160,16 +160,16 @@ func TestCyclicOwnerServerAllocs(t *testing.T) {
 	}
 	req := &request{id: id, offs: local.Offs}
 	for i := 0; i < 3; i++ { // warm the reply pool
-		r := m.doReadVectorLocal(0, req)
+		r := m.doReadLocal(0, req)
 		if r.status != StatusOK {
-			t.Fatalf("doReadVectorLocal: %v", r.status)
+			t.Fatalf("doReadLocal (offsets): %v", r.status)
 		}
 		putBuf(r.vals)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		r := m.doReadVectorLocal(0, req)
+		r := m.doReadLocal(0, req)
 		if r.status != StatusOK {
-			t.Errorf("doReadVectorLocal: %v", r.status)
+			t.Errorf("doReadLocal (offsets): %v", r.status)
 		}
 		putBuf(r.vals)
 	})

@@ -13,8 +13,8 @@ import (
 // arrival and its coordinator would retry until timeout.
 func TestDedupOriginScoping(t *testing.T) {
 	var d deduper
-	reqA := &request{op: opWriteBlockLocal, seq: 7, origin: 0}
-	reqB := &request{op: opWriteBlockLocal, seq: 7, origin: 2}
+	reqA := &request{op: opWriteLocal, seq: 7, origin: 0}
+	reqB := &request{op: opWriteLocal, seq: 7, origin: 2}
 
 	kA, ok := dedupKeyOf(reqA)
 	if !ok {
@@ -61,7 +61,7 @@ func TestDedupOriginScoping(t *testing.T) {
 func TestDedupEvictionThenReuse(t *testing.T) {
 	var d deduper
 	keyOf := func(origin int, seq uint64) dedupKey {
-		k, ok := dedupKeyOf(&request{op: opWriteBlockLocal, seq: seq, origin: origin})
+		k, ok := dedupKeyOf(&request{op: opWriteLocal, seq: seq, origin: origin})
 		if !ok {
 			t.Fatalf("no key for seq %d", seq)
 		}
@@ -106,7 +106,7 @@ func TestNextSeqSkipsZero(t *testing.T) {
 // TestDedupReliableModeNoKey: requests without recovery ids (reliable
 // mode) carry no dedup identity and are never filtered.
 func TestDedupReliableModeNoKey(t *testing.T) {
-	if _, ok := dedupKeyOf(&request{op: opWriteBlockLocal}); ok {
+	if _, ok := dedupKeyOf(&request{op: opWriteLocal}); ok {
 		t.Fatal("reliable-mode request has a dedup key")
 	}
 	if _, ok := dedupKeyOf(&request{op: opRedistShip}); ok {

@@ -1,0 +1,405 @@
+// The data plane: one split, one coordinator and one owner handler per
+// direction. Every region a task-parallel caller moves (§5.1) — a dense
+// or strided rectangle, or a vector of scattered indices — is split into
+// owner pieces, one request per owning section:
+//
+//   - a rectangle on a layout whose owner holdings are arithmetic
+//     progressions (block dimensions and width-1 cyclic ones) splits into
+//     lattice shares (darray.Meta.StridedShares, nil step meaning dense):
+//     O(ndims) bounds per owner, placed on the request lattice by
+//     copyShare;
+//   - a rectangle on a block-cyclic B > 1 layout, which has no such form,
+//     and any index vector split into offset sets (OwnerLattice,
+//     OwnerIndices): one storage offset per element, placed by position.
+//
+// The owners serve both forms with one read and one write handler, the
+// payload drawn from or returned to the float-buffer pool.
+package arraymgr
+
+import (
+	"repro/internal/darray"
+	"repro/internal/grid"
+)
+
+// piece is one owner's part of a transfer, on the section at grid slot
+// slot of processor proc: a lattice share, whose Lo, Hi and Step are
+// interior-local at the owner and whose PosLo/PosStep place it on the
+// request lattice, or (share nil) an offset set, whose storage offsets
+// offs hold the values of request positions pos.
+type piece struct {
+	proc, slot int
+	share      *darray.StridedShare
+	offs, pos  []int
+}
+
+// size is the number of values the piece moves.
+func (p *piece) size() int {
+	if p.share == nil {
+		return len(p.offs)
+	}
+	return grid.StridedRectSize(p.share.Lo, p.share.Hi, p.share.Step)
+}
+
+// place moves the piece's values between the request buffer full (of
+// lattice shape sdims for a rectangle) and the piece's packed buffer
+// sub: into full when toFull (a read reply), out of it otherwise (a
+// write's snapshot).
+func (p *piece) place(toFull bool, full, sub []float64, sdims []int) {
+	switch {
+	case p.share != nil:
+		copyShare(toFull, full, sub, p.share, sdims)
+	case toFull:
+		for j, q := range p.pos {
+			full[q] = sub[j]
+		}
+	default:
+		for j, q := range p.pos {
+			sub[j] = full[q]
+		}
+	}
+}
+
+// ownerReq builds the owner request that moves the piece.
+func (p *piece) ownerReq(op opCode, id darray.ID, vals []float64) *request {
+	r := &request{op: op, id: id, offs: p.offs, vals: vals, slot: p.slot}
+	if p.share != nil {
+		r.lo, r.hi, r.step = p.share.Lo, p.share.Hi, p.share.Step
+	}
+	return r
+}
+
+// split divides a coordinator request into owner pieces, returning the
+// request buffer's length and, for a rectangle, its lattice shape. An
+// index vector (gidxs non-nil) splits by OwnerIndices, sets ordered by
+// first appearance so repeated indices keep last-writer-wins; a rectangle
+// splits by StridedShares, falling back to OwnerLattice only when a
+// block-cyclic dimension leaves no share form.
+func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size int, err error) {
+	var sets []darray.OwnerIndexSet
+	if req.gidxs != nil {
+		size = len(req.gidxs)
+		sets, err = meta.OwnerIndices(req.gidxs)
+	} else {
+		shares, ok, serr := meta.StridedShares(req.lo, req.hi, req.step)
+		if serr != nil {
+			return nil, nil, 0, serr
+		}
+		if req.step == nil {
+			sdims = grid.RectDims(req.lo, req.hi)
+		} else {
+			sdims = grid.StridedRectDims(req.lo, req.hi, req.step)
+		}
+		size = grid.Size(sdims)
+		if ok {
+			pieces = make([]piece, len(shares))
+			for i := range shares {
+				pieces[i] = piece{proc: shares[i].Proc, slot: shares[i].Slot, share: &shares[i]}
+			}
+			return pieces, sdims, size, nil
+		}
+		sets, err = meta.OwnerLattice(req.lo, req.hi, req.step)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	pieces = make([]piece, len(sets))
+	for i, s := range sets {
+		pieces[i] = piece{proc: s.Proc, slot: s.Slot, offs: s.Offs, pos: s.Pos}
+	}
+	return pieces, sdims, size, nil
+}
+
+// doRead is the read coordinator: it splits the request, scatters one
+// read_local request to every remote owner before waiting on any reply,
+// services its own pieces while the remote owners work, then places each
+// reply into the result — the caller's buffer when the request carries
+// one. Latency is one round trip to the slowest owner, and a transfer
+// costs one request/reply pair per owner, never one per element. A reply
+// whose length does not match its piece (possible only off the wire) is
+// refused with StatusError rather than indexed out of range.
+func (m *Manager) doRead(proc int, req *request) response {
+	e, st := m.lookup(proc, req.id)
+	if st != StatusOK {
+		return response{status: st}
+	}
+	pieces, sdims, size, err := split(e.meta, req)
+	if err != nil {
+		return response{status: StatusInvalid}
+	}
+	out := req.vals
+	if out != nil && len(out) != size {
+		return response{status: StatusInvalid}
+	}
+	if out == nil {
+		out = make([]float64, size)
+	}
+	replies := make([]*request, len(pieces))
+	for i := range pieces {
+		if p := &pieces[i]; p.proc != proc {
+			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opReadLocal, req.id, nil))
+		}
+	}
+	status := StatusOK
+	// unpack checks one owner's reply against its piece, places it and
+	// returns the pooled reply buffer.
+	unpack := func(p *piece, r response) {
+		switch {
+		case r.status != StatusOK:
+			status = r.status
+			return
+		case len(r.vals) != p.size():
+			status = StatusError
+		default:
+			p.place(true, out, r.vals, sdims)
+		}
+		putBuf(r.vals)
+	}
+	// After a failover promotion one processor can own several slots, so
+	// "local" is not necessarily unique.
+	for i := range pieces {
+		if replies[i] == nil {
+			unpack(&pieces[i], m.doReadLocal(proc, pieces[i].ownerReq(opReadLocal, req.id, nil)))
+		}
+	}
+	// Drain every reply even after a failure, so no owner's response is
+	// left dangling.
+	for i := range pieces {
+		if replies[i] != nil {
+			unpack(&pieces[i], m.await(replies[i]))
+		}
+	}
+	if status != StatusOK {
+		return response{status: status}
+	}
+	return response{status: StatusOK, vals: out}
+}
+
+// doWrite is the write coordinator: it splits the request, sends each
+// remote owner one write_local request carrying a packed snapshot of its
+// piece's values, all posted before any reply is awaited, writes its own
+// pieces in place and gathers the statuses. Offsets within an offset set
+// keep request order, so an index repeated in one vector takes the value
+// at its last occurrence, as a sequential loop of write_element calls
+// would leave it.
+func (m *Manager) doWrite(proc int, req *request) response {
+	e, st := m.lookup(proc, req.id)
+	if st != StatusOK {
+		return response{status: st}
+	}
+	pieces, sdims, size, err := split(e.meta, req)
+	if err != nil || len(req.vals) != size {
+		return response{status: StatusInvalid}
+	}
+	// pack draws one piece's snapshot: messages carry copies, never views.
+	pack := func(p *piece) []float64 {
+		sub := m.snapshot(p.size())
+		p.place(false, req.vals, sub, sdims)
+		return sub
+	}
+	replies := make([]*request, len(pieces))
+	for i := range pieces {
+		if p := &pieces[i]; p.proc != proc {
+			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opWriteLocal, req.id, pack(p)))
+		}
+	}
+	status := StatusOK
+	for i := range pieces {
+		if replies[i] != nil {
+			continue
+		}
+		vals := pack(&pieces[i])
+		r := m.doWriteLocal(proc, pieces[i].ownerReq(opWriteLocal, req.id, vals))
+		if r.status != StatusOK {
+			status = r.status
+		}
+		m.unsnapshot(proc, r.status, vals)
+	}
+	for i := range pieces {
+		if replies[i] == nil {
+			continue
+		}
+		r := m.await(replies[i])
+		if r.status != StatusOK {
+			status = r.status
+		}
+		m.unsnapshot(pieces[i].proc, r.status, replies[i].vals)
+	}
+	return response{status: status}
+}
+
+// doReadLocal is the owner read handler: one piece of the section
+// addressed by req.slot is copied into a pooled reply buffer — zero
+// allocations per request at a steady state. Ownership of the buffer
+// passes to the coordinator, which returns it via putBuf after placing
+// it (over the wire, respond returns it once the reply is serialized).
+func (m *Manager) doReadLocal(proc int, req *request) response {
+	e, st := m.lookup(proc, req.id)
+	if st != StatusOK {
+		return response{status: st}
+	}
+	srv := m.servers[proc]
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	sec := e.sectionFor(req.slot)
+	if sec == nil {
+		return response{status: StatusError}
+	}
+	n, ok := pieceSize(e.meta, req.offs, req.lo, req.hi, req.step)
+	if !ok {
+		return response{status: StatusInvalid}
+	}
+	vals := getBuf(n)
+	if st := movePiece(true, sec, e.meta, vals, req.offs, req.lo, req.hi, req.step); st != StatusOK {
+		putBuf(vals)
+		return response{status: st}
+	}
+	return response{status: StatusOK, vals: vals}
+}
+
+// doWriteLocal is the owner write handler, serving both a coordinator's
+// write_local and a primary's mirror_write: the piece lands in the
+// section addressed by req.slot, then — for a primary write to a
+// replicated array — is forwarded to the slot's buddies. mirrorWrite runs
+// after the server lock is released (buddies mirror to each other, so
+// awaiting under the lock could deadlock a ring) and never forwards a
+// mirror further.
+func (m *Manager) doWriteLocal(proc int, req *request) response {
+	e, st := m.lookup(proc, req.id)
+	if st != StatusOK {
+		return response{status: st}
+	}
+	srv := m.servers[proc]
+	srv.mu.Lock()
+	sec := e.sectionFor(req.slot)
+	if sec == nil {
+		srv.mu.Unlock()
+		return response{status: StatusError}
+	}
+	st = movePiece(false, sec, e.meta, req.vals, req.offs, req.lo, req.hi, req.step)
+	meta := e.meta
+	srv.mu.Unlock()
+	if st != StatusOK {
+		return response{status: st}
+	}
+	return response{status: m.mirrorWrite(proc, meta, req)}
+}
+
+// pieceSize validates one owner piece against the section shape before
+// any buffer is sized for it, and returns its value count: len(offs) for
+// an offset set (the copy bounds-checks each offset), else the point
+// count of the interior-local lattice (lo, hi, step), dense when step is
+// nil.
+func pieceSize(meta *darray.Meta, offs, lo, hi, step []int) (int, bool) {
+	switch {
+	case offs != nil:
+		return len(offs), true
+	case step == nil:
+		if grid.CheckRect(lo, hi, meta.LocalDims) != nil {
+			return 0, false
+		}
+		return grid.RectSize(lo, hi), true
+	default:
+		if grid.CheckStridedRect(lo, hi, step, meta.LocalDims) != nil {
+			return 0, false
+		}
+		return grid.StridedRectSize(lo, hi, step), true
+	}
+}
+
+// movePiece moves one owner piece between vals and the section's storage,
+// into vals when read: the storage offsets offs when non-nil, else the
+// interior-local lattice (lo, hi, step), dense when step is nil. Up to
+// darray.MaxFastDims dimensions it allocates nothing. A failed copy is
+// StatusError for offsets (an offset outside the storage) and
+// StatusInvalid for a lattice (bounds outside the section).
+func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64, offs, lo, hi, step []int) Status {
+	var err error
+	switch {
+	case offs != nil && read:
+		err = sec.GatherInto(vals, offs)
+	case offs != nil:
+		err = sec.ScatterFrom(vals, offs)
+	case step == nil && read:
+		err = sec.ReadBlockInto(vals, lo, hi, meta.LocalDims, meta.Borders, meta.Indexing)
+	case step == nil:
+		err = sec.WriteBlock(vals, lo, hi, meta.LocalDims, meta.Borders, meta.Indexing)
+	case read:
+		err = sec.ReadBlockStridedInto(vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
+	default:
+		err = sec.WriteBlockStrided(vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
+	}
+	switch {
+	case err == nil:
+		return StatusOK
+	case offs != nil:
+		return StatusError
+	default:
+		return StatusInvalid
+	}
+}
+
+// copyShare moves one share's packed piece between the dense
+// request-lattice buffer (full) and the share's packed sub-buffer (sub):
+// unpacking a read reply into place when toFull, packing the values of a
+// write otherwise. Element t (per-dimension t[i], row-major over the
+// share's lattice) of the piece sits at request-lattice position
+// PosLo[i] + t[i]*PosStep[i]; sdims are the request lattice's
+// per-dimension point counts. Up to darray.MaxFastDims dimensions its
+// scratch lives in a fixed array, so it allocates nothing.
+func copyShare(toFull bool, full, sub []float64, sh *darray.StridedShare, sdims []int) {
+	n := len(sdims)
+	var scratch [3 * darray.MaxFastDims]int
+	buf := scratch[:]
+	if n > darray.MaxFastDims {
+		buf = make([]int, 3*n)
+	}
+	// cnt is the share's per-dimension point count, estride the request
+	// buffer distance between its consecutive points, idx the odometer.
+	cnt, estride, idx := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	pos0 := 0
+	for i, st := n-1, 1; i >= 0; i-- {
+		cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
+		estride[i] = sh.PosStep[i] * st
+		pos0 += sh.PosLo[i] * st
+		st *= sdims[i]
+	}
+	last := n - 1
+	run := cnt[last]
+	contiguous := sh.PosStep[last] == 1
+	off := pos0
+	k := 0
+	for {
+		if contiguous {
+			if toFull {
+				copy(full[off:off+run], sub[k:k+run])
+			} else {
+				copy(sub[k:k+run], full[off:off+run])
+			}
+			k += run
+		} else {
+			o := off
+			for j := 0; j < run; j++ {
+				if toFull {
+					full[o] = sub[k]
+				} else {
+					sub[k] = full[o]
+				}
+				k++
+				o += estride[last]
+			}
+		}
+		i := last - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			off += estride[i]
+			if idx[i] < cnt[i] {
+				break
+			}
+			off -= cnt[i] * estride[i]
+			idx[i] = 0
+		}
+		if i < 0 {
+			return
+		}
+	}
+}

@@ -113,36 +113,6 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 	return st
 }
 
-// doMirrorWrite lands one mirrored write on this processor's copy of the
-// slot — the buddy copy normally, the promoted primary after a failover.
-// It never forwards further: mirrors fan out from the primary only.
-func (m *Manager) doMirrorWrite(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
-	if st != StatusOK {
-		return response{status: st}
-	}
-	srv := m.servers[proc]
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sec := e.sectionFor(req.slot)
-	if sec == nil {
-		return response{status: StatusError}
-	}
-	var err error
-	switch {
-	case req.offs != nil:
-		err = sec.ScatterFrom(req.vals, req.offs)
-	case req.step != nil:
-		err = sec.WriteBlockStrided(req.vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	default:
-		err = sec.WriteBlock(req.vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing)
-	}
-	if err != nil {
-		return response{status: StatusInvalid}
-	}
-	return response{status: StatusOK}
-}
-
 // RecoverArray promotes buddies to primaries for every dead owner of the
 // array: each dead slot's first live buddy becomes its primary under a
 // bumped ownership epoch, and the new metadata is broadcast to every

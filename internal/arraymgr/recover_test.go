@@ -2,6 +2,7 @@ package arraymgr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,12 +95,25 @@ func TestRecoverKillAndPromote(t *testing.T) {
 // dense, strided, gather/scatter, per-element, redistribution — over a
 // replicated array with the chaos fault plan active, kills an owner
 // mid-run, and requires every operation (before and after the kill) to
-// complete bit-identically to the sequential oracle.
+// complete bit-identically to the sequential oracle. It runs on a block
+// layout, a cyclic one and a block-cyclic one, so buddies mirror
+// rectangle shares of both kinds and offset-set pieces.
 func TestChaosOracleKillReplicated(t *testing.T) {
+	layouts := map[string]bool{"1d/block": true, "1d/cyclic": true, "2d/blockcyclic-block": true}
+	for _, c := range oracleCases() {
+		base := strings.TrimSuffix(c.name, "/"+c.spec.Indexing.String())
+		if c.spec.Indexing == grid.RowMajor && layouts[base] {
+			t.Run(c.name, func(t *testing.T) { chaosOracleKillReplicated(t, c) })
+		}
+	}
+}
+
+// chaosOracleKillReplicated is one layout's run of
+// TestChaosOracleKillReplicated; every layout kills processor 2.
+func chaosOracleKillReplicated(t *testing.T, c oracleCase) {
 	const ops = 40
 	const killAt = ops / 2
 	const victim = 2
-	c := oracleCases()[0] // 1d/block, P=4
 	rng := rand.New(rand.NewSource(41))
 	machine, m := newTestManager(t, c.p)
 	machine.Router().SetFaultPlan(chaosFaultPlan(29))

@@ -393,34 +393,15 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		// A promoted processor can source several slots of the same array;
 		// the ship's slot picks the section the piece actually lives in.
 		sec := e.sectionFor(sh.srcSlot)
+		n, ok := pieceSize(e.meta, sh.srcOffs, sh.srcLo, sh.srcHi, sh.srcStep)
 		switch {
 		case sec == nil:
 			fail = StatusError
-		case sh.srcOffs != nil:
-			vals = alloc(len(sh.srcOffs))
-			if sec.GatherInto(vals, sh.srcOffs) != nil {
-				fail = StatusError
-			}
-		case sh.srcStep != nil:
-			// Validate before sizing the buffer: getBuf of a bogus extent
-			// must not happen.
-			if grid.CheckStridedRect(sh.srcLo, sh.srcHi, sh.srcStep, e.meta.LocalDims) != nil {
-				fail = StatusInvalid
-			} else {
-				vals = alloc(grid.StridedRectSize(sh.srcLo, sh.srcHi, sh.srcStep))
-				if sec.ReadBlockStridedInto(vals, sh.srcLo, sh.srcHi, sh.srcStep, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-					fail = StatusInvalid
-				}
-			}
+		case !ok:
+			fail = StatusInvalid
 		default:
-			if grid.CheckRect(sh.srcLo, sh.srcHi, e.meta.LocalDims) != nil {
-				fail = StatusInvalid
-			} else {
-				vals = alloc(grid.RectSize(sh.srcLo, sh.srcHi))
-				if sec.ReadBlockInto(vals, sh.srcLo, sh.srcHi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-					fail = StatusInvalid
-				}
-			}
+			vals = alloc(n)
+			fail = movePiece(true, sec, e.meta, vals, sh.srcOffs, sh.srcLo, sh.srcHi, sh.srcStep)
 		}
 		srv.mu.Unlock()
 		if fail != StatusOK {
@@ -482,21 +463,11 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 	// path just wrote, then mirror outside the lock (buddies mirror to
 	// each other, so awaiting under the lock could deadlock a ring).
 	meta := de.meta
-	var vals []float64
-	var err error
-	switch {
-	case sh.srcOffs != nil:
-		vals = make([]float64, len(sh.dstOffs))
-		err = dsec.GatherInto(vals, sh.dstOffs)
-	case sh.dstStep != nil:
-		vals = make([]float64, grid.StridedRectSize(sh.dstLo, sh.dstHi, sh.dstStep))
-		err = dsec.ReadBlockStridedInto(vals, sh.dstLo, sh.dstHi, sh.dstStep, meta.LocalDims, meta.Borders, meta.Indexing)
-	default:
-		vals = make([]float64, grid.RectSize(sh.dstLo, sh.dstHi))
-		err = dsec.ReadBlockInto(vals, sh.dstLo, sh.dstHi, meta.LocalDims, meta.Borders, meta.Indexing)
-	}
+	n, _ := pieceSize(meta, sh.dstOffs, sh.dstLo, sh.dstHi, sh.dstStep) // the copy above validated it
+	vals := make([]float64, n)
+	st := movePiece(true, dsec, meta, vals, sh.dstOffs, sh.dstLo, sh.dstHi, sh.dstStep)
 	srv.mu.Unlock()
-	if err != nil {
+	if st != StatusOK {
 		return StatusError
 	}
 	return m.mirrorWrite(proc, meta, &request{id: dstID, slot: sh.dstSlot,
@@ -514,22 +485,10 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 	if st == StatusOK {
 		srv := m.servers[proc]
 		srv.mu.Lock()
-		sec := e.sectionFor(req.slot)
-		switch {
-		case sec == nil:
+		if sec := e.sectionFor(req.slot); sec == nil {
 			st = StatusError
-		case req.offs != nil:
-			if sec.ScatterFrom(vals, req.offs) != nil {
-				st = StatusError
-			}
-		case req.step != nil:
-			if sec.WriteBlockStrided(vals, req.lo, req.hi, req.step, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-				st = StatusInvalid
-			}
-		default:
-			if sec.WriteBlock(vals, req.lo, req.hi, e.meta.LocalDims, e.meta.Borders, e.meta.Indexing) != nil {
-				st = StatusInvalid
-			}
+		} else {
+			st = movePiece(false, sec, e.meta, vals, req.offs, req.lo, req.hi, req.step)
 		}
 		if st == StatusOK {
 			meta = e.meta
@@ -695,13 +654,10 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 
 // RedistributeStrided copies every step[i]-th element of the global
 // rectangle [lo, hi) of array src onto the matching lattice of array
-// dst. A unit step in every dimension delegates to the dense path.
+// dst.
 func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, step []int) Status {
 	if m.machine.CheckProc(onProc) != nil {
 		return StatusInvalid
-	}
-	if len(step) == len(lo) && unitStep(step) {
-		return m.Redistribute(onProc, dst, src, lo, hi)
 	}
 	n := len(lo)
 	if len(hi) == n && len(step) == n && n <= darray.MaxFastDims {

@@ -61,7 +61,7 @@ func TestRedistributeOracle(t *testing.T) {
 					}
 					lo, hi, step := randomRect(rng, []int{n})
 					onProc := rng.Intn(p)
-					if unitStep(step) {
+					if onesStep(step) {
 						if st := m.Redistribute(onProc, direct, src, lo, hi); st != StatusOK {
 							t.Fatalf("Redistribute[%v,%v) on %d: %v", lo, hi, onProc, st)
 						}
@@ -147,7 +147,7 @@ func TestRedistributeOracle2D(t *testing.T) {
 			rng := rand.New(rand.NewSource(43))
 			for trial := 0; trial < 8; trial++ {
 				lo, hi, step := randomRect(rng, dims)
-				if unitStep(step) {
+				if onesStep(step) {
 					step = nil
 				}
 				if st := m.RedistributeStrided(0, direct, src, lo, hi, orUnit(step, len(lo))); st != StatusOK {
@@ -501,4 +501,15 @@ func TestRedistributeErrors(t *testing.T) {
 	if st := m.Redistribute(0, dst, src, []int{0}, []int{4}); st != StatusNotFound {
 		t.Errorf("redistribute from freed array: %v, want STATUS_NOT_FOUND", st)
 	}
+}
+
+// onesStep reports whether every stride is 1: the lattice is the dense
+// rectangle, which the tests move through the dense entry points.
+func onesStep(step []int) bool {
+	for _, s := range step {
+		if s != 1 {
+			return false
+		}
+	}
+	return true
 }

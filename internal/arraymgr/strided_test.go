@@ -3,6 +3,7 @@ package arraymgr
 import (
 	"testing"
 
+	"repro/internal/darray"
 	"repro/internal/grid"
 )
 
@@ -129,9 +130,9 @@ func TestStridedPerElementEquivalence(t *testing.T) {
 	}
 }
 
-// TestStridedUnitStepDelegates pins the stride=1 degenerate case: it rides
-// the dense path (identical results; a wholly-local rectangle sends no
-// messages).
+// TestStridedUnitStepDelegates pins the stride=1 degenerate case: it
+// matches the dense path (identical results; a wholly-local rectangle
+// sends no messages).
 func TestStridedUnitStepDelegates(t *testing.T) {
 	machine, m := newTestManager(t, 4)
 	id := mustCreate(t, m, 0, fastPathSpec())
@@ -213,30 +214,63 @@ func TestStridedMessageBudget(t *testing.T) {
 	}
 }
 
-// TestStridedOwnerReplyZeroAllocs pins the strided owner-side service
-// routine at zero heap allocations per request at a steady state, like the
-// dense and vector servers it mirrors.
+// TestStridedOwnerReplyZeroAllocs pins the owner read handler serving a
+// strided share at zero heap allocations per request at a steady state,
+// like the dense and offset-set pieces it also serves.
 func TestStridedOwnerReplyZeroAllocs(t *testing.T) {
 	_, m := newTestManager(t, 4)
 	id := mustCreate(t, m, 0, fastPathSpec())
 
 	req := &request{id: id, lo: []int{0, 0}, hi: []int{16, 16}, step: []int{2, 3}}
 	for i := 0; i < 3; i++ {
-		if r := m.doReadBlockStridedLocal(0, req); r.status != StatusOK {
-			t.Fatalf("doReadBlockStridedLocal: %v", r.status)
+		if r := m.doReadLocal(0, req); r.status != StatusOK {
+			t.Fatalf("doReadLocal (strided): %v", r.status)
 		} else {
 			putBuf(r.vals)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		r := m.doReadBlockStridedLocal(0, req)
+		r := m.doReadLocal(0, req)
 		if r.status != StatusOK {
-			t.Errorf("doReadBlockStridedLocal: %v", r.status)
+			t.Errorf("doReadLocal (strided): %v", r.status)
 		}
 		putBuf(r.vals)
 	})
 	if allocs != 0 {
-		t.Errorf("read_block_strided_local reply: %v allocs/op, want 0 (pooled)", allocs)
+		t.Errorf("read_local (strided) reply: %v allocs/op, want 0 (pooled)", allocs)
+	}
+}
+
+// TestCopyShareZeroAllocs pins copyShare, which places every rectangle
+// read reply and packs every rectangle write, at zero heap allocations
+// in both directions for a rectangle of at most darray.MaxFastDims
+// dimensions: its odometer scratch lives in a fixed array.
+func TestCopyShareZeroAllocs(t *testing.T) {
+	_, m := newTestManager(t, 4)
+	id := mustCreate(t, m, 0, CreateSpec{
+		Type: darray.Double, Dims: []int{12, 10}, Procs: []int{0, 1, 2, 3},
+		Distrib: []grid.Decomp{grid.CyclicOf(2), grid.BlockOf(2)},
+		Borders: NoBorderSpec{}, Indexing: grid.RowMajor,
+	})
+	meta, st := m.Meta(0, id)
+	if st != StatusOK {
+		t.Fatalf("Meta: %v", st)
+	}
+	lo, hi, step := []int{1, 0}, []int{12, 9}, []int{2, 1}
+	shares, ok, err := meta.StridedShares(lo, hi, step)
+	if err != nil || !ok || len(shares) == 0 {
+		t.Fatalf("StridedShares: %d shares, ok=%v, %v", len(shares), ok, err)
+	}
+	sdims := grid.StridedRectDims(lo, hi, step)
+	full := make([]float64, grid.Size(sdims))
+	sh := &shares[len(shares)-1]
+	sub := make([]float64, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
+	allocs := testing.AllocsPerRun(200, func() {
+		copyShare(false, full, sub, sh, sdims)
+		copyShare(true, full, sub, sh, sdims)
+	})
+	if allocs != 0 {
+		t.Errorf("copyShare: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -186,9 +186,9 @@ func TestScatterDuplicateIndices(t *testing.T) {
 	}
 }
 
-// TestOwnerReplyZeroAllocs pins the owner-side service routines — the
-// block and vector read servers backed by the float-buffer pool
-// — at zero heap allocations per request at a steady state.
+// TestOwnerReplyZeroAllocs pins the owner read handler — serving a
+// rectangle share and an offset set from the float-buffer pool — at
+// zero heap allocations per request at a steady state.
 func TestOwnerReplyZeroAllocs(t *testing.T) {
 	_, m := newTestManager(t, 4)
 	id := mustCreate(t, m, 0, fastPathSpec())
@@ -198,37 +198,37 @@ func TestOwnerReplyZeroAllocs(t *testing.T) {
 
 	// Warm the pool: the first requests allocate their buffers.
 	for i := 0; i < 3; i++ {
-		if r := m.doReadBlockLocal(0, blockReq); r.status != StatusOK {
-			t.Fatalf("doReadBlockLocal: %v", r.status)
+		if r := m.doReadLocal(0, blockReq); r.status != StatusOK {
+			t.Fatalf("doReadLocal (rectangle): %v", r.status)
 		} else {
 			putBuf(r.vals)
 		}
-		if r := m.doReadVectorLocal(0, vectorReq); r.status != StatusOK {
-			t.Fatalf("doReadVectorLocal: %v", r.status)
+		if r := m.doReadLocal(0, vectorReq); r.status != StatusOK {
+			t.Fatalf("doReadLocal (offsets): %v", r.status)
 		} else {
 			putBuf(r.vals)
 		}
 	}
 
 	block := testing.AllocsPerRun(200, func() {
-		r := m.doReadBlockLocal(0, blockReq)
+		r := m.doReadLocal(0, blockReq)
 		if r.status != StatusOK {
-			t.Errorf("doReadBlockLocal: %v", r.status)
+			t.Errorf("doReadLocal (rectangle): %v", r.status)
 		}
 		putBuf(r.vals)
 	})
 	vector := testing.AllocsPerRun(200, func() {
-		r := m.doReadVectorLocal(0, vectorReq)
+		r := m.doReadLocal(0, vectorReq)
 		if r.status != StatusOK {
-			t.Errorf("doReadVectorLocal: %v", r.status)
+			t.Errorf("doReadLocal (offsets): %v", r.status)
 		}
 		putBuf(r.vals)
 	})
 	if block != 0 {
-		t.Errorf("read_block_local reply: %v allocs/op, want 0 (pooled)", block)
+		t.Errorf("read_local (rectangle) reply: %v allocs/op, want 0 (pooled)", block)
 	}
 	if vector != 0 {
-		t.Errorf("read_vector_local reply: %v allocs/op, want 0 (pooled)", vector)
+		t.Errorf("read_local (offsets) reply: %v allocs/op, want 0 (pooled)", vector)
 	}
 }
 

@@ -122,9 +122,9 @@ func (m *Manager) respond(proc int, req *request, resp response) {
 		// into the pool, was spent before the op answered (mirrors
 		// included, as doRedistShip's landing relies on too).
 		switch req.op {
-		case opReadBlockLocal, opReadBlockStridedLocal, opReadVectorLocal:
+		case opReadLocal:
 			putBuf(resp.vals)
-		case opWriteBlockLocal, opWriteBlockStridedLocal, opWriteVectorLocal, opMirrorWrite:
+		case opWriteLocal, opMirrorWrite:
 			putBuf(req.vals)
 		}
 		return

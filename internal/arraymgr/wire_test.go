@@ -13,6 +13,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/msg/wire"
 	"repro/internal/trace"
+	"repro/internal/vp"
 )
 
 // TestUnknownOpFromWire serves a request whose op byte names no
@@ -101,14 +102,14 @@ func TestLateAckDropped(t *testing.T) {
 // over the wire (no reply channel): the transport serializes the reply
 // before Send returns, so the owner returns its pooled reply buffer as
 // soon as sendReply does, and at a steady state a wire-served
-// read_block_local allocates only its small reply envelope, never the
+// read_local allocates only its small reply envelope, never the
 // payload. The in-process router here does not serialize, but nothing
 // reads the reply's values: no completion-table entry waits for its id.
 func TestWireOwnerReplyRecycled(t *testing.T) {
 	const perProc = 8192 // 64 KiB of float64 per owner
 	_, m := newTestManager(t, 4)
 	id := mustCreate(t, m, 0, distSpec(4*perProc, 4, grid.BlockDefault(), darray.Double))
-	req := &request{op: opReadBlockLocal, id: id, lo: []int{0}, hi: []int{perProc}, src: 1, replyID: 1 << 40}
+	req := &request{op: opReadLocal, id: id, lo: []int{0}, hi: []int{perProc}, src: 1, replyID: 1 << 40}
 	for i := 0; i < 3; i++ { // warm the pool
 		m.handle(0, req)
 	}
@@ -120,6 +121,65 @@ func TestWireOwnerReplyRecycled(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= perProc {
-		t.Errorf("wire-served read_block_local: %d bytes/op, want under %d (an eighth of the %d-byte payload: the reply buffer is recycled)", perOp, perProc, 8*perProc)
+		t.Errorf("wire-served read_local: %d bytes/op, want under %d (an eighth of the %d-byte payload: the reply buffer is recycled)", perOp, perProc, 8*perProc)
+	}
+}
+
+// wrongLengthOwner is a transport standing in for a part whose owners
+// answer every request with StatusOK, each read's values skewed by delta
+// elements from its piece's size. Replies are round-tripped through the
+// codec, as a reply off the wire is.
+type wrongLengthOwner struct {
+	router *msg.Router
+	delta  int
+}
+
+func (o *wrongLengthOwner) Send(mm msg.Message) error {
+	req, ok := mm.Data.(*request)
+	if !ok {
+		return nil
+	}
+	w := &wireResponse{ID: req.replyID, Status: StatusOK}
+	if req.op == opReadLocal {
+		n := len(req.offs)
+		if req.offs == nil {
+			n = grid.StridedRectSize(req.lo, req.hi, req.step)
+		}
+		w.Vals = make([]float64, n+o.delta)
+	}
+	b, err := wire.AppendAny(nil, w, false)
+	if err != nil {
+		return err
+	}
+	v, _, err := wire.ReadAny(b)
+	if err != nil {
+		return err
+	}
+	return o.router.Inject(msg.Message{Src: mm.Dst, Dst: mm.Src, Tag: msg.Tag{Class: msg.ClassTask, Kind: kindAMReply}, Data: v})
+}
+
+func (o *wrongLengthOwner) Close() error { return nil }
+
+// TestWrongLengthReplyRefused pins the coordinator's check of wire
+// replies: an OK read reply one element short of its piece, or one
+// element long, fails the read with StatusError — for a rectangle share
+// and for an offset set alike — instead of indexing out of range or
+// placing a wrong-shaped piece.
+func TestWrongLengthReplyRefused(t *testing.T) {
+	for _, delta := range []int{-1, 1} {
+		machine := vp.NewMachine(2)
+		t.Cleanup(machine.Shutdown)
+		machine.Router().SetTransport(&wrongLengthOwner{router: machine.Router(), delta: delta}, []bool{true, false})
+		m := New(machine)
+		id := mustCreate(t, m, 0, distSpec(8, 2, grid.BlockDefault(), darray.Double))
+		if _, st := m.ReadBlock(0, id, []int{0}, []int{8}); st != StatusError {
+			t.Errorf("delta %d: ReadBlock = %v, want %v", delta, st, StatusError)
+		}
+		if _, st := m.ReadBlockStrided(0, id, []int{1}, []int{8}, []int{3}); st != StatusError {
+			t.Errorf("delta %d: ReadBlockStrided = %v, want %v", delta, st, StatusError)
+		}
+		if _, st := m.GatherElements(0, id, [][]int{{1}, {6}, {5}}); st != StatusError {
+			t.Errorf("delta %d: GatherElements = %v, want %v", delta, st, StatusError)
+		}
 	}
 }

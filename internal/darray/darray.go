@@ -185,8 +185,7 @@ func (m *Meta) Dist(i int) grid.Dist {
 // Regular reports whether every dimension leaves each cell one contiguous
 // run of global indices — block in every dimension, or cyclic only over
 // 1-cell grid dimensions — so that the rectangle-based owner split
-// (OwnerBlocks, OwnerBlocksStrided, LocalRect's block case) applies.
-// Irregular arrays route rectangle transfers through OwnerLattice instead.
+// (OwnerBlocks, LocalRect's block case) applies.
 func (m *Meta) Regular() bool {
 	if m.Dists == nil {
 		return true
@@ -381,8 +380,10 @@ func (m *Meta) localRectDim(i int, lin *int, lo, hi, dstLo, dstHi []int) bool {
 
 // OwnerBlock describes the piece of a global rectangle held by one local
 // section: the owning processor, the sub-rectangle in global indices, and
-// the same sub-rectangle translated to interior-local indices. It is the
-// unit of the bulk data plane — each OwnerBlock moves in one message.
+// the same sub-rectangle translated to interior-local indices. The data
+// plane splits rectangles with StridedShares; OwnerBlocks stays as the
+// plain block-only split, which the repo's owner-split probe
+// (bench/probes.go) prices.
 type OwnerBlock struct {
 	Proc               int
 	Slot               int // grid slot of the owning section
@@ -392,8 +393,8 @@ type OwnerBlock struct {
 
 // ErrIrregular reports a rectangle owner-split requested on an array whose
 // distribution leaves cells non-contiguous holdings (a cyclic or
-// block-cyclic dimension over more than one cell). Coordinators route such
-// arrays through OwnerLattice instead.
+// block-cyclic dimension over more than one cell); StridedShares and
+// OwnerLattice split those.
 var ErrIrregular = errors.New("darray: rectangle owner-split requires contiguous (block) cells")
 
 // cellRect writes the global region [cLo, cHi) owned by the block-regular
@@ -415,7 +416,7 @@ func (m *Meta) cellRect(coord, cLo, cHi []int) {
 // rectangle appears in exactly one returned block; sections the rectangle
 // does not touch are omitted. It requires a Regular distribution (each
 // cell one contiguous run per dimension) and reports ErrIrregular
-// otherwise — cyclic arrays split rectangles with OwnerLattice.
+// otherwise.
 func (m *Meta) OwnerBlocks(lo, hi []int) ([]OwnerBlock, error) {
 	if err := grid.CheckRect(lo, hi, m.Dims); err != nil {
 		return nil, err
@@ -445,63 +446,6 @@ func (m *Meta) OwnerBlocks(lo, hi []int) ([]OwnerBlock, error) {
 		subLo, subHi, ok := grid.IntersectRect(lo, hi, cLo, cHi)
 		if !ok {
 			return fmt.Errorf("darray: cell %v in range but disjoint from [%v,%v)", coord, lo, hi)
-		}
-		localLo := make([]int, len(lo))
-		localHi := make([]int, len(lo))
-		for i := range lo {
-			localLo[i] = subLo[i] - cLo[i]
-			localHi[i] = subHi[i] - cLo[i]
-		}
-		out = append(out, OwnerBlock{
-			Proc: m.Procs[slot], Slot: slot,
-			GlobalLo: subLo, GlobalHi: subHi,
-			LocalLo: localLo, LocalHi: localHi,
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// OwnerBlocksStrided splits the strided rectangle (lo, hi, step) — the
-// lattice of every step[i]-th index within [lo, hi) — into the sub-lattices
-// owned by each local section, in slot order. Every lattice point appears
-// in exactly one returned block; each block's GlobalLo lies on the request
-// lattice, so the block's points are exactly the request lattice restricted
-// to [GlobalLo, GlobalHi) (the step is uniform across blocks and is not
-// repeated in them). Sections holding no lattice point are omitted. Like
-// OwnerBlocks it requires a Regular distribution (ErrIrregular otherwise).
-func (m *Meta) OwnerBlocksStrided(lo, hi, step []int) ([]OwnerBlock, error) {
-	if err := grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
-		return nil, err
-	}
-	if !m.Regular() {
-		return nil, ErrIrregular
-	}
-	// Only cells between the first and last lattice point per dimension can
-	// hold a point; enumerate just that sub-grid.
-	local := m.LocalDims
-	cellLo := make([]int, len(lo))
-	cellHi := make([]int, len(lo))
-	for i := range lo {
-		last := lo[i] + ((hi[i]-1-lo[i])/step[i])*step[i]
-		cellLo[i] = lo[i] / local[i]
-		cellHi[i] = last/local[i] + 1
-	}
-	cLo := make([]int, len(lo))
-	cHi := make([]int, len(lo))
-	var out []OwnerBlock
-	err := grid.ForEachRect(cellLo, cellHi, func(coord []int, _ int) error {
-		slot, err := grid.ProcSlot(coord, m.GridDims, m.GridIndexing)
-		if err != nil {
-			return err
-		}
-		m.cellRect(coord, cLo, cHi)
-		subLo, subHi, ok := grid.IntersectStridedRect(lo, hi, step, cLo, cHi)
-		if !ok {
-			return nil // the stride skips this cell entirely
 		}
 		localLo := make([]int, len(lo))
 		localHi := make([]int, len(lo))

@@ -315,16 +315,19 @@ func TestOwnerBlocksUneven(t *testing.T) {
 	}
 }
 
-// TestOwnerBlocksIrregular pins the contract: rectangle owner-splitting on
-// a cyclic array reports ErrIrregular (coordinators then route through
-// OwnerLattice), while cyclic over a 1-cell grid dimension stays regular.
+// TestOwnerBlocksIrregular pins the contract: the block-only rectangle
+// split OwnerBlocks reports ErrIrregular on a cyclic array, and the
+// rectangle split StridedShares has no share form for a block-cyclic
+// B > 1 one (ok=false: the data plane then routes through OwnerLattice),
+// while cyclic over a 1-cell grid dimension stays regular.
 func TestOwnerBlocksIrregular(t *testing.T) {
 	m := metaForDist(t, []int{12}, []int{3}, []grid.Decomp{grid.CyclicDefault()}, []int{0, 0}, grid.RowMajor)
 	if _, err := m.OwnerBlocks([]int{0}, []int{12}); !errors.Is(err, ErrIrregular) {
 		t.Fatalf("OwnerBlocks on cyclic array: %v, want ErrIrregular", err)
 	}
-	if _, err := m.OwnerBlocksStrided([]int{0}, []int{12}, []int{2}); !errors.Is(err, ErrIrregular) {
-		t.Fatalf("OwnerBlocksStrided on cyclic array: %v, want ErrIrregular", err)
+	bc := metaForDist(t, []int{12}, []int{3}, []grid.Decomp{grid.BlockCyclicOf(2)}, []int{0, 0}, grid.RowMajor)
+	if _, ok, err := bc.StridedShares([]int{0}, []int{12}, []int{2}); ok || err != nil {
+		t.Fatalf("StridedShares on block-cyclic(2) array: ok=%v, %v; want no share form", ok, err)
 	}
 	if m.Regular() {
 		t.Fatal("cyclic over 3 cells reported Regular")

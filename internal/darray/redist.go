@@ -540,13 +540,19 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 		dims[i] = m.dimShares(i, lo[i], st, (hi[i]-lo[i]+st-1)/st)
 		counts[i] = len(dims[i])
 	}
-	shares = make([]StridedShare, 0, grid.Size(counts))
-	idx := make([]int, n)
-	cells := make([]int, n)
+	total := grid.Size(counts)
+	shares = make([]StridedShare, 0, total)
+	// One slab backs the five bound vectors of every share; each is capped
+	// so an append to one cannot run into the next.
+	slab := make([]int, 5*n*total)
+	idx := make([]int, 2*n)
+	idx, cells := idx[:n], idx[n:]
 	for {
+		v := slab[:5*n]
+		slab = slab[5*n:]
 		sh := StridedShare{
-			Lo: make([]int, n), Hi: make([]int, n), Step: make([]int, n),
-			PosLo: make([]int, n), PosStep: make([]int, n),
+			Lo: v[:n:n], Hi: v[n : 2*n : 2*n], Step: v[2*n : 3*n : 3*n],
+			PosLo: v[3*n : 4*n : 4*n], PosStep: v[4*n : 5*n : 5*n],
 		}
 		for i := 0; i < n; i++ {
 			ds := dims[i][idx[i]]

@@ -221,106 +221,147 @@ func TestTransferScheduleErrors(t *testing.T) {
 }
 
 // TestStridedSharesMatchOwnerLattice checks the descriptor split against
-// the materialized offset sets point for point: enumerating each share's
-// local lattice and placement must reproduce exactly the (proc, offset,
-// position) triples OwnerLattice produces.
+// the materialized offset sets point for point over the shared layout
+// sweep (checkStridedShares), dense and strided.
 func TestStridedSharesMatchOwnerLattice(t *testing.T) {
 	for name, m := range distMetas(t, grid.RowMajor) {
-		blockCyclic := false
-		for i, d := range m.ResolvedDists() {
-			if d.Kind == grid.DistBlockCyclic && m.GridDims[i] > 1 && d.B > 1 {
-				blockCyclic = true
-			}
-		}
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 8; trial++ {
 			lo, hi, step := randomDistRect(rng, m.Dims)
-			var stepArg []int
-			if trial%2 == 1 {
-				stepArg = step
+			if trial%2 == 0 {
+				step = nil
 			}
-			shares, ok, err := m.StridedShares(lo, hi, stepArg)
+			checkStridedShares(t, name, m, lo, hi, step)
+		}
+	}
+}
+
+// FuzzStridedShares runs checkStridedShares over random layouts (block,
+// cyclic(N), block-cyclic(B) and star dimensions with uneven trailing
+// cells, borders and either indexing order) and random rectangles, dense
+// and strided. StridedShares is the split of every rectangle transfer on
+// the data plane.
+func FuzzStridedShares(f *testing.F) {
+	f.Add([]byte{0})
+	// 1-d cyclic over four cells, every 3rd point of [2, 23).
+	f.Add([]byte{0, 22, 3, 1, 0, 0, 0, 2, 2, 6, 1})
+	// 2-d uneven block x cyclic with borders, column-major, dense.
+	f.Add([]byte{1, 12, 2, 0, 1, 1, 6, 2, 1, 0, 2, 1, 3, 0, 4, 0, 2, 0, 0})
+	// Block-cyclic(2): no share form.
+	f.Add([]byte{0, 15, 2, 2, 1, 0, 0, 0, 0, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		m := fuzzMeta(t, &in, 1+in.next(3))
+		n := m.NDims()
+		lo := make([]int, n)
+		hi := make([]int, n)
+		step := make([]int, n)
+		for i := 0; i < n; i++ {
+			lo[i] = in.next(m.Dims[i])
+			hi[i] = lo[i] + 1 + in.next(m.Dims[i]-lo[i])
+			step[i] = 1 + in.next(4)
+		}
+		if in.next(2) == 0 {
+			step = nil
+		}
+		checkStridedShares(t, "fuzz", m, lo, hi, step)
+	})
+}
+
+// checkStridedShares checks StridedShares(lo, hi, step) — dense when step
+// is nil — against the per-point walk: a layout with a block-cyclic B > 1
+// dimension over several cells must report no share form; any other must
+// have one, and enumerating each share's local lattice and placement must
+// reproduce exactly the (proc, offset, position) triples OwnerLattice
+// produces.
+func checkStridedShares(t *testing.T, name string, m *Meta, lo, hi, step []int) {
+	t.Helper()
+	blockCyclic := false
+	for i, d := range m.ResolvedDists() {
+		if d.Kind == grid.DistBlockCyclic && m.GridDims[i] > 1 && d.B > 1 {
+			blockCyclic = true
+		}
+	}
+	shares, ok, err := m.StridedShares(lo, hi, step)
+	if err != nil {
+		t.Fatalf("%s: StridedShares(%v,%v,%v): %v", name, lo, hi, step, err)
+	}
+	if blockCyclic {
+		if ok {
+			t.Fatalf("%s: block-cyclic layout reported descriptor-eligible", name)
+		}
+		return
+	}
+	if !ok {
+		t.Fatalf("%s: progression layout reported ineligible", name)
+	}
+	sets, err := m.OwnerLattice(lo, hi, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int]map[int]int) // proc -> position -> offset
+	for _, s := range sets {
+		pm := make(map[int]int, len(s.Offs))
+		for i, off := range s.Offs {
+			pm[s.Pos[i]] = off
+		}
+		want[s.Proc] = pm
+	}
+	sdims := grid.RectDims(lo, hi)
+	if step != nil {
+		sdims = grid.StridedRectDims(lo, hi, step)
+	}
+	got := make(map[int]map[int]int)
+	strides := grid.Strides(m.LocalDimsPlus, m.Indexing)
+	n := m.NDims()
+	for _, sh := range shares {
+		pm := got[sh.Proc]
+		if pm == nil {
+			pm = make(map[int]int)
+			got[sh.Proc] = pm
+		}
+		cnt := make([]int, n)
+		for i := 0; i < n; i++ {
+			cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
+		}
+		zero := make([]int, n)
+		lidx := make([]int, n)
+		pidx := make([]int, n)
+		err := grid.ForEachRect(zero, cnt, func(idx []int, _ int) error {
+			off := 0
+			for i := range idx {
+				lidx[i] = sh.Lo[i] + idx[i]*sh.Step[i]
+				pidx[i] = sh.PosLo[i] + idx[i]*sh.PosStep[i]
+				off += (lidx[i] + m.Borders[2*i]) * strides[i]
+			}
+			pos, err := grid.Flatten(pidx, sdims, grid.RowMajor)
 			if err != nil {
-				t.Fatalf("%s: StridedShares(%v,%v,%v): %v", name, lo, hi, stepArg, err)
+				return err
 			}
-			if blockCyclic {
-				if ok {
-					t.Fatalf("%s: block-cyclic layout reported descriptor-eligible", name)
-				}
-				continue
+			if old, dup := pm[pos]; dup {
+				t.Fatalf("%s: position %d claimed twice (offsets %d, %d)", name, pos, old, off)
 			}
-			if !ok {
-				t.Fatalf("%s: progression layout reported ineligible", name)
+			pm[pos] = off
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for proc, pm := range want {
+		gm := got[proc]
+		if len(gm) != len(pm) {
+			t.Fatalf("%s: proc %d holds %d positions via shares, %d via offset sets", name, proc, len(gm), len(pm))
+		}
+		for pos, off := range pm {
+			if gm[pos] != off {
+				t.Fatalf("%s: proc %d position %d -> offset %d via shares, %d via offset sets", name, proc, pos, gm[pos], off)
 			}
-			sets, err := m.OwnerLattice(lo, hi, stepArg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make(map[int]map[int]int) // proc -> position -> offset
-			for _, s := range sets {
-				pm := make(map[int]int, len(s.Offs))
-				for i, off := range s.Offs {
-					pm[s.Pos[i]] = off
-				}
-				want[s.Proc] = pm
-			}
-			sdims := grid.RectDims(lo, hi)
-			if stepArg != nil {
-				sdims = grid.StridedRectDims(lo, hi, stepArg)
-			}
-			got := make(map[int]map[int]int)
-			strides := grid.Strides(m.LocalDimsPlus, m.Indexing)
-			n := m.NDims()
-			for _, sh := range shares {
-				pm := got[sh.Proc]
-				if pm == nil {
-					pm = make(map[int]int)
-					got[sh.Proc] = pm
-				}
-				cnt := make([]int, n)
-				for i := 0; i < n; i++ {
-					cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
-				}
-				zero := make([]int, n)
-				lidx := make([]int, n)
-				pidx := make([]int, n)
-				err := grid.ForEachRect(zero, cnt, func(idx []int, _ int) error {
-					off := 0
-					for i := range idx {
-						lidx[i] = sh.Lo[i] + idx[i]*sh.Step[i]
-						pidx[i] = sh.PosLo[i] + idx[i]*sh.PosStep[i]
-						off += (lidx[i] + m.Borders[2*i]) * strides[i]
-					}
-					pos, err := grid.Flatten(pidx, sdims, grid.RowMajor)
-					if err != nil {
-						return err
-					}
-					if old, dup := pm[pos]; dup {
-						t.Fatalf("%s: position %d claimed twice (offsets %d, %d)", name, pos, old, off)
-					}
-					pm[pos] = off
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for proc, pm := range want {
-				gm := got[proc]
-				if len(gm) != len(pm) {
-					t.Fatalf("%s: proc %d holds %d positions via shares, %d via offset sets", name, proc, len(gm), len(pm))
-				}
-				for pos, off := range pm {
-					if gm[pos] != off {
-						t.Fatalf("%s: proc %d position %d -> offset %d via shares, %d via offset sets", name, proc, pos, gm[pos], off)
-					}
-				}
-			}
-			for proc := range got {
-				if _, okp := want[proc]; !okp && len(got[proc]) > 0 {
-					t.Fatalf("%s: shares invented holdings on proc %d", name, proc)
-				}
-			}
+		}
+	}
+	for proc := range got {
+		if _, okp := want[proc]; !okp && len(got[proc]) > 0 {
+			t.Fatalf("%s: shares invented holdings on proc %d", name, proc)
 		}
 	}
 }

@@ -167,9 +167,10 @@ func TestSectionStridedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestOwnerBlocksStrided checks the strided owner split: blocks partition
-// the lattice exactly, each block's bounds stay lattice-aligned, and cells
-// the stride skips produce no block.
+// TestOwnerBlocksStrided checks the strided owner split of a block array
+// (StridedShares): shares partition the lattice exactly, each share's
+// points lie on the request lattice at their placed positions and in its
+// owner's section, and cells the stride skips produce no share.
 func TestOwnerBlocksStrided(t *testing.T) {
 	meta := &Meta{
 		ID: ID{}, Type: Double,
@@ -182,6 +183,7 @@ func TestOwnerBlocksStrided(t *testing.T) {
 		Indexing:      grid.RowMajor,
 		GridIndexing:  grid.RowMajor,
 	}
+	strides := grid.Strides(meta.LocalDimsPlus, meta.Indexing)
 	cases := []struct {
 		name         string
 		lo, hi, step []int
@@ -193,31 +195,43 @@ func TestOwnerBlocksStrided(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			blocks, err := meta.OwnerBlocksStrided(c.lo, c.hi, c.step)
-			if err != nil {
-				t.Fatal(err)
+			shares, ok, err := meta.StridedShares(c.lo, c.hi, c.step)
+			if err != nil || !ok {
+				t.Fatalf("StridedShares: ok=%v, %v", ok, err)
 			}
 			seen := make(map[int]int) // flattened global index -> hits
-			for _, b := range blocks {
-				if _, ok := meta.HoldsSection(b.Proc); !ok {
-					t.Fatalf("block on processor %d holding no section", b.Proc)
+			for _, sh := range shares {
+				if _, ok := meta.HoldsSection(sh.Proc); !ok {
+					t.Fatalf("share on processor %d holding no section", sh.Proc)
 				}
-				if err := grid.ForEachStridedRect(b.GlobalLo, b.GlobalHi, c.step, func(gidx []int, k int) error {
-					// Lattice-aligned with the request anchor.
-					for i := range gidx {
-						if (gidx[i]-c.lo[i])%c.step[i] != 0 {
-							t.Fatalf("block point %v off the request lattice", gidx)
-						}
+				// Local bounds stay inside the section, and a share holds
+				// at least one point.
+				cnt := make([]int, len(sh.Lo))
+				for i := range sh.Lo {
+					if sh.Lo[i] < 0 || sh.Hi[i] > meta.LocalDims[i] || sh.Lo[i] >= sh.Hi[i] {
+						t.Fatalf("share local bounds outside the section or empty: %+v", sh)
 					}
-					// Owned by the block's processor.
-					proc, _, err := meta.Owner(gidx)
+					cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
+				}
+				gidx := make([]int, len(cnt))
+				if err := grid.ForEachRect(make([]int, len(cnt)), cnt, func(tt []int, _ int) error {
+					// The placed position is a request lattice point.
+					off := 0
+					for i := range tt {
+						gidx[i] = c.lo[i] + (sh.PosLo[i]+tt[i]*sh.PosStep[i])*c.step[i]
+						off += (sh.Lo[i] + tt[i]*sh.Step[i]) * strides[i]
+					}
+					if err := grid.CheckIndex(gidx, meta.Dims); err != nil {
+						t.Fatalf("share point %v off the array", gidx)
+					}
+					// Owned by the share's processor, at the share's offset.
+					proc, want, err := meta.Owner(gidx)
 					if err != nil {
 						return err
 					}
-					if proc != b.Proc {
-						t.Fatalf("point %v in block of proc %d, owner says %d", gidx, b.Proc, proc)
+					if proc != sh.Proc || off != want {
+						t.Fatalf("point %v in share of proc %d at offset %d, owner says %d at %d", gidx, sh.Proc, off, proc, want)
 					}
-					// Local translation is consistent.
 					lin, err := grid.Flatten(gidx, meta.Dims, grid.RowMajor)
 					if err != nil {
 						return err
@@ -227,19 +241,10 @@ func TestOwnerBlocksStrided(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				// Local bounds are the global ones minus the cell origin.
-				for i := range b.GlobalLo {
-					if b.GlobalHi[i]-b.GlobalLo[i] != b.LocalHi[i]-b.LocalLo[i] {
-						t.Fatalf("block global/local extents differ: %v", b)
-					}
-					if b.LocalLo[i] < 0 || b.LocalHi[i] > meta.LocalDims[i] {
-						t.Fatalf("block local bounds outside the section: %v", b)
-					}
-				}
 			}
 			want := grid.StridedRectSize(c.lo, c.hi, c.step)
 			if len(seen) != want {
-				t.Fatalf("blocks cover %d points, lattice has %d", len(seen), want)
+				t.Fatalf("shares cover %d points, lattice has %d", len(seen), want)
 			}
 			for lin, n := range seen {
 				if n != 1 {
