@@ -353,10 +353,7 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	}
 	edges := make([]edge, 0, sched.NPairs())
 	for _, b := range sched.Blocks {
-		elems := grid.RectSize(b.SrcLo, b.SrcHi)
-		if b.SrcStep != nil {
-			elems = grid.StridedRectSize(b.SrcLo, b.SrcHi, b.SrcStep)
-		}
+		elems := grid.StridedRectSize(b.SrcLo, b.SrcHi, b.SrcStep)
 		edges = append(edges, edge{b.SrcProc, b.DstProc, elems, "descriptor",
 			stepString(b.SrcStep), stepString(b.DstStep),
 			[][]int{b.SrcLo, b.SrcHi, b.SrcStep}, [][]int{b.DstLo, b.DstHi, b.DstStep}})

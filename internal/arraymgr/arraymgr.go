@@ -1146,11 +1146,11 @@ func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float6
 }
 
 // localBlockFast attempts the zero-copy local fast path: when the whole
-// rectangle [lo, hi) — dense for step == nil, else the (lo, hi, step)
-// lattice — lies on processor proc, the data moves directly between buf
-// and the local section's storage under the server lock — no router
-// message, no request goroutine, no intermediate buffer, and (for
-// rectangles of at most darray.MaxFastDims dimensions) no heap allocation.
+// lattice (lo, hi, step) — dense when step is nil — lies on processor
+// proc, the data moves directly between buf and the local section's
+// storage under the server lock — no router message, no request
+// goroutine, no intermediate buffer, and (for rectangles of at most
+// darray.MaxFastDims dimensions) no heap allocation.
 // ok reports whether the fast path applied; when it does not, the caller
 // falls back to the coordinator, which also produces the authoritative
 // failure status for malformed requests.
@@ -1169,35 +1169,20 @@ func (m *Manager) localBlockFast(proc int, id darray.ID, lo, hi, step []int, rea
 		return StatusOK, false
 	}
 	n := e.meta.NDims()
-	if n > darray.MaxFastDims || len(lo) != n || len(hi) != n {
+	if n > darray.MaxFastDims || grid.CheckStridedRect(lo, hi, step, e.meta.Dims) != nil ||
+		len(buf) != grid.StridedRectSize(lo, hi, step) {
 		return StatusOK, false
 	}
-	hiUse := hi
+	// Locality is decided by the lattice's bounding box, not the requested
+	// hi: clamp each bound to just past the last lattice point so a stride
+	// overshooting the section edge still qualifies.
 	var hiEff [darray.MaxFastDims]int
-	if step == nil {
-		if grid.CheckRect(lo, hi, e.meta.Dims) != nil {
-			return StatusOK, false
-		}
-		if len(buf) != grid.RectSize(lo, hi) {
-			return StatusOK, false
-		}
-	} else {
-		if len(step) != n || grid.CheckStridedRect(lo, hi, step, e.meta.Dims) != nil {
-			return StatusOK, false
-		}
-		if len(buf) != grid.StridedRectSize(lo, hi, step) {
-			return StatusOK, false
-		}
-		// Locality is decided by the lattice's bounding box, not the
-		// requested hi: clamp each bound to just past the last lattice
-		// point so a stride overshooting the section edge still qualifies.
-		for i := 0; i < n; i++ {
-			hiEff[i] = lo[i] + ((hi[i]-1-lo[i])/step[i])*step[i] + 1
-		}
-		hiUse = hiEff[:n]
+	for i := 0; i < n; i++ {
+		st := grid.StepAt(step, i)
+		hiEff[i] = lo[i] + ((hi[i]-1-lo[i])/st)*st + 1
 	}
 	var loBuf, hiBuf [darray.MaxFastDims]int
-	if !e.meta.LocalRect(proc, lo, hiUse, loBuf[:n], hiBuf[:n]) {
+	if !e.meta.LocalRect(proc, lo, hiEff[:n], loBuf[:n], hiBuf[:n]) {
 		return StatusOK, false
 	}
 	return movePiece(read, e.section, e.meta, buf, nil, loBuf[:n], hiBuf[:n], step), true

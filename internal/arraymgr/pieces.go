@@ -7,7 +7,7 @@
 //     progressions (block dimensions and width-1 cyclic ones) splits into
 //     lattice shares (darray.Meta.StridedShares, nil step meaning dense):
 //     O(ndims) bounds per owner, placed on the request lattice by
-//     copyShare;
+//     darray.StridedShare.Place;
 //   - a rectangle on a block-cyclic B > 1 layout, which has no such form,
 //     and any index vector split into offset sets (OwnerLattice,
 //     OwnerIndices): one storage offset per element, placed by position.
@@ -47,7 +47,7 @@ func (p *piece) size() int {
 func (p *piece) place(toFull bool, full, sub []float64, sdims []int) {
 	switch {
 	case p.share != nil:
-		copyShare(toFull, full, sub, p.share, sdims)
+		p.share.Place(toFull, full, sub, sdims)
 	case toFull:
 		for j, q := range p.pos {
 			full[q] = sub[j]
@@ -84,11 +84,7 @@ func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size i
 		if serr != nil {
 			return nil, nil, 0, serr
 		}
-		if req.step == nil {
-			sdims = grid.RectDims(req.lo, req.hi)
-		} else {
-			sdims = grid.StridedRectDims(req.lo, req.hi, req.step)
-		}
+		sdims = grid.StridedRectDims(req.lo, req.hi, req.step)
 		size = grid.Size(sdims)
 		if ok {
 			pieces = make([]piece, len(shares))
@@ -290,20 +286,13 @@ func (m *Manager) doWriteLocal(proc int, req *request) response {
 // count of the interior-local lattice (lo, hi, step), dense when step is
 // nil.
 func pieceSize(meta *darray.Meta, offs, lo, hi, step []int) (int, bool) {
-	switch {
-	case offs != nil:
+	if offs != nil {
 		return len(offs), true
-	case step == nil:
-		if grid.CheckRect(lo, hi, meta.LocalDims) != nil {
-			return 0, false
-		}
-		return grid.RectSize(lo, hi), true
-	default:
-		if grid.CheckStridedRect(lo, hi, step, meta.LocalDims) != nil {
-			return 0, false
-		}
-		return grid.StridedRectSize(lo, hi, step), true
 	}
+	if grid.CheckStridedRect(lo, hi, step, meta.LocalDims) != nil {
+		return 0, false
+	}
+	return grid.StridedRectSize(lo, hi, step), true
 }
 
 // movePiece moves one owner piece between vals and the section's storage,
@@ -319,14 +308,8 @@ func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64
 		err = sec.GatherInto(vals, offs)
 	case offs != nil:
 		err = sec.ScatterFrom(vals, offs)
-	case step == nil && read:
-		err = sec.ReadBlockInto(vals, lo, hi, meta.LocalDims, meta.Borders, meta.Indexing)
-	case step == nil:
-		err = sec.WriteBlock(vals, lo, hi, meta.LocalDims, meta.Borders, meta.Indexing)
-	case read:
-		err = sec.ReadBlockStridedInto(vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
 	default:
-		err = sec.WriteBlockStrided(vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
+		err = sec.MoveLattice(read, vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
 	}
 	switch {
 	case err == nil:
@@ -335,71 +318,5 @@ func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64
 		return StatusError
 	default:
 		return StatusInvalid
-	}
-}
-
-// copyShare moves one share's packed piece between the dense
-// request-lattice buffer (full) and the share's packed sub-buffer (sub):
-// unpacking a read reply into place when toFull, packing the values of a
-// write otherwise. Element t (per-dimension t[i], row-major over the
-// share's lattice) of the piece sits at request-lattice position
-// PosLo[i] + t[i]*PosStep[i]; sdims are the request lattice's
-// per-dimension point counts. Up to darray.MaxFastDims dimensions its
-// scratch lives in a fixed array, so it allocates nothing.
-func copyShare(toFull bool, full, sub []float64, sh *darray.StridedShare, sdims []int) {
-	n := len(sdims)
-	var scratch [3 * darray.MaxFastDims]int
-	buf := scratch[:]
-	if n > darray.MaxFastDims {
-		buf = make([]int, 3*n)
-	}
-	// cnt is the share's per-dimension point count, estride the request
-	// buffer distance between its consecutive points, idx the odometer.
-	cnt, estride, idx := buf[:n], buf[n:2*n], buf[2*n:3*n]
-	pos0 := 0
-	for i, st := n-1, 1; i >= 0; i-- {
-		cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
-		estride[i] = sh.PosStep[i] * st
-		pos0 += sh.PosLo[i] * st
-		st *= sdims[i]
-	}
-	last := n - 1
-	run := cnt[last]
-	contiguous := sh.PosStep[last] == 1
-	off := pos0
-	k := 0
-	for {
-		if contiguous {
-			if toFull {
-				copy(full[off:off+run], sub[k:k+run])
-			} else {
-				copy(sub[k:k+run], full[off:off+run])
-			}
-			k += run
-		} else {
-			o := off
-			for j := 0; j < run; j++ {
-				if toFull {
-					full[o] = sub[k]
-				} else {
-					sub[k] = full[o]
-				}
-				k++
-				o += estride[last]
-			}
-		}
-		i := last - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			off += estride[i]
-			if idx[i] < cnt[i] {
-				break
-			}
-			off -= cnt[i] * estride[i]
-			idx[i] = 0
-		}
-		if i < 0 {
-			return
-		}
 	}
 }

@@ -559,12 +559,9 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 		if dims[i] < 1 {
 			return StatusOK, false
 		}
-		st := 1
-		if step != nil {
-			st = step[i]
-			if st < 1 {
-				return StatusOK, false
-			}
+		st := grid.StepAt(step, i)
+		if st < 1 {
+			return StatusOK, false
 		}
 		srcHi[i] = srcLo[i] + dims[i]
 		dstHi[i] = dstLo[i] + dims[i]
@@ -574,12 +571,7 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 		hiEffS[i] = srcLo[i] + lastOff + 1
 		hiEffD[i] = dstLo[i] + lastOff + 1
 	}
-	if step == nil {
-		if grid.CheckRect(srcLo, srcHi[:n], se.meta.Dims) != nil ||
-			grid.CheckRect(dstLo, dstHi[:n], de.meta.Dims) != nil {
-			return StatusOK, false
-		}
-	} else if grid.CheckStridedRect(srcLo, srcHi[:n], step, se.meta.Dims) != nil ||
+	if grid.CheckStridedRect(srcLo, srcHi[:n], step, se.meta.Dims) != nil ||
 		grid.CheckStridedRect(dstLo, dstHi[:n], step, de.meta.Dims) != nil {
 		return StatusOK, false
 	}

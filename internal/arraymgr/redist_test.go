@@ -458,7 +458,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	elems := grid.StridedRectSize(pb.SrcLo, pb.SrcHi, pb.SrcStep)
 	denseShip := func() {
 		buf := getBuf(elems)
-		if err := asec.ReadBlockStridedInto(buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, am.LocalDims, am.Borders, am.Indexing); err != nil {
+		if err := asec.MoveLattice(true, buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, am.LocalDims, am.Borders, am.Indexing); err != nil {
 			t.Fatal(err)
 		}
 		req := getShipReq()

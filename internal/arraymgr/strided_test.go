@@ -241,10 +241,10 @@ func TestStridedOwnerReplyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCopyShareZeroAllocs pins copyShare, which places every rectangle
-// read reply and packs every rectangle write, at zero heap allocations
-// in both directions for a rectangle of at most darray.MaxFastDims
-// dimensions: its odometer scratch lives in a fixed array.
+// TestCopyShareZeroAllocs pins darray.StridedShare.Place, which places
+// every rectangle read reply and packs every rectangle write, at zero
+// heap allocations in both directions for a rectangle of at most
+// darray.MaxFastDims dimensions: its walk's scratch lives in fixed arrays.
 func TestCopyShareZeroAllocs(t *testing.T) {
 	_, m := newTestManager(t, 4)
 	id := mustCreate(t, m, 0, CreateSpec{
@@ -266,11 +266,11 @@ func TestCopyShareZeroAllocs(t *testing.T) {
 	sh := &shares[len(shares)-1]
 	sub := make([]float64, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
 	allocs := testing.AllocsPerRun(200, func() {
-		copyShare(false, full, sub, sh, sdims)
-		copyShare(true, full, sub, sh, sdims)
+		sh.Place(false, full, sub, sdims)
+		sh.Place(true, full, sub, sdims)
 	})
 	if allocs != 0 {
-		t.Errorf("copyShare: %v allocs/op, want 0", allocs)
+		t.Errorf("StridedShare.Place: %v allocs/op, want 0", allocs)
 	}
 }
 

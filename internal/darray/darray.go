@@ -301,10 +301,11 @@ func (m *Meta) Owner(gidx []int) (proc, storageOff int, err error) {
 	return m.Procs[slot], off, nil
 }
 
-// MaxFastDims bounds the dimensionality served by the allocation-free
-// block-copy fast path (LocalRect, Section.ReadBlockInto and the block
-// copies behind it). Rectangles of more dimensions remain correct but fall
-// back to the general, allocating path.
+// MaxFastDims bounds the dimensionality served allocation-free by the
+// local fast path (LocalRect) and by the lattice walk under every section
+// and buffer copy (MoveLattice, CopyRect, CopyInterior,
+// StridedShare.Place), whose scratch lives in fixed-size stack arrays.
+// Beyond it the same walk takes its scratch from the heap.
 const MaxFastDims = 8
 
 // LocalRect reports whether the global rectangle [lo, hi) lies entirely
@@ -558,13 +559,7 @@ func (m *Meta) OwnerIndices(indices [][]int) ([]OwnerIndexSet, error) {
 // coordinators can move values between per-owner messages and the dense
 // request buffer — still one message per owner, whatever the layout.
 func (m *Meta) OwnerLattice(lo, hi, step []int) ([]OwnerIndexSet, error) {
-	var err error
-	if step == nil {
-		err = grid.CheckRect(lo, hi, m.Dims)
-	} else {
-		err = grid.CheckStridedRect(lo, hi, step, m.Dims)
-	}
-	if err != nil {
+	if err := grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
 		return nil, err
 	}
 	strides := grid.Strides(m.LocalDimsPlus, m.Indexing)
@@ -585,12 +580,7 @@ func (m *Meta) OwnerLattice(lo, hi, step []int) ([]OwnerIndexSet, error) {
 		sets[si].Pos = append(sets[si].Pos, k)
 		return nil
 	}
-	if step == nil {
-		err = grid.ForEachRect(lo, hi, visit)
-	} else {
-		err = grid.ForEachStridedRect(lo, hi, step, visit)
-	}
-	if err != nil {
+	if err := grid.ForEachStridedRect(lo, hi, step, visit); err != nil {
 		return nil, err
 	}
 	return sets, nil
@@ -653,7 +643,7 @@ func (s *Section) ReadBlock(lo, hi, localDims, borders []int, ix grid.Indexing) 
 		return nil, err
 	}
 	vals := make([]float64, grid.RectSize(lo, hi))
-	if err := s.blockCopy(true, vals, lo, hi, localDims, borders, ix); err != nil {
+	if err := s.MoveLattice(true, vals, lo, hi, nil, localDims, borders, ix); err != nil {
 		return nil, err
 	}
 	return vals, nil
@@ -665,222 +655,13 @@ func (s *Section) ReadBlock(lo, hi, localDims, borders []int, ix grid.Indexing) 
 // at most MaxFastDims dimensions the copy performs no heap allocation —
 // this is the buffer-reuse read of the zero-copy local fast path.
 func (s *Section) ReadBlockInto(dst []float64, lo, hi, localDims, borders []int, ix grid.Indexing) error {
-	if err := grid.CheckRect(lo, hi, localDims); err != nil {
-		return err
-	}
-	if len(dst) != grid.RectSize(lo, hi) {
-		return fmt.Errorf("darray: buffer of %d elements for a rectangle of %d", len(dst), grid.RectSize(lo, hi))
-	}
-	return s.blockCopy(true, dst, lo, hi, localDims, borders, ix)
+	return s.MoveLattice(true, dst, lo, hi, nil, localDims, borders, ix)
 }
 
 // WriteBlock copies vals — a dense buffer linearized row-major over the
 // rectangle — into the interior rectangle [lo, hi) of the section.
 func (s *Section) WriteBlock(vals []float64, lo, hi, localDims, borders []int, ix grid.Indexing) error {
-	if err := grid.CheckRect(lo, hi, localDims); err != nil {
-		return err
-	}
-	if len(vals) != grid.RectSize(lo, hi) {
-		return fmt.Errorf("darray: %d values for a rectangle of %d elements", len(vals), grid.RectSize(lo, hi))
-	}
-	return s.blockCopy(false, vals, lo, hi, localDims, borders, ix)
-}
-
-// ReadBlockStridedInto copies the lattice of every step[i]-th element of
-// the interior rectangle [lo, hi) into dst, packed densely in row-major
-// lattice order; dst must hold exactly StridedRectSize(lo, hi, step)
-// elements and stays caller-owned. Like ReadBlockInto it performs no heap
-// allocation for rectangles of at most MaxFastDims dimensions — the strided
-// copy rides the same incremental-odometer machinery with the storage
-// stride scaled by the step.
-func (s *Section) ReadBlockStridedInto(dst []float64, lo, hi, step, localDims, borders []int, ix grid.Indexing) error {
-	if err := grid.CheckStridedRect(lo, hi, step, localDims); err != nil {
-		return err
-	}
-	if len(dst) != grid.StridedRectSize(lo, hi, step) {
-		return fmt.Errorf("darray: buffer of %d elements for a strided rectangle of %d", len(dst), grid.StridedRectSize(lo, hi, step))
-	}
-	return s.blockCopyStrided(true, dst, lo, hi, step, localDims, borders, ix)
-}
-
-// WriteBlockStrided copies vals — packed densely in row-major lattice
-// order — onto the lattice of every step[i]-th element of the interior
-// rectangle [lo, hi). vals must hold exactly StridedRectSize(lo, hi, step)
-// elements; elements off the lattice are untouched.
-func (s *Section) WriteBlockStrided(vals []float64, lo, hi, step, localDims, borders []int, ix grid.Indexing) error {
-	if err := grid.CheckStridedRect(lo, hi, step, localDims); err != nil {
-		return err
-	}
-	if len(vals) != grid.StridedRectSize(lo, hi, step) {
-		return fmt.Errorf("darray: %d values for a strided rectangle of %d elements", len(vals), grid.StridedRectSize(lo, hi, step))
-	}
-	return s.blockCopyStrided(false, vals, lo, hi, step, localDims, borders, ix)
-}
-
-// denseStep is the all-ones step vector the dense block paths pass to the
-// shared copy machinery; it must never be written.
-var denseStep = func() (s [MaxFastDims]int) {
-	for i := range s {
-		s[i] = 1
-	}
-	return
-}()
-
-// blockCopyStrided is blockCopy for a strided rectangle: the lattice
-// (lo, hi, step) moves between the bordered storage and vals (a packed
-// row-major lattice buffer). Up to MaxFastDims dimensions it shares the
-// allocation-free fastCopy path; beyond that it falls back to per-element
-// enumeration.
-func (s *Section) blockCopyStrided(read bool, vals []float64, lo, hi, step, localDims, borders []int, ix grid.Indexing) error {
-	if err := CheckBorders(borders, len(localDims)); err != nil {
-		return err
-	}
-	if len(lo) <= MaxFastDims {
-		s.fastCopy(read, vals, lo, hi, step, localDims, borders, ix)
-		return nil
-	}
-	plus, err := DimsPlus(localDims, borders)
-	if err != nil {
-		return err
-	}
-	strides := grid.Strides(plus, ix)
-	return grid.ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
-		off := 0
-		for i := range idx {
-			off += (idx[i] + borders[2*i]) * strides[i]
-		}
-		if read {
-			vals[k] = s.GetFloat(off)
-		} else {
-			s.SetFloat(off, vals[k])
-		}
-		return nil
-	})
-}
-
-// blockCopy moves data between vals and the rectangle [lo, hi) of the
-// bordered storage. With row-major storage the rectangle's innermost runs
-// are contiguous, so whole rows move with copy; otherwise elements move one
-// by one through the stride arithmetic. Rectangles of at most MaxFastDims
-// dimensions take the allocation-free path; the general path allocates its
-// stride/index scratch.
-func (s *Section) blockCopy(read bool, vals []float64, lo, hi, localDims, borders []int, ix grid.Indexing) error {
-	if err := CheckBorders(borders, len(localDims)); err != nil {
-		return err
-	}
-	if len(lo) <= MaxFastDims {
-		s.fastCopy(read, vals, lo, hi, denseStep[:len(lo)], localDims, borders, ix)
-		return nil
-	}
-	plus, err := DimsPlus(localDims, borders)
-	if err != nil {
-		return err
-	}
-	strides := grid.Strides(plus, ix)
-	offset := func(idx []int) int {
-		off := 0
-		for i := range idx {
-			off += (idx[i] + borders[2*i]) * strides[i]
-		}
-		return off
-	}
-	last := len(lo) - 1
-	if ix == grid.RowMajor && s.Type == Double {
-		run := hi[last] - lo[last]
-		return grid.ForEachRect(lo[:last], hi[:last], func(outer []int, k int) error {
-			off := offset(outer) + (lo[last]+borders[2*last])*strides[last]
-			if read {
-				copy(vals[k*run:(k+1)*run], s.F[off:off+run])
-			} else {
-				copy(s.F[off:off+run], vals[k*run:(k+1)*run])
-			}
-			return nil
-		})
-	}
-	return grid.ForEachRect(lo, hi, func(idx []int, k int) error {
-		off := offset(idx)
-		if read {
-			vals[k] = s.GetFloat(off)
-		} else {
-			s.SetFloat(off, vals[k])
-		}
-		return nil
-	})
-}
-
-// fastCopy is the shared block/strided copy specialised to at most
-// MaxFastDims dimensions: all scratch state lives in fixed-size stack
-// arrays and the odometer walks offsets incrementally, so the copy performs
-// no heap allocation. step scales the storage stride per dimension (the
-// dense paths pass denseStep). Bounds, steps, borders and buffer length
-// must already be validated.
-func (s *Section) fastCopy(read bool, vals []float64, lo, hi, step, localDims, borders []int, ix grid.Indexing) {
-	n := len(lo)
-	var plus, strides [MaxFastDims]int
-	// cnt is the per-dimension lattice count, estride the storage distance
-	// between consecutive lattice points, pos the odometer position.
-	var cnt, estride, pos [MaxFastDims]int
-	for i := 0; i < n; i++ {
-		plus[i] = localDims[i] + borders[2*i] + borders[2*i+1]
-	}
-	if ix == grid.RowMajor {
-		st := 1
-		for i := n - 1; i >= 0; i-- {
-			strides[i] = st
-			st *= plus[i]
-		}
-	} else {
-		st := 1
-		for i := 0; i < n; i++ {
-			strides[i] = st
-			st *= plus[i]
-		}
-	}
-	off := 0
-	for i := 0; i < n; i++ {
-		off += (lo[i] + borders[2*i]) * strides[i]
-		cnt[i] = (hi[i] - lo[i] + step[i] - 1) / step[i]
-		estride[i] = step[i] * strides[i]
-	}
-	last := n - 1
-	run := cnt[last]
-	contiguous := ix == grid.RowMajor && s.Type == Double && step[last] == 1 // strides[last] == 1
-	k := 0
-	for {
-		if contiguous {
-			if read {
-				copy(vals[k:k+run], s.F[off:off+run])
-			} else {
-				copy(s.F[off:off+run], vals[k:k+run])
-			}
-			k += run
-		} else {
-			o := off
-			for j := 0; j < run; j++ {
-				if read {
-					vals[k] = s.GetFloat(o)
-				} else {
-					s.SetFloat(o, vals[k])
-				}
-				k++
-				o += estride[last]
-			}
-		}
-		// Advance the outer-dimension odometer, keeping off in step.
-		i := last - 1
-		for ; i >= 0; i-- {
-			pos[i]++
-			off += estride[i]
-			if pos[i] < cnt[i] {
-				break
-			}
-			off -= cnt[i] * estride[i]
-			pos[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
+	return s.MoveLattice(false, vals, lo, hi, nil, localDims, borders, ix)
 }
 
 // GatherInto reads the elements at the given flat storage offsets into dst,
@@ -942,31 +723,23 @@ func (s *Section) ScatterFrom(vals []float64, offs []int) error {
 // but possibly different borders. It implements the data movement of the
 // copy_local request used by verify_array (§5.1.1): reallocating local
 // sections with new borders preserves interior data, while border contents
-// are not preserved.
+// are not preserved. Up to MaxFastDims dimensions it allocates nothing.
 func CopyInterior(dst, src *Section, localDims, dstBorders, srcBorders []int, ix grid.Indexing) error {
 	if dst.Type != src.Type {
 		return fmt.Errorf("darray: copy between element types %v and %v", dst.Type, src.Type)
 	}
-	n := grid.Size(localDims)
-	for lin := 0; lin < n; lin++ {
-		lidx, err := grid.Unflatten(lin, localDims, ix)
-		if err != nil {
-			return err
-		}
-		so, err := StorageOffset(lidx, localDims, srcBorders, ix)
-		if err != nil {
-			return err
-		}
-		do, err := StorageOffset(lidx, localDims, dstBorders, ix)
-		if err != nil {
-			return err
-		}
-		if dst.Type == Int {
-			dst.I[do] = src.I[so]
-		} else {
-			dst.F[do] = src.F[so]
-		}
+	n := len(localDims)
+	if err := CheckBorders(dstBorders, n); err != nil {
+		return err
 	}
+	if err := CheckBorders(srcBorders, n); err != nil {
+		return err
+	}
+	var stack [2 * MaxFastDims]int
+	sc := scratch(stack[:], 2*n)
+	dStr, sStr := sc[:n], sc[n:]
+	walk(side{dst, layout(dStr, nil, nil, localDims, dstBorders, ix), dStr},
+		side{src, layout(sStr, nil, nil, localDims, srcBorders, ix), sStr}, localDims)
 	return nil
 }
 

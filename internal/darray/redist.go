@@ -84,28 +84,16 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 		return nil, fmt.Errorf("darray: transfer schedule rank mismatch: dst %d, src %d, bounds %d/%d/%d",
 			n, src.NDims(), len(dstLo), len(srcLo), len(dims))
 	}
-	if step != nil && len(step) != n {
-		return nil, fmt.Errorf("darray: transfer schedule step of rank %d for %d dimensions", len(step), n)
-	}
 	srcHi := make([]int, n)
 	dstHi := make([]int, n)
 	for i := 0; i < n; i++ {
 		srcHi[i] = srcLo[i] + dims[i]
 		dstHi[i] = dstLo[i] + dims[i]
 	}
-	var err error
-	if step == nil {
-		err = grid.CheckRect(srcLo, srcHi, src.Dims)
-		if err == nil {
-			err = grid.CheckRect(dstLo, dstHi, dst.Dims)
-		}
-	} else {
-		err = grid.CheckStridedRect(srcLo, srcHi, step, src.Dims)
-		if err == nil {
-			err = grid.CheckStridedRect(dstLo, dstHi, step, dst.Dims)
-		}
+	if err := grid.CheckStridedRect(srcLo, srcHi, step, src.Dims); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if err := grid.CheckStridedRect(dstLo, dstHi, step, dst.Dims); err != nil {
 		return nil, err
 	}
 	if !src.progressive() || !dst.progressive() {
@@ -114,10 +102,7 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	pairs := make([][]dimPair, n)
 	counts := make([]int, n)
 	for i := 0; i < n; i++ {
-		st := 1
-		if step != nil {
-			st = step[i]
-		}
+		st := grid.StepAt(step, i)
 		cnt := (dims[i] + st - 1) / st
 		ds := dst.dimShares(i, dstLo[i], st, cnt)
 		for _, s := range src.dimShares(i, srcLo[i], st, cnt) {
@@ -135,7 +120,7 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	slab := make([]int, 6*n*total)
 	sCells := make([]int, n)
 	dCells := make([]int, n)
-	err = grid.ForEachRect(make([]int, n), counts, func(idx []int, b int) error {
+	err := grid.ForEachRect(make([]int, n), counts, func(idx []int, b int) error {
 		v := slab[6*n*b:]
 		sLo, sHi, sStep := v[0:n:n], v[n:2*n:2*n], v[2*n:3*n:3*n]
 		dLo, dHi, dStep := v[3*n:4*n:4*n], v[4*n:5*n:5*n], v[5*n:6*n:6*n]
@@ -219,14 +204,7 @@ func (dst *Meta) walkSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Sched
 		ps.DstOffs = append(ps.DstOffs, dOff)
 		return nil
 	}
-	zero := make([]int, n)
-	var err error
-	if step == nil {
-		err = grid.ForEachRect(zero, dims, visit)
-	} else {
-		err = grid.ForEachStridedRect(zero, dims, step, visit)
-	}
-	if err != nil {
+	if err := grid.ForEachStridedRect(make([]int, n), dims, step, visit); err != nil {
 		return nil, err
 	}
 	return sched, nil
@@ -300,12 +278,10 @@ func progressionMeet(a, p, b, q int) (x, l int, ok bool) {
 // with step dstStep in the destination section (a nil step is dense),
 // the two sections belonging to (possibly different) arrays described
 // by their metadata. This is the zero-message service routine of the
-// redistribution plane's same-process pairs: for rectangles of at most
-// MaxFastDims dimensions the dual-odometer walk performs no heap
-// allocation, moving contiguous runs with copy when both sections are
-// row-major doubles with unit innermost steps. Element types may differ
-// (values convert). Both rectangles are validated against the sections'
-// interior dimensions.
+// redistribution plane's same-process pairs: one lattice walk, with no
+// heap allocation for rectangles of at most MaxFastDims dimensions.
+// Element types may differ (values convert). Both rectangles are
+// validated against the sections' interior dimensions.
 func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep []int) error {
 	n := len(srcLo)
 	if dstMeta.NDims() != n || srcMeta.NDims() != n || len(dstLo) != n || len(srcHi) != n {
@@ -315,141 +291,22 @@ func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, s
 	if (srcStep != nil && len(srcStep) != n) || (dstStep != nil && len(dstStep) != n) {
 		return fmt.Errorf("darray: copy-rect steps of rank %d/%d for %d dimensions", len(srcStep), len(dstStep), n)
 	}
-	if srcStep == nil {
-		if err := grid.CheckRect(srcLo, srcHi, srcMeta.LocalDims); err != nil {
-			return err
-		}
-	} else if err := grid.CheckStridedRect(srcLo, srcHi, srcStep, srcMeta.LocalDims); err != nil {
+	if err := grid.CheckStridedRect(srcLo, srcHi, srcStep, srcMeta.LocalDims); err != nil {
 		return err
 	}
-	if n <= MaxFastDims {
-		return copyRectFast(dst, dstMeta, dstLo, dstStep, src, srcMeta, srcLo, srcHi, srcStep)
+	var stack [4 * MaxFastDims]int
+	sc := scratch(stack[:], 4*n)
+	cnt, dstHi, sStr, dStr := sc[:n], sc[n:2*n], sc[2*n:3*n], sc[3*n:]
+	latticeCounts(cnt, srcLo, srcHi, srcStep)
+	for i := range dstHi {
+		dstHi[i] = dstLo[i] + (cnt[i]-1)*grid.StepAt(dstStep, i) + 1
 	}
-	sSt, dSt := orDense(srcStep, n), orDense(dstStep, n)
-	cnt := make([]int, n)
-	dstHi := make([]int, n)
-	for i := 0; i < n; i++ {
-		cnt[i] = (srcHi[i] - srcLo[i] + sSt[i] - 1) / sSt[i]
-		dstHi[i] = dstLo[i] + (cnt[i]-1)*dSt[i] + 1
-	}
-	if err := grid.CheckStridedRect(dstLo, dstHi, dSt, dstMeta.LocalDims); err != nil {
+	if err := grid.CheckStridedRect(dstLo, dstHi, dstStep, dstMeta.LocalDims); err != nil {
 		return err
 	}
-	sStr := grid.Strides(srcMeta.LocalDimsPlus, srcMeta.Indexing)
-	dStr := grid.Strides(dstMeta.LocalDimsPlus, dstMeta.Indexing)
-	sBase, dBase := 0, 0
-	for i := 0; i < n; i++ {
-		sBase += (srcLo[i] + srcMeta.Borders[2*i]) * sStr[i]
-		dBase += (dstLo[i] + dstMeta.Borders[2*i]) * dStr[i]
-		sStr[i] *= sSt[i]
-		dStr[i] *= dSt[i]
-	}
-	zero := make([]int, n)
-	return grid.ForEachRect(zero, cnt, func(idx []int, _ int) error {
-		so, do := sBase, dBase
-		for i := range idx {
-			so += idx[i] * sStr[i]
-			do += idx[i] * dStr[i]
-		}
-		dst.SetFloat(do, src.GetFloat(so))
-		return nil
-	})
-}
-
-// orDense returns step, or a fresh all-ones step of rank n when it is nil.
-func orDense(step []int, n int) []int {
-	if step != nil {
-		return step
-	}
-	st := make([]int, n)
-	for i := range st {
-		st[i] = 1
-	}
-	return st
-}
-
-// copyRectFast is CopyRect specialised to at most MaxFastDims
-// dimensions: all scratch lives in fixed-size stack arrays and a dual
-// odometer advances both sections' storage offsets incrementally, so
-// the copy performs no heap allocation. The source bounds are already
-// validated; the destination bounds are validated here from the lattice
-// counts.
-func copyRectFast(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep []int) error {
-	n := len(srcLo)
-	if srcStep == nil {
-		srcStep = denseStep[:n]
-	}
-	if dstStep == nil {
-		dstStep = denseStep[:n]
-	}
-	var dstHi [MaxFastDims]int
-	var cnt, sStride, dStride, pos [MaxFastDims]int
-	for i := 0; i < n; i++ {
-		cnt[i] = (srcHi[i] - srcLo[i] + srcStep[i] - 1) / srcStep[i]
-		dstHi[i] = dstLo[i] + (cnt[i]-1)*dstStep[i] + 1
-	}
-	if err := grid.CheckStridedRect(dstLo, dstHi[:n], dstStep, dstMeta.LocalDims); err != nil {
-		return err
-	}
-	var sPlus, dPlus [MaxFastDims]int
-	for i := 0; i < n; i++ {
-		sPlus[i] = srcMeta.LocalDimsPlus[i]
-		dPlus[i] = dstMeta.LocalDimsPlus[i]
-	}
-	fill := func(strides *[MaxFastDims]int, plus *[MaxFastDims]int, ix grid.Indexing) {
-		st := 1
-		if ix == grid.RowMajor {
-			for i := n - 1; i >= 0; i-- {
-				strides[i] = st
-				st *= plus[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				strides[i] = st
-				st *= plus[i]
-			}
-		}
-	}
-	fill(&sStride, &sPlus, srcMeta.Indexing)
-	fill(&dStride, &dPlus, dstMeta.Indexing)
-	sOff, dOff := 0, 0
-	for i := 0; i < n; i++ {
-		sOff += (srcLo[i] + srcMeta.Borders[2*i]) * sStride[i]
-		dOff += (dstLo[i] + dstMeta.Borders[2*i]) * dStride[i]
-		sStride[i] *= srcStep[i]
-		dStride[i] *= dstStep[i]
-	}
-	last := n - 1
-	run := cnt[last]
-	contiguous := srcMeta.Indexing == grid.RowMajor && dstMeta.Indexing == grid.RowMajor &&
-		src.Type == Double && dst.Type == Double && srcStep[last] == 1 && dstStep[last] == 1
-	for {
-		if contiguous {
-			copy(dst.F[dOff:dOff+run], src.F[sOff:sOff+run])
-		} else {
-			so, do := sOff, dOff
-			for j := 0; j < run; j++ {
-				dst.SetFloat(do, src.GetFloat(so))
-				so += sStride[last]
-				do += dStride[last]
-			}
-		}
-		i := last - 1
-		for ; i >= 0; i-- {
-			pos[i]++
-			sOff += sStride[i]
-			dOff += dStride[i]
-			if pos[i] < cnt[i] {
-				break
-			}
-			sOff -= cnt[i] * sStride[i]
-			dOff -= cnt[i] * dStride[i]
-			pos[i] = 0
-		}
-		if i < 0 {
-			return nil
-		}
-	}
+	walk(side{dst, layout(dStr, dstLo, dstStep, dstMeta.LocalDims, dstMeta.Borders, dstMeta.Indexing), dStr},
+		side{src, layout(sStr, srcLo, srcStep, srcMeta.LocalDims, srcMeta.Borders, srcMeta.Indexing), sStr}, cnt)
+	return nil
 }
 
 // CopyOffsets copies the elements at the paired storage offsets of a
@@ -497,6 +354,28 @@ type StridedShare struct {
 	PosLo, PosStep []int // placement of the piece on the request lattice
 }
 
+// Place moves the share's packed piece sub between itself and the request
+// buffer full, row-major over the request lattice of per-dimension point
+// counts sdims: into full when toFull (a read reply lands), out of it
+// otherwise (a write's piece is packed). Element t of the piece
+// (per-dimension t[i], row-major over its lattice) sits at request-lattice
+// position PosLo[i] + t[i]*PosStep[i]. It is one lattice walk, with no heap
+// allocation up to MaxFastDims dimensions.
+func (sh *StridedShare) Place(toFull bool, full, sub []float64, sdims []int) {
+	n := len(sdims)
+	var stack [3 * MaxFastDims]int
+	sc := scratch(stack[:], 3*n)
+	cnt, fullStr, subStr := sc[:n], sc[n:2*n], sc[2*n:]
+	latticeCounts(cnt, sh.Lo, sh.Hi, sh.Step)
+	f := side{&Section{Type: Double, F: full}, layout(fullStr, sh.PosLo, sh.PosStep, sdims, nil, grid.RowMajor), fullStr}
+	p := side{&Section{Type: Double, F: sub}, layout(subStr, nil, nil, cnt, nil, grid.RowMajor), subStr}
+	if toFull {
+		walk(f, p, cnt)
+	} else {
+		walk(p, f, cnt)
+	}
+}
+
 // dimShare is one dimension's owner progression inside StridedShares and
 // TransferSchedule: the cell, its local strided run, and the run's
 // placement on the request lattice along that dimension.
@@ -518,12 +397,7 @@ type dimShare struct {
 // so callers fall back to OwnerLattice. Shares appear in row-major cell
 // order; every lattice point lies in exactly one share.
 func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool, err error) {
-	if step == nil {
-		err = grid.CheckRect(lo, hi, m.Dims)
-	} else {
-		err = grid.CheckStridedRect(lo, hi, step, m.Dims)
-	}
-	if err != nil {
+	if err = grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
 		return nil, false, err
 	}
 	if !m.progressive() {
@@ -533,10 +407,7 @@ func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool
 	dims := make([][]dimShare, n)
 	counts := make([]int, n)
 	for i := 0; i < n; i++ {
-		st := 1
-		if step != nil {
-			st = step[i]
-		}
+		st := grid.StepAt(step, i)
 		dims[i] = m.dimShares(i, lo[i], st, (hi[i]-lo[i]+st-1)/st)
 		counts[i] = len(dims[i])
 	}

@@ -590,3 +590,15 @@ func FuzzTransferSchedule(f *testing.F) {
 		}
 	})
 }
+
+// orDense returns step, or a fresh all-ones step of rank n when it is nil.
+func orDense(step []int, n int) []int {
+	if step != nil {
+		return step
+	}
+	st := make([]int, n)
+	for i := range st {
+		st[i] = 1
+	}
+	return st
+}

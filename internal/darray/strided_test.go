@@ -32,7 +32,7 @@ func refSection(t *testing.T, typ ElemType, localDims, borders []int, ix grid.In
 	return s
 }
 
-// TestSectionStridedReadWrite checks the strided section copies against
+// TestSectionStridedReadWrite checks MoveLattice's strided moves against
 // per-element enumeration across border widths, indexing orders and
 // element types.
 func TestSectionStridedReadWrite(t *testing.T) {
@@ -64,7 +64,7 @@ func TestSectionStridedReadWrite(t *testing.T) {
 			s := refSection(t, c.typ, c.localDims, c.borders, c.ix, value)
 			n := grid.StridedRectSize(c.lo, c.hi, c.step)
 			dst := make([]float64, n)
-			if err := s.ReadBlockStridedInto(dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
+			if err := s.MoveLattice(true, dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
 				t.Fatal(err)
 			}
 			if err := grid.ForEachStridedRect(c.lo, c.hi, c.step, func(lidx []int, k int) error {
@@ -84,7 +84,7 @@ func TestSectionStridedReadWrite(t *testing.T) {
 			for i := range dst {
 				dst[i] += 1000
 			}
-			if err := s.WriteBlockStrided(dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
+			if err := s.MoveLattice(false, dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
 				t.Fatal(err)
 			}
 			onLattice := func(lidx []int) bool {
@@ -121,28 +121,28 @@ func TestSectionStridedReadWrite(t *testing.T) {
 	}
 }
 
-// TestSectionStridedErrors covers the validation of the strided section
-// copies.
+// TestSectionStridedErrors covers MoveLattice's validation of strided
+// moves.
 func TestSectionStridedErrors(t *testing.T) {
 	s := NewSection(Double, 16)
 	localDims := []int{4, 4}
 	borders := NoBorders(2)
-	if err := s.ReadBlockStridedInto(make([]float64, 4), []int{0, 0}, []int{4, 4}, []int{0, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(true, make([]float64, 4), []int{0, 0}, []int{4, 4}, []int{0, 2}, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("zero step accepted")
 	}
-	if err := s.ReadBlockStridedInto(make([]float64, 3), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(true, make([]float64, 3), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("wrong-size buffer accepted")
 	}
-	if err := s.WriteBlockStrided(make([]float64, 4), []int{0, 0}, []int{5, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(false, make([]float64, 4), []int{0, 0}, []int{5, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("out-of-range rectangle accepted")
 	}
-	if err := s.WriteBlockStrided(make([]float64, 5), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(false, make([]float64, 5), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("wrong-size values accepted")
 	}
 }
 
-// TestSectionStridedZeroAllocs pins the strided section copies at zero
-// heap allocations, like the dense fast path they share machinery with.
+// TestSectionStridedZeroAllocs pins MoveLattice's strided moves at zero
+// heap allocations, like the dense moves on the same walk.
 func TestSectionStridedZeroAllocs(t *testing.T) {
 	localDims := []int{16, 16}
 	borders := []int{1, 1, 2, 0}
@@ -150,20 +150,20 @@ func TestSectionStridedZeroAllocs(t *testing.T) {
 	lo, hi, step := []int{0, 0}, []int{16, 16}, []int{2, 3}
 	buf := make([]float64, grid.StridedRectSize(lo, hi, step))
 	read := testing.AllocsPerRun(200, func() {
-		if err := s.ReadBlockStridedInto(buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
+		if err := s.MoveLattice(true, buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
 			t.Error(err)
 		}
 	})
 	write := testing.AllocsPerRun(200, func() {
-		if err := s.WriteBlockStrided(buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
+		if err := s.MoveLattice(false, buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
 			t.Error(err)
 		}
 	})
 	if read != 0 {
-		t.Errorf("ReadBlockStridedInto: %v allocs/op, want 0", read)
+		t.Errorf("MoveLattice read: %v allocs/op, want 0", read)
 	}
 	if write != 0 {
-		t.Errorf("WriteBlockStrided: %v allocs/op, want 0", write)
+		t.Errorf("MoveLattice write: %v allocs/op, want 0", write)
 	}
 }
 

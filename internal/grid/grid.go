@@ -483,12 +483,22 @@ func ForEachRect(lo, hi []int, f func(idx []int, k int) error) error {
 // in every dimension recovers the dense rectangle. Strided rectangles are
 // the transfer unit for regular sub-sampled access (every k-th row/column:
 // animation down-sampling, multigrid restriction); like dense rectangles
-// they split by owning section into one message per owner.
+// they split by owning section into one message per owner. A nil step is
+// the dense rectangle: the functions below treat it as 1 in every
+// dimension.
+
+// StepAt returns step[i], or 1 when step is nil (dense).
+func StepAt(step []int, i int) int {
+	if step == nil {
+		return 1
+	}
+	return step[i]
+}
 
 // CheckStridedRect validates the strided rectangle (lo, hi, step) against
 // dims: the bounds must satisfy CheckRect and every step must be >= 1.
 func CheckStridedRect(lo, hi, step, dims []int) error {
-	if err := CheckRect(lo, hi, dims); err != nil {
+	if err := CheckRect(lo, hi, dims); err != nil || step == nil {
 		return err
 	}
 	if len(step) != len(dims) {
@@ -508,7 +518,8 @@ func CheckStridedRect(lo, hi, step, dims []int) error {
 func StridedRectDims(lo, hi, step []int) []int {
 	out := make([]int, len(lo))
 	for i := range lo {
-		out[i] = (hi[i] - lo[i] + step[i] - 1) / step[i]
+		st := StepAt(step, i)
+		out[i] = (hi[i] - lo[i] + st - 1) / st
 	}
 	return out
 }
@@ -519,7 +530,8 @@ func StridedRectDims(lo, hi, step []int) []int {
 func StridedRectSize(lo, hi, step []int) int {
 	s := 1
 	for i := range lo {
-		s *= (hi[i] - lo[i] + step[i] - 1) / step[i]
+		st := StepAt(step, i)
+		s *= (hi[i] - lo[i] + st - 1) / st
 	}
 	return s
 }
@@ -536,8 +548,9 @@ func IntersectStridedRect(lo, hi, step, blo, bhi []int) (olo, ohi []int, ok bool
 		l := max(lo[i], blo[i])
 		h := min(hi[i], bhi[i])
 		// Align l up to the lattice anchored at lo[i].
-		if rem := (l - lo[i]) % step[i]; rem != 0 {
-			l += step[i] - rem
+		st := StepAt(step, i)
+		if rem := (l - lo[i]) % st; rem != 0 {
+			l += st - rem
 		}
 		if l >= h {
 			return nil, nil, false
@@ -569,7 +582,7 @@ func ForEachStridedRect(lo, hi, step []int, f func(idx []int, k int) error) erro
 		}
 		i := n - 1
 		for ; i >= 0; i-- {
-			idx[i] += step[i]
+			idx[i] += StepAt(step, i)
 			if idx[i] < hi[i] {
 				break
 			}
