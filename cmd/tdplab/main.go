@@ -9,7 +9,7 @@
 //	tdplab all                      # run everything
 //	tdplab E10 E12 ...              # run selected experiments
 //	tdplab decomp 10x8 4 block,cyclic   # show a decomposition's layout
-//	tdplab redist 16x16 4 "*,block" "cyclic,*"   # show a transfer schedule
+//	tdplab redist 16x16 4 "*,block" "cyclic,*"   # show a transfer schedule (run lists per pair)
 //	tdplab chaos [seed]             # run a verified workload under a fault plan
 //	tdplab heal [seed]              # kill processors mid-run and watch the machine heal
 //	tdplab netrun                   # run climate across two OS processes over TCP
@@ -170,8 +170,8 @@ usage:
   tdplab redist <dims> <P> <src> <dst>
                                      show the owner-pair transfer schedule for
                                      redistributing the whole array between two
-                                     distributions (pairs, bytes, messages) without
-                                     running it (e.g. tdplab redist 16x16 4 "*,block" "cyclic,*")
+                                     distributions (pairs, runs, bytes, messages) without
+                                     running it (e.g. tdplab redist 512x512 4 "block_cyclic(8),*" "*,block")
   tdplab chaos [seed]                run a mixed block/element/redistribute workload
                                      under a seeded drop+dup+jitter+reorder fault plan,
                                      verify it against a sequential reference, and print
@@ -305,11 +305,13 @@ func offlineMeta(seq int, dims []int, p int, distribArg string) (*darray.Meta, [
 
 // showRedist computes and prints the owner-pair transfer schedule for
 // redistributing a whole array from one distribution to another: which
-// processor ships how much to which, each pair's form (descriptor with
-// per-side steps, or offset set), the bytes it puts on the wire (values
-// plus encoded index ints) and the resulting message budget of the
-// direct plane against the gather-then-scatter bounce, for a caller on
-// processor 0 — all static arithmetic, no machine and no data movement.
+// processor ships how much to which, each pair's runs per dimension
+// (one on block and cyclic sides, several where a side is block-cyclic
+// of width > 1) and per-side steps, the bytes it puts on the wire
+// (values plus encoded index ints) and the resulting message budget of
+// the direct plane against the gather-then-scatter bounce, for a caller
+// on processor 0 — all static arithmetic, no machine and no data
+// movement.
 func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	dims, err := parseDims(dimsArg)
 	if err != nil {
@@ -335,63 +337,58 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	const elemBytes = 8
 	fmt.Printf("redistribute %v: (%s) -> (%s) over %d processors\n",
 		dims, grid.DistribString(srcSpecs), grid.DistribString(dstSpecs), p)
-	fmt.Printf("  schedule: %d owner pairs (%d descriptor, %d offset set)\n",
-		sched.NPairs(), len(sched.Blocks), len(sched.Sets))
-	fmt.Println("  src -> dst  piece       src step  dst step   elements wire bytes  transport")
-	// srcIdx/dstIdx are the index ints each side of a pair ships: bounds
-	// and step for a descriptor, one offset per element for a set.
-	type edge struct {
-		srcProc, dstProc, elems int
-		kind, srcStep, dstStep  string
-		srcIdx, dstIdx          [][]int
-	}
-	stepString := func(st []int) string {
-		if st == nil {
-			return "dense"
-		}
-		return fmt.Sprint(st)
-	}
-	edges := make([]edge, 0, sched.NPairs())
-	for _, b := range sched.Blocks {
-		elems := grid.StridedRectSize(b.SrcLo, b.SrcHi, b.SrcStep)
-		edges = append(edges, edge{b.SrcProc, b.DstProc, elems, "descriptor",
-			stepString(b.SrcStep), stepString(b.DstStep),
-			[][]int{b.SrcLo, b.SrcHi, b.SrcStep}, [][]int{b.DstLo, b.DstHi, b.DstStep}})
-	}
-	for _, s := range sched.Sets {
-		edges = append(edges, edge{s.SrcProc, s.DstProc, len(s.SrcOffs), "offset set", "-", "-",
-			[][]int{s.SrcOffs}, [][]int{s.DstOffs}})
-	}
+	fmt.Println("  src -> dst  runs        src step  dst step   elements wire bytes  transport")
 	// encoded is the wire size of index ints (varints with a length).
-	encoded := func(xss [][]int) int {
+	encoded := func(xss ...[]int) int {
 		var b []byte
 		for _, xs := range xss {
 			b = wire.AppendInts(b, xs)
 		}
 		return len(b)
 	}
-	totalElems, totalBytes, crossPairs := 0, 0, 0
+	// stepString prints a side's steps, a stretch of k equal ones as s×k.
+	stepString := func(st []int) string {
+		if st == nil {
+			return "dense"
+		}
+		var parts []string
+		for i, k := 0, 1; i < len(st); i, k = i+k, 1 {
+			for i+k < len(st) && st[i+k] == st[i] {
+				k++
+			}
+			if parts = append(parts, strconv.Itoa(st[i])); k > 1 {
+				parts[len(parts)-1] += "×" + strconv.Itoa(k)
+			}
+		}
+		return "[" + strings.Join(parts, " ") + "]"
+	}
+	totalElems, totalBytes, crossPairs, multi := 0, 0, 0, 0
 	srcOwners, dstOwners := map[int]bool{}, map[int]bool{}
-	for _, e := range edges {
+	for _, e := range sched.Blocks {
 		// The ship order to a remote source owner carries both sides'
-		// index ints; a cross-process ship carries the values and the
-		// destination side again.
+		// bounds and steps and the run counts; a cross-process ship
+		// carries the values and the destination side again.
+		elems, _ := darray.LatticeSize(e.SrcLo, e.SrcHi, e.SrcStep, e.Runs, src.LocalDims)
 		bytes := 0
-		if e.srcProc != 0 {
-			bytes += encoded(e.srcIdx) + encoded(e.dstIdx)
+		if e.SrcProc != 0 {
+			bytes += encoded(e.SrcLo, e.SrcHi, e.SrcStep, e.DstLo, e.DstHi, e.DstStep, e.Runs)
 		}
 		transport := "local copy (0 messages)"
-		if e.srcProc != e.dstProc {
+		if e.SrcProc != e.DstProc {
 			transport = "1 message"
 			crossPairs++
-			bytes += e.elems*elemBytes + encoded(e.dstIdx)
+			bytes += elems*elemBytes + encoded(e.DstLo, e.DstHi, e.DstStep)
 		}
-		srcOwners[e.srcProc] = true
-		dstOwners[e.dstProc] = true
-		totalElems += e.elems
+		runs := "1 each"
+		if e.Runs != nil {
+			runs, multi = fmt.Sprint(e.Runs), multi+1
+		}
+		srcOwners[e.SrcProc] = true
+		dstOwners[e.DstProc] = true
+		totalElems += elems
 		totalBytes += bytes
 		fmt.Printf("  %3d -> %-3d %-11s %-9s %-9s %9d %10d  %s\n",
-			e.srcProc, e.dstProc, e.kind, e.srcStep, e.dstStep, e.elems, bytes, transport)
+			e.SrcProc, e.DstProc, runs, stepString(e.SrcStep), stepString(e.DstStep), elems, bytes, transport)
 	}
 	// The direct plane's budget for a caller on processor 0: the
 	// coordinator request, one ship order per remote source owner, one
@@ -422,8 +419,8 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 	if remoteDst > 0 || len(dstOwners) > 1 || !dstOwners[0] {
 		bounce += 1 + remoteDst
 	}
-	fmt.Printf("  total: %d elements, %d wire bytes, %d source owner(s), %d destination owner(s)\n",
-		totalElems, totalBytes, len(srcOwners), len(dstOwners))
+	fmt.Printf("  total: %d owner pairs (%d with several runs in a dimension), %d elements, %d wire bytes, %d source owner(s), %d destination owner(s)\n",
+		len(sched.Blocks), multi, totalElems, totalBytes, len(srcOwners), len(dstOwners))
 	fmt.Printf("  messages (caller on processor 0): direct %d, gather-then-scatter bounce %d\n", direct, bounce)
 	return nil
 }

@@ -18,8 +18,9 @@
 // The numerical content is real and verified: Run's factors must match
 // RunSequential's elimination exactly, and both the initial fill and the
 // final snapshot travel through the bulk data plane of whatever
-// distribution the matrix uses — on a cyclic matrix this exercises the
-// offset-set rectangle coordinators end to end.
+// distribution the matrix uses — on a cyclic or block-cyclic matrix this
+// exercises the closed-form rectangle split (per-owner run lists) end to
+// end.
 package triangular
 
 import (

@@ -10,7 +10,8 @@ import (
 
 // TestFactorsMatchSequential checks the distributed elimination against
 // the sequential reference under every row distribution, including the
-// cyclic layouts whose data plane rides the offset-set coordinators.
+// cyclic and block-cyclic layouts, whose rectangles split into per-owner
+// run lists.
 func TestFactorsMatchSequential(t *testing.T) {
 	for _, c := range []struct {
 		name string

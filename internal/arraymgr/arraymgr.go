@@ -327,6 +327,7 @@ type request struct {
 	lo    []int        // read/write: rectangle bounds (global at the
 	hi    []int        // coordinator, interior-local at the owner)
 	step  []int        // read/write: per-dimension stride (>= 1; nil = dense)
+	runs  []int        // owner read/write: runs per dimension of lo/hi/step (nil = one each)
 	vals  []float64    // write data; read: optional caller buffer
 	slot  int          // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
@@ -1185,7 +1186,7 @@ func (m *Manager) localBlockFast(proc int, id darray.ID, lo, hi, step []int, rea
 	if !e.meta.LocalRect(proc, lo, hiEff[:n], loBuf[:n], hiBuf[:n]) {
 		return StatusOK, false
 	}
-	return movePiece(read, e.section, e.meta, buf, nil, loBuf[:n], hiBuf[:n], step), true
+	return movePiece(read, e.section, e.meta, buf, nil, loBuf[:n], hiBuf[:n], step, nil), true
 }
 
 // localVectorFast attempts the local fast path of the indexed plane: when

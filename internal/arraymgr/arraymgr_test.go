@@ -621,3 +621,28 @@ func TestOpsTracing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRemoteReadInproc prices an 8 KiB remote read on one in-process
+// machine: processor 0 reads the whole piece owned by processor 1 of a
+// block array over 4, so the coordinator's split, the owner's
+// validation and copy, and the request goroutine's stack all sit on the
+// measured path.
+func BenchmarkRemoteReadInproc(b *testing.B) {
+	const p, piece = 4, 1024
+	machine := vp.NewMachine(p)
+	b.Cleanup(machine.Shutdown)
+	m := New(machine)
+	id, st := m.CreateArray(0, distSpec(p*piece, p, grid.BlockDefault(), darray.Double))
+	if st != StatusOK {
+		b.Fatalf("CreateArray: %v", st)
+	}
+	lo, hi := []int{piece}, []int{2 * piece}
+	buf := make([]float64, piece)
+	b.SetBytes(8 * piece)
+	b.ReportAllocs()
+	for b.Loop() {
+		if st := m.ReadBlockInto(0, id, lo, hi, buf); st != StatusOK {
+			b.Fatal(st)
+		}
+	}
+}

@@ -107,6 +107,7 @@ func appendRequest(b []byte, v any) []byte {
 	b = wire.AppendInts(b, r.lo)
 	b = wire.AppendInts(b, r.hi)
 	b = wire.AppendInts(b, r.step)
+	b = wire.AppendInts(b, r.runs)
 	b = wire.AppendInts(b, r.lo2)
 	b = wire.AppendFloat64s(b, r.vals)
 	b = wire.AppendInt(b, r.slot)
@@ -117,17 +118,17 @@ func appendRequest(b []byte, v any) []byte {
 	b = wire.AppendUvarint(b, uint64(len(r.ships)))
 	for i := range r.ships {
 		sh := &r.ships[i]
-		b = wire.AppendInt(b, sh.dstProc)
-		b = wire.AppendInts(b, sh.srcLo)
-		b = wire.AppendInts(b, sh.srcHi)
-		b = wire.AppendInts(b, sh.srcStep)
-		b = wire.AppendInts(b, sh.dstLo)
-		b = wire.AppendInts(b, sh.dstHi)
-		b = wire.AppendInts(b, sh.dstStep)
-		b = wire.AppendInts(b, sh.srcOffs)
-		b = wire.AppendInts(b, sh.dstOffs)
-		b = wire.AppendInt(b, sh.srcSlot)
-		b = wire.AppendInt(b, sh.dstSlot)
+		b = wire.AppendInt(b, sh.SrcProc)
+		b = wire.AppendInt(b, sh.DstProc)
+		b = wire.AppendInts(b, sh.SrcLo)
+		b = wire.AppendInts(b, sh.SrcHi)
+		b = wire.AppendInts(b, sh.SrcStep)
+		b = wire.AppendInts(b, sh.DstLo)
+		b = wire.AppendInts(b, sh.DstHi)
+		b = wire.AppendInts(b, sh.DstStep)
+		b = wire.AppendInts(b, sh.Runs)
+		b = wire.AppendInt(b, sh.SrcSlot)
+		b = wire.AppendInt(b, sh.DstSlot)
 		b = wire.AppendInt(b, sh.pair)
 	}
 	b = wire.AppendUvarint(b, r.seq)
@@ -149,15 +150,15 @@ func sizeRequest(v any) int {
 		n += wire.SizeAny(r.meta)
 	}
 	n += wire.SizeInts(r.gidx) + wire.SizeIntRows(r.gidxs) + wire.SizeInts(r.offs) +
-		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.lo2) +
+		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.runs) + wire.SizeInts(r.lo2) +
 		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) + wire.SizeString(r.which) + 1 +
 		wire.SizeInts(r.procs) + wire.SizeInt(r.node) + wire.SizeUvarint(uint64(len(r.ships)))
 	for i := range r.ships {
 		sh := &r.ships[i]
-		n += wire.SizeInt(sh.dstProc) + wire.SizeInts(sh.srcLo) + wire.SizeInts(sh.srcHi) +
-			wire.SizeInts(sh.srcStep) + wire.SizeInts(sh.dstLo) + wire.SizeInts(sh.dstHi) +
-			wire.SizeInts(sh.dstStep) + wire.SizeInts(sh.srcOffs) + wire.SizeInts(sh.dstOffs) +
-			wire.SizeInt(sh.srcSlot) + wire.SizeInt(sh.dstSlot) + wire.SizeInt(sh.pair)
+		n += wire.SizeInt(sh.SrcProc) + wire.SizeInt(sh.DstProc) + wire.SizeInts(sh.SrcLo) + wire.SizeInts(sh.SrcHi) +
+			wire.SizeInts(sh.SrcStep) + wire.SizeInts(sh.DstLo) + wire.SizeInts(sh.DstHi) +
+			wire.SizeInts(sh.DstStep) + wire.SizeInts(sh.Runs) +
+			wire.SizeInt(sh.SrcSlot) + wire.SizeInt(sh.DstSlot) + wire.SizeInt(sh.pair)
 	}
 	return n + wire.SizeUvarint(r.seq) + wire.SizeUvarint(r.call) + wire.SizeInt(r.pair) +
 		wire.SizeInt(r.src) + wire.SizeInt(r.dst) + wire.SizeInt(r.origin) +
@@ -211,6 +212,9 @@ func readRequest(b []byte) (any, []byte, error) {
 	if r.step, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
+	if r.runs, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
 	if r.lo2, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
@@ -244,37 +248,37 @@ func readRequest(b []byte) (any, []byte, error) {
 		r.ships = make([]redistShip, nships)
 		for i := range r.ships {
 			sh := &r.ships[i]
-			if sh.dstProc, b, err = wire.ReadInt(b); err != nil {
+			if sh.SrcProc, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.srcLo, b, err = wire.ReadInts(b); err != nil {
+			if sh.DstProc, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.srcHi, b, err = wire.ReadInts(b); err != nil {
+			if sh.SrcLo, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.srcStep, b, err = wire.ReadInts(b); err != nil {
+			if sh.SrcHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.dstLo, b, err = wire.ReadInts(b); err != nil {
+			if sh.SrcStep, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.dstHi, b, err = wire.ReadInts(b); err != nil {
+			if sh.DstLo, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.dstStep, b, err = wire.ReadInts(b); err != nil {
+			if sh.DstHi, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.srcOffs, b, err = wire.ReadInts(b); err != nil {
+			if sh.DstStep, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.dstOffs, b, err = wire.ReadInts(b); err != nil {
+			if sh.Runs, b, err = wire.ReadInts(b); err != nil {
 				return nil, b, err
 			}
-			if sh.srcSlot, b, err = wire.ReadInt(b); err != nil {
+			if sh.SrcSlot, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
-			if sh.dstSlot, b, err = wire.ReadInt(b); err != nil {
+			if sh.DstSlot, b, err = wire.ReadInt(b); err != nil {
 				return nil, b, err
 			}
 			if sh.pair, b, err = wire.ReadInt(b); err != nil {

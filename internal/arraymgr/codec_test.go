@@ -72,6 +72,7 @@ func randRequest(rng *rand.Rand) *request {
 		lo:      randInts(rng, 3),
 		hi:      randInts(rng, 3),
 		step:    randInts(rng, 3),
+		runs:    randInts(rng, 2),
 		lo2:     randInts(rng, 3),
 		vals:    randFloats(rng, 32),
 		slot:    rng.Intn(16),
@@ -102,24 +103,27 @@ func randRequest(rng *rand.Rand) *request {
 }
 
 // randShip draws one ship in one of the forms the schedule emits: a
-// descriptor with its own step per side, a descriptor with a nil (dense)
-// step on one side, or an offset set.
+// one-run pair with its own step per side, a one-run pair with a nil
+// (dense) step on one side, or a pair with several runs per dimension.
 func randShip(rng *rand.Rand) redistShip {
-	sh := redistShip{dstProc: rng.Intn(8), srcSlot: rng.Intn(8), dstSlot: rng.Intn(8), pair: rng.Intn(8)}
+	sh := redistShip{pair: rng.Intn(8)}
+	sh.SrcProc, sh.DstProc, sh.SrcSlot, sh.DstSlot = rng.Intn(8), rng.Intn(8), rng.Intn(8), rng.Intn(8)
 	switch rng.Intn(3) {
 	case 0:
-		sh.srcLo, sh.srcHi, sh.srcStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
-		sh.dstLo, sh.dstHi, sh.dstStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
+		sh.SrcLo, sh.SrcHi, sh.SrcStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
+		sh.DstLo, sh.DstHi, sh.DstStep = randInts(rng, 3), randInts(rng, 3), randInts(rng, 3)
 	case 1:
-		sh.srcLo, sh.srcHi = randInts(rng, 3), randInts(rng, 3)
-		sh.dstLo, sh.dstHi = randInts(rng, 3), randInts(rng, 3)
+		sh.SrcLo, sh.SrcHi = randInts(rng, 3), randInts(rng, 3)
+		sh.DstLo, sh.DstHi = randInts(rng, 3), randInts(rng, 3)
 		if rng.Intn(2) == 0 {
-			sh.srcStep = randInts(rng, 3)
+			sh.SrcStep = randInts(rng, 3)
 		} else {
-			sh.dstStep = randInts(rng, 3)
+			sh.DstStep = randInts(rng, 3)
 		}
 	default:
-		sh.srcOffs, sh.dstOffs = randInts(rng, 6), randInts(rng, 6)
+		sh.SrcLo, sh.SrcHi, sh.SrcStep = randInts(rng, 6), randInts(rng, 6), randInts(rng, 6)
+		sh.DstLo, sh.DstHi, sh.DstStep = randInts(rng, 6), randInts(rng, 6), randInts(rng, 6)
+		sh.Runs = randInts(rng, 3)
 	}
 	return sh
 }
@@ -189,14 +193,17 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	roundTrip(t, &wireResponse{})
 	// The ship forms of a redistribution order: a panel pair (rows step 4
 	// at the source, dense at the destination), the converse, both sides
-	// dense, and an offset set.
+	// dense, and a block-cyclic pair with two runs in its one dimension.
 	roundTrip(t, &request{op: opRedistSrc, ships: []redistShip{
-		{dstProc: 1, srcLo: []int{1, 0}, srcHi: []int{510, 128}, srcStep: []int{4, 1},
-			dstLo: []int{0, 128}, dstHi: []int{128, 256}, srcSlot: 1, dstSlot: 1, pair: 0},
-		{dstProc: 2, srcLo: []int{0}, srcHi: []int{4}, dstLo: []int{2}, dstHi: []int{15}, dstStep: []int{4}, pair: 1},
-		{dstProc: 3, srcLo: []int{0}, srcHi: []int{4}, dstLo: []int{0}, dstHi: []int{4}, pair: 2},
-		{dstProc: 1, srcOffs: []int{0, 3, 6}, dstOffs: []int{7, 2, 1}, srcSlot: 2, pair: 4},
+		{darray.PairBlock{DstProc: 1, SrcLo: []int{1, 0}, SrcHi: []int{510, 128}, SrcStep: []int{4, 1},
+			DstLo: []int{0, 128}, DstHi: []int{128, 256}, SrcSlot: 1, DstSlot: 1}, 0},
+		{darray.PairBlock{SrcProc: 1, DstProc: 2, SrcLo: []int{0}, SrcHi: []int{4}, DstLo: []int{2}, DstHi: []int{15}, DstStep: []int{4}}, 1},
+		{darray.PairBlock{DstProc: 3, SrcLo: []int{0}, SrcHi: []int{4}, DstLo: []int{0}, DstHi: []int{4}}, 2},
+		{darray.PairBlock{DstProc: 1, SrcLo: []int{0, 3}, SrcHi: []int{7, 6}, SrcStep: []int{6, 6},
+			DstLo: []int{7, 2}, DstHi: []int{10, 3}, SrcSlot: 2, Runs: []int{2}}, 4},
 	}})
+	// An owner request for a multi-run piece.
+	roundTrip(t, &request{op: opReadLocal, lo: []int{0, 3}, hi: []int{7, 6}, step: []int{6, 6}, runs: []int{2}, slot: 1})
 	// The reply envelope with every Info shape a reply carries.
 	for _, info := range []any{nil, 42, randMeta(rng), []grid.Dist{{Kind: grid.DistBlockCyclic, B: 3}}} {
 		roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Info: info, Pair: 3})

@@ -21,9 +21,10 @@ func cyclicSpec(n, p int) CreateSpec {
 }
 
 // TestCyclicMessageBudget pins the cyclic coordinators' message budget:
-// rectangle transfers on a cyclic array still cost one coordinator request
-// plus one request per remote owning processor, independent of element
-// count, and owners the stride skips are never contacted.
+// rectangle transfers on a cyclic or block-cyclic array still cost one
+// coordinator request plus one request per remote owning processor,
+// independent of element count, and owners the stride skips are never
+// contacted.
 func TestCyclicMessageBudget(t *testing.T) {
 	const p, n = 4, 32
 	machine, m := newTestManager(t, p)
@@ -56,6 +57,28 @@ func TestCyclicMessageBudget(t *testing.T) {
 	}
 	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
 		t.Errorf("cyclic strided read sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
+	}
+
+	// Block-cyclic(3) over 4 processors: each owner's piece is a run
+	// list, still one request per remote owner. Step 6 visits only cells
+	// 0 and 2 (globals 0, 12, 24 and 6, 18, 30).
+	bc := cyclicSpec(n, p)
+	bc.Distrib = []grid.Decomp{grid.BlockCyclicOf(3)}
+	bid := mustCreate(t, m, 0, bc)
+	for _, c := range []struct {
+		step []int
+		want uint64
+	}{{nil, 1 + (p - 1)}, {[]int{6}, 1 + 1}} {
+		before = machine.Router().Sent()
+		if st := m.WriteBlockStrided(0, bid, lo, hi, c.step, vals[:grid.StridedRectSize(lo, hi, c.step)]); st != StatusOK {
+			t.Fatalf("block-cyclic WriteBlockStrided step %v: %v", c.step, st)
+		}
+		if _, st := m.ReadBlockStrided(0, bid, lo, hi, c.step); st != StatusOK {
+			t.Fatalf("block-cyclic ReadBlockStrided step %v: %v", c.step, st)
+		}
+		if got, want := machine.Router().Sent()-before, 2*c.want; got != want {
+			t.Errorf("block-cyclic write+read, step %v, sent %d messages, want %d", c.step, got, want)
+		}
 	}
 
 	// Indexed gather of elements all owned by one remote processor: one

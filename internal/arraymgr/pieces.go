@@ -3,14 +3,14 @@
 // or strided rectangle, or a vector of scattered indices — is split into
 // owner pieces, one request per owning section:
 //
-//   - a rectangle on a layout whose owner holdings are arithmetic
-//     progressions (block dimensions and width-1 cyclic ones) splits into
-//     lattice shares (darray.Meta.StridedShares, nil step meaning dense):
-//     O(ndims) bounds per owner, placed on the request lattice by
-//     darray.StridedShare.Place;
-//   - a rectangle on a block-cyclic B > 1 layout, which has no such form,
-//     and any index vector split into offset sets (OwnerLattice,
-//     OwnerIndices): one storage offset per element, placed by position.
+//   - a rectangle, on any layout, splits in closed form
+//     (darray.Meta.Split, nil step meaning dense): per owner a
+//     darray.PairBlock whose source side is the owner's interior-local
+//     run lists — O(ndims) bounds, or a few runs per dimension on a
+//     block-cyclic layout — and whose destination side places the piece
+//     in the request buffer, one MoveLattice call each way;
+//   - an index vector splits into offset sets (OwnerIndices): one
+//     storage offset per element, placed by position.
 //
 // The owners serve both forms with one read and one write handler, the
 // payload drawn from or returned to the float-buffer pool.
@@ -22,32 +22,36 @@ import (
 )
 
 // piece is one owner's part of a transfer, on the section at grid slot
-// slot of processor proc: a lattice share, whose Lo, Hi and Step are
-// interior-local at the owner and whose PosLo/PosStep place it on the
-// request lattice, or (share nil) an offset set, whose storage offsets
-// offs hold the values of request positions pos.
+// slot of processor proc: a rectangle's schedule block, whose source
+// side is interior-local at the owner and whose destination side is its
+// place in the request buffer, or (blk nil) an offset set, whose storage
+// offsets offs hold the values of request positions pos.
 type piece struct {
 	proc, slot int
-	share      *darray.StridedShare
+	blk        *darray.PairBlock
 	offs, pos  []int
 }
 
-// size is the number of values the piece moves.
-func (p *piece) size() int {
-	if p.share == nil {
+// size is the number of values the piece moves, sdims being the request
+// buffer's lattice shape.
+func (p *piece) size(sdims []int) int {
+	if p.blk == nil {
 		return len(p.offs)
 	}
-	return grid.StridedRectSize(p.share.Lo, p.share.Hi, p.share.Step)
+	n, _ := darray.LatticeSize(p.blk.DstLo, p.blk.DstHi, p.blk.DstStep, p.blk.Runs, sdims) // split built it
+	return n
 }
 
 // place moves the piece's values between the request buffer full (of
 // lattice shape sdims for a rectangle) and the piece's packed buffer
 // sub: into full when toFull (a read reply), out of it otherwise (a
-// write's snapshot).
-func (p *piece) place(toFull bool, full, sub []float64, sdims []int) {
+// write's snapshot). A rectangle piece is one MoveLattice on the request
+// buffer, which allocates nothing up to darray.MaxFastDims dimensions.
+func (p *piece) place(toFull bool, full, sub []float64, sdims []int) error {
 	switch {
-	case p.share != nil:
-		p.share.Place(toFull, full, sub, sdims)
+	case p.blk != nil:
+		buf := darray.Section{Type: darray.Double, F: full}
+		return buf.MoveLattice(!toFull, sub, p.blk.DstLo, p.blk.DstHi, p.blk.DstStep, p.blk.Runs, sdims, nil, grid.RowMajor)
 	case toFull:
 		for j, q := range p.pos {
 			full[q] = sub[j]
@@ -57,13 +61,14 @@ func (p *piece) place(toFull bool, full, sub []float64, sdims []int) {
 			sub[j] = full[q]
 		}
 	}
+	return nil
 }
 
 // ownerReq builds the owner request that moves the piece.
 func (p *piece) ownerReq(op opCode, id darray.ID, vals []float64) *request {
 	r := &request{op: op, id: id, offs: p.offs, vals: vals, slot: p.slot}
-	if p.share != nil {
-		r.lo, r.hi, r.step = p.share.Lo, p.share.Hi, p.share.Step
+	if p.blk != nil {
+		r.lo, r.hi, r.step, r.runs = p.blk.SrcLo, p.blk.SrcHi, p.blk.SrcStep, p.blk.Runs
 	}
 	return r
 }
@@ -72,29 +77,22 @@ func (p *piece) ownerReq(op opCode, id darray.ID, vals []float64) *request {
 // request buffer's length and, for a rectangle, its lattice shape. An
 // index vector (gidxs non-nil) splits by OwnerIndices, sets ordered by
 // first appearance so repeated indices keep last-writer-wins; a rectangle
-// splits by StridedShares, falling back to OwnerLattice only when a
-// block-cyclic dimension leaves no share form.
+// splits by Split.
 func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size int, err error) {
-	var sets []darray.OwnerIndexSet
-	if req.gidxs != nil {
-		size = len(req.gidxs)
-		sets, err = meta.OwnerIndices(req.gidxs)
-	} else {
-		shares, ok, serr := meta.StridedShares(req.lo, req.hi, req.step)
-		if serr != nil {
-			return nil, nil, 0, serr
+	if req.gidxs == nil {
+		blocks, err := meta.Split(req.lo, req.hi, req.step)
+		if err != nil {
+			return nil, nil, 0, err
 		}
 		sdims = grid.StridedRectDims(req.lo, req.hi, req.step)
-		size = grid.Size(sdims)
-		if ok {
-			pieces = make([]piece, len(shares))
-			for i := range shares {
-				pieces[i] = piece{proc: shares[i].Proc, slot: shares[i].Slot, share: &shares[i]}
-			}
-			return pieces, sdims, size, nil
+		pieces = make([]piece, len(blocks))
+		for i := range blocks {
+			b := &blocks[i]
+			pieces[i] = piece{proc: b.SrcProc, slot: b.SrcSlot, blk: b}
 		}
-		sets, err = meta.OwnerLattice(req.lo, req.hi, req.step)
+		return pieces, sdims, grid.Size(sdims), nil
 	}
+	sets, err := meta.OwnerIndices(req.gidxs)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -102,7 +100,7 @@ func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size i
 	for i, s := range sets {
 		pieces[i] = piece{proc: s.Proc, slot: s.Slot, offs: s.Offs, pos: s.Pos}
 	}
-	return pieces, sdims, size, nil
+	return pieces, sdims, len(req.gidxs), nil
 }
 
 // doRead is the read coordinator: it splits the request, scatters one
@@ -143,10 +141,8 @@ func (m *Manager) doRead(proc int, req *request) response {
 		case r.status != StatusOK:
 			status = r.status
 			return
-		case len(r.vals) != p.size():
+		case len(r.vals) != p.size(sdims) || p.place(true, out, r.vals, sdims) != nil:
 			status = StatusError
-		default:
-			p.place(true, out, r.vals, sdims)
 		}
 		putBuf(r.vals)
 	}
@@ -187,9 +183,10 @@ func (m *Manager) doWrite(proc int, req *request) response {
 		return response{status: StatusInvalid}
 	}
 	// pack draws one piece's snapshot: messages carry copies, never views.
+	// The pieces come from split, so placing them cannot fail.
 	pack := func(p *piece) []float64 {
-		sub := m.snapshot(p.size())
-		p.place(false, req.vals, sub, sdims)
+		sub := m.snapshot(p.size(sdims))
+		_ = p.place(false, req.vals, sub, sdims)
 		return sub
 	}
 	replies := make([]*request, len(pieces))
@@ -240,12 +237,12 @@ func (m *Manager) doReadLocal(proc int, req *request) response {
 	if sec == nil {
 		return response{status: StatusError}
 	}
-	n, ok := pieceSize(e.meta, req.offs, req.lo, req.hi, req.step)
+	n, ok := pieceSize(e.meta, req.offs, req.lo, req.hi, req.step, req.runs)
 	if !ok {
 		return response{status: StatusInvalid}
 	}
 	vals := getBuf(n)
-	if st := movePiece(true, sec, e.meta, vals, req.offs, req.lo, req.hi, req.step); st != StatusOK {
+	if st := movePiece(true, sec, e.meta, vals, req.offs, req.lo, req.hi, req.step, req.runs); st != StatusOK {
 		putBuf(vals)
 		return response{status: st}
 	}
@@ -271,7 +268,7 @@ func (m *Manager) doWriteLocal(proc int, req *request) response {
 		srv.mu.Unlock()
 		return response{status: StatusError}
 	}
-	st = movePiece(false, sec, e.meta, req.vals, req.offs, req.lo, req.hi, req.step)
+	st = movePiece(false, sec, e.meta, req.vals, req.offs, req.lo, req.hi, req.step, req.runs)
 	meta := e.meta
 	srv.mu.Unlock()
 	if st != StatusOK {
@@ -283,11 +280,16 @@ func (m *Manager) doWriteLocal(proc int, req *request) response {
 // pieceSize validates one owner piece against the section shape before
 // any buffer is sized for it, and returns its value count: len(offs) for
 // an offset set (the copy bounds-checks each offset), else the point
-// count of the interior-local lattice (lo, hi, step), dense when step is
-// nil.
-func pieceSize(meta *darray.Meta, offs, lo, hi, step []int) (int, bool) {
+// count of the interior-local lattice (lo, hi, step, runs) —
+// darray.LatticeSize, which caps each dimension's runs at the section
+// extent, so a request cannot size a reply larger than the section.
+func pieceSize(meta *darray.Meta, offs, lo, hi, step, runs []int) (int, bool) {
 	if offs != nil {
 		return len(offs), true
+	}
+	if runs != nil {
+		n, err := darray.LatticeSize(lo, hi, step, runs, meta.LocalDims)
+		return n, err == nil
 	}
 	if grid.CheckStridedRect(lo, hi, step, meta.LocalDims) != nil {
 		return 0, false
@@ -297,11 +299,11 @@ func pieceSize(meta *darray.Meta, offs, lo, hi, step []int) (int, bool) {
 
 // movePiece moves one owner piece between vals and the section's storage,
 // into vals when read: the storage offsets offs when non-nil, else the
-// interior-local lattice (lo, hi, step), dense when step is nil. Up to
-// darray.MaxFastDims dimensions it allocates nothing. A failed copy is
-// StatusError for offsets (an offset outside the storage) and
+// interior-local lattice (lo, hi, step, runs), dense when step is nil.
+// Up to darray.MaxFastDims dimensions it allocates nothing. A failed copy
+// is StatusError for offsets (an offset outside the storage) and
 // StatusInvalid for a lattice (bounds outside the section).
-func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64, offs, lo, hi, step []int) Status {
+func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64, offs, lo, hi, step, runs []int) Status {
 	var err error
 	switch {
 	case offs != nil && read:
@@ -309,7 +311,7 @@ func movePiece(read bool, sec *darray.Section, meta *darray.Meta, vals []float64
 	case offs != nil:
 		err = sec.ScatterFrom(vals, offs)
 	default:
-		err = sec.MoveLattice(read, vals, lo, hi, step, meta.LocalDims, meta.Borders, meta.Indexing)
+		err = sec.MoveLattice(read, vals, lo, hi, step, runs, meta.LocalDims, meta.Borders, meta.Indexing)
 	}
 	switch {
 	case err == nil:

@@ -91,7 +91,7 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 		m.mirrors.Add(1)
 		replies = append(replies, m.sendAsync(proc, buddy, &request{
 			op: opMirrorWrite, id: req.id, slot: req.slot,
-			lo: req.lo, hi: req.hi, step: req.step, offs: req.offs, vals: req.vals,
+			lo: req.lo, hi: req.hi, step: req.step, runs: req.runs, offs: req.offs, vals: req.vals,
 		}))
 	}
 	st := StatusOK

@@ -13,13 +13,13 @@
 //   - one redist_ship message per cross-process pair, carrying the
 //     packed piece from source owner to destination owner;
 //   - zero messages for a pair whose source and destination cells land
-//     on the same process — the piece moves with darray.CopyRect or
-//     CopyOffsets under that server's lock.
+//     on the same process — the piece moves with darray.CopyRect under
+//     that server's lock.
 //
-// A pair ships as bounds: a strided local rectangle on each side, with
-// its own step per side (a block→cyclic panel pair reads every P-th row
-// at the source and lands dense at the destination). Only a block-cyclic
-// side of width > 1 ships paired offset lists instead.
+// A pair ships as bounds on any layout: interior-local run lists on each
+// side, with its own step per side (a block→cyclic panel pair reads
+// every P-th row at the source and lands dense at the destination), and
+// a few runs per dimension where a side is block-cyclic of width > 1.
 //
 // That is ≤1 message per non-empty owner pair (plus the per-owner
 // redist_src fan-out), against read+write coordinator rounds for the
@@ -46,23 +46,13 @@ import (
 const kindAMShip = -102
 
 // redistShip is one owner pair's piece of a redistribution, as shipped
-// to the source owner: either a strided local rectangle on each side,
-// each with its own step (nil = dense), or paired storage offsets
-// (srcOffs non-nil marks that form).
+// to the source owner: the schedule block, whose slots route each side
+// to the right section (after a failover promotion a processor may own
+// several slots), and the pair's index in the coordinator's pair list —
+// the ack identity of the resilient protocol and, with the coordinator's
+// call id, the dedup identity at the destination.
 type redistShip struct {
-	dstProc               int
-	srcLo, srcHi, srcStep []int
-	dstLo, dstHi, dstStep []int
-	srcOffs               []int
-	dstOffs               []int
-	// srcSlot/dstSlot are the grid slots the pair's cells belong to:
-	// after a failover promotion a processor may own several slots, so
-	// owners route each piece to the right section by slot, not by
-	// processor.
-	srcSlot, dstSlot int
-	// pair is this ship's index in the coordinator's flattened pair
-	// list: the ack identity of the resilient protocol and, with the
-	// coordinator's call id, the dedup identity at the destination.
+	darray.PairBlock
 	pair int
 }
 
@@ -169,7 +159,7 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 	if err != nil {
 		return response{status: StatusInvalid}
 	}
-	npairs := sched.NPairs()
+	npairs := len(sched.Blocks)
 	if npairs == 0 {
 		return response{status: StatusOK}
 	}
@@ -199,28 +189,9 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		ackID = m.register(ack)
 		defer m.unregister(ackID)
 	}
-	type pairRec struct {
-		srcProc int
-		ship    redistShip
-	}
-	pairs := make([]pairRec, 0, npairs)
-	for _, pb := range sched.Blocks {
-		pairs = append(pairs, pairRec{pb.SrcProc, redistShip{
-			dstProc: pb.DstProc,
-			srcLo:   pb.SrcLo, srcHi: pb.SrcHi, srcStep: pb.SrcStep,
-			dstLo: pb.DstLo, dstHi: pb.DstHi, dstStep: pb.DstStep,
-			srcSlot: pb.SrcSlot, dstSlot: pb.DstSlot,
-		}})
-	}
-	for _, ps := range sched.Sets {
-		pairs = append(pairs, pairRec{ps.SrcProc, redistShip{
-			dstProc: ps.DstProc,
-			srcOffs: ps.SrcOffs, dstOffs: ps.DstOffs,
-			srcSlot: ps.SrcSlot, dstSlot: ps.DstSlot,
-		}})
-	}
-	for i := range pairs {
-		pairs[i].ship.pair = i
+	pairs := make([]redistShip, npairs)
+	for i, pb := range sched.Blocks {
+		pairs[i] = redistShip{pb, i}
 	}
 	// sendGroups (re)issues the listed pairs, grouped by source owner in
 	// schedule order: one redist_src per remote owner, the local group
@@ -230,11 +201,11 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		order := make([]int, 0, 8)
 		bySrc := make(map[int][]redistShip)
 		for _, pi := range todo {
-			sp := pairs[pi].srcProc
+			sp := pairs[pi].SrcProc
 			if _, ok := bySrc[sp]; !ok {
 				order = append(order, sp)
 			}
-			bySrc[sp] = append(bySrc[sp], pairs[pi].ship)
+			bySrc[sp] = append(bySrc[sp], pairs[pi])
 		}
 		for _, sp := range order {
 			if sp == proc {
@@ -328,7 +299,7 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 			if acked[i] {
 				continue
 			}
-			if router.Down(pairs[i].srcProc) || router.Down(pairs[i].ship.dstProc) {
+			if router.Down(pairs[i].SrcProc) || router.Down(pairs[i].DstProc) {
 				acked[i] = true
 				remaining--
 				if StatusDown > status {
@@ -383,7 +354,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			m.shipAck(proc, req, response{status: st, pair: sh.pair})
 			continue
 		}
-		if sh.dstProc == proc {
+		if sh.DstProc == proc {
 			m.shipAck(proc, req, response{status: m.redistLocalPair(proc, req.id2, e, sh), pair: sh.pair})
 			continue
 		}
@@ -392,8 +363,8 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		srv.mu.Lock()
 		// A promoted processor can source several slots of the same array;
 		// the ship's slot picks the section the piece actually lives in.
-		sec := e.sectionFor(sh.srcSlot)
-		n, ok := pieceSize(e.meta, sh.srcOffs, sh.srcLo, sh.srcHi, sh.srcStep)
+		sec := e.sectionFor(sh.SrcSlot)
+		n, ok := pieceSize(e.meta, nil, sh.SrcLo, sh.SrcHi, sh.SrcStep, sh.Runs)
 		switch {
 		case sec == nil:
 			fail = StatusError
@@ -401,7 +372,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			fail = StatusInvalid
 		default:
 			vals = alloc(n)
-			fail = movePiece(true, sec, e.meta, vals, sh.srcOffs, sh.srcLo, sh.srcHi, sh.srcStep)
+			fail = movePiece(true, sec, e.meta, vals, nil, sh.SrcLo, sh.SrcHi, sh.SrcStep, sh.Runs)
 		}
 		srv.mu.Unlock()
 		if fail != StatusOK {
@@ -410,15 +381,15 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			continue
 		}
 		dreq := newShipReq(faulty)
-		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.dstSlot,
-			lo: sh.dstLo, hi: sh.dstHi, step: sh.dstStep, offs: sh.dstOffs,
+		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.DstSlot,
+			lo: sh.DstLo, hi: sh.DstHi, step: sh.DstStep, runs: sh.Runs,
 			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
-		if err := m.postShip(proc, sh.dstProc, dreq); err != nil {
+		if err := m.postShip(proc, sh.DstProc, dreq); err != nil {
 			putBuf(vals)
 			recycleShipReq(faulty, dreq)
 			m.shipAck(proc, req, response{status: sendStatus(err), pair: sh.pair})
-		} else if !router.Local(sh.dstProc) {
+		} else if !router.Local(sh.DstProc) {
 			// Remote ship: the transport serialized the piece before
 			// returning, so the buffer and request recycle immediately.
 			putBuf(vals)
@@ -429,8 +400,8 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 
 // redistLocalPair moves one pair whose source and destination cells
 // live on the same processor: no message and no intermediate buffer,
-// just CopyRect/CopyOffsets between the two sections under the server
-// lock — the zero-copy fast path of the redistribution plane.
+// just CopyRect between the two sections under the server lock — the
+// zero-copy fast path of the redistribution plane.
 func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh redistShip) Status {
 	srv := m.servers[proc]
 	srv.mu.Lock()
@@ -439,18 +410,13 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 		srv.mu.Unlock()
 		return StatusNotFound
 	}
-	dsec := de.sectionFor(sh.dstSlot)
-	ssec := srcE.sectionFor(sh.srcSlot)
+	dsec := de.sectionFor(sh.DstSlot)
+	ssec := srcE.sectionFor(sh.SrcSlot)
 	if dsec == nil || ssec == nil {
 		srv.mu.Unlock()
 		return StatusError
 	}
-	if sh.srcOffs != nil {
-		if darray.CopyOffsets(dsec, ssec, sh.dstOffs, sh.srcOffs) != nil {
-			srv.mu.Unlock()
-			return StatusError
-		}
-	} else if darray.CopyRect(dsec, de.meta, sh.dstLo, sh.dstStep, ssec, srcE.meta, sh.srcLo, sh.srcHi, sh.srcStep) != nil {
+	if darray.CopyRect(dsec, de.meta, sh.DstLo, sh.DstStep, ssec, srcE.meta, sh.SrcLo, sh.SrcHi, sh.SrcStep, sh.Runs) != nil {
 		srv.mu.Unlock()
 		return StatusInvalid
 	}
@@ -463,21 +429,21 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 	// path just wrote, then mirror outside the lock (buddies mirror to
 	// each other, so awaiting under the lock could deadlock a ring).
 	meta := de.meta
-	n, _ := pieceSize(meta, sh.dstOffs, sh.dstLo, sh.dstHi, sh.dstStep) // the copy above validated it
+	n, _ := pieceSize(meta, nil, sh.DstLo, sh.DstHi, sh.DstStep, sh.Runs) // the copy above validated it
 	vals := make([]float64, n)
-	st := movePiece(true, dsec, meta, vals, sh.dstOffs, sh.dstLo, sh.dstHi, sh.dstStep)
+	st := movePiece(true, dsec, meta, vals, nil, sh.DstLo, sh.DstHi, sh.DstStep, sh.Runs)
 	srv.mu.Unlock()
 	if st != StatusOK {
 		return StatusError
 	}
-	return m.mirrorWrite(proc, meta, &request{id: dstID, slot: sh.dstSlot,
-		lo: sh.dstLo, hi: sh.dstHi, step: sh.dstStep, offs: sh.dstOffs, vals: vals})
+	return m.mirrorWrite(proc, meta, &request{id: dstID, slot: sh.DstSlot,
+		lo: sh.DstLo, hi: sh.DstHi, step: sh.DstStep, runs: sh.Runs, vals: vals})
 }
 
 // doRedistShip lands one shipped piece at its destination owner: the
-// packed values are written to the destination rectangle (or scattered
-// to the destination offsets), the pair is acknowledged, and the buffer
-// is returned to the pool of the source owner that drew it.
+// packed values are written to the destination run lists, the pair is
+// acknowledged, and the buffer is returned to the pool of the source
+// owner that drew it.
 func (m *Manager) doRedistShip(proc int, req *request) {
 	node, vals := req.node, req.vals
 	var meta *darray.Meta
@@ -488,7 +454,7 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 		if sec := e.sectionFor(req.slot); sec == nil {
 			st = StatusError
 		} else {
-			st = movePiece(false, sec, e.meta, vals, req.offs, req.lo, req.hi, req.step)
+			st = movePiece(false, sec, e.meta, vals, nil, req.lo, req.hi, req.step, req.runs)
 		}
 		if st == StatusOK {
 			meta = e.meta
@@ -582,7 +548,7 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 	if !de.meta.LocalRect(proc, dstLo, hiEffD[:n], dLo[:n], dHi[:n]) {
 		return StatusOK, false
 	}
-	if darray.CopyRect(de.section, de.meta, dLo[:n], step, se.section, se.meta, sLo[:n], sHi[:n], step) != nil {
+	if darray.CopyRect(de.section, de.meta, dLo[:n], step, se.section, se.meta, sLo[:n], sHi[:n], step, nil) != nil {
 		return StatusInvalid, true
 	}
 	return StatusOK, true

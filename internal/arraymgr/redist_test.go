@@ -255,6 +255,41 @@ func TestRedistributeMessageBudget(t *testing.T) {
 		t.Errorf("strided redistribute sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
+	// Block-cyclic sides ship run lists, still one message per pair.
+	// block → block_cyclic(3): 8 non-empty pairs, 3 same-process.
+	// block_cyclic(2) → block_cyclic(3): 11 pairs, 2 same-process.
+	// Budgets: 1 + 3 + 5 = 9 and 1 + 3 + 9 = 13; both land every value.
+	bc2 := mustCreate(t, m, 0, distSpec(n, p, grid.BlockCyclicOf(2), darray.Double))
+	bc3 := mustCreate(t, m, 0, distSpec(n, p, grid.BlockCyclicOf(3), darray.Double))
+	for i := range vals {
+		vals[i] = float64(3*i + 1)
+	}
+	for _, c := range []struct {
+		name     string
+		dst, src darray.ID
+		want     uint64
+	}{{"block->block_cyclic(3)", bc3, src, 1 + 3 + 5}, {"block_cyclic(2)->block_cyclic(3)", bc3, bc2, 1 + 3 + 9}} {
+		if st := m.WriteBlock(0, c.src, []int{0}, []int{n}, vals); st != StatusOK {
+			t.Fatalf("%s: fill: %v", c.name, st)
+		}
+		before = machine.Router().Sent()
+		if st := m.Redistribute(0, c.dst, c.src, []int{0}, []int{n}); st != StatusOK {
+			t.Fatalf("%s: Redistribute: %v", c.name, st)
+		}
+		if got := machine.Router().Sent() - before; got != c.want {
+			t.Errorf("%s whole-array redistribute sent %d messages, want %d", c.name, got, c.want)
+		}
+		got, st := m.ReadBlock(0, c.dst, []int{0}, []int{n})
+		if st != StatusOK {
+			t.Fatalf("%s: read back: %v", c.name, st)
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
+				t.Fatalf("%s: element %d = %v, want %v", c.name, i, got[i], vals[i])
+			}
+		}
+	}
+
 	// The panel handoff, (*,block) → (cyclic,*): columns [4,8) of a 16x16
 	// array live on source owner 1 and fan out over the 4 cyclic row
 	// owners: 4 descriptor pairs, 1 of them same-process. Budget:
@@ -394,7 +429,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	// request is caller-owned (doRedistSrc only pools what it creates),
 	// so one request drives every iteration.
 	pairReq := &request{id: src, id2: dst,
-		ships: []redistShip{{dstProc: 0, srcLo: lo, srcHi: hi, dstLo: lo, dstHi: hi}},
+		ships: []redistShip{{PairBlock: darray.PairBlock{SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi}}},
 		ack:   ack}
 	local := func() {
 		m.doRedistSrc(0, pairReq)
@@ -436,9 +471,8 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 		t.Fatalf("panel pair 0->0 = %+v, want a strided source and a dense destination", pb)
 	}
 	stridedReq := &request{id: pa, id2: pw,
-		ships: []redistShip{{dstProc: 0, srcLo: pb.SrcLo, srcHi: pb.SrcHi, srcStep: pb.SrcStep,
-			dstLo: pb.DstLo, dstHi: pb.DstHi, srcSlot: pb.SrcSlot, dstSlot: pb.DstSlot}},
-		ack: ack}
+		ships: []redistShip{{PairBlock: pb}},
+		ack:   ack}
 	stridedLocal := func() {
 		m.doRedistSrc(0, stridedReq)
 		if r := <-ack; r.status != StatusOK {
@@ -458,7 +492,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	elems := grid.StridedRectSize(pb.SrcLo, pb.SrcHi, pb.SrcStep)
 	denseShip := func() {
 		buf := getBuf(elems)
-		if err := asec.MoveLattice(true, buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, am.LocalDims, am.Borders, am.Indexing); err != nil {
+		if err := asec.MoveLattice(true, buf, pb.SrcLo, pb.SrcHi, pb.SrcStep, nil, am.LocalDims, am.Borders, am.Indexing); err != nil {
 			t.Fatal(err)
 		}
 		req := getShipReq()

@@ -241,36 +241,42 @@ func TestStridedOwnerReplyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCopyShareZeroAllocs pins darray.StridedShare.Place, which places
-// every rectangle read reply and packs every rectangle write, at zero
-// heap allocations in both directions for a rectangle of at most
-// darray.MaxFastDims dimensions: its walk's scratch lives in fixed arrays.
+// TestCopyShareZeroAllocs pins piece.place, which places every rectangle
+// read reply and packs every rectangle write with one MoveLattice on the
+// request buffer, at zero heap allocations in both directions for a
+// rectangle of at most darray.MaxFastDims dimensions — one run per
+// dimension (cyclic x block) and several (block-cyclic) alike: the walk's
+// scratch lives in fixed arrays.
 func TestCopyShareZeroAllocs(t *testing.T) {
 	_, m := newTestManager(t, 4)
-	id := mustCreate(t, m, 0, CreateSpec{
-		Type: darray.Double, Dims: []int{12, 10}, Procs: []int{0, 1, 2, 3},
-		Distrib: []grid.Decomp{grid.CyclicOf(2), grid.BlockOf(2)},
-		Borders: NoBorderSpec{}, Indexing: grid.RowMajor,
-	})
-	meta, st := m.Meta(0, id)
-	if st != StatusOK {
-		t.Fatalf("Meta: %v", st)
-	}
-	lo, hi, step := []int{1, 0}, []int{12, 9}, []int{2, 1}
-	shares, ok, err := meta.StridedShares(lo, hi, step)
-	if err != nil || !ok || len(shares) == 0 {
-		t.Fatalf("StridedShares: %d shares, ok=%v, %v", len(shares), ok, err)
-	}
-	sdims := grid.StridedRectDims(lo, hi, step)
-	full := make([]float64, grid.Size(sdims))
-	sh := &shares[len(shares)-1]
-	sub := make([]float64, grid.StridedRectSize(sh.Lo, sh.Hi, sh.Step))
-	allocs := testing.AllocsPerRun(200, func() {
-		sh.Place(false, full, sub, sdims)
-		sh.Place(true, full, sub, sdims)
-	})
-	if allocs != 0 {
-		t.Errorf("StridedShare.Place: %v allocs/op, want 0", allocs)
+	for _, distrib := range [][]grid.Decomp{
+		{grid.CyclicOf(2), grid.BlockOf(2)},
+		{grid.BlockCyclicOfN(2, 2), grid.BlockCyclicOfN(3, 2)},
+	} {
+		id := mustCreate(t, m, 0, CreateSpec{
+			Type: darray.Double, Dims: []int{12, 10}, Procs: []int{0, 1, 2, 3},
+			Distrib: distrib, Borders: NoBorderSpec{}, Indexing: grid.RowMajor,
+		})
+		meta, st := m.Meta(0, id)
+		if st != StatusOK {
+			t.Fatalf("Meta: %v", st)
+		}
+		lo, hi, step := []int{1, 0}, []int{12, 9}, []int{2, 1}
+		pieces, sdims, size, err := split(meta, &request{lo: lo, hi: hi, step: step})
+		if err != nil || len(pieces) == 0 {
+			t.Fatalf("split: %d pieces, %v", len(pieces), err)
+		}
+		full := make([]float64, size)
+		p := &pieces[len(pieces)-1]
+		sub := make([]float64, p.size(sdims))
+		allocs := testing.AllocsPerRun(200, func() {
+			if p.place(false, full, sub, sdims) != nil || p.place(true, full, sub, sdims) != nil {
+				t.Fatal("place failed")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: piece.place (runs %v): %v allocs/op, want 0", distrib, p.blk.Runs, allocs)
+		}
 	}
 }
 

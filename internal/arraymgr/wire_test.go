@@ -183,3 +183,42 @@ func TestWrongLengthReplyRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedRunsRefused pins the guard against request amplification:
+// an owner request whose run list names the owner's whole section k
+// times is a few hundred bytes on the wire but would size a reply of k
+// sections. darray.LatticeSize caps each dimension's listed points at
+// the section extent, so the owner read refuses it with StatusInvalid
+// and no reply buffer, and a redistribution ship carrying the same list
+// is acknowledged StatusInvalid without being read.
+func TestRepeatedRunsRefused(t *testing.T) {
+	const n, k = 64, 64
+	_, m := newTestManager(t, 2)
+	id := mustCreate(t, m, 0, distSpec(n, 2, grid.BlockDefault(), darray.Double))
+	dst := mustCreate(t, m, 0, distSpec(n, 2, grid.CyclicDefault(), darray.Double))
+	lo, hi := make([]int, k), make([]int, k)
+	for i := range hi {
+		hi[i] = n / 2
+	}
+	raw, err := wire.AppendAny(nil, &request{op: opReadLocal, id: id, lo: lo, hi: hi, runs: []int{k}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) > 4*k {
+		t.Fatalf("the hostile request takes %d bytes; the test wants a small one", len(raw))
+	}
+	v, _, err := wire.ReadAny(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := m.doReadLocal(0, v.(*request)); r.status != StatusInvalid || r.vals != nil {
+		t.Fatalf("read_local over %d copies of the section: %v with %d values, want %v and no reply buffer",
+			k, r.status, len(r.vals), StatusInvalid)
+	}
+	ack := make(chan response, 1)
+	m.doRedistSrc(0, &request{op: opRedistSrc, id: id, id2: dst, ack: ack, ships: []redistShip{{PairBlock: darray.PairBlock{
+		DstProc: 1, SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi, Runs: []int{k}}}}})
+	if r := <-ack; r.status != StatusInvalid {
+		t.Fatalf("redist_src over %d copies of the section: ack %v, want %v", k, r.status, StatusInvalid)
+	}
+}

@@ -111,8 +111,9 @@ func TestClimateIdenticalAcrossProcesses(t *testing.T) {
 // oracleOps drives one machine through a seeded randomized workload
 // covering every data-plane path — dense and strided block transfers,
 // gather/scatter, element ops, and redistribution between differently
-// distributed arrays — and returns every byte the machine produced. Two
-// machines given the same seed must return identical logs.
+// distributed arrays, a block-cyclic one among them so that run-list
+// pieces and ships cross the codec — and returns every byte the machine
+// produced. Two machines given the same seed must return identical logs.
 func oracleOps(m *core.Machine, seed int64, iters int) ([]float64, error) {
 	const rows, cols = 12, 8
 	rng := rand.New(rand.NewSource(seed))
@@ -135,7 +136,16 @@ func oracleOps(m *core.Machine, seed int64, iters int) ([]float64, error) {
 		return nil, fmt.Errorf("create cyclic array: %w", err)
 	}
 	defer b.Free()
-	for _, arr := range []*core.Array{a, b} {
+	c, err := m.NewArray(core.ArraySpec{
+		Dims:    []int{rows, cols},
+		Distrib: []grid.Decomp{grid.BlockCyclicOf(2), grid.BlockCyclicOf(3)},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("create block-cyclic array: %w", err)
+	}
+	defer c.Free()
+	arrs := []*core.Array{a, b, c}
+	for _, arr := range arrs {
 		if err := arr.Fill(func(idx []int) float64 {
 			return float64(idx[0]*cols+idx[1]) / 7
 		}); err != nil {
@@ -156,9 +166,9 @@ func oracleOps(m *core.Machine, seed int64, iters int) ([]float64, error) {
 		return out
 	}
 	var log []float64
-	arrs := []*core.Array{a, b}
 	for i := 0; i < iters; i++ {
-		x := arrs[rng.Intn(2)]
+		xi := rng.Intn(len(arrs))
+		x := arrs[xi]
 		switch rng.Intn(8) {
 		case 0:
 			lo, hi := rect()
@@ -211,11 +221,8 @@ func oracleOps(m *core.Machine, seed int64, iters int) ([]float64, error) {
 			log = append(log, v)
 		case 7:
 			lo, hi := rect()
-			dst, src := a, b
-			if rng.Intn(2) == 0 {
-				dst, src = b, a
-			}
-			if err := dst.RedistributeFrom(src, lo, hi); err != nil {
+			src := arrs[(xi+1+rng.Intn(len(arrs)-1))%len(arrs)]
+			if err := x.RedistributeFrom(src, lo, hi); err != nil {
 				return nil, fmt.Errorf("op %d redistribute: %w", i, err)
 			}
 		}

@@ -303,9 +303,10 @@ func (m *Meta) Owner(gidx []int) (proc, storageOff int, err error) {
 
 // MaxFastDims bounds the dimensionality served allocation-free by the
 // local fast path (LocalRect) and by the lattice walk under every section
-// and buffer copy (MoveLattice, CopyRect, CopyInterior,
-// StridedShare.Place), whose scratch lives in fixed-size stack arrays.
-// Beyond it the same walk takes its scratch from the heap.
+// and buffer copy (MoveLattice, CopyRect, CopyInterior, and through
+// MoveLattice the placement of every rectangle piece on its request
+// buffer), whose scratch lives in fixed-size stack arrays. Beyond it the
+// same walk takes its scratch from the heap.
 const MaxFastDims = 8
 
 // LocalRect reports whether the global rectangle [lo, hi) lies entirely
@@ -382,9 +383,9 @@ func (m *Meta) localRectDim(i int, lin *int, lo, hi, dstLo, dstHi []int) bool {
 // OwnerBlock describes the piece of a global rectangle held by one local
 // section: the owning processor, the sub-rectangle in global indices, and
 // the same sub-rectangle translated to interior-local indices. The data
-// plane splits rectangles with StridedShares; OwnerBlocks stays as the
-// plain block-only split, which the repo's owner-split probe
-// (bench/probes.go) prices.
+// plane splits rectangles with Split; OwnerBlocks stays as the plain
+// block-only split, which the repo's owner-split probe (bench/probes.go)
+// prices.
 type OwnerBlock struct {
 	Proc               int
 	Slot               int // grid slot of the owning section
@@ -394,8 +395,7 @@ type OwnerBlock struct {
 
 // ErrIrregular reports a rectangle owner-split requested on an array whose
 // distribution leaves cells non-contiguous holdings (a cyclic or
-// block-cyclic dimension over more than one cell); StridedShares and
-// OwnerLattice split those.
+// block-cyclic dimension over more than one cell); Split splits those.
 var ErrIrregular = errors.New("darray: rectangle owner-split requires contiguous (block) cells")
 
 // cellRect writes the global region [cLo, cHi) owned by the block-regular
@@ -551,13 +551,12 @@ func (m *Meta) OwnerIndices(indices [][]int) ([]OwnerIndexSet, error) {
 
 // OwnerLattice splits the lattice points of the strided rectangle
 // (lo, hi, step) — dense when step is nil — by owning local section, sets
-// ordered by first appearance in packed row-major lattice order. It is the
-// owner split for distributions where a cell's holdings are not
-// contiguous (a cyclic or block-cyclic dimension spanning several cells):
-// the result carries explicit storage offsets the way OwnerIndices does,
-// with Pos holding each point's packed lattice position, so the rectangle
-// coordinators can move values between per-owner messages and the dense
-// request buffer — still one message per owner, whatever the layout.
+// ordered by first appearance in packed row-major lattice order, each
+// point resolved on its own: explicit storage offsets the way
+// OwnerIndices gives them, with Pos holding each point's packed lattice
+// position. The data plane splits rectangles in closed form with Split;
+// this per-point split is the tests' oracle for it, and the repo's
+// owner-split probe (bench/probes.go) prices it.
 func (m *Meta) OwnerLattice(lo, hi, step []int) ([]OwnerIndexSet, error) {
 	if err := grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
 		return nil, err
@@ -643,7 +642,7 @@ func (s *Section) ReadBlock(lo, hi, localDims, borders []int, ix grid.Indexing) 
 		return nil, err
 	}
 	vals := make([]float64, grid.RectSize(lo, hi))
-	if err := s.MoveLattice(true, vals, lo, hi, nil, localDims, borders, ix); err != nil {
+	if err := s.MoveLattice(true, vals, lo, hi, nil, nil, localDims, borders, ix); err != nil {
 		return nil, err
 	}
 	return vals, nil
@@ -655,13 +654,13 @@ func (s *Section) ReadBlock(lo, hi, localDims, borders []int, ix grid.Indexing) 
 // at most MaxFastDims dimensions the copy performs no heap allocation —
 // this is the buffer-reuse read of the zero-copy local fast path.
 func (s *Section) ReadBlockInto(dst []float64, lo, hi, localDims, borders []int, ix grid.Indexing) error {
-	return s.MoveLattice(true, dst, lo, hi, nil, localDims, borders, ix)
+	return s.MoveLattice(true, dst, lo, hi, nil, nil, localDims, borders, ix)
 }
 
 // WriteBlock copies vals — a dense buffer linearized row-major over the
 // rectangle — into the interior rectangle [lo, hi) of the section.
 func (s *Section) WriteBlock(vals []float64, lo, hi, localDims, borders []int, ix grid.Indexing) error {
-	return s.MoveLattice(false, vals, lo, hi, nil, localDims, borders, ix)
+	return s.MoveLattice(false, vals, lo, hi, nil, nil, localDims, borders, ix)
 }
 
 // GatherInto reads the elements at the given flat storage offsets into dst,

@@ -12,7 +12,7 @@ import (
 // distributed over gridDims with the given per-dimension specifications —
 // including uneven trailing blocks and cyclic layouts the legacy metaFor
 // helper (exact-divisible block) cannot express.
-func metaForDist(t *testing.T, dims, gridDims []int, specs []grid.Decomp, borders []int, ix grid.Indexing) *Meta {
+func metaForDist(t testing.TB, dims, gridDims []int, specs []grid.Decomp, borders []int, ix grid.Indexing) *Meta {
 	t.Helper()
 	dists, err := grid.ResolveDists(dims, gridDims, specs)
 	if err != nil {
@@ -316,18 +316,30 @@ func TestOwnerBlocksUneven(t *testing.T) {
 }
 
 // TestOwnerBlocksIrregular pins the contract: the block-only rectangle
-// split OwnerBlocks reports ErrIrregular on a cyclic array, and the
-// rectangle split StridedShares has no share form for a block-cyclic
-// B > 1 one (ok=false: the data plane then routes through OwnerLattice),
-// while cyclic over a 1-cell grid dimension stays regular.
+// split OwnerBlocks reports ErrIrregular on a cyclic array, while the
+// rectangle split Split serves a block-cyclic B > 1 one in closed form
+// (one run per residue: two per cell for a dense lattice over
+// block-cyclic(2), one for every 2nd point), and cyclic over a 1-cell
+// grid dimension stays regular.
 func TestOwnerBlocksIrregular(t *testing.T) {
 	m := metaForDist(t, []int{12}, []int{3}, []grid.Decomp{grid.CyclicDefault()}, []int{0, 0}, grid.RowMajor)
 	if _, err := m.OwnerBlocks([]int{0}, []int{12}); !errors.Is(err, ErrIrregular) {
 		t.Fatalf("OwnerBlocks on cyclic array: %v, want ErrIrregular", err)
 	}
 	bc := metaForDist(t, []int{12}, []int{3}, []grid.Decomp{grid.BlockCyclicOf(2)}, []int{0, 0}, grid.RowMajor)
-	if _, ok, err := bc.StridedShares([]int{0}, []int{12}, []int{2}); ok || err != nil {
-		t.Fatalf("StridedShares on block-cyclic(2) array: ok=%v, %v; want no share form", ok, err)
+	for _, c := range []struct {
+		step []int
+		runs []int
+	}{{nil, []int{2}}, {[]int{2}, nil}} {
+		blocks, err := bc.Split([]int{0}, []int{12}, c.step)
+		if err != nil || len(blocks) != 3 {
+			t.Fatalf("Split on block-cyclic(2) array, step %v: %d blocks, %v; want 3", c.step, len(blocks), err)
+		}
+		for _, b := range blocks {
+			if !EqualInts(b.Runs, c.runs) || (b.Runs == nil) != (c.runs == nil) {
+				t.Fatalf("Split on block-cyclic(2) array, step %v: runs %v, want %v", c.step, b.Runs, c.runs)
+			}
+		}
 	}
 	if m.Regular() {
 		t.Fatal("cyclic over 3 cells reported Regular")

@@ -1,7 +1,7 @@
 // The lattice walk: the one copy kernel under every section and buffer
 // move of the array manager (§5.1). A region of a bordered local section
-// (§4.2), a packed request buffer and a share's place on the request
-// lattice are all the same thing to it — a storage offset plus one storage
+// (§4.2), a packed request buffer and a piece's place in a request
+// buffer are all the same thing to it — a storage offset plus one storage
 // distance per dimension — so reading and writing blocks, copying between
 // sections and placing owner replies share one odometer.
 package darray
@@ -156,17 +156,24 @@ func scratch(stack []int, n int) []int {
 // interior rectangle [lo, hi) — dense when step is nil — between the
 // section and vals, packed densely in row-major lattice order: into vals
 // when read, onto the lattice otherwise (elements off it are untouched).
-// localDims, borders and ix describe the section's interior shape, border
-// widths and storage indexing; border locations are never touched. vals
-// must hold exactly grid.StridedRectSize(lo, hi, step) values and stays
+// With runs non-nil the bounds are run lists (see PairBlock) and vals
+// holds one combination of runs after another. localDims, borders and ix
+// describe the section's interior shape, border widths (nil for none) and
+// storage indexing; border locations are never touched. vals must hold
+// exactly LatticeSize(lo, hi, step, runs, localDims) values and stays
 // caller-owned. Up to MaxFastDims dimensions the move performs no heap
 // allocation.
-func (s *Section) MoveLattice(read bool, vals []float64, lo, hi, step, localDims, borders []int, ix grid.Indexing) error {
+func (s *Section) MoveLattice(read bool, vals []float64, lo, hi, step, runs, localDims, borders []int, ix grid.Indexing) error {
+	if runs != nil {
+		return s.moveRuns(read, vals, lo, hi, step, runs, localDims, borders, ix)
+	}
 	if err := grid.CheckStridedRect(lo, hi, step, localDims); err != nil {
 		return err
 	}
-	if err := CheckBorders(borders, len(localDims)); err != nil {
-		return err
+	if borders != nil {
+		if err := CheckBorders(borders, len(localDims)); err != nil {
+			return err
+		}
 	}
 	if size := grid.StridedRectSize(lo, hi, step); len(vals) != size {
 		return fmt.Errorf("darray: buffer of %d values for a lattice of %d points", len(vals), size)
@@ -184,4 +191,58 @@ func (s *Section) MoveLattice(read bool, vals []float64, lo, hi, step, localDims
 		walk(sec, buf, cnt)
 	}
 	return nil
+}
+
+// moveRuns is MoveLattice over run lists: after validating them, one
+// one-run move per combination of runs, each on the next stretch of vals.
+func (s *Section) moveRuns(read bool, vals []float64, lo, hi, step, runs, localDims, borders []int, ix grid.Indexing) error {
+	size, err := LatticeSize(lo, hi, step, runs, localDims)
+	if err != nil {
+		return err
+	}
+	if len(vals) != size {
+		return fmt.Errorf("darray: buffer of %d values for run lists of %d points", len(vals), size)
+	}
+	n := len(runs)
+	var stack [4 * MaxFastDims]int
+	sc := scratch(stack[:], 4*n)
+	k := sc[:n]
+	for off := 0; ; {
+		l, h, st := pickRun(sc[n:2*n], lo, runs, k), pickRun(sc[2*n:3*n], hi, runs, k), pickRun(sc[3*n:], step, runs, k)
+		size := grid.StridedRectSize(l, h, st)
+		if err := s.MoveLattice(read, vals[off:off+size], l, h, st, nil, localDims, borders, ix); err != nil {
+			return err
+		}
+		off += size
+		if !nextCombo(k, runs) {
+			return nil
+		}
+	}
+}
+
+// pickRun writes into out, per dimension i, entry k[i] of dimension i's
+// runs in the per-run vector v, and returns it; a nil v (a dense step)
+// stays nil.
+func pickRun(out, v, runs, k []int) []int {
+	if v == nil {
+		return nil
+	}
+	base := 0
+	for i, r := range runs {
+		out[i] = v[base+k[i]]
+		base += r
+	}
+	return out
+}
+
+// nextCombo advances the odometer k over the combinations of one run per
+// dimension, last dimension fastest; false once every one was visited.
+func nextCombo(k, runs []int) bool {
+	for i := len(k) - 1; i >= 0; i-- {
+		if k[i]++; k[i] < runs[i] {
+			return true
+		}
+		k[i] = 0
+	}
+	return false
 }

@@ -105,7 +105,8 @@ var latticeExt = [MaxFastDims + 2]int{0, 64, 24, 12, 7, 5, 4, 3, 3, 2}
 // ranks 1 to MaxFastDims+1 (the last on heap scratch), random borders,
 // both indexings, dense (nil) and strided steps, and Int and Double
 // sections: MoveLattice in both directions, then CopyRect onto a second
-// section of another layout, border widths and element type.
+// section of another layout, border widths and element type, then both
+// again over run lists (checkRunLists).
 func FuzzMoveLattice(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for r := 0; r <= MaxFastDims; r++ {
@@ -141,7 +142,7 @@ func FuzzMoveLattice(f *testing.F) {
 
 		// Read: the packed buffer holds the lattice in row-major order.
 		vals := make([]float64, grid.StridedRectSize(lo, hi, step))
-		if err := sec.MoveLattice(true, vals, lo, hi, step, src.localDims, src.borders, src.ix); err != nil {
+		if err := sec.MoveLattice(true, vals, lo, hi, step, nil, src.localDims, src.borders, src.ix); err != nil {
 			t.Fatalf("MoveLattice read %v %v %v: %v", lo, hi, step, err)
 		}
 		_ = grid.ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
@@ -156,7 +157,7 @@ func FuzzMoveLattice(f *testing.F) {
 			vals[k] = 0.75*float64(k) - 3.5
 		}
 		got, want := clone(sec), clone(sec)
-		if err := got.MoveLattice(false, vals, lo, hi, step, src.localDims, src.borders, src.ix); err != nil {
+		if err := got.MoveLattice(false, vals, lo, hi, step, nil, src.localDims, src.borders, src.ix); err != nil {
 			t.Fatalf("MoveLattice write: %v", err)
 		}
 		_ = grid.ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
@@ -194,7 +195,7 @@ func FuzzMoveLattice(f *testing.F) {
 			dst.ix = grid.ColMajor
 		}
 		got, want = dst.section(), dst.section()
-		if err := CopyRect(got, dst.meta(), dLo, dStep, sec, src.meta(), lo, hi, step); err != nil {
+		if err := CopyRect(got, dst.meta(), dLo, dStep, sec, src.meta(), lo, hi, step, nil); err != nil {
 			t.Fatalf("CopyRect: %v", err)
 		}
 		sIdx, dIdx := make([]int, n), make([]int, n)
@@ -207,7 +208,111 @@ func FuzzMoveLattice(f *testing.F) {
 			return nil
 		})
 		sameStorage(t, "CopyRect", got, want)
+		checkRunLists(t, &in, src, sec, lo, hi, step)
 	})
+}
+
+// checkRunLists splits each dimension of the lattice (lo, hi, step) into
+// 1 to 3 interleaved runs, in either order, and checks the run-list
+// MoveLattice both ways and CopyRect onto a packed section against a
+// per-element reference of the packing order: one combination of runs
+// after another, last dimension's run fastest, each row-major.
+func checkRunLists(t *testing.T, in *fuzzBytes, src latticeLayout, sec *Section, lo, hi, step []int) {
+	n := len(lo)
+	runs := make([]int, n)
+	var rLo, rHi, rStep, dLo []int
+	packed := latticeLayout{typ: Double, localDims: make([]int, n), borders: make([]int, 2*n)}
+	base := make([]int, n+1) // dimension i's runs start at base[i]
+	for i := range n {
+		base[i] = len(rLo)
+		st := grid.StepAt(step, i)
+		r := 1 + in.next(3)
+		rev := in.next(2) == 1
+		for j := range r {
+			if rev {
+				j = r - 1 - j
+			}
+			if l := lo[i] + j*st; l < hi[i] {
+				rLo, rHi, rStep = append(rLo, l), append(rHi, hi[i]), append(rStep, r*st)
+				dLo = append(dLo, packed.localDims[i])
+				packed.localDims[i] += (hi[i] - l + r*st - 1) / (r * st)
+				runs[i]++
+			}
+		}
+	}
+	base[n] = len(rLo)
+	// The reference visits every point in packing order, with its
+	// section index and its index in the packed section.
+	visit := func(f func(sIdx, pIdx []int)) {
+		k := make([]int, n)
+		l, h, st, p := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+		for {
+			for i := range n {
+				r := base[i] + k[i]
+				l[i], h[i], st[i] = rLo[r], rHi[r], rStep[r]
+			}
+			_ = grid.ForEachStridedRect(l, h, st, func(idx []int, _ int) error {
+				for i := range n {
+					p[i] = dLo[base[i]+k[i]] + (idx[i]-l[i])/st[i]
+				}
+				f(idx, p)
+				return nil
+			})
+			i := n - 1
+			for ; i >= 0; i-- {
+				if k[i]++; k[i] < runs[i] {
+					break
+				}
+				k[i] = 0
+			}
+			if i < 0 {
+				return
+			}
+		}
+	}
+	size, err := LatticeSize(rLo, rHi, rStep, runs, src.localDims)
+	if err != nil || size != grid.StridedRectSize(lo, hi, step) {
+		t.Fatalf("LatticeSize(%v %v %v runs %v) = %d, %v; want %d", rLo, rHi, rStep, runs, size, err, grid.StridedRectSize(lo, hi, step))
+	}
+	offset := func(l latticeLayout, idx []int) int {
+		off, err := StorageOffset(idx, l.localDims, l.borders, l.ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return off
+	}
+	vals := make([]float64, size)
+	if err := sec.MoveLattice(true, vals, rLo, rHi, rStep, runs, src.localDims, src.borders, src.ix); err != nil {
+		t.Fatalf("MoveLattice read over runs %v: %v", runs, err)
+	}
+	at := 0
+	visit(func(sIdx, _ []int) {
+		if want := sec.GetFloat(offset(src, sIdx)); vals[at] != want {
+			t.Fatalf("run-list read point %d %v = %v, want %v", at, sIdx, vals[at], want)
+		}
+		at++
+	})
+	for j := range vals {
+		vals[j] = 0.5*float64(j) + 1
+	}
+	got, want := clone(sec), clone(sec)
+	if err := got.MoveLattice(false, vals, rLo, rHi, rStep, runs, src.localDims, src.borders, src.ix); err != nil {
+		t.Fatalf("MoveLattice write over runs %v: %v", runs, err)
+	}
+	at = 0
+	visit(func(sIdx, _ []int) {
+		want.SetFloat(offset(src, sIdx), vals[at])
+		at++
+	})
+	sameStorage(t, "run-list write", got, want)
+	pGot, pWant := packed.section(), packed.section()
+	if err := CopyRect(pGot, packed.meta(), dLo, nil, sec, src.meta(), rLo, rHi, rStep, runs); err != nil {
+		t.Fatalf("CopyRect over runs %v: %v", runs, err)
+	}
+	visit(func(sIdx, pIdx []int) {
+		refMove(pWant, offset(packed, pIdx), sec, offset(src, sIdx))
+	})
+	sameStorage(t, "run-list CopyRect", pGot, pWant)
 }
 
 // TestCopyInteriorAllocs pins CopyInterior — the copy_local reallocation
@@ -268,7 +373,7 @@ func BenchmarkMoveLattice(b *testing.B) {
 		b.SetBytes(int64(8 * len(vals)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if err := s.MoveLattice(read, vals, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
+			if err := s.MoveLattice(read, vals, lo, hi, step, nil, localDims, borders, grid.RowMajor); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,7 +398,7 @@ func BenchmarkMoveLattice(b *testing.B) {
 		b.SetBytes(8 * 512 * 128)
 		b.ReportAllocs()
 		for b.Loop() {
-			if err := CopyRect(dst, dm, []int{0, 0}, nil, src, sm, []int{0, 0}, sl.localDims, nil); err != nil {
+			if err := CopyRect(dst, dm, []int{0, 0}, nil, src, sm, []int{0, 0}, sl.localDims, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

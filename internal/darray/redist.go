@@ -1,17 +1,18 @@
-// The redistribution schedule: planning direct owner↔owner transfers
-// between two distributed arrays. Phase-changing algorithms (a block LU
-// panel feeding a cyclic solve, a transpose between FFT stages) move a
-// rectangle from one array to another with a different distribution;
-// the schedule computed here is the set of non-empty src-owner/dst-owner
-// intersections of that rectangle, each translated to interior-local
-// coordinates on both sides, so a coordinator can ship every piece
-// owner-to-owner in one message instead of bouncing the whole rectangle
-// through a single client process.
+// The transfer schedule: which owner holds which points of a lattice, and
+// where each point goes, in closed form. Phase-changing algorithms (a
+// block LU panel feeding a cyclic solve, a transpose between FFT stages)
+// move a rectangle from one array to another with a different
+// distribution, and every read or write moves a rectangle between an
+// array and a caller's buffer. Both are the same computation: the
+// non-empty intersections of the source owners' holdings with the
+// destination's, each translated to interior-local coordinates on both
+// sides. One builder (schedule) computes it for TransferSchedule, where
+// the destination is another array, and for Split, where it is the
+// packed request buffer, so a coordinator can move every piece in one
+// message whatever the layout.
 //
 // This file also holds the owner-side copy kernels the redistribution
-// plane runs on (CopyRect, CopyOffsets) and the bounds+step owner split
-// (StridedShares) that replaces materialized offset vectors on the
-// cyclic rectangle path.
+// plane runs on (CopyRect; CopyOffsets for offset sets).
 package darray
 
 import (
@@ -20,64 +21,45 @@ import (
 	"repro/internal/grid"
 )
 
-// PairBlock is one descriptor piece of a transfer schedule: the lattice
-// points held by SrcProc on the source array and DstProc on the
-// destination, as strided local rectangles on both sides. Each side has
-// its own step (nil = dense): a block→cyclic pair is typically strided at
-// the source and dense at the destination. Row-major enumeration of
-// (SrcLo, SrcHi, SrcStep) and (DstLo, DstHi, DstStep) visits
-// corresponding elements in the same order, so the piece moves with one
-// packed buffer.
+// PairBlock is one owner pair of a schedule: the lattice points held by
+// the source cell at SrcSlot (on SrcProc) that go to the destination cell
+// at DstSlot (on DstProc), as interior-local run lists on both sides. Per
+// dimension a pair holds one or more runs — arithmetic progressions of
+// lattice points — and its points are the product of the per-dimension
+// runs. Runs is the run count per dimension, nil meaning one each; the
+// six bound vectors hold one entry per run, dimension by dimension, and a
+// side's step is nil when every run of it is dense. Block and width-1
+// cyclic dimensions always give one run; a block-cyclic(w) dimension over
+// p cells gives one per residue mod p·w that the pair holds.
+//
+// The pair moves through one packed buffer filled one combination of runs
+// at a time — row-major over the combinations, each combination's points
+// row-major — so the two sides enumerate corresponding points in the same
+// order.
 type PairBlock struct {
 	SrcProc, DstProc      int
 	SrcSlot, DstSlot      int   // grid slots of the two owning sections
-	SrcLo, SrcHi, SrcStep []int // interior-local strided bounds at the source owner
-	DstLo, DstHi, DstStep []int // the same lattice at the destination owner
-}
-
-// PairSet is one enumerated piece of a transfer schedule, produced only
-// when a side has a block-cyclic dimension of width > 1 over several
-// cells (whose holdings are not single progressions): the lattice points
-// held by SrcProc on the source array and DstProc on the destination, as
-// paired border-displaced storage offsets — element SrcOffs[i] of the
-// source section moves to element DstOffs[i] of the destination section.
-type PairSet struct {
-	SrcProc, DstProc int
-	SrcSlot, DstSlot int // grid slots of the two owning sections
-	SrcOffs, DstOffs []int
+	SrcLo, SrcHi, SrcStep []int // interior-local runs at the source owner
+	DstLo, DstHi, DstStep []int // the same points at the destination
+	Runs                  []int // runs per dimension; nil = one each
 }
 
 // Schedule is an owner-pair transfer schedule produced by
 // TransferSchedule. Every lattice point of the transferred rectangle
-// appears in exactly one pair (Blocks, or Sets when a side is
-// block-cyclic of width > 1), so shipping each pair once moves the whole
-// rectangle: the ≤1-message-per-owner-pair budget of the redistribution
-// plane.
+// appears in exactly one block, so shipping each block once moves the
+// whole rectangle: the ≤1-message-per-owner-pair budget of the
+// redistribution plane.
 type Schedule struct {
 	Blocks []PairBlock
-	Sets   []PairSet
 }
 
-// NPairs returns the number of non-empty owner pairs in the schedule.
-func (s *Schedule) NPairs() int { return len(s.Blocks) + len(s.Sets) }
-
-// TransferSchedule computes the owner-pair intersection schedule for
-// copying a lattice of elements from array src onto array dst: lattice
-// offset j (componentwise 0 <= j < dims, every step[i]-th per
-// dimension; step nil = dense) moves source element srcLo+j to
-// destination element dstLo+j.
-//
-// When every dimension of both arrays is block or width-1 cyclic, each
-// cell holds, per dimension, one arithmetic progression of lattice
-// positions (dimShares). Two progressions intersect in another one,
-// with step the lcm of theirs, so the schedule is closed-form: intersect
-// every source cell's progression with every destination cell's per
-// dimension, and emit the cartesian product of the non-empty
-// intersections as one PairBlock per owner pair. Only a block-cyclic
-// side of width > 1 falls back to resolving every lattice point
-// (walkSchedule). Ranks must match and both rectangles are validated
-// against their arrays; element types may differ (values convert on
-// write).
+// TransferSchedule computes the owner-pair schedule for copying a lattice
+// of elements from array src onto array dst: lattice offset j
+// (componentwise 0 <= j < dims, every step[i]-th per dimension; step nil =
+// dense) moves source element srcLo+j to destination element dstLo+j, on
+// any pair of layouts. Ranks must match and both rectangles are
+// validated against their arrays; element types may differ (values
+// convert on write).
 func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
 	n := dst.NDims()
 	if src.NDims() != n || len(dstLo) != n || len(srcLo) != n || len(dims) != n {
@@ -96,157 +78,212 @@ func (dst *Meta) TransferSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*S
 	if err := grid.CheckStridedRect(dstLo, dstHi, step, dst.Dims); err != nil {
 		return nil, err
 	}
-	if !src.progressive() || !dst.progressive() {
-		return dst.walkSchedule(src, dstLo, srcLo, dims, step)
-	}
-	pairs := make([][]dimPair, n)
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		st := grid.StepAt(step, i)
-		cnt := (dims[i] + st - 1) / st
-		ds := dst.dimShares(i, dstLo[i], st, cnt)
-		for _, s := range src.dimShares(i, srcLo[i], st, cnt) {
-			for _, d := range ds {
-				if p, ok := intersectShares(s, d); ok {
-					pairs[i] = append(pairs[i], p)
-				}
-			}
-		}
-		counts[i] = len(pairs[i])
-	}
-	total := grid.Size(counts)
-	sched := &Schedule{Blocks: make([]PairBlock, total)}
-	// One backing array holds every block's six bound vectors.
-	slab := make([]int, 6*n*total)
-	sCells := make([]int, n)
-	dCells := make([]int, n)
-	err := grid.ForEachRect(make([]int, n), counts, func(idx []int, b int) error {
-		v := slab[6*n*b:]
-		sLo, sHi, sStep := v[0:n:n], v[n:2*n:2*n], v[2*n:3*n:3*n]
-		dLo, dHi, dStep := v[3*n:4*n:4*n], v[4*n:5*n:5*n], v[5*n:6*n:6*n]
-		sDense, dDense := true, true
-		for i, j := range idx {
-			p := pairs[i][j]
-			sCells[i], dCells[i] = p.sCell, p.dCell
-			sLo[i], sStep[i], sHi[i] = p.sLo, p.sStep, p.sLo+(p.cnt-1)*p.sStep+1
-			dLo[i], dStep[i], dHi[i] = p.dLo, p.dStep, p.dLo+(p.cnt-1)*p.dStep+1
-			sDense = sDense && p.sStep == 1
-			dDense = dDense && p.dStep == 1
-		}
-		sSlot, err := grid.ProcSlot(sCells, src.GridDims, src.GridIndexing)
-		if err != nil {
-			return err
-		}
-		dSlot, err := grid.ProcSlot(dCells, dst.GridDims, dst.GridIndexing)
-		if err != nil {
-			return err
-		}
-		pb := &sched.Blocks[b]
-		*pb = PairBlock{
-			SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
-			SrcSlot: sSlot, DstSlot: dSlot,
-			SrcLo: sLo, SrcHi: sHi, DstLo: dLo, DstHi: dHi,
-		}
-		if !sDense {
-			pb.SrcStep = sStep
-		}
-		if !dDense {
-			pb.DstStep = dStep
-		}
-		return nil
-	})
+	blocks, err := src.schedule(dst, srcLo, srcHi, dstLo, step)
 	if err != nil {
 		return nil, err
 	}
-	return sched, nil
+	return &Schedule{Blocks: blocks}, nil
 }
 
-// walkSchedule is the per-point schedule: resolve every lattice point on
-// both sides (ResolveIndex) and bucket by (source slot, destination
-// slot) into paired storage-offset vectors, pairs ordered by first
-// appearance in row-major lattice order. TransferSchedule uses it only
-// for block-cyclic sides of width > 1; for every other layout it is the
-// tests' oracle. Bounds are already validated.
-func (dst *Meta) walkSchedule(src *Meta, dstLo, srcLo, dims, step []int) (*Schedule, error) {
-	n := dst.NDims()
-	sched := &Schedule{}
-	srcStrides := grid.Strides(src.LocalDimsPlus, src.Indexing)
-	dstStrides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
-	srcIdx := make([]int, n)
-	dstIdx := make([]int, n)
-	type pairKey struct{ s, d int }
-	byPair := make(map[pairKey]int) // (srcSlot, dstSlot) -> index into Sets
-	visit := func(off []int, _ int) error {
-		for i := range off {
-			srcIdx[i] = srcLo[i] + off[i]
-			dstIdx[i] = dstLo[i] + off[i]
-		}
-		sSlot, sOff, ok := src.ResolveIndex(srcIdx, srcStrides)
-		if !ok {
-			return fmt.Errorf("darray: unresolvable source index %v", srcIdx)
-		}
-		dSlot, dOff, ok := dst.ResolveIndex(dstIdx, dstStrides)
-		if !ok {
-			return fmt.Errorf("darray: unresolvable destination index %v", dstIdx)
-		}
-		k := pairKey{sSlot, dSlot}
-		pi, seen := byPair[k]
-		if !seen {
-			pi = len(sched.Sets)
-			byPair[k] = pi
-			sched.Sets = append(sched.Sets, PairSet{
-				SrcProc: src.Procs[sSlot], DstProc: dst.Procs[dSlot],
-				SrcSlot: sSlot, DstSlot: dSlot,
-			})
-		}
-		ps := &sched.Sets[pi]
-		ps.SrcOffs = append(ps.SrcOffs, sOff)
-		ps.DstOffs = append(ps.DstOffs, dOff)
-		return nil
-	}
-	if err := grid.ForEachStridedRect(make([]int, n), dims, step, visit); err != nil {
+// Split is the schedule for moving the lattice of the global strided
+// rectangle (lo, hi, step) — dense when step is nil — into its packed
+// row-major buffer: one block per owning section, whose source side is
+// the owner's interior-local run list and whose destination side is
+// where those points sit in the buffer, a buffer of shape
+// grid.StridedRectDims(lo, hi, step) with no borders. Blocks appear in
+// row-major cell order, and every lattice point lies in exactly one.
+func (m *Meta) Split(lo, hi, step []int) ([]PairBlock, error) {
+	if err := grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
 		return nil, err
 	}
-	return sched, nil
+	return m.schedule(nil, lo, hi, nil, step)
 }
 
-// dimPair is one dimension's intersection of a source cell's and a
-// destination cell's lattice progressions: cnt points, at local sLo +
-// t*sStep in source cell sCell and dLo + t*dStep in destination cell
-// dCell.
-type dimPair struct {
-	sCell, dCell int
-	sLo, sStep   int
-	dLo, dStep   int
-	cnt          int
+// dimRun is one arithmetic progression of cnt lattice points along one
+// dimension, seen from two sides: local index lo + t*step of cell on one,
+// to + t*toStep of toCell on the other. A cell's run of a lattice has the
+// lattice positions on the other side; the meet of a source run and a
+// destination run has the destination cell's local indices there. group,
+// set on the first meet of each (cell, toCell) group, is the group's
+// length.
+type dimRun struct {
+	cell, lo, step     int
+	toCell, to, toStep int
+	cnt, group         int
 }
 
-// intersectShares intersects two per-cell progressions of one lattice
-// dimension. The source holds positions s.posLo + k*s.posStep and the
-// destination d.posLo + m*d.posStep; their common positions form a
-// progression of step lcm(s.posStep, d.posStep), found by solving the two
-// congruences, and each side's local step scales by the same factor as
-// its position step.
-func intersectShares(s, d dimShare) (dimPair, bool) {
-	sLast := s.posLo + ((s.hi-s.lo-1)/s.step)*s.posStep
-	dLast := d.posLo + ((d.hi-d.lo-1)/d.step)*d.posStep
-	x, l, ok := progressionMeet(s.posLo, s.posStep, d.posLo, d.posStep)
+// schedule is the one builder behind TransferSchedule and Split, m being
+// the source. Per dimension it lists both sides' runs of the lattice
+// cell by cell, intersects every source run with every destination run
+// of each cell pair, and keeps a cell pair's non-empty intersections as
+// one group; every combination of one group per dimension is one
+// PairBlock. dst nil is the packed buffer: one cell whose one run is the
+// whole lattice, so the destination side is each point's buffer
+// position. Bounds are already validated. It runs on every coordinator
+// request, often on a fresh goroutine's stack, so it is flat loops over
+// heap slices with a small frame.
+func (m *Meta) schedule(dst *Meta, lo, hi, dstLo, step []int) ([]PairBlock, error) {
+	n := m.NDims()
+	// Per dimension: start is its first meet (start[n] past the last),
+	// groups and single count its groups and one-run groups; at is the
+	// group odometer and sCells/dCells the cells it points at.
+	ints := make([]int, 6*n+1)
+	start, groups, single := ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:3*n+1]
+	at, sCells, dCells := ints[3*n+1:4*n+1], ints[4*n+1:5*n+1], ints[5*n+1:]
+	// rs holds every dimension's meets, dimension by dimension, and past
+	// them the current dimension's runs while its meets are computed. The
+	// room below fits a block or cyclic schedule without growing.
+	room := 0
+	for i := 0; i < n; i++ {
+		room += m.GridDims[i]
+		if dst != nil {
+			room += 2 * (m.GridDims[i] + dst.GridDims[i])
+		}
+	}
+	rs := make([]dimRun, 0, room)
+	total, allSingle := 1, 1
+	for i := 0; i < n; i++ {
+		st := grid.StepAt(step, i)
+		cnt := (hi[i] - lo[i] + st - 1) / st
+		start[i] = len(rs)
+		rs = m.appendRuns(rs, i, lo[i], st, cnt)
+		// A destination array's runs meet the source's cell pair by cell
+		// pair, and the meets replace the runs. The buffer's one run would
+		// meet each source run in the run itself, which already holds its
+		// buffer positions.
+		if dst != nil {
+			ns := len(rs)
+			rs = dst.appendRuns(rs, i, dstLo[i], st, cnt)
+			nd := len(rs)
+			for a, aEnd := start[i], 0; a < ns; a = aEnd {
+				aEnd = stretch(rs, a, ns)
+				for b, bEnd := ns, 0; b < nd; b = bEnd {
+					bEnd = stretch(rs, b, nd)
+					for x := a; x < aEnd; x++ {
+						for y := b; y < bEnd; y++ {
+							rs = appendMeet(rs, x, y)
+						}
+					}
+				}
+			}
+			rs = rs[:start[i]+copy(rs[start[i]:], rs[nd:])]
+		}
+		// Each stretch of one (cell, toCell) is one group.
+		for a := start[i]; a < len(rs); a += rs[a].group {
+			rs[a].group = stretch(rs, a, len(rs)) - a
+			groups[i]++
+			if rs[a].group == 1 {
+				single[i]++
+			}
+		}
+		total *= groups[i]
+		allSingle *= single[i]
+	}
+	start[n] = len(rs)
+	if total == 0 {
+		return nil, nil
+	}
+	// One slab backs every block's six bound vectors (one entry per run)
+	// and, for the blocks with several runs in some dimension, the run
+	// counts; each vector is capped so an append cannot run into the next.
+	size := n * (total - allSingle)
+	for i := 0; i < n; i++ {
+		size += 6 * (start[i+1] - start[i]) * (total / groups[i])
+	}
+	slab := make([]int, size)
+	blocks := make([]PairBlock, total)
+	copy(at, start[:n])
+	for b := range blocks {
+		k := 0
+		for i := 0; i < n; i++ {
+			k += rs[at[i]].group
+		}
+		v := slab[:6*k]
+		slab = slab[6*k:]
+		pb := &blocks[b]
+		pb.SrcLo, pb.SrcHi, pb.SrcStep = v[:k:k], v[k:2*k:2*k], v[2*k:3*k:3*k]
+		pb.DstLo, pb.DstHi, pb.DstStep = v[3*k:4*k:4*k], v[4*k:5*k:5*k], v[5*k:6*k:6*k]
+		if k > n {
+			pb.Runs = slab[:n:n]
+			slab = slab[n:]
+		}
+		sDense, dDense := true, true
+		for i, j := 0, 0; i < n; i++ {
+			g := at[i]
+			sCells[i], dCells[i] = rs[g].cell, rs[g].toCell
+			if pb.Runs != nil {
+				pb.Runs[i] = rs[g].group
+			}
+			for q := g; q < g+rs[g].group; q, j = q+1, j+1 {
+				r := &rs[q]
+				pb.SrcLo[j], pb.SrcStep[j], pb.SrcHi[j] = r.lo, r.step, r.lo+(r.cnt-1)*r.step+1
+				pb.DstLo[j], pb.DstStep[j], pb.DstHi[j] = r.to, r.toStep, r.to+(r.cnt-1)*r.toStep+1
+				sDense = sDense && r.step == 1
+				dDense = dDense && r.toStep == 1
+			}
+		}
+		if sDense {
+			pb.SrcStep = nil
+		}
+		if dDense {
+			pb.DstStep = nil
+		}
+		slot, err := grid.ProcSlot(sCells, m.GridDims, m.GridIndexing)
+		if err != nil {
+			return nil, err
+		}
+		pb.SrcSlot, pb.SrcProc = slot, m.Procs[slot]
+		if dst != nil {
+			if slot, err = grid.ProcSlot(dCells, dst.GridDims, dst.GridIndexing); err != nil {
+				return nil, err
+			}
+			pb.DstSlot, pb.DstProc = slot, dst.Procs[slot]
+		}
+		// Advance the group odometer, last dimension fastest.
+		for i := n - 1; i >= 0; i-- {
+			if at[i] += rs[at[i]].group; at[i] < start[i+1] {
+				break
+			}
+			at[i] = start[i]
+		}
+	}
+	return blocks, nil
+}
+
+// stretch returns the end of the stretch of rs[a:end] that shares rs[a]'s
+// cell and toCell.
+func stretch(rs []dimRun, a, end int) int {
+	b := a + 1
+	for b < end && rs[b].cell == rs[a].cell && rs[b].toCell == rs[a].toCell {
+		b++
+	}
+	return b
+}
+
+// appendMeet appends to rs the intersection, if any, of its source run
+// rs[x] and destination run rs[y] along one lattice dimension. The source
+// holds positions s.to + k*s.toStep and the destination d.to + m*d.toStep;
+// their common positions form a progression of step lcm(s.toStep,
+// d.toStep), found by solving the two congruences, and each side's local
+// step scales by the same factor as its position step.
+func appendMeet(rs []dimRun, x, y int) []dimRun {
+	s, d := &rs[x], &rs[y]
+	at, l, ok := progressionMeet(s.to, s.toStep, d.to, d.toStep)
 	if !ok {
-		return dimPair{}, false
+		return rs
 	}
-	if x < d.posLo {
-		x += (d.posLo - x + l - 1) / l * l
+	if at < d.to {
+		at += (d.to - at + l - 1) / l * l
 	}
-	last := min(sLast, dLast)
-	if x > last {
-		return dimPair{}, false
+	last := min(s.to+(s.cnt-1)*s.toStep, d.to+(d.cnt-1)*d.toStep)
+	if at > last {
+		return rs
 	}
-	return dimPair{
-		sCell: s.cell, dCell: d.cell,
-		sLo: s.lo + (x-s.posLo)/s.posStep*s.step, sStep: s.step * (l / s.posStep),
-		dLo: d.lo + (x-d.posLo)/d.posStep*d.step, dStep: d.step * (l / d.posStep),
-		cnt: (last-x)/l + 1,
-	}, true
+	return append(rs, dimRun{
+		cell: s.cell, lo: s.lo + (at-s.to)/s.toStep*s.step, step: s.step * (l / s.toStep),
+		toCell: d.cell, to: d.lo + (at-d.to)/d.toStep*d.step, toStep: d.step * (l / d.toStep),
+		cnt: (last-at)/l + 1,
+	})
 }
 
 // progressionMeet solves x ≡ a (mod p), x ≡ b (mod q) for positive p, q:
@@ -273,16 +310,129 @@ func progressionMeet(a, p, b, q int) (x, l int, ok bool) {
 	return a + k*p, p * qg, true
 }
 
+// appendRuns appends the runs of the lattice {lo + j*st : 0 <= j < cnt}
+// along dimension i to out, cell by cell in ascending cell order.
+func (m *Meta) appendRuns(out []dimRun, i, lo, st, cnt int) []dimRun {
+	if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
+		return cyclicDimShares(out, lo, st, cnt, m.GridDims[i], m.Dists[i].B)
+	}
+	return blockDimShares(out, lo, st, cnt, m.LocalDims[i], m.Dims[i])
+}
+
+// cyclicDimShares appends the runs of the lattice
+// {lo + j*st : 0 <= j < cnt} along one block-cyclic(w) dimension of p
+// cells (cyclic is w = 1). Ownership repeats every P = p·w global
+// indices, so the lattice's residues mod P repeat every T = P/gcd(st, P)
+// points, and the points of one residue form one run: T apart in lattice
+// position and lcm(st, P) apart globally, which is st·T/p apart in the
+// owning cell's storage. A cell holds one run per residue of its own the
+// lattice reaches, at most w; runs come cell by cell, each cell's in
+// order of first position.
+func cyclicDimShares(out []dimRun, lo, st, cnt, p, w int) []dimRun {
+	period := p * w
+	t := period / gcd(st, period)
+	reach := min(t, cnt)
+	for c := 0; c < p; c++ {
+		for j := 0; j < reach; j++ {
+			g := lo + j*st
+			if g/w%p != c {
+				continue
+			}
+			out = append(out, dimRun{
+				cell: c, lo: g/period*w + g%w, step: st * t / p,
+				to: j, toStep: t, cnt: (cnt-1-j)/t + 1,
+			})
+		}
+	}
+	return out
+}
+
+// blockDimShares appends the runs of the lattice
+// {lo + j*st : 0 <= j < cnt} along one block dimension of cell width b
+// and extent n (the trailing cell possibly truncated): each touched cell
+// holds one stretch of consecutive lattice points.
+func blockDimShares(out []dimRun, lo, st, cnt, b, n int) []dimRun {
+	last := lo + (cnt-1)*st
+	for c := lo / b; c <= last/b; c++ {
+		cellLo, cellHi := c*b, min((c+1)*b, n)
+		jFirst := 0
+		if cellLo > lo {
+			jFirst = (cellLo - lo + st - 1) / st
+		}
+		jLast := min((cellHi-1-lo)/st, cnt-1)
+		if jFirst > jLast {
+			continue // the stride skips this cell entirely
+		}
+		out = append(out, dimRun{
+			cell: c, lo: lo + jFirst*st - cellLo, step: st,
+			to: jFirst, toStep: 1, cnt: jLast - jFirst + 1,
+		})
+	}
+	return out
+}
+
+// gcd returns the greatest common divisor of two positive integers.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// LatticeSize validates the lattice (lo, hi, step, runs) against an
+// interior of extents dims and returns its point count. With runs nil it
+// is the one strided rectangle of grid.CheckStridedRect. Otherwise
+// dimension i lists runs[i] strided runs inside [0, dims[i]), and their
+// points may number at most dims[i] in all: the runs of one dimension
+// hold distinct points, so the cap refuses a list that repeats runs — a
+// request of a few bytes that would otherwise size a reply of many
+// sections.
+func LatticeSize(lo, hi, step, runs, dims []int) (int, error) {
+	if runs == nil {
+		if err := grid.CheckStridedRect(lo, hi, step, dims); err != nil {
+			return 0, err
+		}
+		return grid.StridedRectSize(lo, hi, step), nil
+	}
+	if len(runs) != len(dims) {
+		return 0, fmt.Errorf("%w: run counts %v for %d dimensions", grid.ErrBadRect, runs, len(dims))
+	}
+	size, j := 1, 0
+	for i, r := range runs {
+		pts := 0
+		for end := j + r; j < end; j++ {
+			if j >= len(lo) || j >= len(hi) || (step != nil && j >= len(step)) ||
+				lo[j] < 0 || lo[j] >= hi[j] || hi[j] > dims[i] || grid.StepAt(step, j) < 1 {
+				return 0, fmt.Errorf("%w: dimension %d: run %d of %v missing or outside extent %d", grid.ErrBadRect, i, j, runs, dims[i])
+			}
+			pts += (hi[j] - lo[j] + grid.StepAt(step, j) - 1) / grid.StepAt(step, j)
+		}
+		if pts < 1 || pts > dims[i] {
+			return 0, fmt.Errorf("%w: dimension %d lists %d points in an extent of %d", grid.ErrBadRect, i, pts, dims[i])
+		}
+		size *= pts
+	}
+	if j != len(lo) || j != len(hi) || (step != nil && j != len(step)) {
+		return 0, fmt.Errorf("%w: run counts %v for bounds of length %d/%d/%d", grid.ErrBadRect, runs, len(lo), len(hi), len(step))
+	}
+	return size, nil
+}
+
 // CopyRect copies the strided interior rectangle (srcLo, srcHi, srcStep)
 // of the source section onto the same-shaped lattice anchored at dstLo
 // with step dstStep in the destination section (a nil step is dense),
 // the two sections belonging to (possibly different) arrays described
-// by their metadata. This is the zero-message service routine of the
-// redistribution plane's same-process pairs: one lattice walk, with no
-// heap allocation for rectangles of at most MaxFastDims dimensions.
-// Element types may differ (values convert). Both rectangles are
-// validated against the sections' interior dimensions.
-func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep []int) error {
+// by their metadata. With runs non-nil the bounds are a PairBlock's run
+// lists, and the copy is one one-run copy per combination of runs. This
+// is the zero-message service routine of the redistribution plane's
+// same-process pairs: one lattice walk per combination, with no heap
+// allocation for rectangles of at most MaxFastDims dimensions. Element
+// types may differ (values convert). Both sides are validated against
+// the sections' interior dimensions.
+func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep, runs []int) error {
+	if runs != nil {
+		return copyRuns(dst, dstMeta, dstLo, dstStep, src, srcMeta, srcLo, srcHi, srcStep, runs)
+	}
 	n := len(srcLo)
 	if dstMeta.NDims() != n || srcMeta.NDims() != n || len(dstLo) != n || len(srcHi) != n {
 		return fmt.Errorf("darray: copy-rect rank mismatch: dst %d, src %d, bounds %d/%d/%d",
@@ -309,12 +459,35 @@ func CopyRect(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, s
 	return nil
 }
 
-// CopyOffsets copies the elements at the paired storage offsets of a
-// transfer-schedule Set between two sections on the same process:
-// source element srcOffs[i] moves to destination element dstOffs[i], in
-// order (last writer wins on repeated destinations). Offsets are
-// bounds-checked against both sections; the copy performs no heap
-// allocation. Element types may differ (values convert).
+// copyRuns is CopyRect over run lists: after validating the source lists
+// it runs the one-run copy once per combination of runs.
+func copyRuns(dst *Section, dstMeta *Meta, dstLo, dstStep []int, src *Section, srcMeta *Meta, srcLo, srcHi, srcStep, runs []int) error {
+	if _, err := LatticeSize(srcLo, srcHi, srcStep, runs, srcMeta.LocalDims); err != nil {
+		return err
+	}
+	if len(dstLo) != len(srcLo) || (dstStep != nil && len(dstStep) != len(srcLo)) {
+		return fmt.Errorf("darray: copy-rect destination of %d/%d runs for %d", len(dstLo), len(dstStep), len(srcLo))
+	}
+	n := len(runs)
+	var stack [6 * MaxFastDims]int
+	sc := scratch(stack[:], 6*n)
+	k := sc[:n]
+	for {
+		err := CopyRect(dst, dstMeta, pickRun(sc[n:2*n], dstLo, runs, k), pickRun(sc[2*n:3*n], dstStep, runs, k),
+			src, srcMeta, pickRun(sc[3*n:4*n], srcLo, runs, k), pickRun(sc[4*n:5*n], srcHi, runs, k),
+			pickRun(sc[5*n:], srcStep, runs, k), nil)
+		if err != nil || !nextCombo(k, runs) {
+			return err
+		}
+	}
+}
+
+// CopyOffsets copies the elements at paired storage offsets between two
+// sections on the same process: source element srcOffs[i] moves to
+// destination element dstOffs[i], in order (last writer wins on repeated
+// destinations). Offsets are bounds-checked against both sections; the
+// copy performs no heap allocation. Element types may differ (values
+// convert).
 func CopyOffsets(dst, src *Section, dstOffs, srcOffs []int) error {
 	if len(dstOffs) != len(srcOffs) {
 		return fmt.Errorf("darray: %d destination offsets for %d source offsets", len(dstOffs), len(srcOffs))
@@ -338,211 +511,4 @@ func CopyOffsets(dst, src *Section, dstOffs, srcOffs []int) error {
 		dst.SetFloat(dstOffs[i], src.GetFloat(off))
 	}
 	return nil
-}
-
-// StridedShare describes one owner's holding of a strided-rectangle
-// request as arithmetic progressions rather than materialized offsets:
-// the owner's piece is the interior-local strided rectangle
-// (Lo, Hi, Step), and element t (per-dimension t[i], row-major) of that
-// piece sits at position PosLo[i] + t[i]*PosStep[i] of the request
-// lattice. It is the compact descriptor of the cyclic rectangle path —
-// a coordinator sends O(ndims) bounds instead of O(k) offset vectors.
-type StridedShare struct {
-	Proc           int
-	Slot           int   // grid slot of the owning section
-	Lo, Hi, Step   []int // interior-local strided rectangle at the owner
-	PosLo, PosStep []int // placement of the piece on the request lattice
-}
-
-// Place moves the share's packed piece sub between itself and the request
-// buffer full, row-major over the request lattice of per-dimension point
-// counts sdims: into full when toFull (a read reply lands), out of it
-// otherwise (a write's piece is packed). Element t of the piece
-// (per-dimension t[i], row-major over its lattice) sits at request-lattice
-// position PosLo[i] + t[i]*PosStep[i]. It is one lattice walk, with no heap
-// allocation up to MaxFastDims dimensions.
-func (sh *StridedShare) Place(toFull bool, full, sub []float64, sdims []int) {
-	n := len(sdims)
-	var stack [3 * MaxFastDims]int
-	sc := scratch(stack[:], 3*n)
-	cnt, fullStr, subStr := sc[:n], sc[n:2*n], sc[2*n:]
-	latticeCounts(cnt, sh.Lo, sh.Hi, sh.Step)
-	f := side{&Section{Type: Double, F: full}, layout(fullStr, sh.PosLo, sh.PosStep, sdims, nil, grid.RowMajor), fullStr}
-	p := side{&Section{Type: Double, F: sub}, layout(subStr, nil, nil, cnt, nil, grid.RowMajor), subStr}
-	if toFull {
-		walk(f, p, cnt)
-	} else {
-		walk(p, f, cnt)
-	}
-}
-
-// dimShare is one dimension's owner progression inside StridedShares and
-// TransferSchedule: the cell, its local strided run, and the run's
-// placement on the request lattice along that dimension.
-type dimShare struct {
-	cell           int
-	lo, hi, step   int
-	posLo, posStep int
-}
-
-// StridedShares splits the lattice of the strided rectangle
-// (lo, hi, step) — dense when step is nil — by owner, each owner's
-// piece expressed as a strided local rectangle plus its placement on
-// the request lattice. That representation exists exactly when every
-// dimension maps the request lattice onto each cell as an arithmetic
-// progression: block dimensions (clamped runs, posStep 1) and width-1
-// cyclic dimensions (residue progressions with period
-// GridDims/gcd(step, GridDims)) qualify; a block-cyclic dimension of
-// width > 1 over several cells does not, and the call reports ok=false
-// so callers fall back to OwnerLattice. Shares appear in row-major cell
-// order; every lattice point lies in exactly one share.
-func (m *Meta) StridedShares(lo, hi, step []int) (shares []StridedShare, ok bool, err error) {
-	if err = grid.CheckStridedRect(lo, hi, step, m.Dims); err != nil {
-		return nil, false, err
-	}
-	if !m.progressive() {
-		return nil, false, nil
-	}
-	n := m.NDims()
-	dims := make([][]dimShare, n)
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		st := grid.StepAt(step, i)
-		dims[i] = m.dimShares(i, lo[i], st, (hi[i]-lo[i]+st-1)/st)
-		counts[i] = len(dims[i])
-	}
-	total := grid.Size(counts)
-	shares = make([]StridedShare, 0, total)
-	// One slab backs the five bound vectors of every share; each is capped
-	// so an append to one cannot run into the next.
-	slab := make([]int, 5*n*total)
-	idx := make([]int, 2*n)
-	idx, cells := idx[:n], idx[n:]
-	for {
-		v := slab[:5*n]
-		slab = slab[5*n:]
-		sh := StridedShare{
-			Lo: v[:n:n], Hi: v[n : 2*n : 2*n], Step: v[2*n : 3*n : 3*n],
-			PosLo: v[3*n : 4*n : 4*n], PosStep: v[4*n : 5*n : 5*n],
-		}
-		for i := 0; i < n; i++ {
-			ds := dims[i][idx[i]]
-			cells[i] = ds.cell
-			sh.Lo[i], sh.Hi[i], sh.Step[i] = ds.lo, ds.hi, ds.step
-			sh.PosLo[i], sh.PosStep[i] = ds.posLo, ds.posStep
-		}
-		slot, err := grid.ProcSlot(cells, m.GridDims, m.GridIndexing)
-		if err != nil {
-			return nil, false, err
-		}
-		sh.Proc = m.Procs[slot]
-		sh.Slot = slot
-		shares = append(shares, sh)
-		i := n - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return shares, true, nil
-		}
-	}
-}
-
-// progressive reports whether every dimension maps a lattice onto each
-// cell as a single arithmetic progression: block dimensions, width-1
-// cyclic ones, and any distribution over a 1-cell grid dimension. A
-// block-cyclic dimension of width > 1 over several cells does not.
-func (m *Meta) progressive() bool {
-	for i := range m.Dims {
-		if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock && m.Dists[i].B > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// dimShares splits the lattice {lo + j*st : 0 <= j < cnt} along
-// dimension i of a progressive array into its per-cell progressions.
-func (m *Meta) dimShares(i, lo, st, cnt int) []dimShare {
-	if m.Dists != nil && m.GridDims[i] > 1 && m.Dists[i].Kind != grid.DistBlock {
-		return cyclicDimShares(lo, st, cnt, m.GridDims[i])
-	}
-	return blockDimShares(lo, st, cnt, m.LocalDims[i], m.Dims[i])
-}
-
-// cyclicDimShares computes the per-cell progressions of the lattice
-// {lo + j*st : 0 <= j < cnt} along one width-1 cyclic dimension of p
-// cells. The lattice visits cells with period p/gcd(st, p); a cell
-// holding any point holds every period-th lattice point from its first,
-// and consecutive held points are st/gcd(st, p) apart in local storage
-// (their global distance is the multiple st*p/gcd of p).
-func cyclicDimShares(lo, st, cnt, p int) []dimShare {
-	d := gcd(st, p)
-	period := p / d
-	out := make([]dimShare, 0, period)
-	for c := 0; c < p; c++ {
-		j0 := -1
-		for j := 0; j < period; j++ {
-			if (lo+j*st)%p == c {
-				j0 = j
-				break
-			}
-		}
-		if j0 < 0 || j0 >= cnt {
-			continue
-		}
-		k := (cnt-1-j0)/period + 1
-		lLo := (lo + j0*st) / p
-		lStep := st / d
-		out = append(out, dimShare{
-			cell: c, lo: lLo, hi: lLo + (k-1)*lStep + 1, step: lStep,
-			posLo: j0, posStep: period,
-		})
-	}
-	return out
-}
-
-// blockDimShares computes the per-cell runs of the lattice
-// {lo + j*st : 0 <= j < cnt} along one block dimension of cell width b
-// and extent n (the trailing cell possibly truncated): each touched
-// cell holds a contiguous stretch of consecutive lattice points.
-func blockDimShares(lo, st, cnt, b, n int) []dimShare {
-	last := lo + (cnt-1)*st
-	out := make([]dimShare, 0, last/b-lo/b+1)
-	for c := lo / b; c <= last/b; c++ {
-		cellLo, cellHi := c*b, (c+1)*b
-		if cellHi > n {
-			cellHi = n
-		}
-		jFirst := 0
-		if cellLo > lo {
-			jFirst = (cellLo - lo + st - 1) / st
-		}
-		jLast := (cellHi - 1 - lo) / st
-		if jLast > cnt-1 {
-			jLast = cnt - 1
-		}
-		if jFirst > jLast {
-			continue // the stride skips this cell entirely
-		}
-		lLo := lo + jFirst*st - cellLo
-		k := jLast - jFirst + 1
-		out = append(out, dimShare{
-			cell: c, lo: lLo, hi: lLo + (k-1)*st + 1, step: st,
-			posLo: jFirst, posStep: 1,
-		})
-	}
-	return out
-}
-
-// gcd returns the greatest common divisor of two positive integers.
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

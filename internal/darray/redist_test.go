@@ -46,24 +46,28 @@ func fillGlobal(t *testing.T, m *Meta, secs map[int]*Section, encode func([]int)
 }
 
 // applySchedule runs every pair of the schedule through the owner-side
-// copy kernels, exactly as the redistribution plane's same-process pairs
-// and shipped pieces do.
+// copy kernel, exactly as the redistribution plane's same-process pairs
+// do.
 func applySchedule(t *testing.T, sched *Schedule, dst *Meta, dstSecs map[int]*Section, src *Meta, srcSecs map[int]*Section) {
 	t.Helper()
 	for _, pb := range sched.Blocks {
-		err := CopyRect(dstSecs[pb.DstProc], dst, pb.DstLo, pb.DstStep, srcSecs[pb.SrcProc], src, pb.SrcLo, pb.SrcHi, pb.SrcStep)
+		err := CopyRect(dstSecs[pb.DstProc], dst, pb.DstLo, pb.DstStep, srcSecs[pb.SrcProc], src, pb.SrcLo, pb.SrcHi, pb.SrcStep, pb.Runs)
 		if err != nil {
 			t.Fatalf("CopyRect(%+v): %v", pb, err)
 		}
 	}
-	for _, ps := range sched.Sets {
-		if len(ps.SrcOffs) == 0 || len(ps.SrcOffs) != len(ps.DstOffs) {
-			t.Fatalf("malformed pair set: %d src offsets, %d dst offsets", len(ps.SrcOffs), len(ps.DstOffs))
-		}
-		if err := CopyOffsets(dstSecs[ps.DstProc], srcSecs[ps.SrcProc], ps.DstOffs, ps.SrcOffs); err != nil {
-			t.Fatalf("CopyOffsets: %v", err)
+}
+
+// multiRun reports whether the layout has a block-cyclic dimension of
+// width > 1 over several cells: the only kind whose cells hold several
+// runs of a lattice per dimension.
+func multiRun(m *Meta) bool {
+	for i, d := range m.ResolvedDists() {
+		if d.Kind == grid.DistBlockCyclic && m.GridDims[i] > 1 && d.B > 1 {
+			return true
 		}
 	}
+	return false
 }
 
 // redistLayouts is the layout sweep of the schedule tests: all three
@@ -96,8 +100,8 @@ func redistLayouts(t *testing.T, dims []int) map[string]*Meta {
 }
 
 // TestTransferScheduleCompleteness drives every ordered pair of layouts
-// (descriptor blocks unless a side is block-cyclic of width > 1, offset
-// sets otherwise) with random dense and strided rectangles and checks
+// (one run per dimension unless a side is block-cyclic of width > 1)
+// with random dense and strided rectangles and checks
 // element-for-element delivery.
 func TestTransferScheduleCompleteness(t *testing.T) {
 	for _, dims := range [][]int{{29}, {11, 10}} {
@@ -147,8 +151,10 @@ func TestTransferScheduleCompleteness(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s->%s: TransferSchedule: %v", sname, dname, err)
 					}
-					if len(sched.Sets) != 0 && src.progressive() && dst.progressive() {
-						t.Fatalf("%s->%s: progression layouts produced %d offset sets", sname, dname, len(sched.Sets))
+					for _, pb := range sched.Blocks {
+						if pb.Runs != nil && !multiRun(src) && !multiRun(dst) {
+							t.Fatalf("%s->%s: single-run layouts produced runs %v", sname, dname, pb.Runs)
+						}
 					}
 					srcSecs := sectionsFor(src)
 					dstSecs := sectionsFor(dst)
@@ -220,9 +226,9 @@ func TestTransferScheduleErrors(t *testing.T) {
 	}
 }
 
-// TestStridedSharesMatchOwnerLattice checks the descriptor split against
-// the materialized offset sets point for point over the shared layout
-// sweep (checkStridedShares), dense and strided.
+// TestStridedSharesMatchOwnerLattice checks the closed-form rectangle
+// split (Split) against the materialized offset sets point for point over
+// the shared layout sweep (checkStridedShares), dense and strided.
 func TestStridedSharesMatchOwnerLattice(t *testing.T) {
 	for name, m := range distMetas(t, grid.RowMajor) {
 		rng := rand.New(rand.NewSource(7))
@@ -239,15 +245,15 @@ func TestStridedSharesMatchOwnerLattice(t *testing.T) {
 // FuzzStridedShares runs checkStridedShares over random layouts (block,
 // cyclic(N), block-cyclic(B) and star dimensions with uneven trailing
 // cells, borders and either indexing order) and random rectangles, dense
-// and strided. StridedShares is the split of every rectangle transfer on
-// the data plane.
+// and strided. Split is the split of every rectangle transfer on the
+// data plane.
 func FuzzStridedShares(f *testing.F) {
 	f.Add([]byte{0})
 	// 1-d cyclic over four cells, every 3rd point of [2, 23).
 	f.Add([]byte{0, 22, 3, 1, 0, 0, 0, 2, 2, 6, 1})
 	// 2-d uneven block x cyclic with borders, column-major, dense.
 	f.Add([]byte{1, 12, 2, 0, 1, 1, 6, 2, 1, 0, 2, 1, 3, 0, 4, 0, 2, 0, 0})
-	// Block-cyclic(2): no share form.
+	// Block-cyclic(2): several runs per cell.
 	f.Add([]byte{0, 15, 2, 2, 1, 0, 0, 0, 0, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
@@ -268,32 +274,55 @@ func FuzzStridedShares(f *testing.F) {
 	})
 }
 
-// checkStridedShares checks StridedShares(lo, hi, step) — dense when step
-// is nil — against the per-point walk: a layout with a block-cyclic B > 1
-// dimension over several cells must report no share form; any other must
-// have one, and enumerating each share's local lattice and placement must
-// reproduce exactly the (proc, offset, position) triples OwnerLattice
-// produces.
+// blockPoints calls visit with the interior-local source and destination
+// indices of every point of a schedule block, in the block's packing
+// order: one combination of runs after another, each row-major.
+func blockPoints(pb *PairBlock, n int, visit func(src, dst []int)) {
+	runs := pb.Runs
+	if runs == nil {
+		runs = make([]int, n)
+		for i := range runs {
+			runs[i] = 1
+		}
+	}
+	k := make([]int, n)
+	src, dst := make([]int, n), make([]int, n)
+	for {
+		// This combination's runs, one per dimension.
+		base := make([]int, n)
+		cnt := make([]int, n)
+		for i, j := 0, 0; i < n; i++ {
+			base[i] = j + k[i]
+			j += runs[i]
+			st := grid.StepAt(pb.SrcStep, base[i])
+			cnt[i] = (pb.SrcHi[base[i]] - pb.SrcLo[base[i]] + st - 1) / st
+		}
+		_ = grid.ForEachRect(make([]int, n), cnt, func(t []int, _ int) error {
+			for i, r := range base {
+				src[i] = pb.SrcLo[r] + t[i]*grid.StepAt(pb.SrcStep, r)
+				dst[i] = pb.DstLo[r] + t[i]*grid.StepAt(pb.DstStep, r)
+			}
+			visit(src, dst)
+			return nil
+		})
+		if !nextCombo(k, runs) {
+			return
+		}
+	}
+}
+
+// checkStridedShares checks Split(lo, hi, step) — dense when step is nil
+// — against the per-point walk on every layout: each block's size must
+// match its points, its lists must pass LatticeSize on both sides, only a
+// layout with a block-cyclic B > 1 dimension over several cells may hold
+// several runs in a dimension, and enumerating every block's source
+// points and buffer positions must reproduce exactly the (proc, offset,
+// position) triples OwnerLattice produces.
 func checkStridedShares(t *testing.T, name string, m *Meta, lo, hi, step []int) {
 	t.Helper()
-	blockCyclic := false
-	for i, d := range m.ResolvedDists() {
-		if d.Kind == grid.DistBlockCyclic && m.GridDims[i] > 1 && d.B > 1 {
-			blockCyclic = true
-		}
-	}
-	shares, ok, err := m.StridedShares(lo, hi, step)
+	blocks, err := m.Split(lo, hi, step)
 	if err != nil {
-		t.Fatalf("%s: StridedShares(%v,%v,%v): %v", name, lo, hi, step, err)
-	}
-	if blockCyclic {
-		if ok {
-			t.Fatalf("%s: block-cyclic layout reported descriptor-eligible", name)
-		}
-		return
-	}
-	if !ok {
-		t.Fatalf("%s: progression layout reported ineligible", name)
+		t.Fatalf("%s: Split(%v,%v,%v): %v", name, lo, hi, step, err)
 	}
 	sets, err := m.OwnerLattice(lo, hi, step)
 	if err != nil {
@@ -307,61 +336,60 @@ func checkStridedShares(t *testing.T, name string, m *Meta, lo, hi, step []int) 
 		}
 		want[s.Proc] = pm
 	}
-	sdims := grid.RectDims(lo, hi)
-	if step != nil {
-		sdims = grid.StridedRectDims(lo, hi, step)
-	}
+	sdims := grid.StridedRectDims(lo, hi, step)
 	got := make(map[int]map[int]int)
 	strides := grid.Strides(m.LocalDimsPlus, m.Indexing)
 	n := m.NDims()
-	for _, sh := range shares {
-		pm := got[sh.Proc]
+	for b := range blocks {
+		sh := &blocks[b]
+		if sh.Runs != nil && !multiRun(m) {
+			t.Fatalf("%s: single-run layout split with runs %v", name, sh.Runs)
+		}
+		sSize, err := LatticeSize(sh.SrcLo, sh.SrcHi, sh.SrcStep, sh.Runs, m.LocalDims)
+		if err != nil {
+			t.Fatalf("%s: block %+v: source side: %v", name, sh, err)
+		}
+		dSize, err := LatticeSize(sh.DstLo, sh.DstHi, sh.DstStep, sh.Runs, sdims)
+		if err != nil {
+			t.Fatalf("%s: block %+v: buffer side: %v", name, sh, err)
+		}
+		if sSize != dSize {
+			t.Fatalf("%s: block %+v: source lists %d points, buffer %d", name, sh, sSize, dSize)
+		}
+		pm := got[sh.SrcProc]
 		if pm == nil {
 			pm = make(map[int]int)
-			got[sh.Proc] = pm
+			got[sh.SrcProc] = pm
 		}
-		cnt := make([]int, n)
-		for i := 0; i < n; i++ {
-			cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
-		}
-		zero := make([]int, n)
-		lidx := make([]int, n)
-		pidx := make([]int, n)
-		err := grid.ForEachRect(zero, cnt, func(idx []int, _ int) error {
+		blockPoints(sh, n, func(lidx, pidx []int) {
 			off := 0
-			for i := range idx {
-				lidx[i] = sh.Lo[i] + idx[i]*sh.Step[i]
-				pidx[i] = sh.PosLo[i] + idx[i]*sh.PosStep[i]
+			for i := range lidx {
 				off += (lidx[i] + m.Borders[2*i]) * strides[i]
 			}
 			pos, err := grid.Flatten(pidx, sdims, grid.RowMajor)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if old, dup := pm[pos]; dup {
 				t.Fatalf("%s: position %d claimed twice (offsets %d, %d)", name, pos, old, off)
 			}
 			pm[pos] = off
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	for proc, pm := range want {
 		gm := got[proc]
 		if len(gm) != len(pm) {
-			t.Fatalf("%s: proc %d holds %d positions via shares, %d via offset sets", name, proc, len(gm), len(pm))
+			t.Fatalf("%s: proc %d holds %d positions via Split, %d via offset sets", name, proc, len(gm), len(pm))
 		}
 		for pos, off := range pm {
 			if gm[pos] != off {
-				t.Fatalf("%s: proc %d position %d -> offset %d via shares, %d via offset sets", name, proc, pos, gm[pos], off)
+				t.Fatalf("%s: proc %d position %d -> offset %d via Split, %d via offset sets", name, proc, pos, gm[pos], off)
 			}
 		}
 	}
 	for proc := range got {
 		if _, okp := want[proc]; !okp && len(got[proc]) > 0 {
-			t.Fatalf("%s: shares invented holdings on proc %d", name, proc)
+			t.Fatalf("%s: Split invented holdings on proc %d", name, proc)
 		}
 	}
 }
@@ -381,7 +409,7 @@ func TestCopyRectConverts(t *testing.T) {
 		s.SetFloat(i, float64(i)+0.5)
 	}
 	// Every other source row lands on consecutive destination rows.
-	if err := CopyRect(d, dst, []int{1, 0}, nil, s, src, []int{0, 1}, []int{5, 4}, []int{2, 1}); err != nil {
+	if err := CopyRect(d, dst, []int{1, 0}, nil, s, src, []int{0, 1}, []int{5, 4}, []int{2, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	strides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
@@ -470,56 +498,82 @@ func fuzzMeta(t *testing.T, in *fuzzBytes, rank int) *Meta {
 }
 
 // schedulePairs flattens a schedule into its (srcSlot, dstSlot) →
-// (srcOff, dstOff) pairs, enumerating each descriptor block's two local
-// lattices in lockstep. It fails the test on a block whose sides differ
-// in shape or leave their sections, and on an owner pair that appears
+// (srcOff, dstOff) pairs, enumerating each block's two sides in lockstep
+// in packing order. It fails the test on a block whose sides differ in
+// shape or leave their sections, and on an owner pair that appears
 // twice.
 func schedulePairs(t *testing.T, sched *Schedule, dst, src *Meta) map[[2]int][][2]int {
 	t.Helper()
 	out := make(map[[2]int][][2]int)
-	claim := func(s, d int) [2]int {
-		k := [2]int{s, d}
-		if _, dup := out[k]; dup {
-			t.Fatalf("owner pair (%d,%d) appears twice in the schedule", s, d)
-		}
-		out[k] = nil
-		return k
-	}
 	n := dst.NDims()
 	sStr := grid.Strides(src.LocalDimsPlus, src.Indexing)
 	dStr := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
-	for _, pb := range sched.Blocks {
+	for b := range sched.Blocks {
+		pb := &sched.Blocks[b]
 		if pb.SrcProc != src.Procs[pb.SrcSlot] || pb.DstProc != dst.Procs[pb.DstSlot] {
 			t.Fatalf("block %+v: processors disagree with slots", pb)
 		}
-		sSt, dSt := orDense(pb.SrcStep, n), orDense(pb.DstStep, n)
-		if err := grid.CheckStridedRect(pb.SrcLo, pb.SrcHi, sSt, src.LocalDims); err != nil {
+		sSize, err := LatticeSize(pb.SrcLo, pb.SrcHi, pb.SrcStep, pb.Runs, src.LocalDims)
+		if err != nil {
 			t.Fatalf("block %+v: source side: %v", pb, err)
 		}
-		if err := grid.CheckStridedRect(pb.DstLo, pb.DstHi, dSt, dst.LocalDims); err != nil {
+		dSize, err := LatticeSize(pb.DstLo, pb.DstHi, pb.DstStep, pb.Runs, dst.LocalDims)
+		if err != nil {
 			t.Fatalf("block %+v: destination side: %v", pb, err)
 		}
-		cnt := grid.StridedRectDims(pb.SrcLo, pb.SrcHi, sSt)
-		if !EqualInts(cnt, grid.StridedRectDims(pb.DstLo, pb.DstHi, dSt)) {
-			t.Fatalf("block %+v: sides differ in shape", pb)
+		if sSize != dSize {
+			t.Fatalf("block %+v: sides list %d and %d points", pb, sSize, dSize)
 		}
-		k := claim(pb.SrcSlot, pb.DstSlot)
-		zero := make([]int, n)
-		_ = grid.ForEachRect(zero, cnt, func(j []int, _ int) error {
+		k := [2]int{pb.SrcSlot, pb.DstSlot}
+		if _, dup := out[k]; dup {
+			t.Fatalf("owner pair (%d,%d) appears twice in the schedule", k[0], k[1])
+		}
+		out[k] = nil
+		blockPoints(pb, n, func(s, d []int) {
 			so, do := 0, 0
-			for i := range j {
-				so += (pb.SrcLo[i] + j[i]*sSt[i] + src.Borders[2*i]) * sStr[i]
-				do += (pb.DstLo[i] + j[i]*dSt[i] + dst.Borders[2*i]) * dStr[i]
+			for i := range s {
+				so += (s[i] + src.Borders[2*i]) * sStr[i]
+				do += (d[i] + dst.Borders[2*i]) * dStr[i]
 			}
 			out[k] = append(out[k], [2]int{so, do})
-			return nil
 		})
-	}
-	for _, ps := range sched.Sets {
-		k := claim(ps.SrcSlot, ps.DstSlot)
-		for i := range ps.SrcOffs {
-			out[k] = append(out[k], [2]int{ps.SrcOffs[i], ps.DstOffs[i]})
+		if len(out[k]) != sSize {
+			t.Fatalf("block %+v: enumerated %d points, lists %d", pb, len(out[k]), sSize)
 		}
+	}
+	return out
+}
+
+// walkSchedule is the per-point oracle of the schedule: resolve every
+// lattice point on both sides (ResolveIndex) and bucket the paired
+// storage offsets by (source slot, destination slot).
+func walkSchedule(t *testing.T, dst, src *Meta, dstLo, srcLo, dims, step []int) map[[2]int][][2]int {
+	t.Helper()
+	n := dst.NDims()
+	out := make(map[[2]int][][2]int)
+	srcStrides := grid.Strides(src.LocalDimsPlus, src.Indexing)
+	dstStrides := grid.Strides(dst.LocalDimsPlus, dst.Indexing)
+	srcIdx := make([]int, n)
+	dstIdx := make([]int, n)
+	err := grid.ForEachStridedRect(make([]int, n), dims, step, func(off []int, _ int) error {
+		for i := range off {
+			srcIdx[i] = srcLo[i] + off[i]
+			dstIdx[i] = dstLo[i] + off[i]
+		}
+		sSlot, sOff, ok := src.ResolveIndex(srcIdx, srcStrides)
+		if !ok {
+			t.Fatalf("unresolvable source index %v", srcIdx)
+		}
+		dSlot, dOff, ok := dst.ResolveIndex(dstIdx, dstStrides)
+		if !ok {
+			t.Fatalf("unresolvable destination index %v", dstIdx)
+		}
+		k := [2]int{sSlot, dSlot}
+		out[k] = append(out[k], [2]int{sOff, dOff})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -529,7 +583,8 @@ func schedulePairs(t *testing.T, sched *Schedule, dst, src *Meta) map[[2]int][][
 // star dimensions; 1-D and 2-D; uneven trailing blocks, borders and both
 // indexing orders) and random dense or strided lattices at distinct
 // source and destination origins, every owner pair must move exactly the
-// (srcOff, dstOff) pairs the walk resolves — none missing, none extra.
+// (srcOff, dstOff) pairs the walk resolves — none missing, none extra —
+// and only a block-cyclic B > 1 side may hold several runs.
 func FuzzTransferSchedule(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 9, 3, 0, 0, 0, 17, 3, 1, 0, 0, 1, 1, 2, 0, 3, 3})
@@ -538,6 +593,13 @@ func FuzzTransferSchedule(f *testing.F) {
 	f.Add([]byte{1, 15, 0, 3, 0, 0, 15, 3, 0, 0, 0, 0, 15, 3, 1, 0, 0, 15, 0, 3, 0, 0, 0,
 		0, 15, 0, 0, 0, 0, 3, 0, 4, 4, 0})
 	f.Add([]byte{0, 22, 2, 2, 2, 1, 2, 1, 20, 3, 1, 0, 1, 0, 1, 2, 5, 4, 1})
+	// Block-cyclic x block-cyclic with a different width on each side:
+	// 1-D bc(3) over 3 cells onto bc(2) over 2, the whole extent, dense.
+	f.Add([]byte{0, 23, 2, 2, 2, 0, 0, 0, 23, 1, 2, 1, 1, 0, 1, 0, 23, 0, 0, 0, 0})
+	// 2-D bc(3) x bc(2) onto bc(2) x bc(4), bordered, strided, the
+	// destination column-major.
+	f.Add([]byte{1, 20, 1, 2, 2, 1, 0, 15, 1, 2, 1, 0, 1, 0, 20, 1, 2, 1, 0, 0, 15, 1, 2, 3, 0, 0, 1,
+		0, 20, 0, 0, 0, 1, 5, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		rank := 1 + in.next(2)
@@ -563,15 +625,13 @@ func FuzzTransferSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("TransferSchedule(%v, %v, %v, %v): %v", dstLo, srcLo, ext, step, err)
 		}
-		if len(sched.Sets) != 0 && src.progressive() && dst.progressive() {
-			t.Fatalf("progression layouts produced %d offset sets", len(sched.Sets))
-		}
-		oracle, err := dst.walkSchedule(src, dstLo, srcLo, ext, step)
-		if err != nil {
-			t.Fatal(err)
+		for _, pb := range sched.Blocks {
+			if pb.Runs != nil && !multiRun(src) && !multiRun(dst) {
+				t.Fatalf("single-run layouts produced runs %v", pb.Runs)
+			}
 		}
 		got := schedulePairs(t, sched, dst, src)
-		want := schedulePairs(t, oracle, dst, src)
+		want := walkSchedule(t, dst, src, dstLo, srcLo, ext, step)
 		if len(got) != len(want) {
 			t.Fatalf("%d owner pairs, walk has %d", len(got), len(want))
 		}
@@ -591,14 +651,114 @@ func FuzzTransferSchedule(f *testing.F) {
 	})
 }
 
-// orDense returns step, or a fresh all-ones step of rank n when it is nil.
-func orDense(step []int, n int) []int {
-	if step != nil {
-		return step
+// specMeta builds the row-major, borderless metadata of an array of the
+// given extents spread over p processors by a textual distribution such
+// as "block_cyclic(8),*".
+func specMeta(tb testing.TB, dims []int, p int, distrib string) *Meta {
+	tb.Helper()
+	specs, err := grid.ParseDistrib(distrib)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	st := make([]int, n)
-	for i := range st {
-		st[i] = 1
+	gridDims, err := grid.GridDims(p, specs)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return st
+	return metaForDist(tb, dims, gridDims, specs, NoBorders(len(dims)), grid.RowMajor)
+}
+
+// scheduleShapes are the benchmark shapes of Split and TransferSchedule:
+// each a source array, the rectangle taken from it, and the destination
+// array of the redistribution.
+var scheduleShapes = []struct {
+	name     string
+	dims     []int
+	p        int
+	src, dst string
+	lo, hi   []int
+}{
+	{"1d-block-4owners", []int{1024}, 4, "block", "cyclic", []int{0}, []int{1024}},
+	{"panel-512x128", []int{512, 512}, 4, "*,block", "cyclic,*", []int{0, 128}, []int{512, 256}},
+	{"bc8xbc8-512", []int{512, 512}, 4, "block_cyclic(8),block_cyclic(8)", "block,*", []int{0, 0}, []int{512, 512}},
+	{"bc64xbc48-960", []int{960, 960}, 6, "block_cyclic(64),block_cyclic(48)", "block_cyclic(48),block_cyclic(64)", []int{0, 0}, []int{960, 960}},
+}
+
+// TestScheduleDescriptorSize bounds what a schedule costs to describe:
+// over a sweep of layout pairs on arrays of realistic size, block-cyclic
+// ones included, the index ints of every pair (six bound vectors and the
+// run counts) come to at most 2 per element moved. Per-dimension run
+// lists keep block-cyclic pairs far below that; a schedule that
+// enumerated points, or expanded the product of the runs into
+// rectangles, would not.
+func TestScheduleDescriptorSize(t *testing.T) {
+	layouts := []string{"block,*", "*,block", "cyclic,*", "block,cyclic", "block_cyclic(8),*", "*,block_cyclic(8)",
+		"block_cyclic(8),block_cyclic(8)", "block_cyclic(4),block"}
+	pairs := [][2]string{}
+	for _, s := range layouts {
+		for _, d := range layouts {
+			pairs = append(pairs, [2]string{s, d})
+		}
+	}
+	check := func(dims []int, p int, src, dst string) {
+		sm, dm := specMeta(t, dims, p, src), specMeta(t, dims, p, dst)
+		zero := make([]int, len(dims))
+		sched, err := dm.TransferSchedule(sm, zero, zero, dims, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ints, elems := 0, 0
+		for _, b := range sched.Blocks {
+			ints += len(b.SrcLo) + len(b.SrcHi) + len(b.SrcStep) + len(b.DstLo) + len(b.DstHi) + len(b.DstStep) + len(b.Runs)
+			n, err := LatticeSize(b.SrcLo, b.SrcHi, b.SrcStep, b.Runs, sm.LocalDims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			elems += n
+		}
+		if elems != grid.Size(dims) || float64(ints) > 2*float64(elems) {
+			t.Errorf("%v over %d, (%s) -> (%s): %d index ints for %d elements (want all %d, at most 2 ints each)",
+				dims, p, src, dst, ints, elems, grid.Size(dims))
+		}
+	}
+	for _, pr := range pairs {
+		check([]int{512, 512}, 4, pr[0], pr[1])
+	}
+	check([]int{960, 960}, 6, "block_cyclic(64),block_cyclic(48)", "block_cyclic(48),block_cyclic(64)")
+	check([]int{960, 960}, 6, "block_cyclic(48),block_cyclic(64)", "block_cyclic(64),block_cyclic(48)")
+}
+
+// BenchmarkSplit prices the coordinator's rectangle split (Split) on
+// each scheduleShapes source array and rectangle.
+func BenchmarkSplit(b *testing.B) {
+	for _, c := range scheduleShapes {
+		b.Run(c.name, func(b *testing.B) {
+			m := specMeta(b, c.dims, c.p, c.src)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := m.Split(c.lo, c.hi, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTransferSchedule prices the redistribution schedule of each
+// scheduleShapes rectangle onto the same place in its destination array.
+func BenchmarkTransferSchedule(b *testing.B) {
+	for _, c := range scheduleShapes {
+		b.Run(c.name, func(b *testing.B) {
+			src, dst := specMeta(b, c.dims, c.p, c.src), specMeta(b, c.dims, c.p, c.dst)
+			ext := make([]int, len(c.lo))
+			for i := range ext {
+				ext[i] = c.hi[i] - c.lo[i]
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := dst.TransferSchedule(src, c.lo, c.lo, ext, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -64,7 +64,7 @@ func TestSectionStridedReadWrite(t *testing.T) {
 			s := refSection(t, c.typ, c.localDims, c.borders, c.ix, value)
 			n := grid.StridedRectSize(c.lo, c.hi, c.step)
 			dst := make([]float64, n)
-			if err := s.MoveLattice(true, dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
+			if err := s.MoveLattice(true, dst, c.lo, c.hi, c.step, nil, c.localDims, c.borders, c.ix); err != nil {
 				t.Fatal(err)
 			}
 			if err := grid.ForEachStridedRect(c.lo, c.hi, c.step, func(lidx []int, k int) error {
@@ -84,7 +84,7 @@ func TestSectionStridedReadWrite(t *testing.T) {
 			for i := range dst {
 				dst[i] += 1000
 			}
-			if err := s.MoveLattice(false, dst, c.lo, c.hi, c.step, c.localDims, c.borders, c.ix); err != nil {
+			if err := s.MoveLattice(false, dst, c.lo, c.hi, c.step, nil, c.localDims, c.borders, c.ix); err != nil {
 				t.Fatal(err)
 			}
 			onLattice := func(lidx []int) bool {
@@ -127,16 +127,16 @@ func TestSectionStridedErrors(t *testing.T) {
 	s := NewSection(Double, 16)
 	localDims := []int{4, 4}
 	borders := NoBorders(2)
-	if err := s.MoveLattice(true, make([]float64, 4), []int{0, 0}, []int{4, 4}, []int{0, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(true, make([]float64, 4), []int{0, 0}, []int{4, 4}, []int{0, 2}, nil, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("zero step accepted")
 	}
-	if err := s.MoveLattice(true, make([]float64, 3), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(true, make([]float64, 3), []int{0, 0}, []int{4, 4}, []int{2, 2}, nil, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("wrong-size buffer accepted")
 	}
-	if err := s.MoveLattice(false, make([]float64, 4), []int{0, 0}, []int{5, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(false, make([]float64, 4), []int{0, 0}, []int{5, 4}, []int{2, 2}, nil, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("out-of-range rectangle accepted")
 	}
-	if err := s.MoveLattice(false, make([]float64, 5), []int{0, 0}, []int{4, 4}, []int{2, 2}, localDims, borders, grid.RowMajor); err == nil {
+	if err := s.MoveLattice(false, make([]float64, 5), []int{0, 0}, []int{4, 4}, []int{2, 2}, nil, localDims, borders, grid.RowMajor); err == nil {
 		t.Error("wrong-size values accepted")
 	}
 }
@@ -150,12 +150,12 @@ func TestSectionStridedZeroAllocs(t *testing.T) {
 	lo, hi, step := []int{0, 0}, []int{16, 16}, []int{2, 3}
 	buf := make([]float64, grid.StridedRectSize(lo, hi, step))
 	read := testing.AllocsPerRun(200, func() {
-		if err := s.MoveLattice(true, buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
+		if err := s.MoveLattice(true, buf, lo, hi, step, nil, localDims, borders, grid.RowMajor); err != nil {
 			t.Error(err)
 		}
 	})
 	write := testing.AllocsPerRun(200, func() {
-		if err := s.MoveLattice(false, buf, lo, hi, step, localDims, borders, grid.RowMajor); err != nil {
+		if err := s.MoveLattice(false, buf, lo, hi, step, nil, localDims, borders, grid.RowMajor); err != nil {
 			t.Error(err)
 		}
 	})
@@ -168,9 +168,10 @@ func TestSectionStridedZeroAllocs(t *testing.T) {
 }
 
 // TestOwnerBlocksStrided checks the strided owner split of a block array
-// (StridedShares): shares partition the lattice exactly, each share's
-// points lie on the request lattice at their placed positions and in its
-// owner's section, and cells the stride skips produce no share.
+// (Split): blocks hold one run per dimension and partition the lattice
+// exactly, each block's points lie on the request lattice at their
+// buffer positions and in its owner's section, and cells the stride
+// skips produce no block.
 func TestOwnerBlocksStrided(t *testing.T) {
 	meta := &Meta{
 		ID: ID{}, Type: Double,
@@ -195,42 +196,44 @@ func TestOwnerBlocksStrided(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			shares, ok, err := meta.StridedShares(c.lo, c.hi, c.step)
-			if err != nil || !ok {
-				t.Fatalf("StridedShares: ok=%v, %v", ok, err)
+			blocks, err := meta.Split(c.lo, c.hi, c.step)
+			if err != nil {
+				t.Fatalf("Split: %v", err)
 			}
+			sdims := grid.StridedRectDims(c.lo, c.hi, c.step)
 			seen := make(map[int]int) // flattened global index -> hits
-			for _, sh := range shares {
-				if _, ok := meta.HoldsSection(sh.Proc); !ok {
-					t.Fatalf("share on processor %d holding no section", sh.Proc)
+			for _, sh := range blocks {
+				if _, ok := meta.HoldsSection(sh.SrcProc); !ok || sh.Runs != nil {
+					t.Fatalf("block on processor %d (holds a section: %v) with runs %v", sh.SrcProc, ok, sh.Runs)
 				}
-				// Local bounds stay inside the section, and a share holds
-				// at least one point.
-				cnt := make([]int, len(sh.Lo))
-				for i := range sh.Lo {
-					if sh.Lo[i] < 0 || sh.Hi[i] > meta.LocalDims[i] || sh.Lo[i] >= sh.Hi[i] {
-						t.Fatalf("share local bounds outside the section or empty: %+v", sh)
+				// Local bounds stay inside the section and the buffer, and
+				// a block holds at least one point.
+				cnt := make([]int, len(sh.SrcLo))
+				for i := range sh.SrcLo {
+					if sh.SrcLo[i] < 0 || sh.SrcHi[i] > meta.LocalDims[i] || sh.SrcLo[i] >= sh.SrcHi[i] ||
+						sh.DstLo[i] < 0 || sh.DstHi[i] > sdims[i] {
+						t.Fatalf("block bounds outside the section or buffer, or empty: %+v", sh)
 					}
-					cnt[i] = (sh.Hi[i] - sh.Lo[i] + sh.Step[i] - 1) / sh.Step[i]
+					cnt[i] = (sh.SrcHi[i] - sh.SrcLo[i] + grid.StepAt(sh.SrcStep, i) - 1) / grid.StepAt(sh.SrcStep, i)
 				}
 				gidx := make([]int, len(cnt))
 				if err := grid.ForEachRect(make([]int, len(cnt)), cnt, func(tt []int, _ int) error {
 					// The placed position is a request lattice point.
 					off := 0
 					for i := range tt {
-						gidx[i] = c.lo[i] + (sh.PosLo[i]+tt[i]*sh.PosStep[i])*c.step[i]
-						off += (sh.Lo[i] + tt[i]*sh.Step[i]) * strides[i]
+						gidx[i] = c.lo[i] + (sh.DstLo[i]+tt[i]*grid.StepAt(sh.DstStep, i))*c.step[i]
+						off += (sh.SrcLo[i] + tt[i]*grid.StepAt(sh.SrcStep, i)) * strides[i]
 					}
 					if err := grid.CheckIndex(gidx, meta.Dims); err != nil {
-						t.Fatalf("share point %v off the array", gidx)
+						t.Fatalf("block point %v off the array", gidx)
 					}
 					// Owned by the share's processor, at the share's offset.
 					proc, want, err := meta.Owner(gidx)
 					if err != nil {
 						return err
 					}
-					if proc != sh.Proc || off != want {
-						t.Fatalf("point %v in share of proc %d at offset %d, owner says %d at %d", gidx, sh.Proc, off, proc, want)
+					if proc != sh.SrcProc || off != want {
+						t.Fatalf("point %v in block of proc %d at offset %d, owner says %d at %d", gidx, sh.SrcProc, off, proc, want)
 					}
 					lin, err := grid.Flatten(gidx, meta.Dims, grid.RowMajor)
 					if err != nil {
@@ -244,7 +247,7 @@ func TestOwnerBlocksStrided(t *testing.T) {
 			}
 			want := grid.StridedRectSize(c.lo, c.hi, c.step)
 			if len(seen) != want {
-				t.Fatalf("shares cover %d points, lattice has %d", len(seen), want)
+				t.Fatalf("blocks cover %d points, lattice has %d", len(seen), want)
 			}
 			for lin, n := range seen {
 				if n != 1 {

@@ -1036,8 +1036,8 @@ func E19Channels(w io.Writer) error {
 // interconnect hop, so the makespan difference appears as wall time; the
 // modeled row-step makespans make the same comparison deterministically.
 // Numerics are verified: both layouts must reproduce the sequential
-// elimination exactly, with the cyclic matrix's fill and snapshot riding
-// the offset-set rectangle coordinators.
+// elimination exactly, with the cyclic matrix's fill and snapshot split
+// into per-owner strided pieces like any other rectangle.
 func E25TriangularCyclic(w io.Writer) error {
 	fmt.Fprintln(w, "E25 cyclic vs block row decomposition: triangular update (LU k-loop)")
 	fmt.Fprintln(w, "n    P   layout  makespan(row-steps)  wall time")
