@@ -328,7 +328,8 @@ type request struct {
 	hi    []int        // coordinator, interior-local at the owner)
 	step  []int        // read/write: per-dimension stride (>= 1; nil = dense)
 	runs  []int        // owner read/write: runs per dimension of lo/hi/step (nil = one each)
-	vals  []float64    // write data; read: optional caller buffer
+	vals  []float64    // write data
+	out   []float64    // read coordinator: optional caller buffer (never encoded)
 	slot  int          // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
 	// slots after a promotion routes to the right storage (sectionFor)
@@ -355,7 +356,10 @@ type request struct {
 	// (0 in reliable mode), call/pair identify one redistribution ship,
 	// and src/dst let await retransmit the same request object. Handlers
 	// treat requests as read-only, so a retransmitted delivery may alias
-	// the original safely.
+	// the original safely. The one thing a handler writes through, a read
+	// coordinator's out, stays off the wire (coordinator requests never
+	// leave their process), so the fault plane's encode of a duplicated
+	// retransmit never reads it while the first delivery fills it.
 	seq  uint64
 	call uint64
 	pair int
@@ -851,30 +855,18 @@ func (m *Manager) doFreeLocal(proc int, req *request) response {
 	return response{status: StatusOK}
 }
 
-// snapshot draws the buffer carrying one owner's share of a write:
-// messages carry copies, never views. It is pooled, and unsnapshot
-// returns it, except under a fault plan, where the router may deliver
-// the request again after its await has returned.
-func (m *Manager) snapshot(n int) []float64 {
-	if m.machine.Router().Faulty() {
-		return make([]float64, n)
-	}
-	return getBuf(n)
-}
-
-// unsnapshot releases one owner's share once the write's await (or
-// direct call) has returned with status st. A share sent to another OS
-// process is free by then: the transport serialized it on every send,
-// await's retransmit included, which is why it is not released after
-// the send. An owner in this process reads the share itself, so an
-// await that stopped waiting on it (down, timed out, closed) leaves the
-// buffer to the garbage collector.
+// unsnapshot releases one owner's share of a write (a pooled buffer:
+// messages carry copies, never views) once the write's await (or direct
+// call) has returned with status st. A share sent to another OS process
+// is free by then: the transport serialized it on every send, await's
+// retransmit included, which is why it is not released after the send.
+// An owner in this process reads the share itself, so an await that
+// stopped waiting on it (down, timed out, closed) leaves the buffer to
+// the garbage collector. A fault plan changes none of this: a delayed
+// retransmit of the same request is dropped by the owner's dedup filter
+// before any handler reads the share, and a duplicate is a codec copy.
 func (m *Manager) unsnapshot(owner int, st Status, vals []float64) {
-	router := m.machine.Router()
-	if router.Faulty() {
-		return
-	}
-	if router.Local(owner) && (st == StatusDown || st == StatusTimeout || st == StatusClosed) {
+	if m.machine.Router().Local(owner) && (st == StatusDown || st == StatusTimeout || st == StatusClosed) {
 		return
 	}
 	putBuf(vals)
@@ -1075,7 +1067,7 @@ func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, 
 	}
 	indices = vector(indices)
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, gidxs: indices, vals: dst}
+		return &request{op: opRead, id: id, gidxs: indices, out: dst}
 	}).status
 }
 
@@ -1113,7 +1105,7 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, true, s.val[:])
 	if !ok {
 		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: opRead, id: id, gidxs: s.gidxs, vals: s.val[:]}
+			return &request{op: opRead, id: id, gidxs: s.gidxs, out: s.val[:]}
 		}).status
 	}
 	v := s.val[0]
@@ -1311,7 +1303,7 @@ func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []fl
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi, vals: dst}
+		return &request{op: opRead, id: id, lo: lo, hi: hi, out: dst}
 	}).status
 }
 
@@ -1364,7 +1356,7 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 		return st
 	}
 	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step, vals: dst}
+		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step, out: dst}
 	}).status
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/darray"
 	"repro/internal/grid"
 	"repro/internal/msg"
 	"repro/internal/vp"
@@ -44,6 +45,15 @@ func chaosPolicy() *CallPolicy {
 		Retries: 10,
 		Backoff: 200 * time.Microsecond,
 	}
+}
+
+// calmPolicy is for tests that pin zero retransmits. Its timeout sits
+// far above any scheduling stall of a loaded -race run (at chaosPolicy's
+// 3 ms a slow scheduler alone counts as a loss), and its one retry turns
+// a request that is never answered into a counted retransmit, and then
+// a failed call, within seconds.
+func calmPolicy() *CallPolicy {
+	return &CallPolicy{Timeout: time.Second, Retries: 1, Backoff: 200 * time.Microsecond}
 }
 
 // shadowSpec derives a second array specification with the same shape
@@ -277,11 +287,12 @@ func TestChaosOracleAllPaths(t *testing.T) {
 // installed but no fault plan, a workload identical in shape to the
 // chaos mix completes with zero retransmits and zero timeouts — the
 // deadline machinery is pure overhead-free bookkeeping on a healthy
-// router.
+// router. The policy's timeout sits far above scheduling noise, so a
+// slow scheduler is not mistaken for a lost message.
 func TestNoFaultNoRetransmits(t *testing.T) {
 	c := oracleCases()[1] // 2d/block-block
 	_, m := newTestManager(t, c.p)
-	m.SetCallPolicy(chaosPolicy())
+	m.SetCallPolicy(calmPolicy())
 	id := mustCreate(t, m, 0, c.spec)
 	dims := c.spec.Dims
 	rng := rand.New(rand.NewSource(3))
@@ -301,6 +312,153 @@ func TestNoFaultNoRetransmits(t *testing.T) {
 	rs := m.RetryStats()
 	if rs.Retransmits != 0 || rs.Timeouts != 0 {
 		t.Fatalf("healthy router cost retransmits=%d timeouts=%d", rs.Retransmits, rs.Timeouts)
+	}
+}
+
+// TestChaosDupEveryOp duplicates every message and runs each operation
+// family once: create, dense and strided read and write, gather and
+// scatter, per-element access, block→cyclic and block_cyclic(2)→
+// block_cyclic(3) redistribution, find, verify and free. A duplicate is
+// a codec copy that carries no reply or ack channel, so the write
+// shares, ship requests and ship payloads stay pooled, and results must
+// match the oracle. Zero retransmits proves no copy ever reached an
+// owner's dedup filter ahead of its original: that would have left the
+// original unanswered until a retry.
+func TestChaosDupEveryOp(t *testing.T) {
+	const p = 4
+	machine, m := newTestManager(t, p)
+	machine.Router().SetFaultPlan(&msg.FaultPlan{Seed: 5, Rule: msg.FaultRule{Dup: 1}})
+	m.SetCallPolicy(calmPolicy())
+	procs := []int{0, 1, 2, 3}
+	dims := []int{12, 8}
+	spec := func(d0, d1 grid.Decomp) CreateSpec {
+		return CreateSpec{Type: darray.Double, Dims: dims, Procs: procs,
+			Distrib: []grid.Decomp{d0, d1}, Borders: NoBorderSpec{}, Indexing: grid.RowMajor}
+	}
+	id := mustCreate(t, m, 1, spec(grid.BlockDefault(), grid.BlockDefault()))
+	cyc := mustCreate(t, m, 2, spec(grid.CyclicDefault(), grid.NoDecomp()))
+	bc2 := mustCreate(t, m, 3, spec(grid.BlockCyclicOf(2), grid.NoDecomp()))
+	bc3 := mustCreate(t, m, 0, spec(grid.BlockCyclicOf(3), grid.NoDecomp()))
+	ref := newOracle(dims, darray.Double)
+	origin, full := []int{0, 0}, dims
+	// check reads all of arr back from onProc and compares it with ref.
+	check := func(what string, onProc int, arr darray.ID) {
+		t.Helper()
+		got, st := m.ReadBlock(onProc, arr, origin, full)
+		if st != StatusOK {
+			t.Fatalf("%s: ReadBlock: %v", what, st)
+		}
+		_ = grid.ForEachRect(origin, full, func(idx []int, k int) error {
+			if got[k] != ref.get(idx) {
+				t.Fatalf("%s: [%v] = %v, oracle %v", what, idx, got[k], ref.get(idx))
+			}
+			return nil
+		})
+	}
+	next := 0.0
+	fill := func(n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			next++
+			vals[i] = next
+		}
+		return vals
+	}
+
+	vals := fill(grid.RectSize(origin, full))
+	if st := m.WriteBlock(0, id, origin, full, vals); st != StatusOK {
+		t.Fatalf("WriteBlock: %v", st)
+	}
+	_ = grid.ForEachRect(origin, full, func(idx []int, k int) error { ref.set(idx, vals[k]); return nil })
+	check("dense write", 1, id)
+
+	lo, hi := []int{2, 1}, []int{9, 7}
+	vals = fill(grid.RectSize(lo, hi))
+	if st := m.WriteBlock(2, id, lo, hi, vals); st != StatusOK {
+		t.Fatalf("WriteBlock: %v", st)
+	}
+	_ = grid.ForEachRect(lo, hi, func(idx []int, k int) error { ref.set(idx, vals[k]); return nil })
+	check("sub-rectangle write", 3, id)
+
+	lo, hi, step := []int{1, 0}, []int{12, 8}, []int{3, 2}
+	vals = fill(grid.StridedRectSize(lo, hi, step))
+	if st := m.WriteBlockStrided(3, id, lo, hi, step, vals); st != StatusOK {
+		t.Fatalf("WriteBlockStrided: %v", st)
+	}
+	_ = grid.ForEachStridedRect(lo, hi, step, func(idx []int, k int) error { ref.set(idx, vals[k]); return nil })
+	lo, hi, step = []int{0, 1}, []int{11, 8}, []int{2, 3}
+	got, st := m.ReadBlockStrided(1, id, lo, hi, step)
+	if st != StatusOK {
+		t.Fatalf("ReadBlockStrided: %v", st)
+	}
+	_ = grid.ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
+		if got[k] != ref.get(idx) {
+			t.Fatalf("strided read [%v] = %v, oracle %v", idx, got[k], ref.get(idx))
+		}
+		return nil
+	})
+
+	// The repeated index takes the value at its last occurrence.
+	indices := [][]int{{0, 0}, {11, 7}, {5, 3}, {6, 4}, {0, 0}, {11, 0}}
+	vals = fill(len(indices))
+	if st := m.ScatterElements(1, id, indices, vals); st != StatusOK {
+		t.Fatalf("ScatterElements: %v", st)
+	}
+	for i, idx := range indices {
+		ref.set(idx, vals[i])
+	}
+	got, st = m.GatherElements(2, id, indices)
+	if st != StatusOK {
+		t.Fatalf("GatherElements: %v", st)
+	}
+	for i, idx := range indices {
+		if got[i] != ref.get(idx) {
+			t.Fatalf("gather[%d] (%v) = %v, oracle %v", i, idx, got[i], ref.get(idx))
+		}
+	}
+
+	next++
+	if st := m.WriteElement(0, id, []int{7, 6}, next); st != StatusOK {
+		t.Fatalf("WriteElement: %v", st)
+	}
+	ref.set([]int{7, 6}, next)
+	if v, st := m.ReadElement(3, id, []int{7, 6}); st != StatusOK || v != next {
+		t.Fatalf("ReadElement = %v, %v; want %v", v, st, next)
+	}
+	check("element access", 0, id)
+
+	if st := m.Redistribute(1, cyc, id, origin, full); st != StatusOK {
+		t.Fatalf("Redistribute block→cyclic: %v", st)
+	}
+	check("block→cyclic", 2, cyc)
+	if st := m.Redistribute(2, bc2, cyc, origin, full); st != StatusOK {
+		t.Fatalf("Redistribute cyclic→block_cyclic(2): %v", st)
+	}
+	if st := m.Redistribute(3, bc3, bc2, origin, full); st != StatusOK {
+		t.Fatalf("Redistribute block_cyclic(2)→block_cyclic(3): %v", st)
+	}
+	check("block_cyclic(2)→block_cyclic(3)", 0, bc3)
+
+	if sec, st := m.FindLocal(2, id); st != StatusOK || sec == nil {
+		t.Fatalf("FindLocal: %v, %v", sec, st)
+	}
+	if st := m.VerifyArray(1, id, 2, NoBorderSpec{}, grid.RowMajor); st != StatusOK {
+		t.Fatalf("VerifyArray: %v", st)
+	}
+	for _, a := range []darray.ID{id, cyc, bc2, bc3} {
+		if st := m.FreeArray(0, a); st != StatusOK {
+			t.Fatalf("FreeArray: %v", st)
+		}
+	}
+	if _, st := m.ReadBlock(1, id, origin, full); st != StatusNotFound {
+		t.Fatalf("ReadBlock after free: %v, want STATUS_NOT_FOUND", st)
+	}
+
+	if fs := machine.Router().FaultStats(); fs.Duplicated == 0 {
+		t.Fatal("the plan duplicated no messages")
+	}
+	if rs := m.RetryStats(); rs.Retransmits != 0 {
+		t.Fatalf("%d retransmits: a duplicate beat its original to an owner", rs.Retransmits)
 	}
 }
 

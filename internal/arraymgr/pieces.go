@@ -120,7 +120,7 @@ func (m *Manager) doRead(proc int, req *request) response {
 	if err != nil {
 		return response{status: StatusInvalid}
 	}
-	out := req.vals
+	out := req.out
 	if out != nil && len(out) != size {
 		return response{status: StatusInvalid}
 	}
@@ -185,7 +185,7 @@ func (m *Manager) doWrite(proc int, req *request) response {
 	// pack draws one piece's snapshot: messages carry copies, never views.
 	// The pieces come from split, so placing them cannot fail.
 	pack := func(p *piece) []float64 {
-		sub := m.snapshot(p.size(sdims))
+		sub := getBuf(p.size(sdims))
 		_ = p.place(false, req.vals, sub, sdims)
 		return sub
 	}

@@ -60,7 +60,10 @@ type redistShip struct {
 // and released by another after a one-way send, so the list is shared;
 // being deterministic (rather than a sync.Pool, whose GC interaction
 // would flake the 0 allocs/op pins) it keeps the steady state
-// allocation-free.
+// allocation-free. It stays on under a fault plan: the router duplicates
+// a delivery as a codec copy, never as the same pointer, and a delayed
+// ship is released only by the handler that serves it. A retry draws a
+// new request rather than re-sending the old one.
 var (
 	shipReqMu   sync.Mutex
 	shipReqFree []*request
@@ -90,26 +93,6 @@ func putShipReq(r *request) {
 	shipReqMu.Unlock()
 }
 
-// newShipReq draws a ship request, bypassing the free list under an
-// active fault plan: the router may re-deliver the same *request pointer
-// (duplication) or hold it queued past this call (jitter), so a recycled
-// object could alias a later send. Faulty mode trades the 0 allocs/op
-// pin for aliasing safety; reliable mode keeps the pooled path bitwise
-// intact.
-func newShipReq(faulty bool) *request {
-	if faulty {
-		return new(request)
-	}
-	return getShipReq()
-}
-
-// recycleShipReq is putShipReq's faulty-aware counterpart.
-func recycleShipReq(faulty bool, r *request) {
-	if !faulty {
-		putShipReq(r)
-	}
-}
-
 // handleShip dispatches one-way redistribution traffic at the server on
 // proc: redist_src (this processor is a source owner; read and forward
 // each piece) and redist_ship (this processor is a destination owner;
@@ -121,7 +104,7 @@ func (m *Manager) handleShip(proc int, req *request) {
 	switch req.op {
 	case opRedistSrc:
 		m.doRedistSrc(proc, req)
-		recycleShipReq(m.machine.Router().Faulty(), req)
+		putShipReq(req)
 	case opRedistShip:
 		m.doRedistShip(proc, req)
 	}
@@ -165,7 +148,6 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 	}
 	pol := m.policy.Load()
 	router := m.machine.Router()
-	faulty := router.Faulty()
 	// The pair list, flattened in schedule order; a pair's index is its
 	// ack identity. Under a call policy the whole operation also gets a
 	// call id, which with the pair index lets destination owners dedup
@@ -216,7 +198,7 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 					ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID})
 				continue
 			}
-			sreq := newShipReq(faulty)
+			sreq := getShipReq()
 			*sreq = request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
 				ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID}
 			if pol != nil {
@@ -226,14 +208,14 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 				for _, sh := range bySrc[sp] {
 					ack <- response{status: StatusDown, pair: sh.pair}
 				}
-				recycleShipReq(faulty, sreq)
+				putShipReq(sreq)
 				continue
 			}
 			if err := m.postShip(proc, sp, sreq); err != nil {
 				for _, sh := range bySrc[sp] {
 					ack <- response{status: sendStatus(err), pair: sh.pair}
 				}
-				recycleShipReq(faulty, sreq)
+				putShipReq(sreq)
 			} else if !router.Local(sp) {
 				// A remote send serialized the request before returning,
 				// so the object is already free.
@@ -339,16 +321,6 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 	e, st := m.lookup(proc, req.id)
 	srv := m.servers[proc]
 	router := m.machine.Router()
-	// Under a fault plan, shipped buffers and ship requests must not come
-	// from (or return to) the pools: the router may duplicate a delivery
-	// or hold one queued past the destination's release of the object.
-	faulty := router.Faulty()
-	alloc := func(n int) []float64 {
-		if faulty {
-			return make([]float64, n)
-		}
-		return getBuf(n)
-	}
 	for _, sh := range req.ships {
 		if st != StatusOK {
 			m.shipAck(proc, req, response{status: st, pair: sh.pair})
@@ -371,7 +343,7 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		case !ok:
 			fail = StatusInvalid
 		default:
-			vals = alloc(n)
+			vals = getBuf(n)
 			fail = movePiece(true, sec, e.meta, vals, nil, sh.SrcLo, sh.SrcHi, sh.SrcStep, sh.Runs)
 		}
 		srv.mu.Unlock()
@@ -380,14 +352,14 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 			m.shipAck(proc, req, response{status: fail, pair: sh.pair})
 			continue
 		}
-		dreq := newShipReq(faulty)
+		dreq := getShipReq()
 		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.DstSlot,
 			lo: sh.DstLo, hi: sh.DstHi, step: sh.DstStep, runs: sh.Runs,
 			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
 		if err := m.postShip(proc, sh.DstProc, dreq); err != nil {
 			putBuf(vals)
-			recycleShipReq(faulty, dreq)
+			putShipReq(dreq)
 			m.shipAck(proc, req, response{status: sendStatus(err), pair: sh.pair})
 		} else if !router.Local(sh.DstProc) {
 			// Remote ship: the transport serialized the piece before
@@ -470,16 +442,14 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 		}
 	}
 	m.shipAck(proc, req, response{status: st, pair: req.pair})
-	router := m.machine.Router()
-	if !router.Faulty() {
-		// The piece came from the float-buffer pool either way: drawn by
-		// the source owner in this process, or by the codec that decoded
-		// it off the wire. A decoded request is fresh heap, so only a
-		// same-process one returns to the ship-request free list.
-		putBuf(vals)
-		if router.Local(node) {
-			putShipReq(req)
-		}
+	// The piece came from the float-buffer pool either way: drawn by the
+	// source owner in this process, or by the codec that decoded it (off
+	// the wire, or into a fault-plane duplicate). Only a request whose
+	// source owner is in this process returns to the ship-request free
+	// list; one decoded off the wire is left to the collector.
+	putBuf(vals)
+	if m.machine.Router().Local(node) {
+		putShipReq(req)
 	}
 }
 

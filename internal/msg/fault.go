@@ -9,6 +9,11 @@
 // array manager ride in-process channels, so only the request direction
 // is lossy — which is exactly the asymmetry retransmission protocols are
 // built around.
+//
+// A duplicate is a codec copy (msg/wire) of the payload made at send
+// time, queued behind its original and deliverable no earlier: receivers
+// see the original first, and no receiver can reach the sender's object
+// twice, so the layers above keep their buffer pools on under any plan.
 package msg
 
 import (
@@ -17,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/msg/wire"
 )
 
 // FaultRule gives the per-message fault probabilities and delay bound for
@@ -24,8 +31,10 @@ import (
 type FaultRule struct {
 	// Drop is the probability a message is silently discarded.
 	Drop float64
-	// Dup is the probability a second copy of the message is enqueued
-	// (with its own independently drawn jitter).
+	// Dup is the probability a second copy of the message is enqueued:
+	// a codec round trip of the payload, queued behind the original with
+	// its own jitter, counted from the original's delivery. A payload the
+	// codec cannot encode is delivered once.
 	Dup float64
 	// Jitter adds a uniform random extra delay in [0, Jitter) to each
 	// delivered copy, on top of the router's SetLatency hop.
@@ -83,9 +92,8 @@ type faultCounters struct {
 	downDropped atomic.Uint64
 }
 
-// SetFaultPlan installs (or, with nil, removes) a fault plan. Install it
-// before traffic starts: the pooled-buffer fast paths above the router
-// check Faulty once per call, not per message.
+// SetFaultPlan installs (or, with nil, removes) a fault plan. It applies
+// from the next send; messages already queued keep their delivery times.
 func (r *Router) SetFaultPlan(p *FaultPlan) {
 	if p == nil {
 		r.fault.Store(nil)
@@ -93,11 +101,6 @@ func (r *Router) SetFaultPlan(p *FaultPlan) {
 	}
 	r.fault.Store(&faultState{plan: p, rng: rand.New(rand.NewSource(p.Seed))})
 }
-
-// Faulty reports whether a fault plan is installed. Layers that recycle
-// message payloads through pools must stop doing so under an active plan
-// (a duplicated delivery aliases the pooled object).
-func (r *Router) Faulty() bool { return r.fault.Load() != nil }
 
 // FaultStats returns the injected-fault counters.
 func (r *Router) FaultStats() FaultStats {
@@ -135,7 +138,8 @@ func (r *Router) Down(p int) bool {
 }
 
 // sendFaulty applies the plan's rule for (src, dst) to one message and
-// enqueues the surviving copies.
+// enqueues the surviving copies. The duplicate's payload is encoded
+// before the original is queued, while the sender still owns it.
 func (r *Router) sendFaulty(fs *faultState, box *mailbox, m Message) error {
 	rule := fs.plan.rule(m.Src, m.Dst)
 	var drop, dup, reorder bool
@@ -163,25 +167,51 @@ func (r *Router) sendFaulty(fs *faultState, box *mailbox, m Message) error {
 		r.stats.dropped.Add(1)
 		return nil
 	}
-	if err := r.deliver(box, m, j1, reorder); err != nil {
+	var copied any
+	if dup {
+		copied, dup = copyPayload(m.Data)
+	}
+	m = delay(m, j1)
+	if err := r.deliver(box, m, reorder); err != nil {
 		return err
 	}
 	if dup {
 		r.stats.duplicated.Add(1)
-		return r.deliver(box, m, j2, false)
+		m.Data = copied
+		// The original is queued, so the send has succeeded. A copy that
+		// finds the router closed meanwhile is lost, not an error: on an
+		// error the sender would recycle what the receiver already holds.
+		_ = r.deliver(box, delay(m, j2), false)
 	}
 	return nil
 }
 
-// deliver enqueues one copy with extra jitter delay on top of the base
-// latency already stamped into m.readyAt.
-func (r *Router) deliver(box *mailbox, m Message, jitter time.Duration, reorder bool) error {
+// copyPayload returns an independent copy of v, encoded and decoded by
+// the wire codec exactly as a transport would carry it; ok is false when
+// v has no encoding (an unregistered gob type, a channel, a func).
+func copyPayload(v any) (c any, ok bool) {
+	b, err := wire.AppendAny(make([]byte, 0, wire.SizeAny(v)), v, false)
+	if err != nil {
+		return nil, false
+	}
+	c, _, err = wire.ReadAny(b)
+	return c, err == nil
+}
+
+// delay pushes m's delivery time back by jitter, counted from its
+// current readyAt (from now when it was receivable at once).
+func delay(m Message, jitter time.Duration) Message {
 	if jitter > 0 {
 		if m.readyAt.IsZero() {
 			m.readyAt = time.Now()
 		}
 		m.readyAt = m.readyAt.Add(jitter)
 	}
+	return m
+}
+
+// deliver enqueues one copy, its delivery time already stamped.
+func (r *Router) deliver(box *mailbox, m Message, reorder bool) error {
 	stored, swapped, err := box.put(m, reorder)
 	if err != nil {
 		return err

@@ -2,8 +2,11 @@ package msg
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/msg/wire"
 )
 
 func tag(kind int) Tag { return Tag{Class: ClassData, Kind: kind} }
@@ -54,6 +57,118 @@ func TestFaultDupAll(t *testing.T) {
 		if seen[i] != 2 {
 			t.Fatalf("value %d received %d times, want 2", i, seen[i])
 		}
+	}
+}
+
+// dupProbe is a payload with a registered wire codec: the fault plane
+// duplicates it as a codec round trip, so a copy is a distinct object.
+type dupProbe struct{ vals []float64 }
+
+func init() {
+	wire.Register(wire.Codec{
+		ID:     wire.CustomBase + 100,
+		Type:   reflect.TypeOf(&dupProbe{}),
+		Append: func(b []byte, v any) []byte { return wire.AppendFloat64s(b, v.(*dupProbe).vals) },
+		Read: func(b []byte) (any, []byte, error) {
+			xs, rest, err := wire.ReadFloat64s(b)
+			if err != nil {
+				return nil, rest, err
+			}
+			return &dupProbe{vals: xs}, rest, nil
+		},
+		Size: func(v any) int { return wire.SizeFloat64s(v.(*dupProbe).vals) },
+	})
+}
+
+// TestFaultDupIsCodecCopy: a duplicate never shares the sender's object.
+// The original arrives as sent; the copy is a distinct value with the
+// contents at Send time, so mutating (or recycling) the original after
+// Send does not show in it.
+func TestFaultDupIsCodecCopy(t *testing.T) {
+	r := NewRouter(2)
+	r.SetFaultPlan(&FaultPlan{Seed: 1, Rule: FaultRule{Dup: 1}})
+	orig := &dupProbe{vals: []float64{1, 2, 3}}
+	if err := r.Send(0, 1, tag(1), orig); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	orig.vals[0] = 99
+	first, err := r.Recv(1, func(m Message) bool { return true })
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if first.Data != orig {
+		t.Fatalf("first delivery is %v, want the original object", first.Data)
+	}
+	second, err := r.Recv(1, func(m Message) bool { return true })
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	dup, ok := second.Data.(*dupProbe)
+	if !ok || dup == orig {
+		t.Fatalf("duplicate is %#v, want a distinct *dupProbe", second.Data)
+	}
+	if !reflect.DeepEqual(dup.vals, []float64{1, 2, 3}) {
+		t.Fatalf("duplicate holds %v, want the contents at Send time [1 2 3]", dup.vals)
+	}
+	if st := r.FaultStats(); st.Duplicated != 1 {
+		t.Fatalf("Duplicated = %d, want 1", st.Duplicated)
+	}
+}
+
+// TestFaultDupOriginalFirst: a copy is queued behind its original and
+// becomes deliverable no earlier, so under any jitter and reorder draw
+// every original is received before its copy. Receivers that filter
+// duplicates by identity rely on it: a copy carries no reply channel.
+func TestFaultDupOriginalFirst(t *testing.T) {
+	const n = 16
+	for seed := int64(1); seed <= 40; seed++ {
+		r := NewRouter(2)
+		r.SetFaultPlan(&FaultPlan{Seed: seed, Rule: FaultRule{Dup: 1, Jitter: 200 * time.Microsecond, Reorder: 0.5}})
+		sent := make(map[*dupProbe]int, n)
+		for i := 0; i < n; i++ {
+			p := &dupProbe{vals: []float64{float64(i)}}
+			sent[p] = i
+			if err := r.Send(0, 1, tag(1), p); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+		}
+		gotOrig := make([]bool, n)
+		for k := 0; k < 2*n; k++ {
+			m, err := r.RecvTimeout(1, func(m Message) bool { return true }, time.Second)
+			if err != nil {
+				t.Fatalf("seed %d: recv %d: %v", seed, k, err)
+			}
+			p := m.Data.(*dupProbe)
+			if i, ok := sent[p]; ok {
+				gotOrig[i] = true
+				continue
+			}
+			if i := int(p.vals[0]); !gotOrig[i] {
+				t.Fatalf("seed %d: copy of message %d received before its original", seed, i)
+			}
+		}
+		r.Close()
+	}
+}
+
+// TestFaultDupUnencodable: a payload the codec cannot encode is
+// delivered exactly once rather than handed out twice as a shared
+// object.
+func TestFaultDupUnencodable(t *testing.T) {
+	r := NewRouter(2)
+	r.SetFaultPlan(&FaultPlan{Seed: 1, Rule: FaultRule{Dup: 1}})
+	ch := make(chan int)
+	if err := r.Send(0, 1, tag(1), ch); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if n := r.Pending(1); n != 1 {
+		t.Fatalf("pending = %d, want 1 (unencodable payload delivered once)", n)
+	}
+	if st := r.FaultStats(); st.Duplicated != 0 || r.Sent() != 1 {
+		t.Fatalf("Duplicated = %d, Sent = %d, want 0 and 1", st.Duplicated, r.Sent())
+	}
+	if m, err := r.Recv(1, func(m Message) bool { return true }); err != nil || m.Data != any(ch) {
+		t.Fatalf("recv: %v %v, want the original channel", m.Data, err)
 	}
 }
 
