@@ -1,19 +1,24 @@
 // Binary wire codecs for the array-manager protocol: the *request
-// itself and the reply envelope. They dominate the data plane's byte
-// stream (every remote request, reply and redistribution ack is one of
-// them), so they get custom wire.Codec entries instead of riding the gob
-// fallback: field-by-field varint/raw encoding of the unexported fields,
-// with none of gob's per-message type description or reflect walk.
+// itself, the reply envelope, and the array metadata and Info values
+// they carry. They dominate the data plane's byte stream (every remote
+// request, reply and redistribution ack is one of them), so they get
+// custom wire.Codec entries instead of riding the gob fallback:
+// field-by-field varint/raw encoding of the unexported fields, with none
+// of gob's per-message type description or reflect walk.
 //
 // Layouts are positional and fixed; the IDs are package constants and
 // every part runs the same binary, so both sides agree by construction.
 // The encoding is deterministic, so re-encoding an unchanged request
-// (a retransmit) reproduces the same bytes. The rare nested fields that
-// are genuinely polymorphic (Meta, Info) recurse through wire.AppendAny
-// and keep their gob fallback. Each codec's Size walks the same fields
-// as its Append, so the transport draws a frame that holds the whole
-// encoding; payloads decode into the float-buffer pool (getBuf), and
-// whoever consumes them returns them there.
+// (a retransmit) reproduces the same bytes. A request's *darray.Meta
+// (create_local, update_meta) is encoded in place; a reply's Info is
+// polymorphic and recurses through wire.AppendAny, where every value a
+// handler answers with has a codec or a built-in shape: *darray.Meta
+// (find_info "meta"), darray.ID (create_array), []grid.Dist
+// ("distribution"), []int and string. No array-manager payload takes
+// the gob fallback. Each codec's Size walks the same fields as its
+// Append, so the transport draws a frame that holds the whole encoding;
+// payloads decode into the float-buffer pool (getBuf), and whoever
+// consumes them returns them there.
 package arraymgr
 
 import (
@@ -21,6 +26,7 @@ import (
 	"reflect"
 
 	"repro/internal/darray"
+	"repro/internal/grid"
 	"repro/internal/msg/wire"
 )
 
@@ -28,6 +34,9 @@ import (
 const (
 	codecRequest  = wire.CustomBase + 0
 	codecResponse = wire.CustomBase + 1
+	codecMeta     = wire.CustomBase + 2
+	codecID       = wire.CustomBase + 3
+	codecDists    = wire.CustomBase + 4
 )
 
 func init() {
@@ -45,6 +54,34 @@ func init() {
 		Read:   readResponse,
 		Size:   sizeResponse,
 	})
+	wire.Register(wire.Codec{
+		ID:     codecMeta,
+		Type:   reflect.TypeOf(&darray.Meta{}),
+		Append: func(b []byte, v any) []byte { return appendMeta(b, v.(*darray.Meta)) },
+		Read:   func(b []byte) (any, []byte, error) { return retAny(readMeta(b)) },
+		Size:   func(v any) int { return sizeMeta(v.(*darray.Meta)) },
+	})
+	wire.Register(wire.Codec{
+		ID:     codecID,
+		Type:   reflect.TypeOf(darray.ID{}),
+		Append: func(b []byte, v any) []byte { return appendID(b, v.(darray.ID)) },
+		Read:   func(b []byte) (any, []byte, error) { return retAny(readID(b)) },
+		Size:   func(v any) int { return sizeID(v.(darray.ID)) },
+	})
+	wire.Register(wire.Codec{
+		ID:     codecDists,
+		Type:   reflect.TypeOf([]grid.Dist(nil)),
+		Append: func(b []byte, v any) []byte { return appendDists(b, v.([]grid.Dist)) },
+		Read:   func(b []byte) (any, []byte, error) { return retAny(readDists(b)) },
+		Size:   func(v any) int { return sizeDists(v.([]grid.Dist)) },
+	})
+}
+
+func retAny[T any](v T, rest []byte, err error) (any, []byte, error) {
+	if err != nil {
+		return nil, rest, err
+	}
+	return v, rest, nil
 }
 
 // appendNested encodes a polymorphic field via the any-payload encoding.
@@ -78,6 +115,122 @@ func readID(b []byte) (darray.ID, []byte, error) {
 	return darray.ID{Proc: proc, Seq: seq}, b, nil
 }
 
+func appendDists(b []byte, ds []grid.Dist) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ds)))
+	for _, d := range ds {
+		b = append(b, byte(d.Kind))
+		b = wire.AppendInt(b, d.B)
+	}
+	return b
+}
+
+func sizeDists(ds []grid.Dist) int {
+	n := wire.SizeUvarint(uint64(len(ds)))
+	for _, d := range ds {
+		n += 1 + wire.SizeInt(d.B)
+	}
+	return n
+}
+
+// readDists consumes a []grid.Dist; like every wire slice, an empty one
+// decodes as nil.
+func readDists(b []byte) ([]grid.Dist, []byte, error) {
+	n, b, err := wire.ReadUvarint(b)
+	if err != nil {
+		return nil, b, err
+	}
+	// Each dist encodes a kind byte and a varint.
+	if n > uint64(len(b)/2) {
+		return nil, b, &wire.DecodeError{What: "[]grid.Dist length"}
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	ds := make([]grid.Dist, n)
+	for i := range ds {
+		if len(b) < 2 {
+			return nil, b, &wire.DecodeError{What: "grid.Dist"}
+		}
+		ds[i].Kind = grid.DistKind(b[0])
+		if ds[i].B, b, err = wire.ReadInt(b[1:]); err != nil {
+			return nil, b, err
+		}
+	}
+	return ds, b, nil
+}
+
+// appendMeta encodes every field of an array's metadata, in declaration
+// order; the two indexings and the element type are one byte each.
+func appendMeta(b []byte, m *darray.Meta) []byte {
+	b = appendID(b, m.ID)
+	b = append(b, byte(m.Type))
+	b = wire.AppendInts(b, m.Dims)
+	b = wire.AppendInts(b, m.Procs)
+	b = wire.AppendInts(b, m.GridDims)
+	b = appendDists(b, m.Dists)
+	b = wire.AppendInts(b, m.LocalDims)
+	b = wire.AppendInts(b, m.Borders)
+	b = wire.AppendInts(b, m.LocalDimsPlus)
+	b = append(b, byte(m.Indexing), byte(m.GridIndexing))
+	b = wire.AppendInt(b, m.Replicas)
+	b = wire.AppendInt(b, m.Epoch)
+	return wire.AppendInts(b, m.Origins)
+}
+
+func sizeMeta(m *darray.Meta) int {
+	return sizeID(m.ID) + 1 + wire.SizeInts(m.Dims) + wire.SizeInts(m.Procs) + wire.SizeInts(m.GridDims) +
+		sizeDists(m.Dists) + wire.SizeInts(m.LocalDims) + wire.SizeInts(m.Borders) +
+		wire.SizeInts(m.LocalDimsPlus) + 2 + wire.SizeInt(m.Replicas) + wire.SizeInt(m.Epoch) +
+		wire.SizeInts(m.Origins)
+}
+
+func readMeta(b []byte) (*darray.Meta, []byte, error) {
+	var err error
+	m := &darray.Meta{}
+	if m.ID, b, err = readID(b); err != nil {
+		return nil, b, err
+	}
+	if len(b) < 1 {
+		return nil, b, &wire.DecodeError{What: "meta element type"}
+	}
+	m.Type, b = darray.ElemType(b[0]), b[1:]
+	if m.Dims, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if m.Procs, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if m.GridDims, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if m.Dists, b, err = readDists(b); err != nil {
+		return nil, b, err
+	}
+	if m.LocalDims, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if m.Borders, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if m.LocalDimsPlus, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	if len(b) < 2 {
+		return nil, b, &wire.DecodeError{What: "meta indexing"}
+	}
+	m.Indexing, m.GridIndexing, b = grid.Indexing(b[0]), grid.Indexing(b[1]), b[2:]
+	if m.Replicas, b, err = wire.ReadInt(b); err != nil {
+		return nil, b, err
+	}
+	if m.Epoch, b, err = wire.ReadInt(b); err != nil {
+		return nil, b, err
+	}
+	if m.Origins, b, err = wire.ReadInts(b); err != nil {
+		return nil, b, err
+	}
+	return m, b, nil
+}
+
 func readOp(b []byte) (opCode, []byte, error) {
 	if len(b) < 1 {
 		return 0, b, &wire.DecodeError{What: "request op"}
@@ -95,11 +248,9 @@ func appendRequest(b []byte, v any) []byte {
 	b = append(b, byte(r.op))
 	b = appendID(b, r.id)
 	b = appendID(b, r.id2)
-	if r.meta == nil {
-		b = wire.AppendBool(b, false)
-	} else {
-		b = wire.AppendBool(b, true)
-		b = appendNested(b, r.meta, "request meta")
+	b = wire.AppendBool(b, r.meta != nil)
+	if r.meta != nil {
+		b = appendMeta(b, r.meta)
 	}
 	b = wire.AppendInts(b, r.gidx)
 	b = wire.AppendIntRows(b, r.gidxs)
@@ -147,7 +298,7 @@ func sizeRequest(v any) int {
 	r := v.(*request)
 	n := 1 + sizeID(r.id) + sizeID(r.id2) + 1
 	if r.meta != nil {
-		n += wire.SizeAny(r.meta)
+		n += sizeMeta(r.meta)
 	}
 	n += wire.SizeInts(r.gidx) + wire.SizeIntRows(r.gidxs) + wire.SizeInts(r.offs) +
 		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.runs) + wire.SizeInts(r.lo2) +
@@ -184,15 +335,9 @@ func readRequest(b []byte) (any, []byte, error) {
 		return nil, b, err
 	}
 	if hasMeta {
-		var m any
-		if m, b, err = wire.ReadAny(b); err != nil {
+		if r.meta, b, err = readMeta(b); err != nil {
 			return nil, b, err
 		}
-		meta, ok := m.(*darray.Meta)
-		if !ok {
-			return nil, b, fmt.Errorf("arraymgr: request meta decoded as %T", m)
-		}
-		r.meta = meta
 	}
 	if r.gidx, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err

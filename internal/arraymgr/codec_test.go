@@ -39,24 +39,33 @@ func randFloats(rng *rand.Rand, maxLen int) []float64 {
 	return xs
 }
 
+// randDists draws per-dimension distributions; an empty draw is nil
+// (pure block), which is what the codec decodes a zero count as.
+func randDists(rng *rand.Rand, maxLen int) []grid.Dist {
+	var ds []grid.Dist
+	for i := rng.Intn(maxLen + 1); i > 0; i-- {
+		ds = append(ds, grid.Dist{Kind: grid.DistKind(rng.Intn(3)), B: rng.Intn(1 << 12)})
+	}
+	return ds
+}
+
 func randMeta(rng *rand.Rand) *darray.Meta {
-	m := &darray.Meta{
+	return &darray.Meta{
 		ID:            darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(100)},
+		Type:          darray.ElemType(rng.Intn(2)),
 		Dims:          randInts(rng, 3),
 		Procs:         randInts(rng, 4),
 		GridDims:      randInts(rng, 3),
+		Dists:         randDists(rng, 3),
 		LocalDims:     randInts(rng, 3),
 		Borders:       randInts(rng, 6),
 		LocalDimsPlus: randInts(rng, 3),
 		Indexing:      grid.Indexing(rng.Intn(2)),
+		GridIndexing:  grid.Indexing(rng.Intn(2)),
 		Replicas:      rng.Intn(3),
 		Epoch:         rng.Intn(4),
 		Origins:       randInts(rng, 4),
 	}
-	if rng.Intn(2) == 0 {
-		m.Dists = []grid.Dist{{Kind: grid.DistKind(rng.Intn(3)), B: rng.Intn(8)}}
-	}
-	return m
 }
 
 // randRequest draws a request with every field the codec carries set at
@@ -135,34 +144,29 @@ func randResponse(rng *rand.Rand) *wireResponse {
 		Vals:   randFloats(rng, 32),
 		Pair:   rng.Intn(8),
 	}
-	switch rng.Intn(4) {
+	// Every Info shape a handler answers with (doFindInfo, doCreate).
+	switch rng.Intn(7) {
 	case 0:
 		w.Info = randMeta(rng)
 	case 1:
-		w.Info = rng.Intn(100)
+		w.Info = darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)}
 	case 2:
-		w.Info = []grid.Dist{{Kind: grid.DistBlock}}
+		w.Info = randDists(rng, 3)
+	case 3:
+		w.Info = randInts(rng, 3)
+	case 4:
+		w.Info = []string{"double", "int", "row", "column"}[rng.Intn(4)]
+	case 5:
+		w.Info = rng.Intn(100)
 	}
 	return w
-}
-
-// nestsGob reports whether a protocol value carries a field that rides
-// the gob fallback, whose bytes its codec's Size does not count.
-func nestsGob(v any) bool {
-	switch x := v.(type) {
-	case *request:
-		return x.meta != nil
-	case *wireResponse:
-		_, small := x.Info.(int)
-		return x.Info != nil && !small
-	}
-	return false
 }
 
 // roundTrip drives v through its custom codec and requires the decoded
 // value to equal v, a second encoding to repeat the first byte for byte
 // (a remote retransmit re-encodes the same request), and the codec's
-// Size to count every byte that does not ride the gob fallback.
+// Size to count every byte. No array-manager payload nests a gob
+// fallback value, which Size would count as its type code alone.
 func roundTrip(t *testing.T, v any) {
 	t.Helper()
 	b, err := wire.AppendAny(nil, v, false)
@@ -172,7 +176,7 @@ func roundTrip(t *testing.T, v any) {
 	if b[0] < wire.CustomBase {
 		t.Fatalf("%T did not take the custom codec path (type code %d)", v, b[0])
 	}
-	if n := wire.SizeAny(v); n > len(b) || (!nestsGob(v) && n != len(b)) {
+	if n := wire.SizeAny(v); n != len(b) {
 		t.Fatalf("SizeAny(%T) = %d, encoding is %d bytes", v, n, len(b))
 	}
 	if again, _ := wire.AppendAny(nil, v, false); !bytes.Equal(again, b) {
@@ -205,12 +209,54 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	// An owner request for a multi-run piece.
 	roundTrip(t, &request{op: opReadLocal, lo: []int{0, 3}, hi: []int{7, 6}, step: []int{6, 6}, runs: []int{2}, slot: 1})
 	// The reply envelope with every Info shape a reply carries.
-	for _, info := range []any{nil, 42, randMeta(rng), []grid.Dist{{Kind: grid.DistBlockCyclic, B: 3}}} {
+	for _, info := range []any{nil, 42, "double", []int{4, 4}, randMeta(rng), darray.ID{Proc: 1, Seq: 9},
+		[]grid.Dist{{Kind: grid.DistBlockCyclic, B: 3}}} {
 		roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Info: info, Pair: 3})
 	}
+	// The metadata codecs on their own, a Meta with nil Dists (pure
+	// block) and nil Origins (never promoted) among them.
+	roundTrip(t, &darray.Meta{})
+	roundTrip(t, &darray.Meta{ID: darray.ID{Proc: 2, Seq: 1}, Type: darray.Int, Dims: []int{8, 8}, Procs: []int{0, 1},
+		GridDims: []int{2, 1}, LocalDims: []int{4, 8}, Borders: []int{1, 1, 0, 0}, LocalDimsPlus: []int{6, 8},
+		Indexing: grid.ColMajor, GridIndexing: grid.ColMajor, Replicas: 1, Epoch: 2})
+	roundTrip(t, darray.ID{})
+	roundTrip(t, darray.ID{Proc: -1, Seq: 1 << 40})
+	roundTrip(t, []grid.Dist{{Kind: grid.DistCyclic}, {Kind: grid.DistBlockCyclic, B: 64}})
 	for i := 0; i < 50; i++ {
 		roundTrip(t, randRequest(rng))
 		roundTrip(t, randResponse(rng))
+		roundTrip(t, randMeta(rng))
+	}
+}
+
+// TestAMCodecNoGob pins the array-creation payloads to their codecs: a
+// create_local request carrying the array's Meta and a create reply
+// carrying its darray.ID encode under their codec IDs, never the gob
+// fallback's type code, and Size counts every byte of them (it counts a
+// nested gob value as its type code alone).
+func TestAMCodecNoGob(t *testing.T) {
+	meta := &darray.Meta{ID: darray.ID{Proc: 0, Seq: 4}, Dims: []int{128, 128}, Procs: []int{0, 1, 2, 3},
+		GridDims: []int{4, 1}, Dists: []grid.Dist{{Kind: grid.DistBlock}, {Kind: grid.DistBlock}},
+		LocalDims: []int{32, 128}, Borders: []int{1, 1, 0, 0}, LocalDimsPlus: []int{34, 128}}
+	create := &request{op: opCreateLocal, id: meta.ID, meta: meta, src: 0, replyID: 5}
+	reply := &wireResponse{ID: 5, Status: StatusOK, Info: meta.ID}
+	for _, c := range []struct {
+		v    any
+		code byte
+	}{{create, codecRequest}, {reply, codecResponse}, {meta, codecMeta}, {meta.ID, codecID}, {meta.Dists, codecDists}} {
+		b, err := wire.AppendAny(nil, c.v, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != c.code || wire.SizeAny(c.v) != len(b) {
+			t.Fatalf("%T: type code %d (want %d), Size %d of %d bytes", c.v, b[0], c.code, wire.SizeAny(c.v), len(b))
+		}
+	}
+	// The reply's Info follows its id, status and empty payload.
+	b, _ := wire.AppendAny(nil, reply, false)
+	at := 1 + wire.SizeUvarint(reply.ID) + wire.SizeInt(int(reply.Status)) + wire.SizeFloat64s(nil)
+	if b[at] != codecID {
+		t.Fatalf("create reply's darray.ID encoded under type code %d, want %d", b[at], codecID)
 	}
 }
 
@@ -231,13 +277,20 @@ func TestAMReplyGolden(t *testing.T) {
 // every truncation instead of panicking or over-reading.
 func TestAMCodecTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	full, err := wire.AppendAny(nil, randRequest(rng), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(full); n++ {
-		if _, _, err := wire.ReadAny(full[:n]); err == nil {
-			t.Fatalf("ReadAny accepted a %d-byte prefix of a %d-byte request", n, len(full))
+	meta := randMeta(rng)
+	meta.Dists = []grid.Dist{{Kind: grid.DistBlockCyclic, B: 300}, {Kind: grid.DistCyclic}}
+	create := randRequest(rng)
+	create.meta = meta
+	for _, v := range []any{randRequest(rng), create, meta, meta.ID, meta.Dists,
+		&wireResponse{ID: 3, Info: meta}, &wireResponse{ID: 4, Info: meta.Dists}} {
+		full, err := wire.AppendAny(nil, v, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < len(full); n++ {
+			if _, _, err := wire.ReadAny(full[:n]); err == nil {
+				t.Fatalf("ReadAny accepted a %d-byte prefix of a %d-byte %T", n, len(full), v)
+			}
 		}
 	}
 }
@@ -245,15 +298,24 @@ func TestAMCodecTruncated(t *testing.T) {
 // FuzzAMWireCodec is the randomized codec pin the CI fuzz-smoke job
 // runs. Its seed-driven arm requires every protocol value to survive the
 // round trip unchanged; its byte arm feeds arbitrary bytes (seeded with
-// real request encodings) to the decoder, which may reject them but must
-// never panic.
+// real request and reply encodings, and with hostile distribution
+// counts) to the decoder, which may reject them but must never panic.
 func FuzzAMWireCodec(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		raw, err := wire.AppendAny(nil, randRequest(rand.New(rand.NewSource(seed))), false)
-		if err != nil {
-			f.Fatal(err)
+		rng := rand.New(rand.NewSource(seed))
+		for _, v := range []any{randRequest(rng), randResponse(rng)} {
+			raw, err := wire.AppendAny(nil, v, false)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed, uint8(seed), raw)
 		}
-		f.Add(seed, uint8(seed), raw)
+	}
+	for _, n := range []uint64{1 << 40, 1<<63 + 5} {
+		// A []grid.Dist, and a Meta's Dists after its ID, element type
+		// and three empty int lists, each claiming n entries.
+		f.Add(int64(0), uint8(0), wire.AppendUvarint([]byte{codecDists}, n))
+		f.Add(int64(0), uint8(0), wire.AppendUvarint([]byte{codecMeta, 0, 0, 0, 0, 0, 0}, n))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))

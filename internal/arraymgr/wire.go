@@ -24,11 +24,8 @@
 package arraymgr
 
 import (
-	"encoding/gob"
 	"errors"
 
-	"repro/internal/darray"
-	"repro/internal/grid"
 	"repro/internal/msg"
 )
 
@@ -36,15 +33,6 @@ import (
 // coordinator's completion table. It exists only because channels
 // cannot cross process boundaries — in-process traffic never uses it.
 const kindAMReply = -103
-
-func init() {
-	// Concrete types nested inside the request's Meta or the reply's Info
-	// field, which ride the gob fallback. Registration is by name in both
-	// processes (same binary on both ends), so ids always agree.
-	gob.Register(&darray.Meta{})
-	gob.Register(darray.ID{})
-	gob.Register([]grid.Dist(nil))
-}
 
 // wireResponse is one reply or redistribution ack travelling back over
 // the wire; ID is the completion-table id it answers. Section never

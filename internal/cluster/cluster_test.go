@@ -108,6 +108,38 @@ func TestClimateIdenticalAcrossProcesses(t *testing.T) {
 	}
 }
 
+// TestUnencodableConstAcrossWire calls a group hosted entirely on the
+// worker part with a constant the wire cannot encode (a type nobody
+// gob.Register'd). The spawn order's codec cannot return an error, so
+// the call must be refused before anything is sent: STATUS_ERROR, no
+// panic in the encoder, no hung caller, and a cluster that still runs.
+func TestUnencodableConstAcrossWire(t *testing.T) {
+	type unregistered struct{ Rows int }
+	node := startCluster(t, 4, 2)
+	done := make(chan int, 1)
+	go func() {
+		done <- node.M.CallStatus([]int{2, 3}, climate.ProgDiffuse, dcall.Const(unregistered{8}))
+	}()
+	select {
+	case st := <-done:
+		if st != dcall.StatusError {
+			t.Fatalf("call with an unencodable constant: status %d, want STATUS_ERROR", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call with an unencodable constant hung")
+	}
+
+	cfg := climate.Config{Rows: 8, Cols: 8, Steps: 2, Alpha: 0.15}
+	want := climate.RunSequential(cfg)
+	res, err := climate.Run(node.M, cfg)
+	if err != nil {
+		t.Fatalf("cluster Run after the refused call: %v", err)
+	}
+	if !sameBits(res.Ocean, want.Ocean) || !sameBits(res.Atmosphere, want.Atmosphere) {
+		t.Fatal("cluster run after the refused call differs from sequential reference")
+	}
+}
+
 // oracleOps drives one machine through a seeded randomized workload
 // covering every data-plane path — dense and strided block transfers,
 // gather/scatter, element ops, and redistribution between differently

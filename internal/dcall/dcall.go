@@ -346,9 +346,8 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 }
 
 // tuple is the {status, reductions...} record each wrapper produces and the
-// combine tree merges (§5.2.2-§5.2.3). Fields are exported because a
-// merged tuple crosses the wire when a call's group runs in another OS
-// process (wire.go).
+// combine tree merges (§5.2.2-§5.2.3). It crosses the wire, through its
+// codec (codec.go), when a call's group spans OS processes.
 type tuple struct {
 	Status     int
 	Reductions [][]float64

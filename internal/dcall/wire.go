@@ -14,15 +14,17 @@
 // an output defval) and Options.StatusCombine. A remote call using
 // either fails cleanly with StatusInvalid; everything the paper's
 // climate and stencil drivers need — Const, Local, Index, Status —
-// ships.
+// ships. Spawn orders and tuples have binary codecs (codec.go); a Const
+// travels through the wire's any-payload encoding, so a user-defined
+// constant type must be gob.Register'd, and one that cannot be encoded
+// fails the call with StatusError before any order is sent.
 package dcall
 
 import (
-	"encoding/gob"
-
 	"repro/internal/darray"
 	"repro/internal/defval"
 	"repro/internal/msg"
+	"repro/internal/msg/wire"
 )
 
 // kindSpawn carries spawn orders to remote group members; kindResult
@@ -33,15 +35,18 @@ const (
 	kindResult = -106
 )
 
-func init() {
-	gob.Register(&wireSpawn{})
-	gob.Register(tuple{})
-}
+// Kinds of a shippable parameter.
+const (
+	paramConst = iota
+	paramLocal
+	paramIndex
+	paramStatus
+)
 
 // wireParam is one shippable parameter: a global constant, a local
 // section reference, the index parameter, or the status variable.
 type wireParam struct {
-	Kind  int // 0 const, 1 local, 2 index, 3 status
+	Kind  int // paramConst, paramLocal, paramIndex or paramStatus
 	Const any
 	ID    darray.ID
 }
@@ -56,25 +61,29 @@ type wireSpawn struct {
 	ResultProc int // rank 0 only: where the merged tuple goes
 }
 
-// wireParams converts a shippable parameter list; ok=false reports a
-// parameter kind that cannot cross a process boundary.
-func wireParams(params []Param) ([]wireParam, bool) {
+// wireParams converts a shippable parameter list. It fails with
+// StatusInvalid on a parameter kind that cannot cross a process boundary
+// and with StatusError on a constant the wire cannot encode.
+func wireParams(params []Param) ([]wireParam, int) {
 	out := make([]wireParam, len(params))
 	for i, prm := range params {
 		switch q := prm.(type) {
 		case constParam:
-			out[i] = wireParam{Kind: 0, Const: q.v}
+			if wire.Encodable(q.v) != nil {
+				return nil, StatusError
+			}
+			out[i] = wireParam{Kind: paramConst, Const: q.v}
 		case localParam:
-			out[i] = wireParam{Kind: 1, ID: q.id}
+			out[i] = wireParam{Kind: paramLocal, ID: q.id}
 		case indexParam:
-			out[i] = wireParam{Kind: 2}
+			out[i] = wireParam{Kind: paramIndex}
 		case statusParam:
-			out[i] = wireParam{Kind: 3}
+			out[i] = wireParam{Kind: paramStatus}
 		default:
-			return nil, false
+			return nil, StatusInvalid
 		}
 	}
-	return out, true
+	return out, StatusOK
 }
 
 // params rebuilds the parameter list on the hosting side.
@@ -82,11 +91,11 @@ func (w *wireSpawn) params() []Param {
 	out := make([]Param, len(w.Params))
 	for i, p := range w.Params {
 		switch p.Kind {
-		case 0:
+		case paramConst:
 			out[i] = constParam{v: p.Const}
-		case 1:
+		case paramLocal:
 			out[i] = localParam{id: p.ID}
-		case 2:
+		case paramIndex:
 			out[i] = indexParam{}
 		default:
 			out[i] = statusParam{}
@@ -143,9 +152,9 @@ func (r *Runtime) callRemote(caller int, groupProcs []int, program string,
 	if program == "" || opt.StatusCombine != nil {
 		return StatusInvalid
 	}
-	wps, ok := wireParams(params)
-	if !ok {
-		return StatusInvalid
+	wps, st := wireParams(params)
+	if st != StatusOK {
+		return st
 	}
 	router := r.Machine.Router()
 	callID := r.nextCall.Add(1)

@@ -28,11 +28,13 @@
 //
 // Every frame is `uvarint body length | body`, body[0] the frame kind.
 // Message payloads are encoded by internal/msg/wire: a typed binary
-// fast path for the dominant shapes ([]float64 slabs, offset vectors,
-// registered protocol structs) with gob as the self-describing
-// fallback — so every concrete payload type that crosses the wire must
-// either have a wire.Codec or be gob.Register'd in both processes.
-// Since every part runs the same binary, package init-time
+// fast path for the dominant shapes ([]float64 slabs, offset vectors)
+// and a registered wire.Codec for every protocol struct (the array
+// manager's requests, replies and metadata; the distributed call's
+// spawn orders and result tuples). Gob remains the self-describing
+// fallback for user-defined types only — a distributed call's constant
+// of the caller's own type, which must be gob.Register'd in both
+// processes. Since every part runs the same binary, package init-time
 // registration keeps the two sides agreeing by construction.
 //
 // Send encodes the payload synchronously before returning, which is the
@@ -67,8 +69,9 @@ import (
 
 func init() {
 	// The builtin payload shapes of the data-parallel plane (spmd sends,
-	// halo slabs, reduction vectors), registered for the gob fallback.
-	// Protocol-specific envelopes are registered by their own packages.
+	// halo slabs, reduction vectors), registered for the gob fallback:
+	// a user-defined constant may hold them in an interface field, and
+	// the forceGob path encodes them through gob.
 	gob.Register([]float64(nil))
 	gob.Register([][]float64(nil))
 	gob.Register([]int(nil))

@@ -31,7 +31,7 @@ import (
 //     ownership conventions are part of each protocol; the wire has no
 //     such conventions, so the copy happens at this seam.)
 //   - Delivery between a fixed (src, dst) pair must be FIFO and
-//     duplicate-free, like the in-process mailboxes. The gob/TCP
+//     duplicate-free, like the in-process mailboxes. The TCP
 //     implementation gets both from TCP.
 //   - Send may block briefly (socket backpressure); it must not block
 //     indefinitely once Close has been called.

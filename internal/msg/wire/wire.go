@@ -3,8 +3,11 @@
 // shapes that dominate the data plane ([]float64 slabs, []byte, []int
 // offset vectors, nested slabs, the scalar types), a registry through
 // which protocol packages install codecs for their own protocol structs
-// (arraymgr's request and reply), and a gob fallback that keeps every
-// other registered type shippable.
+// (arraymgr's request, reply and array metadata; dcall's spawn order and
+// result tuple), and a gob fallback that keeps every other
+// gob.Register'd type shippable. No protocol payload takes the fallback;
+// only user-defined values do (a distributed call's constant of the
+// caller's own type), and Encodable checks one before a codec nests it.
 //
 // Why not gob everywhere: gob prices every byte with reflection and,
 // used one encoder per frame (required once frames are relayed and
@@ -42,6 +45,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"reflect"
@@ -419,20 +423,48 @@ func AppendAny(b []byte, v any, forceGob bool) ([]byte, error) {
 		case bool:
 			return AppendBool(append(b, tBool), x), nil
 		}
-		codecMu.RLock()
-		c := codecsByType[reflect.TypeOf(v)]
-		codecMu.RUnlock()
-		if c != nil {
+		if c := codecFor(v); c != nil {
 			return c.Append(append(b, c.ID), v), nil
 		}
 	}
 	var gb bytes.Buffer
-	if err := gob.NewEncoder(&gb).Encode(&gobAny{V: v}); err != nil {
-		return b, fmt.Errorf("wire: gob fallback for %T: %w", v, err)
+	if err := gobEncode(&gb, v); err != nil {
+		return b, err
 	}
 	b = append(b, tGob)
 	b = AppendUvarint(b, uint64(gb.Len()))
 	return append(b, gb.Bytes()...), nil
+}
+
+func gobEncode(w io.Writer, v any) error {
+	if err := gob.NewEncoder(w).Encode(&gobAny{V: v}); err != nil {
+		return fmt.Errorf("wire: gob fallback for %T: %w", v, err)
+	}
+	return nil
+}
+
+// Encodable reports the error AppendAny(b, v, false) would return for v,
+// without keeping an encoding: nil at once for a built-in shape or a
+// registered codec, which always encode, and the gob fallback's verdict
+// otherwise. A registered codec's Append cannot return an error, so a
+// protocol that nests caller-supplied values checks them here before
+// the send.
+func Encodable(v any) error {
+	switch v.(type) {
+	case nil, []float64, [][]float64, []byte, []int, [][]int, float64, int, string, bool:
+		return nil
+	}
+	if codecFor(v) != nil {
+		return nil
+	}
+	return gobEncode(io.Discard, v)
+}
+
+func codecFor(v any) *Codec {
+	codecMu.RLock()
+	c := codecsByType[reflect.TypeOf(v)]
+	codecMu.RUnlock()
+	return c
 }
 
 // SizeAny returns the bytes AppendAny(b, v, false) writes for v: exact
@@ -462,10 +494,7 @@ func SizeAny(v any) int {
 	case bool:
 		return 1 + 1
 	}
-	codecMu.RLock()
-	c := codecsByType[reflect.TypeOf(v)]
-	codecMu.RUnlock()
-	if c != nil {
+	if c := codecFor(v); c != nil {
 		return 1 + c.Size(v)
 	}
 	return 1

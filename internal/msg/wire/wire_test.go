@@ -137,6 +137,25 @@ func TestTruncatedInputs(t *testing.T) {
 	}
 }
 
+// TestEncodable pins Encodable to AppendAny's verdict on every kind of
+// value: the built-in shapes, a gob-registered type, and values gob
+// cannot carry (an unregistered type, a channel, a func).
+func TestEncodable(t *testing.T) {
+	type unregistered struct{ X int }
+	type registered struct{ X int }
+	gob.Register(registered{})
+	for _, v := range []any{nil, []float64(nil), [][]int{{1}}, "s", 3, 0.5, true, []byte{1},
+		registered{1}, unregistered{1}, make(chan int), func() {}} {
+		_, appendErr := AppendAny(nil, v, false)
+		if err := Encodable(v); (err == nil) != (appendErr == nil) {
+			t.Errorf("Encodable(%T) = %v, AppendAny's error is %v", v, err, appendErr)
+		}
+	}
+	if Encodable(unregistered{}) == nil {
+		t.Error("Encodable accepted a type gob cannot carry")
+	}
+}
+
 // hostileLength builds a payload of the given slice shape whose count
 // claims n elements, followed by a few bytes of body.
 func hostileLength(code byte, n uint64) []byte {
