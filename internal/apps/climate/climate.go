@@ -152,29 +152,42 @@ func diffuseStep(w *spmd.World, sec *darray.Section, rows, cols int, alpha float
 	return nil
 }
 
-// jacobiUpdate performs the damped Jacobi sweep on the bordered storage of
-// l interior rows (halo rows already filled; reflecting side columns).
+// jacobiUpdate performs the damped Jacobi sweep in place on the bordered
+// storage of l interior rows (halo rows already filled; reflecting side
+// columns). It rolls down the block: before a row is overwritten its old
+// values are copied to one scratch row, and the scratch row holding the
+// old row above is kept from the row before, so the sweep needs two
+// cols-long rows of scratch, not a copy of the block. Every cell
+// evaluates the reference expression in the reference order,
+// (1-alpha)*x + alpha*(0.25*(((up+down)+left)+right)), so the fields stay
+// bit-identical to RunSequential.
 func jacobiUpdate(f []float64, l, cols int, alpha float64) {
-	next := make([]float64, l*cols)
-	get := func(i, j int) float64 {
-		// i in [-1, l] maps to storage row i+1; j clamped to [0, cols-1].
-		if j < 0 {
-			j = 0
-		}
-		if j >= cols {
-			j = cols - 1
-		}
-		return f[(i+1)*cols+j]
+	buf := make([]float64, 2*cols)
+	cur, spare := buf[:cols], buf[cols:]
+	up := f[:cols] // the top halo row is never written
+	for r := 1; r <= l; r++ {
+		row := f[r*cols : (r+1)*cols]
+		copy(cur, row)
+		jacobiRow(row, up, cur, f[(r+1)*cols:(r+2)*cols], alpha)
+		up, cur, spare = cur, spare, cur
 	}
-	for i := 0; i < l; i++ {
-		for j := 0; j < cols; j++ {
-			avg := 0.25 * (get(i-1, j) + get(i+1, j) + get(i, j-1) + get(i, j+1))
-			next[i*cols+j] = (1-alpha)*get(i, j) + alpha*avg
-		}
+}
+
+// jacobiRow writes one updated row from x, the row's old values, and the
+// rows above and below it. The side columns reflect without a clamp in the
+// loop: the first cell is its own left neighbour, which seeds the rolling
+// (left, centre) pair, and the last cell, its own right neighbour, is
+// peeled off the loop.
+func jacobiRow(row, up, x, down []float64, alpha float64) {
+	row, up, down = row[:len(x)], up[:len(x)], down[:len(x)]
+	keep := 1 - alpha
+	left, c := x[0], x[0]
+	for j, right := range x[1:] {
+		row[j] = keep*c + alpha*(0.25*(((up[j]+down[j])+left)+right))
+		left, c = c, right
 	}
-	for i := 0; i < l; i++ {
-		copy(f[(i+1)*cols:(i+2)*cols], next[i*cols:(i+1)*cols])
-	}
+	n := len(x) - 1
+	row[n] = keep*c + alpha*(0.25*(((up[n]+down[n])+left)+c))
 }
 
 // diffuseStepChan is the §7.2.1 variant: the coupling edge row is
@@ -305,6 +318,8 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 		return a.ReadBlock([]int{row, 0}, []int{row + 1, cfg.Cols})
 	}
 
+	// The fixed boundary rows are built once; the programs only read them.
+	deep, strato := oceanDeepRow(cfg), atmosTopRow(cfg)
 	for step := 0; step < cfg.Steps; step++ {
 		// Exchange of boundary data through the task-parallel top level:
 		// read each simulation's coupling edge, then run both time steps
@@ -322,15 +337,15 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 			func() {
 				errO = m.Call(oceanProcs, ProgDiffuse,
 					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
-					dcall.Const(atmosBottom),       // above the ocean: the atmosphere's bottom edge
-					dcall.Const(oceanDeepRow(cfg)), // below the ocean: fixed deep water
+					dcall.Const(atmosBottom), // above the ocean: the atmosphere's bottom edge
+					dcall.Const(deep),        // below the ocean: fixed deep water
 					ocean.Param())
 			},
 			func() {
 				errA = m.CallOn(half, atmosProcs, ProgDiffuse,
 					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
-					dcall.Const(atmosTopRow(cfg)), // above the atmosphere: fixed stratosphere
-					dcall.Const(oceanTop),         // below the atmosphere: the ocean's surface
+					dcall.Const(strato),   // above the atmosphere: fixed stratosphere
+					dcall.Const(oceanTop), // below the atmosphere: the ocean's surface
 					atmos.Param())
 			},
 		)
@@ -397,6 +412,7 @@ func RunChanneled(m *core.Machine, cfg Config) (Result, error) {
 
 	link := channel.NewPair() // AtoB: ocean->atmosphere, BtoA: atmosphere->ocean
 	defer link.Close()
+	deep, strato := oceanDeepRow(cfg), atmosTopRow(cfg)
 
 	for step := 0; step < cfg.Steps; step++ {
 		var errO, errA error
@@ -405,7 +421,7 @@ func RunChanneled(m *core.Machine, cfg Config) (Result, error) {
 				errO = m.Call(oceanProcs, ProgDiffuseChan,
 					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
 					dcall.Const(true), // coupling edge at the ocean's top
-					dcall.Const(oceanDeepRow(cfg)),
+					dcall.Const(deep),
 					dcall.Const(link.AtoB), dcall.Const(link.BtoA),
 					ocean.Param())
 			},
@@ -413,7 +429,7 @@ func RunChanneled(m *core.Machine, cfg Config) (Result, error) {
 				errA = m.CallOn(half, atmosProcs, ProgDiffuseChan,
 					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
 					dcall.Const(false), // coupling edge at the atmosphere's bottom
-					dcall.Const(atmosTopRow(cfg)),
+					dcall.Const(strato),
 					dcall.Const(link.BtoA), dcall.Const(link.AtoB),
 					atmos.Param())
 			},

@@ -1,6 +1,7 @@
 package climate
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,60 +10,64 @@ import (
 	"repro/internal/grid"
 )
 
-func TestCoupledMatchesSequential(t *testing.T) {
-	cfg := Config{Rows: 8, Cols: 6, Steps: 5, Alpha: 0.4}
-	want := RunSequential(cfg)
+// oracleConfigs are the shapes the coupled runs must reproduce bit for bit
+// on a machine of p processors: a general field, then one, two and three
+// columns (the kernel's two reflecting edges meet or coincide) over several
+// rows per copy and over exactly one interior row per copy.
+func oracleConfigs(p int) []Config {
+	cfgs := []Config{{Rows: 8, Cols: 6, Steps: 5, Alpha: 0.4}}
+	for _, cols := range []int{1, 2, 3} {
+		cfgs = append(cfgs,
+			Config{Rows: 8, Cols: cols, Steps: 5, Alpha: 0.4},
+			Config{Rows: p / 2, Cols: cols, Steps: 5, Alpha: 0.3})
+	}
+	return cfgs
+}
+
+// requireSameBits fails unless got and want hold the same float64 bit
+// patterns, element for element.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v (bit-identical)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// checkMatchesSequential runs a coupled variant on machines of 2, 4 and 8
+// processors over every oracle shape and requires both final fields to be
+// bit-identical to the sequential reference.
+func checkMatchesSequential(t *testing.T, run func(*core.Machine, Config) (Result, error)) {
+	t.Helper()
 	for _, p := range []int{2, 4, 8} {
 		m := core.New(p)
 		if err := RegisterPrograms(m); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(m, cfg)
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		for i := range want.Ocean {
-			if math.Abs(got.Ocean[i]-want.Ocean[i]) > 1e-12 {
-				t.Fatalf("P=%d: ocean[%d] = %v, want %v", p, i, got.Ocean[i], want.Ocean[i])
+		for _, cfg := range oracleConfigs(p) {
+			want := RunSequential(cfg)
+			got, err := run(m, cfg)
+			if err != nil {
+				t.Fatalf("P=%d %dx%d: %v", p, cfg.Rows, cfg.Cols, err)
 			}
-		}
-		for i := range want.Atmosphere {
-			if math.Abs(got.Atmosphere[i]-want.Atmosphere[i]) > 1e-12 {
-				t.Fatalf("P=%d: atmos[%d] = %v, want %v", p, i, got.Atmosphere[i], want.Atmosphere[i])
-			}
+			name := fmt.Sprintf("P=%d %dx%d", p, cfg.Rows, cfg.Cols)
+			requireSameBits(t, name+" ocean", got.Ocean, want.Ocean)
+			requireSameBits(t, name+" atmos", got.Atmosphere, want.Atmosphere)
 		}
 		m.Close()
 	}
 }
 
+func TestCoupledMatchesSequential(t *testing.T) { checkMatchesSequential(t, Run) }
+
 // The §7.2.1 extension: boundary exchange over channels produces exactly
 // the same evolution as the base (task-level) coupling and the sequential
 // reference.
-func TestChanneledMatchesSequential(t *testing.T) {
-	cfg := Config{Rows: 8, Cols: 6, Steps: 5, Alpha: 0.4}
-	want := RunSequential(cfg)
-	for _, p := range []int{2, 4, 8} {
-		m := core.New(p)
-		if err := RegisterPrograms(m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunChanneled(m, cfg)
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		for i := range want.Ocean {
-			if math.Abs(got.Ocean[i]-want.Ocean[i]) > 1e-12 {
-				t.Fatalf("P=%d: ocean[%d] = %v, want %v", p, i, got.Ocean[i], want.Ocean[i])
-			}
-		}
-		for i := range want.Atmosphere {
-			if math.Abs(got.Atmosphere[i]-want.Atmosphere[i]) > 1e-12 {
-				t.Fatalf("P=%d: atmos[%d] = %v, want %v", p, i, got.Atmosphere[i], want.Atmosphere[i])
-			}
-		}
-		m.Close()
-	}
-}
+func TestChanneledMatchesSequential(t *testing.T) { checkMatchesSequential(t, RunChanneled) }
 
 func TestChanneledValidation(t *testing.T) {
 	m := core.New(4)
