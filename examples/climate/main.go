@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/apps/climate"
 	"repro/internal/core"
@@ -47,14 +46,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := climate.RunSequential(cfg)
-	worst := 0.0
-	for i := range ref.Ocean {
-		worst = math.Max(worst, math.Abs(res.Ocean[i]-ref.Ocean[i]))
-		worst = math.Max(worst, math.Abs(res.Atmosphere[i]-ref.Atmosphere[i]))
-	}
+	cells, worst := climate.Diff(res, climate.RunSequential(cfg))
 	fmt.Printf("after %d coupled steps on %d processors (two groups of %d):\n", *steps, *p, *p/2)
 	fmt.Printf("  mean ocean temperature:      %8.4f\n", mean(res.Ocean))
 	fmt.Printf("  mean atmosphere temperature: %8.4f\n", mean(res.Atmosphere))
 	fmt.Printf("  max deviation from sequential reference: %.3g\n", worst)
+	if cells != 0 {
+		log.Fatalf("%d cells differ from the sequential reference; the coupled run must be bit-identical", cells)
+	}
 }

@@ -16,6 +16,7 @@ package climate
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arraymgr"
 	"repro/internal/channel"
@@ -522,4 +523,23 @@ func RunSequential(cfg Config) Result {
 		o, a = o2, a2
 	}
 	return Result{Ocean: o, Atmosphere: a}
+}
+
+// Diff compares two results cell by cell: cells counts the cells whose
+// float64 bits differ (a length mismatch counts every missing cell) and
+// worst is the largest absolute difference among them. A coupled run
+// matches RunSequential only when cells is 0.
+func Diff(got, want Result) (cells int, worst float64) {
+	for _, f := range [][2][]float64{{got.Ocean, want.Ocean}, {got.Atmosphere, want.Atmosphere}} {
+		x, y := f[0], f[1]
+		n := min(len(x), len(y))
+		cells += max(len(x), len(y)) - n
+		for i := range n {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				cells++
+				worst = math.Max(worst, math.Abs(x[i]-y[i]))
+			}
+		}
+	}
+	return cells, worst
 }

@@ -244,9 +244,9 @@ type Manager struct {
 	jmu  sync.Mutex
 	jrng *rand.Rand
 
-	// Wire completion table (wire.go): replies and redistribution acks
-	// from remote owners carry a table id instead of a channel. The map
-	// is allocated lazily, so unpartitioned managers pay nothing.
+	// Completion table (wire.go): every awaited request's reply channel
+	// and every redistribution's ack channel, by id. Handlers answer
+	// the id, in-process or across the wire.
 	pendMu    sync.Mutex
 	pending   map[uint64]chan response
 	nextReply atomic.Uint64
@@ -314,8 +314,10 @@ func (o opCode) String() string {
 	return fmt.Sprintf("op(%d)", o)
 }
 
-// request is one array-manager request in flight. Reply delivery uses a
-// definitional-style one-shot channel.
+// request is one array-manager request in flight. It is answered by
+// completion-table id (replyID, or a ship's ackID), never through a
+// channel it carries, so the same value serves in-process and decoded
+// off the wire.
 type request struct {
 	op    opCode
 	id    darray.ID
@@ -344,13 +346,11 @@ type request struct {
 	// redistribution parameters: the coordinator request names the
 	// destination array in id and the source in id2, with lo/hi the
 	// destination rectangle and lo2 the source origin; redist_src
-	// requests carry the per-pair ships and the shared ack channel
-	// (acks ride in-process channels like replies, so they cost no
-	// messages — see redist.go).
+	// requests carry the per-pair ships, acknowledged by
+	// (ackProc, ackID) below (see redist.go).
 	id2   darray.ID
 	lo2   []int
 	ships []redistShip
-	ack   chan response
 
 	// Recovery identity (resilient.go): seq is the per-request dedup id
 	// (0 in reliable mode), call/pair identify one redistribution ship,
@@ -366,15 +366,14 @@ type request struct {
 	src  int
 	dst  int
 
-	// Wire identity (wire.go): origin scopes the dedup window to the
-	// issuing processor; replyID / (ackProc, ackID) stand in for the
-	// reply and ack channels when a request crosses process boundaries.
+	// Completion identity (wire.go): origin scopes the dedup window to
+	// the issuing processor; replyID names the waiter on processor src,
+	// (ackProc, ackID) a redistribution's ack channel, both entries of
+	// the completion table.
 	origin  int
 	replyID uint64
 	ackProc int
 	ackID   uint64
-
-	reply chan response
 }
 
 type response struct {
@@ -392,7 +391,8 @@ type response struct {
 // the wire — but the server table still covers all of them, so
 // coordinator code indexes it uniformly.
 func New(machine *vp.Machine) *Manager {
-	m := &Manager{machine: machine, servers: make([]*server, machine.P())}
+	m := &Manager{machine: machine, servers: make([]*server, machine.P()),
+		pending: make(map[uint64]chan response)}
 	router := machine.Router()
 	for p := 0; p < machine.P(); p++ {
 		m.servers[p] = &server{entries: make(map[darray.ID]*entry)}
@@ -430,11 +430,7 @@ func (m *Manager) serve(proc int) {
 			if mm.Tag.Class != msg.ClassTask {
 				return false
 			}
-			switch mm.Tag.Kind {
-			case kindAMRequest, kindAMShip, kindAMReply:
-				return true
-			}
-			return false
+			return mm.Tag.Kind == kindAMRequest || mm.Tag.Kind == kindAMReply
 		})
 		if err != nil {
 			return // router closed (or this processor killed)
@@ -443,7 +439,7 @@ func (m *Manager) serve(proc int) {
 			// A wire reply or ack addressed to a coordinator on this
 			// processor goes straight into the completion table.
 			if w, ok := message.Data.(*wireResponse); ok {
-				m.deliverReply(w)
+				m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair})
 			}
 			continue
 		}
@@ -459,12 +455,6 @@ func (m *Manager) serve(proc int) {
 		if k, ok := dedupKeyOf(req); ok && dedup.dup(k) {
 			continue
 		}
-		if message.Tag.Kind == kindAMShip {
-			// One-way redistribution traffic: no reply channel, so it
-			// must not flow through handle's unconditional reply send.
-			go m.handleShip(proc, req)
-			continue
-		}
 		go m.handle(proc, req)
 	}
 }
@@ -474,37 +464,31 @@ func (m *Manager) serve(proc int) {
 // sends never block, so a coordinator can scatter requests to any number
 // of owners before gathering a single reply — the async request/reply
 // facility behind the concurrent data-plane coordinators and the
-// control fan-out tree. Under a call policy the request is stamped with
-// a fresh dedup id and a known-dead destination is refused up front
-// (saving a full timeout per tree level when an owner is down).
-func (m *Manager) sendAsync(src, dst int, req *request) *request {
-	req.reply = make(chan response, 1)
+// control fan-out tree. The reply channel is entered in the completion
+// table, wherever dst lives; await unregisters it. Under a call policy
+// the request is stamped with a fresh dedup id and a known-dead
+// destination is refused up front (saving a full timeout per tree
+// level when an owner is down).
+func (m *Manager) sendAsync(src, dst int, req *request) waiter {
+	w := waiter{req: req, done: make(chan response, 1)}
 	req.src, req.dst = src, dst
 	req.origin = src
-	router := m.machine.Router()
+	req.replyID = m.register(w.done)
 	if m.policy.Load() != nil {
 		req.seq = m.nextSeq()
-		if router.Down(dst) {
-			req.reply <- response{status: StatusDown}
-			return req
-		}
 		// A membership view fails known-dead destinations proactively,
 		// without waiting for a per-call timeout against a peer the
 		// heartbeat already declared dead.
-		if mem := m.membership.Load(); mem != nil && mem.State(dst) == msg.StateDead {
-			req.reply <- response{status: StatusDown}
-			return req
+		mem := m.membership.Load()
+		if m.machine.Router().Down(dst) || mem != nil && mem.State(dst) == msg.StateDead {
+			w.done <- response{status: StatusDown}
+			return w
 		}
 	}
-	if !router.Local(dst) {
-		// Remote owner: enter the reply channel in the completion table;
-		// await unregisters when it has the answer.
-		req.replyID = m.register(req.reply)
+	if err := m.post(src, dst, req); err != nil {
+		w.done <- response{status: sendStatus(err)}
 	}
-	if err := router.Send(src, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}, req); err != nil {
-		req.reply <- response{status: sendStatus(err)}
-	}
-	return req
+	return w
 }
 
 // send routes a request to the server on processor dst and waits for its
@@ -540,6 +524,14 @@ func (m *Manager) handle(proc int, req *request) {
 		resp = m.doWriteLocal(proc, req)
 	case opRedistribute:
 		resp = m.doRedistribute(proc, req)
+	case opRedistSrc:
+		// One-way ship traffic answers its pairs by ack id, not by a reply.
+		m.doRedistSrc(proc, req)
+		putShipReq(req)
+		return
+	case opRedistShip:
+		m.doRedistShip(proc, req)
+		return
 	case opFindLocal:
 		resp = m.doFindLocal(proc, req)
 	case opFindInfo:
@@ -555,7 +547,21 @@ func (m *Manager) handle(proc int, req *request) {
 	default:
 		resp = response{status: StatusError}
 	}
-	m.respond(proc, req, resp)
+	m.complete(proc, req.src, req.replyID, resp)
+	if !m.machine.Router().Local(req.src) {
+		// The transport serialized the reply before Send returned, so a
+		// read's pooled reply buffer is free; a write's payload, decoded
+		// into the pool, was spent before the op answered (mirrors
+		// included, as doRedistShip's landing relies on too). In-process
+		// the reply buffer passes to the coordinator, which also owns
+		// the write's share.
+		switch req.op {
+		case opReadLocal:
+			putBuf(resp.vals)
+		case opWriteLocal, opMirrorWrite:
+			putBuf(req.vals)
+		}
+	}
 }
 
 // --- coordinator operations ---
@@ -748,7 +754,7 @@ func (m *Manager) doTree(proc int, req *request) response {
 	if trace.Enabled(trace.Ops) {
 		trace.Logf(trace.Ops, proc, "am: %s %v", req.inner, req.id)
 	}
-	var left, right *request
+	var left, right waiter
 	if c := 2*req.node + 1; c < len(req.procs) {
 		left = m.sendAsync(proc, req.procs[c],
 			&request{op: opTree, inner: req.inner, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
@@ -773,8 +779,8 @@ func (m *Manager) doTree(proc int, req *request) response {
 	if req.inner == opFreeLocal && st == StatusNotFound {
 		st = StatusOK // freeing is idempotent per target (§5.1.3)
 	}
-	for _, c := range []*request{left, right} {
-		if c == nil {
+	for _, c := range []waiter{left, right} {
+		if c.req == nil {
 			continue
 		}
 		if cr := m.await(c); cr.status > st {

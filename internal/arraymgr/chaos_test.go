@@ -319,11 +319,11 @@ func TestNoFaultNoRetransmits(t *testing.T) {
 // family once: create, dense and strided read and write, gather and
 // scatter, per-element access, block→cyclic and block_cyclic(2)→
 // block_cyclic(3) redistribution, find, verify and free. A duplicate is
-// a codec copy that carries no reply or ack channel, so the write
-// shares, ship requests and ship payloads stay pooled, and results must
-// match the oracle. Zero retransmits proves no copy ever reached an
-// owner's dedup filter ahead of its original: that would have left the
-// original unanswered until a retry.
+// a codec copy: it answers the same completion-table ids as its original
+// but shares none of its pooled buffers, so the write shares, ship
+// requests and ship payloads stay pooled, and results must match the
+// oracle. The owner's dedup filter drops each copy, and zero
+// retransmits proves every call was answered on its first attempt.
 func TestChaosDupEveryOp(t *testing.T) {
 	const p = 4
 	machine, m := newTestManager(t, p)
@@ -541,30 +541,47 @@ func TestKillMidRedistribute(t *testing.T) {
 }
 
 // TestCloseMidCallSurfacesError closes the whole machine while a
-// coordinator is waiting on remote replies — even with no retry policy
-// installed, the wait must observe the router's shutdown and return an
-// error status rather than deadlock. (The msg-level Close semantics are
-// pinned in the msg package; this is the coordinator half.)
+// coordinator is waiting on remote replies or acks — even with no retry
+// policy installed, the wait must observe the router's shutdown and
+// return an error status rather than deadlock. The read waits in await;
+// the redistribution runs its coordinator directly, so the close lands
+// in the ack gather. (The msg-level Close semantics are pinned in the
+// msg package; this is the coordinator half.)
 func TestCloseMidCallSurfacesError(t *testing.T) {
-	machine := vp.NewMachine(4)
-	defer machine.Shutdown()
-	m := New(machine)
-	id := mustCreate(t, m, 0, killSpec())
-	machine.Router().SetLatency(5 * time.Millisecond)
+	cases := []struct {
+		name string
+		call func(m *Manager, src, dst darray.ID) Status
+	}{
+		{"ReadBlock", func(m *Manager, src, _ darray.ID) Status {
+			_, st := m.ReadBlock(0, src, []int{0}, []int{24})
+			return st
+		}},
+		{"Redistribute", func(m *Manager, src, dst darray.ID) Status {
+			return m.doRedistribute(0, &request{op: opRedistribute, id: dst, id2: src,
+				lo: []int{0}, hi: []int{24}, lo2: []int{0}}).status
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			machine := vp.NewMachine(4)
+			defer machine.Shutdown()
+			m := New(machine)
+			src := mustCreate(t, m, 0, killSpec())
+			dst := mustCreate(t, m, 0, distSpec(24, 4, grid.CyclicDefault(), darray.Double))
+			machine.Router().SetLatency(5 * time.Millisecond)
 
-	done := make(chan Status, 1)
-	go func() {
-		_, st := m.ReadBlock(0, id, []int{0}, []int{24})
-		done <- st
-	}()
-	time.Sleep(time.Millisecond)
-	machine.Shutdown()
-	select {
-	case st := <-done:
-		if st == StatusOK {
-			t.Fatal("ReadBlock returned STATUS_OK across a router close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ReadBlock hung across Close")
+			done := make(chan Status, 1)
+			go func() { done <- c.call(m, src, dst) }()
+			time.Sleep(time.Millisecond)
+			machine.Shutdown()
+			select {
+			case st := <-done:
+				if st == StatusOK {
+					t.Fatalf("%s returned STATUS_OK across a router close", c.name)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s hung across Close", c.name)
+			}
+		})
 	}
 }

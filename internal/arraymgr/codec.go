@@ -239,8 +239,8 @@ func readOp(b []byte) (opCode, []byte, error) {
 }
 
 // appendRequest encodes every request field an op that can target a
-// remote owner uses. The reply and ack channels stand in as replyID and
-// (ackProc, ackID). spec, ndims, borders and indexing are never encoded:
+// remote owner uses, among them the completion-table ids the handler
+// answers: replyID, or a ship's (ackProc, ackID). spec, ndims, borders and indexing are never encoded:
 // they belong to create_array and verify_array, which are always
 // coordinator self-sends and so never cross the wire.
 func appendRequest(b []byte, v any) []byte {
@@ -316,8 +316,9 @@ func sizeRequest(v any) int {
 		wire.SizeUvarint(r.replyID) + wire.SizeInt(r.ackProc) + wire.SizeUvarint(r.ackID)
 }
 
-// readRequest decodes a request with nil reply and ack channels: a nil
-// reply routes respond through the wire, a nil ack routes shipAck.
+// readRequest decodes a request. Its ids answer the same way as an
+// in-process request's: complete sends a kindAMReply, since the waiter's
+// processor is hosted elsewhere.
 func readRequest(b []byte) (any, []byte, error) {
 	var err error
 	r := &request{}

@@ -127,7 +127,7 @@ func (m *Manager) doRead(proc int, req *request) response {
 	if out == nil {
 		out = make([]float64, size)
 	}
-	replies := make([]*request, len(pieces))
+	replies := make([]waiter, len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
 			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opReadLocal, req.id, nil))
@@ -149,14 +149,14 @@ func (m *Manager) doRead(proc int, req *request) response {
 	// After a failover promotion one processor can own several slots, so
 	// "local" is not necessarily unique.
 	for i := range pieces {
-		if replies[i] == nil {
+		if replies[i].req == nil {
 			unpack(&pieces[i], m.doReadLocal(proc, pieces[i].ownerReq(opReadLocal, req.id, nil)))
 		}
 	}
 	// Drain every reply even after a failure, so no owner's response is
 	// left dangling.
 	for i := range pieces {
-		if replies[i] != nil {
+		if replies[i].req != nil {
 			unpack(&pieces[i], m.await(replies[i]))
 		}
 	}
@@ -189,7 +189,7 @@ func (m *Manager) doWrite(proc int, req *request) response {
 		_ = p.place(false, req.vals, sub, sdims)
 		return sub
 	}
-	replies := make([]*request, len(pieces))
+	replies := make([]waiter, len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
 			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opWriteLocal, req.id, pack(p)))
@@ -197,7 +197,7 @@ func (m *Manager) doWrite(proc int, req *request) response {
 	}
 	status := StatusOK
 	for i := range pieces {
-		if replies[i] != nil {
+		if replies[i].req != nil {
 			continue
 		}
 		vals := pack(&pieces[i])
@@ -208,14 +208,14 @@ func (m *Manager) doWrite(proc int, req *request) response {
 		m.unsnapshot(proc, r.status, vals)
 	}
 	for i := range pieces {
-		if replies[i] == nil {
+		if replies[i].req == nil {
 			continue
 		}
 		r := m.await(replies[i])
 		if r.status != StatusOK {
 			status = r.status
 		}
-		m.unsnapshot(pieces[i].proc, r.status, replies[i].vals)
+		m.unsnapshot(pieces[i].proc, r.status, replies[i].req.vals)
 	}
 	return response{status: status}
 }
@@ -224,7 +224,7 @@ func (m *Manager) doWrite(proc int, req *request) response {
 // addressed by req.slot is copied into a pooled reply buffer — zero
 // allocations per request at a steady state. Ownership of the buffer
 // passes to the coordinator, which returns it via putBuf after placing
-// it (over the wire, respond returns it once the reply is serialized).
+// it (over the wire, handle returns it once the reply is serialized).
 func (m *Manager) doReadLocal(proc int, req *request) response {
 	e, st := m.lookup(proc, req.id)
 	if st != StatusOK {

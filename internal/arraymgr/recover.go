@@ -78,7 +78,7 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 		return StatusOK
 	}
 	router := m.machine.Router()
-	var replies []*request
+	var replies []waiter
 	for j := 1; j <= meta.Replicas; j++ {
 		buddy := meta.BuddyOwner(req.slot, j)
 		if buddy == proc {
@@ -180,7 +180,7 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 	for _, p := range meta.Procs[:meta.GridSize()] {
 		targets[p] = true
 	}
-	var replies []*request
+	var replies []waiter
 	status := StatusOK
 	for p := range targets {
 		if router.Down(p) {

@@ -23,11 +23,11 @@
 //
 // That is ≤1 message per non-empty owner pair (plus the per-owner
 // redist_src fan-out), against read+write coordinator rounds for the
-// bounce. Completion travels on an in-process ack channel shared by all
-// pairs — acks ride channels like request replies, so they cost no
-// messages. Ship traffic is one-way (no reply channel), so it travels
-// under its own reserved message kind and bypasses handle's
-// unconditional reply send.
+// bounce. Completion is one ack channel shared by all pairs and entered
+// in the completion table; each pair is acknowledged by that id
+// (complete, wire.go), so an ack from an owner in the coordinator's
+// process costs no message. Ship traffic is one-way: it travels as an
+// ordinary request, and handle dispatches its two ops without a reply.
 package arraymgr
 
 import (
@@ -36,14 +36,7 @@ import (
 
 	"repro/internal/darray"
 	"repro/internal/grid"
-	"repro/internal/trace"
 )
-
-// kindAMShip is the reserved task-class message kind carrying one-way
-// redistribution traffic (redist_src, redist_ship): requests that are
-// acknowledged through the coordinator's shared ack channel rather than
-// a per-request reply (-101 is dcall's combine kind).
-const kindAMShip = -102
 
 // redistShip is one owner pair's piece of a redistribution, as shipped
 // to the source owner: the schedule block, whose slots route each side
@@ -93,30 +86,13 @@ func putShipReq(r *request) {
 	shipReqMu.Unlock()
 }
 
-// handleShip dispatches one-way redistribution traffic at the server on
-// proc: redist_src (this processor is a source owner; read and forward
-// each piece) and redist_ship (this processor is a destination owner;
-// write the piece and acknowledge).
-func (m *Manager) handleShip(proc int, req *request) {
-	if trace.Enabled(trace.Ops) {
-		trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
-	}
-	switch req.op {
-	case opRedistSrc:
-		m.doRedistSrc(proc, req)
-		putShipReq(req)
-	case opRedistShip:
-		m.doRedistShip(proc, req)
-	}
-}
-
 // doRedistribute is the redistribution coordinator: it computes the
 // owner-pair schedule for copying the source rectangle (origin req.lo2)
 // of array req.id2 onto the destination rectangle (req.lo, req.hi) of
 // array req.id, groups the pairs by source owner, sends each remote
 // source owner one redist_src request (servicing its own group inline),
-// and waits for exactly one ack per pair on a shared buffered channel.
-// Sends never block and the ack channel holds every ack, so the
+// and waits for one ack per pair on a shared buffered channel entered
+// in the completion table. Sends and deliveries never block, so the
 // protocol cannot deadlock; the merged status is the worst any pair
 // reported.
 func (m *Manager) doRedistribute(proc int, req *request) response {
@@ -162,15 +138,11 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		ackCap = npairs * (pol.Retries + 3)
 	}
 	ack := make(chan response, ackCap)
-	// On a partitioned router remote owners acknowledge through the
-	// completion table (wire.go) instead of the channel; deliverReply's
-	// non-blocking send plus the acked[] filter below make straggler
-	// overflow safe.
-	var ackID uint64
-	if router.Partitioned() {
-		ackID = m.register(ack)
-		defer m.unregister(ackID)
-	}
+	// Every owner acknowledges through the completion table;
+	// deliver's non-blocking send plus the acked[] filter below make a
+	// straggler or a duplicate harmless.
+	ackID := m.register(ack)
+	defer m.unregister(ackID)
 	pairs := make([]redistShip, npairs)
 	for i, pb := range sched.Blocks {
 		pairs[i] = redistShip{pb, i}
@@ -191,16 +163,13 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		}
 		for _, sp := range order {
 			if sp == proc {
-				// The inline group still carries (ackProc, ackID): its
-				// onward ships may target remote destination owners, which
-				// acknowledge over the wire.
 				m.doRedistSrc(proc, &request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
-					ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID})
+					call: call, origin: proc, ackProc: proc, ackID: ackID})
 				continue
 			}
 			sreq := getShipReq()
 			*sreq = request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
-				ack: ack, call: call, origin: proc, ackProc: proc, ackID: ackID}
+				call: call, origin: proc, ackProc: proc, ackID: ackID}
 			if pol != nil {
 				sreq.seq = m.nextSeq()
 			}
@@ -211,7 +180,7 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 				putShipReq(sreq)
 				continue
 			}
-			if err := m.postShip(proc, sp, sreq); err != nil {
+			if err := m.post(proc, sp, sreq); err != nil {
 				for _, sh := range bySrc[sp] {
 					ack <- response{status: sendStatus(err), pair: sh.pair}
 				}
@@ -228,32 +197,23 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		all[i] = i
 	}
 	sendGroups(all)
-	if pol == nil {
-		// Reliable mode: exactly one ack arrives per pair; selecting on
-		// Done keeps a mid-call shutdown from deadlocking the gather.
-		status := StatusOK
-		for i := 0; i < npairs; i++ {
-			select {
-			case r := <-ack:
-				if r.status > status {
-					status = r.status
-				}
-			case <-router.Done():
-				return response{status: StatusClosed}
-			}
-		}
-		return response{status: status}
-	}
-	// Resilient mode: gather acks by pair identity with a per-attempt
-	// deadline; unacked pairs with a dead endpoint fail as StatusDown,
-	// the rest are re-sent (bounded exponential backoff) until the retry
-	// budget is spent.
+	// Gather acks by pair identity; selecting on Done keeps a mid-call
+	// shutdown from deadlocking the gather. With no policy the deadline
+	// channel is nil and exactly one ack arrives per pair. Under a policy
+	// each attempt has a deadline: unacked pairs with a dead endpoint
+	// fail as StatusDown, the rest are re-sent (bounded exponential
+	// backoff) until the retry budget is spent.
 	acked := make([]bool, npairs)
 	remaining := npairs
 	status := StatusOK
-	backoff := pol.Backoff
-	timer := time.NewTimer(pol.Timeout)
-	defer timer.Stop()
+	var timer *time.Timer
+	var deadline <-chan time.Time
+	var backoff time.Duration
+	if pol != nil {
+		timer = time.NewTimer(pol.Timeout)
+		defer timer.Stop()
+		deadline, backoff = timer.C, pol.Backoff
+	}
 	for attempt := 0; ; attempt++ {
 		expired := false
 		for remaining > 0 && !expired {
@@ -268,7 +228,7 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 				}
 			case <-router.Done():
 				return response{status: StatusClosed}
-			case <-timer.C:
+			case <-deadline:
 				expired = true
 			}
 		}
@@ -323,11 +283,11 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 	router := m.machine.Router()
 	for _, sh := range req.ships {
 		if st != StatusOK {
-			m.shipAck(proc, req, response{status: st, pair: sh.pair})
+			m.complete(proc, req.ackProc, req.ackID, response{status: st, pair: sh.pair})
 			continue
 		}
 		if sh.DstProc == proc {
-			m.shipAck(proc, req, response{status: m.redistLocalPair(proc, req.id2, e, sh), pair: sh.pair})
+			m.complete(proc, req.ackProc, req.ackID, response{status: m.redistLocalPair(proc, req.id2, e, sh), pair: sh.pair})
 			continue
 		}
 		var vals []float64
@@ -349,18 +309,18 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		srv.mu.Unlock()
 		if fail != StatusOK {
 			putBuf(vals)
-			m.shipAck(proc, req, response{status: fail, pair: sh.pair})
+			m.complete(proc, req.ackProc, req.ackID, response{status: fail, pair: sh.pair})
 			continue
 		}
 		dreq := getShipReq()
 		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.DstSlot,
 			lo: sh.DstLo, hi: sh.DstHi, step: sh.DstStep, runs: sh.Runs,
-			vals: vals, node: proc, ack: req.ack, call: req.call, pair: sh.pair,
+			vals: vals, node: proc, call: req.call, pair: sh.pair,
 			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
-		if err := m.postShip(proc, sh.DstProc, dreq); err != nil {
+		if err := m.post(proc, sh.DstProc, dreq); err != nil {
 			putBuf(vals)
 			putShipReq(dreq)
-			m.shipAck(proc, req, response{status: sendStatus(err), pair: sh.pair})
+			m.complete(proc, req.ackProc, req.ackID, response{status: sendStatus(err), pair: sh.pair})
 		} else if !router.Local(sh.DstProc) {
 			// Remote ship: the transport serialized the piece before
 			// returning, so the buffer and request recycle immediately.
@@ -441,7 +401,7 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 			st = mst
 		}
 	}
-	m.shipAck(proc, req, response{status: st, pair: req.pair})
+	m.complete(proc, req.ackProc, req.ackID, response{status: st, pair: req.pair})
 	// The piece came from the float-buffer pool either way: drawn by the
 	// source owner in this process, or by the codec that decoded it (off
 	// the wire, or into a fault-plane duplicate). Only a request whose

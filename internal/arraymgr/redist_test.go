@@ -407,12 +407,13 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	}
 	srv := m.servers[0]
 	ack := make(chan response, 1)
+	ackID := m.register(ack)
 	lo, hi := []int{0}, []int{4}
 
 	ship := func() {
 		req := getShipReq()
 		buf := getBuf(4)
-		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, ack: ack}
+		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, ackID: ackID}
 		m.doRedistShip(0, req)
 		if r := <-ack; r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)
@@ -430,7 +431,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	// so one request drives every iteration.
 	pairReq := &request{id: src, id2: dst,
 		ships: []redistShip{{PairBlock: darray.PairBlock{SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi}}},
-		ack:   ack}
+		ackID: ackID}
 	local := func() {
 		m.doRedistSrc(0, pairReq)
 		if r := <-ack; r.status != StatusOK {
@@ -472,7 +473,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	}
 	stridedReq := &request{id: pa, id2: pw,
 		ships: []redistShip{{PairBlock: pb}},
-		ack:   ack}
+		ackID: ackID}
 	stridedLocal := func() {
 		m.doRedistSrc(0, stridedReq)
 		if r := <-ack; r.status != StatusOK {
@@ -496,7 +497,7 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := getShipReq()
-		*req = request{op: opRedistShip, id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ack: ack}
+		*req = request{op: opRedistShip, id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ackID: ackID}
 		m.doRedistShip(0, req)
 		if r := <-ack; r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)

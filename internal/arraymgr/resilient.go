@@ -3,22 +3,23 @@
 // bounded-exponential-backoff retry in the coordinators.
 //
 // The asymmetry the protocol is built around: requests travel over the
-// router (lossy under a fault plan), replies and acks ride in-process
-// channels (reliable once a request executes). So a lost or delayed
-// request is recovered by retransmitting the same *request object; the
-// owner's dedup window guarantees at most one execution, which keeps
-// every data-plane op idempotent even where blind re-execution would not
-// be (pooled reply buffers, redistribution ships). A peer that never
-// answers is distinguished from a slow one by Router.Down: killed owner
-// -> StatusDown, retries exhausted -> StatusTimeout — both surfaced as
-// core.Status errors instead of a hung coordinator.
+// router (lossy under a fault plan), while a handler answers by
+// completion-table id, straight into the table when its waiter is hosted
+// in the same process (wire.go), where the fault plane never acts. So a
+// lost or delayed request is recovered by retransmitting the same
+// *request object; the owner's dedup window guarantees at most one
+// execution, which keeps every data-plane op idempotent even where blind
+// re-execution would not be (pooled reply buffers, redistribution
+// ships). A peer that never answers is distinguished from a slow one by
+// Router.Down: killed owner -> StatusDown, retries exhausted ->
+// StatusTimeout — both surfaced as core.Status errors instead of a hung
+// coordinator.
 package arraymgr
 
 import (
 	"math/rand"
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/trace"
 )
 
@@ -178,45 +179,39 @@ func dedupKeyOf(req *request) (dedupKey, bool) {
 	return dedupKey{}, false
 }
 
-// await waits for req's reply. With no policy it blocks until the reply
-// or router shutdown (a mid-call Close surfaces as StatusError, never a
-// deadlock). With a policy it retransmits the same request object on
-// each expired deadline — the owner's dedup window guarantees at most
-// one execution — and converts a killed peer into StatusDown and an
-// exhausted retry budget into StatusTimeout.
-func (m *Manager) await(req *request) response {
+// await waits for w's reply, or router shutdown (a mid-call Close
+// surfaces as StatusClosed, never a deadlock), and unregisters its
+// completion-table entry. With no policy the deadline channel is nil,
+// so it waits for nothing else. With a policy it retransmits the same
+// request object on each expired deadline — the owner's dedup window
+// guarantees at most one execution — and converts a killed peer into
+// StatusDown and an exhausted retry budget into StatusTimeout.
+func (m *Manager) await(w waiter) response {
+	req := w.req
 	router := m.machine.Router()
 	defer m.unregister(req.replyID)
 	pol := m.policy.Load()
-	if pol == nil {
+	var timer *time.Timer
+	var deadline <-chan time.Time
+	var backoff time.Duration
+	if pol != nil {
+		timer = time.NewTimer(pol.Timeout)
+		defer timer.Stop()
+		deadline, backoff = timer.C, pol.Backoff
+	}
+	for attempt := 0; ; attempt++ {
 		select {
-		case r := <-req.reply:
+		case r := <-w.done:
 			return r
 		case <-router.Done():
 			// Prefer a reply that raced shutdown.
 			select {
-			case r := <-req.reply:
+			case r := <-w.done:
 				return r
 			default:
 				return response{status: StatusClosed}
 			}
-		}
-	}
-	backoff := pol.Backoff
-	timer := time.NewTimer(pol.Timeout)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case r := <-req.reply:
-			return r
-		case <-router.Done():
-			select {
-			case r := <-req.reply:
-				return r
-			default:
-				return response{status: StatusClosed}
-			}
-		case <-timer.C:
+		case <-deadline:
 		}
 		m.timeouts.Add(1)
 		if router.Down(req.dst) {
@@ -233,7 +228,7 @@ func (m *Manager) await(req *request) response {
 		// The same request object again: in-process the same pointer, over
 		// the wire the same bytes (it is read-only once sent and the codec
 		// is deterministic).
-		if err := router.Send(req.src, req.dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}, req); err != nil {
+		if err := m.post(req.src, req.dst, req); err != nil {
 			return response{status: sendStatus(err)}
 		}
 		timer.Reset(pol.Timeout)

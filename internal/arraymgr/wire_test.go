@@ -35,7 +35,8 @@ func TestUnknownOpFromWire(t *testing.T) {
 		t.Fatalf("String() = %q, want op(200)", got)
 	}
 	reply := make(chan response, 1)
-	b, err := wire.AppendAny(nil, &request{op: bad, src: 1, replyID: m.register(reply)}, false)
+	replyID := m.register(reply)
+	b, err := wire.AppendAny(nil, &request{op: bad, src: 1, replyID: replyID}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestUnknownOpFromWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := v.(*request)
-	if req.op != bad || req.reply != nil {
-		t.Fatalf("decoded op %v, reply channel %v", req.op, req.reply)
+	if req.op != bad || req.replyID != replyID {
+		t.Fatalf("decoded op %v, reply id %d, want %v and %d", req.op, req.replyID, bad, replyID)
 	}
 	m.handle(0, req)
 	select {
@@ -98,17 +99,64 @@ func TestLateAckDropped(t *testing.T) {
 	}
 }
 
-// TestWireOwnerReplyRecycled pins the owner side of a read that arrived
-// over the wire (no reply channel): the transport serializes the reply
+// TestLateReplyDroppedInProcess is TestLateAckDropped without the wire:
+// handlers answer, in the process their waiters live in, one id that was
+// already answered and one its waiter unregistered — a read reply, a
+// write's reply and a redistribution ack to each. Every answer is
+// dropped at the table without blocking its handler, the answered
+// waiter keeps its first answer, and no answer reaches another waiter.
+func TestLateReplyDroppedInProcess(t *testing.T) {
+	machine, m := newTestManager(t, 2)
+	id := mustCreate(t, m, 0, distSpec(8, 2, grid.BlockDefault(), darray.Double))
+	answered := make(chan response, 1)
+	answeredID := m.register(answered)
+	answered <- response{status: StatusOK, pair: -1}
+	gone := make(chan response, 1)
+	goneID := m.register(gone)
+	m.unregister(goneID)
+	other := make(chan response, 8)
+	defer m.unregister(m.register(other))
+
+	before := machine.Router().Sent()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, rid := range []uint64{answeredID, goneID} {
+			m.handle(1, &request{op: opReadLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, src: 0, replyID: rid})
+			m.handle(1, &request{op: opWriteLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, vals: make([]float64, 4), src: 0, replyID: rid})
+			m.doRedistSrc(1, &request{op: opRedistSrc, id: darray.ID{Proc: 0, Seq: 99}, ships: []redistShip{{pair: 0}}, ackProc: 0, ackID: rid})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a handler blocked on a late answer")
+	}
+	if len(answered) != 1 || (<-answered).pair != -1 {
+		t.Fatal("a late answer displaced the first one")
+	}
+	if len(gone) != 0 || len(other) != 0 {
+		t.Fatalf("late answers reached %d (unregistered) and %d (another waiter) channels", len(gone), len(other))
+	}
+	if sent := machine.Router().Sent() - before; sent != 0 {
+		t.Fatalf("in-process answers sent %d messages, want 0", sent)
+	}
+}
+
+// TestWireOwnerReplyRecycled pins the owner side of a read whose
+// waiter is hosted in another part: the transport serializes the reply
 // before Send returns, so the owner returns its pooled reply buffer as
-// soon as sendReply does, and at a steady state a wire-served
+// soon as the reply is sent, and at a steady state a wire-served
 // read_local allocates only its small reply envelope, never the
-// payload. The in-process router here does not serialize, but nothing
-// reads the reply's values: no completion-table entry waits for its id.
+// payload. The transport here drops every message without serializing
+// it; nothing reads the reply's values.
 func TestWireOwnerReplyRecycled(t *testing.T) {
 	const perProc = 8192 // 64 KiB of float64 per owner
-	_, m := newTestManager(t, 4)
-	id := mustCreate(t, m, 0, distSpec(4*perProc, 4, grid.BlockDefault(), darray.Double))
+	machine := vp.NewMachine(2)
+	t.Cleanup(machine.Shutdown)
+	machine.Router().SetTransport(dropTransport{}, []bool{true, false})
+	m := New(machine)
+	id := mustCreate(t, m, 0, distSpec(perProc, 1, grid.BlockDefault(), darray.Double))
 	req := &request{op: opReadLocal, id: id, lo: []int{0}, hi: []int{perProc}, src: 1, replyID: 1 << 40}
 	for i := 0; i < 3; i++ { // warm the pool
 		m.handle(0, req)
@@ -124,6 +172,12 @@ func TestWireOwnerReplyRecycled(t *testing.T) {
 		t.Errorf("wire-served read_local: %d bytes/op, want under %d (an eighth of the %d-byte payload: the reply buffer is recycled)", perOp, perProc, 8*perProc)
 	}
 }
+
+// dropTransport is a transport to parts that never answer.
+type dropTransport struct{}
+
+func (dropTransport) Send(msg.Message) error { return nil }
+func (dropTransport) Close() error           { return nil }
 
 // wrongLengthOwner is a transport standing in for a part whose owners
 // answer every request with StatusOK, each read's values skewed by delta
@@ -216,7 +270,7 @@ func TestRepeatedRunsRefused(t *testing.T) {
 			k, r.status, len(r.vals), StatusInvalid)
 	}
 	ack := make(chan response, 1)
-	m.doRedistSrc(0, &request{op: opRedistSrc, id: id, id2: dst, ack: ack, ships: []redistShip{{PairBlock: darray.PairBlock{
+	m.doRedistSrc(0, &request{op: opRedistSrc, id: id, id2: dst, ackID: m.register(ack), ships: []redistShip{{PairBlock: darray.PairBlock{
 		DstProc: 1, SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi, Runs: []int{k}}}}})
 	if r := <-ack; r.status != StatusInvalid {
 		t.Fatalf("redist_src over %d copies of the section: ack %v, want %v", k, r.status, StatusInvalid)

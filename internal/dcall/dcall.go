@@ -279,12 +279,7 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	}
 	statusCombine := opt.StatusCombine
 	if statusCombine == nil {
-		statusCombine = func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		}
+		statusCombine = defaultStatusCombine
 	}
 	// Validate parameter list: at most one status (§4.3.1 precondition).
 	nStatus := 0

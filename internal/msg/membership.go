@@ -23,7 +23,7 @@ import (
 )
 
 // Reserved task-class kinds for membership traffic, disjoint from the
-// array-manager request kinds (-100, -102) and every data-class kind.
+// array-manager kinds (-100 requests, -103 replies) and every data-class kind.
 const (
 	kindPing = -210
 	kindPong = -211

@@ -354,18 +354,7 @@ func (w *World) AllGather(local []float64) ([]float64, error) {
 	p := len(w.procs)
 	mine := make([][]float64, p)
 	mine[w.index] = append([]float64(nil), local...)
-	combined, err := w.AllReduce(mine, func(a, b any) any {
-		av, bv := a.([][]float64), b.([][]float64)
-		out := make([][]float64, p)
-		for i := 0; i < p; i++ {
-			if av[i] != nil {
-				out[i] = av[i]
-			} else if bv[i] != nil {
-				out[i] = bv[i]
-			}
-		}
-		return out
-	})
+	combined, err := w.AllReduce(mine, mergeRanks)
 	if err != nil {
 		return nil, err
 	}
@@ -377,24 +366,29 @@ func (w *World) AllGather(local []float64) ([]float64, error) {
 	return out, nil
 }
 
+// mergeRanks is Gather's and AllGather's combine: two rank-indexed
+// partial gathers merged into one, each rank's slice taken from
+// whichever side holds it.
+func mergeRanks(a, b any) any {
+	av, bv := a.([][]float64), b.([][]float64)
+	out := make([][]float64, len(av))
+	for i := range out {
+		if av[i] != nil {
+			out[i] = av[i]
+		} else {
+			out[i] = bv[i]
+		}
+	}
+	return out
+}
+
 // Gather collects every member's slice at rank root in rank order; other
 // ranks return nil.
 func (w *World) Gather(root int, local []float64) ([][]float64, error) {
 	p := len(w.procs)
 	mine := make([][]float64, p)
 	mine[w.index] = append([]float64(nil), local...)
-	combined, err := w.Reduce(root, mine, func(a, b any) any {
-		av, bv := a.([][]float64), b.([][]float64)
-		out := make([][]float64, p)
-		for i := 0; i < p; i++ {
-			if av[i] != nil {
-				out[i] = av[i]
-			} else if bv[i] != nil {
-				out[i] = bv[i]
-			}
-		}
-		return out
-	})
+	combined, err := w.Reduce(root, mine, mergeRanks)
 	if err != nil {
 		return nil, err
 	}
