@@ -281,7 +281,6 @@ const (
 	opFindInfo
 	opVerifyArray
 	opCopyLocal
-	opTree
 	opUpdateMeta
 )
 
@@ -303,7 +302,6 @@ var opNames = [...]string{
 	opFindInfo:     "find_info",
 	opVerifyArray:  "verify_array",
 	opCopyLocal:    "copy_local",
-	opTree:         "tree",
 	opUpdateMeta:   "update_meta",
 }
 
@@ -323,7 +321,7 @@ type request struct {
 	id    darray.ID
 	spec  *CreateSpec
 	meta  *darray.Meta // for create_local / update_meta
-	gidx  []int        // copy_local: new borders (via fanout)
+	gidx  []int        // copy_local: new borders
 	gidxs [][]int      // read/write coordinator: an index vector (nil for a rectangle)
 	offs  []int        // owner read/write: an offset-set piece's storage offsets
 	lo    []int        // read/write: rectangle bounds (global at the
@@ -336,9 +334,7 @@ type request struct {
 	// set by every coordinator split site so a processor serving several
 	// slots after a promotion routes to the right storage (sectionFor)
 	which string // find_info selector
-	inner opCode // tree fan-out: the control op every node applies
-	procs []int  // tree fan-out: the target processors, in tree order
-	node  int    // tree fan-out: this request's node index within procs
+	node  int    // redist_ship: the source owner that shipped the piece
 	// verify parameters
 	ndims    int
 	borders  BorderSpec
@@ -438,8 +434,11 @@ func (m *Manager) serve(proc int) {
 		if message.Tag.Kind == kindAMReply {
 			// A wire reply or ack addressed to a coordinator on this
 			// processor goes straight into the completion table.
-			if w, ok := message.Data.(*wireResponse); ok {
-				m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair})
+			// An answer nobody takes any more returns its decoded
+			// payload to the pool.
+			if w, ok := message.Data.(*wireResponse); ok &&
+				!m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair}) {
+				putBuf(w.Vals)
 			}
 			continue
 		}
@@ -463,12 +462,12 @@ func (m *Manager) serve(proc int) {
 // immediately; the server's response is collected with await. Router
 // sends never block, so a coordinator can scatter requests to any number
 // of owners before gathering a single reply — the async request/reply
-// facility behind the concurrent data-plane coordinators and the
-// control fan-out tree. The reply channel is entered in the completion
+// facility behind the concurrent data-plane coordinators and the flat
+// control fan-out. The reply channel is entered in the completion
 // table, wherever dst lives; await unregisters it. Under a call policy
 // the request is stamped with a fresh dedup id and a known-dead
-// destination is refused up front (saving a full timeout per tree
-// level when an owner is down).
+// destination is refused up front (saving a full timeout per dead
+// target when an owner is down).
 func (m *Manager) sendAsync(src, dst int, req *request) waiter {
 	w := waiter{req: req, done: make(chan response, 1)}
 	req.src, req.dst = src, dst
@@ -508,12 +507,10 @@ func (m *Manager) handle(proc int, req *request) {
 	switch req.op {
 	case opCreateArray:
 		resp = m.doCreate(proc, req)
-	case opCreateLocal:
-		resp = m.doCreateLocal(proc, req)
+	case opCreateLocal, opFreeLocal, opCopyLocal, opUpdateMeta:
+		resp = m.control(proc, req)
 	case opFreeArray:
 		resp = m.doFree(proc, req)
-	case opFreeLocal:
-		resp = m.doFreeLocal(proc, req)
 	case opRead:
 		resp = m.doRead(proc, req)
 	case opReadLocal:
@@ -538,27 +535,24 @@ func (m *Manager) handle(proc int, req *request) {
 		resp = m.doFindInfo(proc, req)
 	case opVerifyArray:
 		resp = m.doVerify(proc, req)
-	case opCopyLocal:
-		resp = m.doCopyLocal(proc, req)
-	case opTree:
-		resp = m.doTree(proc, req)
-	case opUpdateMeta:
-		resp = m.doUpdateMeta(proc, req)
 	default:
 		resp = response{status: StatusError}
 	}
-	m.complete(proc, req.src, req.replyID, resp)
-	if !m.machine.Router().Local(req.src) {
-		// The transport serialized the reply before Send returned, so a
-		// read's pooled reply buffer is free; a write's payload, decoded
-		// into the pool, was spent before the op answered (mirrors
-		// included, as doRedistShip's landing relies on too). In-process
-		// the reply buffer passes to the coordinator, which also owns
-		// the write's share.
-		switch req.op {
-		case opReadLocal:
+	// A read's pooled reply buffer passes to a coordinator in this
+	// process that takes the answer. Otherwise it is free: the transport
+	// serialized the reply before Send returned, or the answer was
+	// dropped as late. A write's payload off the wire, decoded into the
+	// pool, was spent before the op answered (mirrors included, as
+	// doRedistShip's landing relies on too); in-process the coordinator
+	// owns the write's share.
+	taken := m.complete(proc, req.src, req.replyID, resp)
+	switch req.op {
+	case opReadLocal:
+		if !taken {
 			putBuf(resp.vals)
-		case opWriteLocal, opMirrorWrite:
+		}
+	case opWriteLocal, opMirrorWrite:
+		if !m.machine.Router().Local(req.src) {
 			putBuf(req.vals)
 		}
 	}
@@ -700,94 +694,84 @@ func (m *Manager) doCreate(proc int, req *request) response {
 	}
 
 	// An entry is created on every processor holding a local section, and
-	// on the creating processor (§5.1.3). The fan-out runs through the
-	// combining tree: one message per target, O(log P) round-trip depth.
+	// on the creating processor (§5.1.3): one message per other target,
+	// one round trip of depth.
 	targets := map[int]bool{proc: true}
 	for _, p := range meta.SectionProcs() {
 		targets[p] = true
 	}
-	if st := m.fanout(proc, opCreateLocal, &request{id: id, meta: meta}, targets); st != StatusOK {
+	if st := m.fanout(proc, &request{op: opCreateLocal, id: id, meta: meta}, targets); st != StatusOK {
 		return response{status: st}
 	}
 	return response{status: StatusOK, info: id}
 }
 
-// fanout delivers one control request (create_local / free_local /
-// copy_local, named by op) to every processor in targets through a
-// combining tree rooted at proc — the same shape as the dcall wrapper
-// merge, run in reverse. Each node services its own copy and forwards to
-// at most two children concurrently, so P targets are reached with P-1
-// messages in O(log P) sequential round trips instead of P serial ones.
-// req supplies the operation's payload (id, meta, borders); statuses
-// combine with max on the way back up.
-func (m *Manager) fanout(proc int, op opCode, req *request, targets map[int]bool) Status {
+// fanout delivers one control request (create_local, free_local,
+// copy_local or update_meta, named by req.op, carrying req's id, meta
+// and borders) to every processor in targets the way the data-plane
+// coordinators reach their owners: it posts one request to every other
+// target before awaiting any, services its own copy in place while they
+// work, then awaits every reply and keeps the highest status. P targets
+// cost P-1 messages and one round trip of depth, and a dead target
+// strands no other. Targets are posted in processor order, so a fault
+// plan's seeded draws repeat from run to run. Two per-op rules apply:
+// freeing is idempotent per target, so free_local's StatusNotFound
+// counts as done (§5.1.3); and recovery's update_meta skips targets the
+// router reports down and ignores StatusDown answers, since a holder
+// that died is fail-stop and will never serve again.
+func (m *Manager) fanout(proc int, req *request, targets map[int]bool) Status {
+	router := m.machine.Router()
 	list := make([]int, 0, len(targets))
-	// Root the tree at this processor when it is itself a target, so its
-	// own copy is serviced by a direct call rather than a message.
-	if targets[proc] {
-		list = append(list, proc)
-	}
 	for p := range targets {
-		if p != proc {
+		if req.op != opUpdateMeta || !router.Down(p) {
 			list = append(list, p)
 		}
 	}
-	rest := list
-	if targets[proc] {
-		rest = list[1:]
-	}
-	sort.Ints(rest)
-	treq := &request{op: opTree, inner: op, id: req.id, meta: req.meta, gidx: req.gidx, procs: list, node: 0}
-	if list[0] == proc {
-		return m.doTree(proc, treq).status
-	}
-	return m.send(proc, list[0], treq).status
-}
-
-// doTree services one node of a control fan-out tree: it forwards the
-// request to its (up to two) children so the subtrees proceed
-// concurrently, applies the inner operation locally, then merges the
-// children's statuses with its own.
-func (m *Manager) doTree(proc int, req *request) response {
-	// The tree is transport; the inner operation is what am_debug-style
-	// tracing reports, one line per processor it runs on.
-	if trace.Enabled(trace.Ops) {
-		trace.Logf(trace.Ops, proc, "am: %s %v", req.inner, req.id)
-	}
-	var left, right waiter
-	if c := 2*req.node + 1; c < len(req.procs) {
-		left = m.sendAsync(proc, req.procs[c],
-			&request{op: opTree, inner: req.inner, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
-	}
-	if c := 2*req.node + 2; c < len(req.procs) {
-		right = m.sendAsync(proc, req.procs[c],
-			&request{op: opTree, inner: req.inner, id: req.id, meta: req.meta, gidx: req.gidx, procs: req.procs, node: c})
-	}
-	local := &request{id: req.id, meta: req.meta, gidx: req.gidx}
-	var r response
-	switch req.inner {
-	case opCreateLocal:
-		r = m.doCreateLocal(proc, local)
-	case opFreeLocal:
-		r = m.doFreeLocal(proc, local)
-	case opCopyLocal:
-		r = m.doCopyLocal(proc, local)
-	default:
-		r = response{status: StatusError}
-	}
-	st := r.status
-	if req.inner == opFreeLocal && st == StatusNotFound {
-		st = StatusOK // freeing is idempotent per target (§5.1.3)
-	}
-	for _, c := range []waiter{left, right} {
-		if c.req == nil {
+	sort.Ints(list)
+	replies := make([]waiter, 0, len(list))
+	self := false
+	for _, p := range list {
+		if p == proc {
+			self = true
 			continue
 		}
-		if cr := m.await(c); cr.status > st {
-			st = cr.status
+		replies = append(replies, m.sendAsync(proc, p, &request{op: req.op, id: req.id, meta: req.meta, gidx: req.gidx}))
+	}
+	status := StatusOK
+	keep := func(st Status) {
+		switch {
+		case req.op == opFreeLocal && st == StatusNotFound, req.op == opUpdateMeta && st == StatusDown:
+		case st > status:
+			status = st
 		}
 	}
-	return response{status: st}
+	if self {
+		// handle traces each other target's copy; the own copy gets the
+		// same am_debug line.
+		if trace.Enabled(trace.Ops) {
+			trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
+		}
+		keep(m.control(proc, req).status)
+	}
+	for _, w := range replies {
+		keep(m.await(w).status)
+	}
+	return status
+}
+
+// control applies one control op of a fan-out at proc.
+func (m *Manager) control(proc int, req *request) response {
+	switch req.op {
+	case opCreateLocal:
+		return m.doCreateLocal(proc, req)
+	case opFreeLocal:
+		return m.doFreeLocal(proc, req)
+	case opCopyLocal:
+		return m.doCopyLocal(proc, req)
+	case opUpdateMeta:
+		return m.doUpdateMeta(proc, req)
+	}
+	return response{status: StatusError}
 }
 
 func (m *Manager) doCreateLocal(proc int, req *request) response {
@@ -841,10 +825,9 @@ func (m *Manager) doFree(proc int, req *request) response {
 	for _, p := range e.meta.SectionProcs() {
 		targets[p] = true
 	}
-	// Tree fan-out; a target that already lost its entry reports
-	// STATUS_NOT_FOUND, normalized to OK at the node (freeing is
-	// idempotent).
-	return response{status: m.fanout(proc, opFreeLocal, &request{id: req.id}, targets)}
+	// A target that already lost its entry reports STATUS_NOT_FOUND,
+	// which fanout counts as done (freeing is idempotent).
+	return response{status: m.fanout(proc, &request{op: opFreeLocal, id: req.id}, targets)}
 }
 
 func (m *Manager) doFreeLocal(proc int, req *request) response {
@@ -960,12 +943,12 @@ func (m *Manager) doVerify(proc int, req *request) response {
 	// Mismatch: reallocate every local section with the expected borders,
 	// copying interior data, and update metadata everywhere an entry
 	// exists (section holders + creator + this coordinator). The
-	// reallocation fans out through the combining tree like create/free.
+	// reallocation fans out like create/free.
 	targets := map[int]bool{proc: true, req.id.Proc: true}
 	for _, p := range meta.SectionProcs() {
 		targets[p] = true
 	}
-	return response{status: m.fanout(proc, opCopyLocal, &request{id: req.id, gidx: expected}, targets)}
+	return response{status: m.fanout(proc, &request{op: opCopyLocal, id: req.id, gidx: expected}, targets)}
 }
 
 // doCopyLocal reallocates this processor's local section with new borders

@@ -263,8 +263,6 @@ func appendRequest(b []byte, v any) []byte {
 	b = wire.AppendFloat64s(b, r.vals)
 	b = wire.AppendInt(b, r.slot)
 	b = wire.AppendString(b, r.which)
-	b = append(b, byte(r.inner))
-	b = wire.AppendInts(b, r.procs)
 	b = wire.AppendInt(b, r.node)
 	b = wire.AppendUvarint(b, uint64(len(r.ships)))
 	for i := range r.ships {
@@ -302,8 +300,8 @@ func sizeRequest(v any) int {
 	}
 	n += wire.SizeInts(r.gidx) + wire.SizeIntRows(r.gidxs) + wire.SizeInts(r.offs) +
 		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.runs) + wire.SizeInts(r.lo2) +
-		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) + wire.SizeString(r.which) + 1 +
-		wire.SizeInts(r.procs) + wire.SizeInt(r.node) + wire.SizeUvarint(uint64(len(r.ships)))
+		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) + wire.SizeString(r.which) +
+		wire.SizeInt(r.node) + wire.SizeUvarint(uint64(len(r.ships)))
 	for i := range r.ships {
 		sh := &r.ships[i]
 		n += wire.SizeInt(sh.SrcProc) + wire.SizeInt(sh.DstProc) + wire.SizeInts(sh.SrcLo) + wire.SizeInts(sh.SrcHi) +
@@ -371,12 +369,6 @@ func readRequest(b []byte) (any, []byte, error) {
 		return nil, b, err
 	}
 	if r.which, b, err = wire.ReadString(b); err != nil {
-		return nil, b, err
-	}
-	if r.inner, b, err = readOp(b); err != nil {
-		return nil, b, err
-	}
-	if r.procs, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
 	if r.node, b, err = wire.ReadInt(b); err != nil {

@@ -86,8 +86,6 @@ func randRequest(rng *rand.Rand) *request {
 		vals:    randFloats(rng, 32),
 		slot:    rng.Intn(16),
 		which:   []string{"", "meta", "borders"}[rng.Intn(3)],
-		inner:   []opCode{0, opCreateLocal, opFreeLocal, opCopyLocal}[rng.Intn(4)],
-		procs:   randInts(rng, 4),
 		node:    rng.Intn(8),
 		seq:     rng.Uint64() >> rng.Intn(64),
 		call:    rng.Uint64() >> rng.Intn(64),

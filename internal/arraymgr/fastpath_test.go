@@ -1,9 +1,14 @@
 package arraymgr
 
 import (
+	"bytes"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
+	"repro/internal/trace"
 )
 
 // fastPathSpec distributes a 32x32 array over a 2x2 grid, so processor 0
@@ -194,10 +199,11 @@ func TestReadBlockIntoMatchesReadBlock(t *testing.T) {
 	}
 }
 
-// TestControlFanoutBudget asserts the combining-tree message budget of the
-// batched control plane: creating or freeing an array distributed over P
-// processors costs exactly one user request plus P-1 tree messages (each
-// non-root target receives one), independent of how the tree is shaped.
+// TestControlFanoutBudget asserts the message budget of the flat control
+// fan-out: creating or freeing an array distributed over P processors
+// costs exactly one user request plus P-1 control messages (every target
+// but the coordinator receives one; the coordinator's own copy runs in
+// place).
 func TestControlFanoutBudget(t *testing.T) {
 	const p = 8
 	machine, m := newTestManager(t, p)
@@ -232,6 +238,45 @@ func TestControlFanoutBudget(t *testing.T) {
 	for proc := 0; proc < p; proc++ {
 		if _, st := m.FindLocal(proc, id2); st != StatusNotFound {
 			t.Fatalf("freed FindLocal(%d): %v", proc, st)
+		}
+	}
+}
+
+// TestFanoutReachesLiveTargets frees an array with one of its section
+// holders dead. Every live target must still drop its entry: a flat
+// fan-out posts to each target directly, so a dead processor strands
+// no other (a request tree rooted at the coordinator left processor 3,
+// below processor 1, holding its entry). The free reports the dead
+// target as STATUS_DOWN. The create before it pins the am_debug view of
+// a fan-out: one create_local line per target, the coordinator's own
+// copy included.
+func TestFanoutReachesLiveTargets(t *testing.T) {
+	const p = 4
+	machine, m := newTestManager(t, p)
+	m.SetCallPolicy(&CallPolicy{Timeout: 20 * time.Millisecond, Retries: 1})
+	spec := basicSpec(p)
+	spec.Dims = []int{8}
+	spec.Distrib = []grid.Decomp{grid.BlockDefault()}
+
+	var buf bytes.Buffer
+	trace.SetOutput(&buf)
+	trace.SetLevel(trace.Ops)
+	id := mustCreate(t, m, 0, spec)
+	trace.SetLevel(trace.Off)
+	trace.SetOutput(os.Stderr)
+	if got := strings.Count(buf.String(), "am: create_local "); got != p {
+		t.Errorf("create over %d processors traced %d create_local lines, want %d:\n%s", p, got, p, buf.String())
+	}
+
+	if err := machine.Router().KillProcessor(1); err != nil {
+		t.Fatalf("KillProcessor: %v", err)
+	}
+	if st := m.FreeArray(0, id); st != StatusDown {
+		t.Fatalf("FreeArray with processor 1 dead: %v, want %v", st, StatusDown)
+	}
+	for _, proc := range []int{0, 2, 3} {
+		if _, st := m.FindLocal(proc, id); st != StatusNotFound {
+			t.Errorf("processor %d still holds the freed array's entry (FindLocal: %v)", proc, st)
 		}
 	}
 }

@@ -170,9 +170,9 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 	meta.Epoch++
 	m.promotions.Add(uint64(promoted))
 	// Broadcast the promoted metadata to every live entry holder (origin
-	// owners + creator + this coordinator) as a flat fan-out: the
-	// combining tree would strand subtrees behind dead interior nodes.
-	// doUpdateMeta's epoch guard makes stragglers and races harmless.
+	// owners + creator + this coordinator) through the control fan-out,
+	// which skips and ignores dead holders. doUpdateMeta's epoch guard
+	// makes stragglers and races harmless.
 	targets := map[int]bool{onProc: true, id.Proc: true}
 	for _, p := range meta.OriginProcs() {
 		targets[p] = true
@@ -180,29 +180,7 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 	for _, p := range meta.Procs[:meta.GridSize()] {
 		targets[p] = true
 	}
-	var replies []waiter
-	status := StatusOK
-	for p := range targets {
-		if router.Down(p) {
-			continue
-		}
-		if p == onProc {
-			if r := m.doUpdateMeta(onProc, &request{id: id, meta: meta}); r.status > status {
-				status = r.status
-			}
-			continue
-		}
-		replies = append(replies, m.sendAsync(onProc, p, &request{op: opUpdateMeta, id: id, meta: meta}))
-	}
-	for _, r := range replies {
-		rr := m.await(r)
-		// A holder that died during the broadcast is fail-stop: it will
-		// never serve again, so missing the update cannot matter.
-		if rr.status != StatusOK && rr.status != StatusDown && rr.status > status {
-			status = rr.status
-		}
-	}
-	return promoted, status
+	return promoted, m.fanout(onProc, &request{op: opUpdateMeta, id: id, meta: meta}, targets)
 }
 
 // maxRecoverAttempts bounds the promote-and-replay loop of one

@@ -76,39 +76,43 @@ func (m *Manager) unregister(id uint64) {
 	m.pendMu.Unlock()
 }
 
-// deliver puts one answer into its waiter's channel without blocking.
-// An answer to an unregistered id (abandoned call, finished
-// redistribution) or to a full channel (already answered, a duplicate
-// delivery) is dropped, so no handler or serve loop ever waits on a
-// coordinator.
-func (m *Manager) deliver(id uint64, r response) {
+// deliver puts one answer into its waiter's channel without blocking
+// and reports whether it did. An answer to an unregistered id (abandoned
+// call, finished redistribution) or to a full channel (already answered,
+// a duplicate delivery) is dropped, so no handler or serve loop ever
+// waits on a coordinator; the caller still owns the answer's buffer.
+func (m *Manager) deliver(id uint64, r response) bool {
 	m.pendMu.Lock()
 	ch := m.pending[id]
 	m.pendMu.Unlock()
 	if ch == nil {
-		return
+		return false
 	}
 	select {
 	case ch <- r:
+		return true
 	default:
+		return false
 	}
 }
 
 // complete answers completion-table entry id, whose waiter runs on
 // processor dst: straight into the table when dst is hosted in this
 // process, as a kindAMReply message from proc otherwise. Id 0 means
-// nobody waits. Section results never cross (Find is local-only).
-func (m *Manager) complete(proc, dst int, id uint64, r response) {
+// nobody waits. It reports whether a waiter in this process took the
+// answer; when none did, the answer's buffers are the caller's again.
+// Section results never cross (Find is local-only).
+func (m *Manager) complete(proc, dst int, id uint64, r response) bool {
 	if id == 0 {
-		return
+		return false
 	}
 	router := m.machine.Router()
 	if router.Local(dst) {
-		m.deliver(id, r)
-		return
+		return m.deliver(id, r)
 	}
 	w := &wireResponse{ID: id, Status: r.status, Vals: r.vals, Info: r.info, Pair: r.pair}
 	_ = router.Send(proc, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMReply}, w)
+	return false
 }
 
 // post sends one request to the server on dst: a request a coordinator

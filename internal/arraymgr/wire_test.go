@@ -2,6 +2,7 @@ package arraymgr
 
 import (
 	"bytes"
+	"math/bits"
 	"os"
 	"runtime"
 	"strings"
@@ -104,10 +105,25 @@ func TestLateAckDropped(t *testing.T) {
 // already answered and one its waiter unregistered — a read reply, a
 // write's reply and a redistribution ack to each. Every answer is
 // dropped at the table without blocking its handler, the answered
-// waiter keeps its first answer, and no answer reaches another waiter.
+// waiter keeps its first answer, no answer reaches another waiter, and
+// both dropped read replies return their buffers to the pool.
 func TestLateReplyDroppedInProcess(t *testing.T) {
 	machine, m := newTestManager(t, 2)
 	id := mustCreate(t, m, 0, distSpec(8, 2, grid.BlockDefault(), darray.Double))
+	// Empty the classes a 4-element reply is drawn from, so after each
+	// read the reply class holds exactly what the dropped reply returned.
+	class := bits.Len(4) - 1
+	for c := class; c <= class+1; c++ {
+		floatPool[c].mu.Lock()
+		floatPool[c].bufs = nil
+		floatPool[c].mu.Unlock()
+	}
+	pooled := func() int {
+		floatPool[class].mu.Lock()
+		defer floatPool[class].mu.Unlock()
+		return len(floatPool[class].bufs)
+	}
+	var afterRead []int
 	answered := make(chan response, 1)
 	answeredID := m.register(answered)
 	answered <- response{status: StatusOK, pair: -1}
@@ -123,6 +139,7 @@ func TestLateReplyDroppedInProcess(t *testing.T) {
 		defer close(done)
 		for _, rid := range []uint64{answeredID, goneID} {
 			m.handle(1, &request{op: opReadLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, src: 0, replyID: rid})
+			afterRead = append(afterRead, pooled())
 			m.handle(1, &request{op: opWriteLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, vals: make([]float64, 4), src: 0, replyID: rid})
 			m.doRedistSrc(1, &request{op: opRedistSrc, id: darray.ID{Proc: 0, Seq: 99}, ships: []redistShip{{pair: 0}}, ackProc: 0, ackID: rid})
 		}
@@ -140,6 +157,11 @@ func TestLateReplyDroppedInProcess(t *testing.T) {
 	}
 	if sent := machine.Router().Sent() - before; sent != 0 {
 		t.Fatalf("in-process answers sent %d messages, want 0", sent)
+	}
+	// The second read draws the buffer the first returned, so each
+	// dropped reply leaves exactly one buffer in the class.
+	if afterRead[0] != 1 || afterRead[1] != 1 {
+		t.Fatalf("the reply class held %v buffers after each dropped read reply, want [1 1]", afterRead)
 	}
 }
 

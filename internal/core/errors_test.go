@@ -78,17 +78,19 @@ func TestErrDownRoundTrip(t *testing.T) {
 func TestErrTimeoutRoundTrip(t *testing.T) {
 	m := New(4)
 	defer m.Close()
-	// Requests 0 -> 3 always vanish; everything else is reliable.
-	m.VM.Router().SetFaultPlan(&msg.FaultPlan{
-		Seed:  1,
-		Pairs: map[[2]int]msg.FaultRule{{0, 3}: {Drop: 1}},
-	})
 	m.SetCallPolicy(&arraymgr.CallPolicy{Timeout: 10 * time.Millisecond, Retries: 2})
 
 	a, err := m.NewArray(ArraySpec{Dims: []int{16}})
 	if err != nil {
 		t.Fatalf("NewArray: %v", err)
 	}
+	// From here on requests 0 -> 3 always vanish; everything else is
+	// reliable. (The plan goes in after creation, whose fan-out sends
+	// processor 3's create_local from 0 too.)
+	m.VM.Router().SetFaultPlan(&msg.FaultPlan{
+		Seed:  1,
+		Pairs: map[[2]int]msg.FaultRule{{0, 3}: {Drop: 1}},
+	})
 	_, err = a.Read(15)
 	if err == nil {
 		t.Fatal("read across an always-drop link succeeded")

@@ -12,8 +12,8 @@
 // wire.AppendAny; a tuple is its status and its reductions as
 // [][]float64. A constant of a built-in shape or a registered type takes
 // the binary path; only a user-defined constant type takes the gob
-// fallback, and callRemote checks it encodes before anything is sent
-// (a codec's Append cannot return an error).
+// fallback, and call checks it encodes before anything is sent (a
+// codec's Append cannot return an error).
 package dcall
 
 import (
@@ -61,8 +61,8 @@ func appendSpawn(b []byte, v any) []byte {
 		b = wire.AppendInt(b, p.ID.Seq)
 		var err error
 		if b, err = wire.AppendAny(b, p.Const, false); err != nil {
-			// callRemote rejects an unencodable constant before it
-			// builds a spawn order, so this is a protocol bug.
+			// call rejects an unencodable constant before it builds a
+			// spawn order, so this is a protocol bug.
 			panic(fmt.Sprintf("dcall: unencodable constant: %v", err))
 		}
 	}

@@ -22,9 +22,11 @@
 // status/reduction variables, running the program body and merging results
 // is done by a generated "wrapper program" in the paper (§5.2.2); here the
 // wrapper is the runWrapper function, constructed at runtime from the
-// parameter specifications. The pairwise merge runs up a binomial tree in
-// group-rank order, so any associative operator is acceptable, exactly as
-// specified.
+// parameter specifications. Every call takes one spawn path: a group
+// member hosted by this OS process runs its wrapper as a goroutine, any
+// other receives a spawn order (wire.go). The pairwise merge runs up
+// spmd's binomial tree (spmd.TreeChildren) in group-rank order, so any
+// associative operator is acceptable, exactly as specified.
 package dcall
 
 import (
@@ -259,6 +261,9 @@ func (r *Runtime) CallFn(caller int, procs []int, body Program, params []Param, 
 	return r.call(caller, procs, "", body, params, opts...)
 }
 
+// call is the one spawn path behind Call and CallFn, in-process or
+// across OS processes: program is the registered name ("" for CallFn),
+// which is what a spawn order carries to a member hosted elsewhere.
 func (r *Runtime) call(caller int, procs []int, program string, body Program, params []Param, opts ...Options) int {
 	if r.Machine.CheckProc(caller) != nil || body == nil {
 		return StatusInvalid
@@ -283,7 +288,6 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	}
 	// Validate parameter list: at most one status (§4.3.1 precondition).
 	nStatus := 0
-	var reduces []reduceParam
 	for _, prm := range params {
 		switch q := prm.(type) {
 		case statusParam:
@@ -292,7 +296,6 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 			if q.length < 1 || q.combine == nil || q.out == nil {
 				return StatusInvalid
 			}
-			reduces = append(reduces, q)
 		case constParam, localParam, indexParam:
 		default:
 			return StatusInvalid
@@ -303,31 +306,68 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	}
 
 	groupProcs := append([]int(nil), procs...)
+	router := r.Machine.Router()
 
-	// A group with members hosted by other OS processes takes the wire
-	// path: spawn orders instead of goroutines, and the result possibly
-	// as a message (wire.go).
-	if router := r.Machine.Router(); router.Partitioned() {
-		for _, pr := range groupProcs {
-			if !router.Local(pr) {
-				return r.callRemote(caller, groupProcs, program, body, params, opt)
-			}
+	// A member hosted by another OS process is reached by a spawn order,
+	// which carries a registered name, shippable parameters and the
+	// default status merge only: check all three before anything is
+	// spawned.
+	var wps []wireParam
+	for _, pr := range groupProcs {
+		if router.Local(pr) {
+			continue
 		}
+		if program == "" || opt.StatusCombine != nil {
+			return StatusInvalid
+		}
+		var st int
+		if wps, st = wireParams(params); st != StatusOK {
+			return st
+		}
+		break
 	}
 
 	callID := r.nextCall.Add(1)
 
-	// Launch one wrapper per group member and wait for the merged result
-	// tuple from rank 0 — the caller "suspends execution while the copies
-	// execute" (Fig 3.2).
-	result := defval.New[tuple]()
+	result, resultProc := r.resultSink(caller, groupProcs[0])
+
+	// Launch one wrapper per group member — a goroutine on a member this
+	// process hosts, a spawn order to any other — and wait for the merged
+	// result tuple from rank 0: the caller "suspends execution while the
+	// copies execute" (Fig 3.2).
+	spawnTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindSpawn}
 	for i := range groupProcs {
 		i := i
-		r.Machine.Go(groupProcs[i], func(proc int) {
-			r.runWrapper(proc, groupProcs, i, callID, body, params, statusCombine, result, caller)
-		})
+		if router.Local(groupProcs[i]) {
+			r.Machine.Go(groupProcs[i], func(proc int) {
+				r.runWrapper(proc, groupProcs, i, callID, body, params, statusCombine, result, resultProc)
+			})
+			continue
+		}
+		w := &wireSpawn{Program: program, Procs: groupProcs, Index: i,
+			CallID: callID, Params: wps, ResultProc: resultProc}
+		if err := router.Send(caller, groupProcs[i], spawnTag, w); err != nil {
+			// The group cannot assemble; peers that did spawn will fail
+			// their combine receives when the router closes. Surface the
+			// send failure rather than hanging.
+			return StatusError
+		}
 	}
-	merged := result.Value()
+	var merged tuple
+	if result != nil {
+		merged = result.Value()
+	} else {
+		resultTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult}
+		m, err := router.RecvFrom(resultProc, groupProcs[0], resultTag)
+		if err != nil {
+			return StatusError
+		}
+		t, ok := m.Data.(tuple)
+		if !ok {
+			return StatusError
+		}
+		merged = t
+	}
 
 	// Assign reduction outputs in parameter order.
 	k := 0
@@ -338,6 +378,28 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 		}
 	}
 	return merged.Status
+}
+
+// resultSink says where a call's merged tuple arrives: in the returned
+// defval when rank 0 runs on a processor this process hosts, and
+// otherwise (nil defval) as a kindResult message at resultProc. That
+// mailbox must be hosted here. The caller usually qualifies, but a
+// program may name a remote caller (climate's atmosphere call is issued
+// "from" the atmosphere group's first processor, which lives in another
+// part): receive at any locally hosted processor instead — the tag, not
+// the mailbox, identifies the call. Computed here rather than assigned
+// in place in call, so the wrapper closures capture both by value and
+// neither moves to the heap on every call.
+func (r *Runtime) resultSink(caller, rank0 int) (result *defval.Var[tuple], resultProc int) {
+	router := r.Machine.Router()
+	resultProc = caller
+	if !router.Local(caller) {
+		resultProc = router.LocalProcs()[0]
+	}
+	if router.Local(rank0) {
+		result = defval.New[tuple]()
+	}
+	return result, resultProc
 }
 
 // tuple is the {status, reductions...} record each wrapper produces and the
@@ -417,8 +479,8 @@ func (r *Runtime) runWrapper(proc int, procs []int, index int, callID uint64,
 	}
 	mine := tuple{Status: st, Reductions: reductionSlices}
 
-	// Pairwise merge up a binomial tree in rank order (lower rank is the
-	// left operand, so any associative combine is valid).
+	// combine merges two tuples; the tree keeps the lower rank as the
+	// left operand, so any associative combine is valid.
 	combine := func(a, b tuple) tuple {
 		out := tuple{Status: statusCombine(a.Status, b.Status)}
 		out.Reductions = make([][]float64, len(a.Reductions))
@@ -439,37 +501,29 @@ func (r *Runtime) runWrapper(proc int, procs []int, index int, callID uint64,
 		return out
 	}
 
+	// Pairwise merge up spmd's binomial tree in rank order, over
+	// task-class combine messages (§3.4.1) received with no deadline. A
+	// failed receive combines in StatusError and ends the climb.
 	router := r.Machine.Router()
 	tag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindCombine}
-	p := len(procs)
-	me := index
-	for step := 1; step < p; step *= 2 {
-		if me%(2*step) == 0 {
-			src := me + step
-			if src < p {
-				m, err := router.RecvFrom(proc, procs[src], tag)
-				if err != nil {
-					mine.Status = statusCombine(mine.Status, StatusError)
-					break
-				}
-				mine = combine(mine, m.Data.(tuple))
-			}
-		} else {
-			dst := me - step
-			if err := router.Send(proc, procs[dst], tag, mine); err != nil {
-				// Nothing more we can do; the call will hang only if the
-				// router is closed, in which case the caller is gone too.
-				return
-			}
-			return // contributed; this wrapper copy is done
+	for src := range spmd.TreeChildren(len(procs), index) {
+		m, err := router.RecvFrom(proc, procs[src], tag)
+		if err != nil {
+			mine.Status = statusCombine(mine.Status, StatusError)
+			break
 		}
+		mine = combine(mine, m.Data.(tuple))
 	}
-	if me == 0 {
-		if result != nil {
-			result.MustDefine(mine)
-			return
-		}
-		rtag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult}
-		_ = router.Send(proc, resultProc, rtag, mine)
+	if index != 0 {
+		// A failed send means the router is closed, and the caller is
+		// gone too: either way this wrapper copy is done.
+		_ = router.Send(proc, procs[spmd.TreeParent(index)], tag, mine)
+		return
 	}
+	if result != nil {
+		result.MustDefine(mine)
+		return
+	}
+	rtag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult}
+	_ = router.Send(proc, resultProc, rtag, mine)
 }

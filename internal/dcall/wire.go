@@ -1,28 +1,29 @@
-// Cross-process distributed calls: when a call's processor group spans
-// (or lives entirely in) another OS process, the caller cannot spawn
-// wrapper goroutines there with Machine.Go. Instead it ships one spawn
-// order per remote group member; a spawn server in the hosting process
-// looks the program up in its own registry (both processes run the same
-// binary, so registration is symmetric) and runs the standard wrapper.
-// The combine tree is unchanged — wrapper-to-wrapper messages already
-// travel over the router, which now spans processes — and only the
+// Cross-process distributed calls: the part of the one spawn path (call,
+// dcall.go) that reaches a group member hosted by another OS process.
+// The caller cannot spawn a wrapper goroutine there with Machine.Go, so
+// it ships the member a spawn order; a spawn server in the hosting
+// process looks the program up in its own registry (both processes run
+// the same binary, so registration is symmetric) and runs the standard
+// wrapper. The combine tree is the same either way — wrapper-to-wrapper
+// messages travel over the router, which spans processes — and only the
 // merged result changes shape: a remote rank 0 sends it back as a
 // kindResult message instead of defining the caller's local defval.
 //
 // Two parameter kinds cannot cross a process boundary, because they
 // carry caller-side functions or variables: Reduce (a combine func and
-// an output defval) and Options.StatusCombine. A remote call using
-// either fails cleanly with StatusInvalid; everything the paper's
-// climate and stencil drivers need — Const, Local, Index, Status —
-// ships. Spawn orders and tuples have binary codecs (codec.go); a Const
-// travels through the wire's any-payload encoding, so a user-defined
-// constant type must be gob.Register'd, and one that cannot be encoded
-// fails the call with StatusError before any order is sent.
+// an output defval) and Options.StatusCombine; nor can an anonymous
+// CallFn body. A call with a remote member that uses any of them fails
+// cleanly with StatusInvalid before anything is spawned; everything the
+// paper's climate and stencil drivers need — Const, Local, Index,
+// Status — ships. Spawn orders and tuples have binary codecs
+// (codec.go); a Const travels through the wire's any-payload encoding,
+// so a user-defined constant type must be gob.Register'd, and one that
+// cannot be encoded fails the call with StatusError before any order is
+// sent.
 package dcall
 
 import (
 	"repro/internal/darray"
-	"repro/internal/defval"
 	"repro/internal/msg"
 	"repro/internal/msg/wire"
 )
@@ -138,75 +139,6 @@ func (r *Runtime) spawnServe(proc int) {
 				defaultStatusCombine, nil, w.ResultProc)
 		})
 	}
-}
-
-// callRemote executes a distributed call whose group includes remote
-// processors: spawn orders go to the remote members, local members run
-// their wrappers directly, and the merged tuple arrives either in the
-// local defval (local rank 0) or as a kindResult message (remote rank
-// 0). program must be a registered name — an anonymous body cannot
-// cross a process boundary.
-func (r *Runtime) callRemote(caller int, groupProcs []int, program string,
-	body Program, params []Param, opt Options) int {
-
-	if program == "" || opt.StatusCombine != nil {
-		return StatusInvalid
-	}
-	wps, st := wireParams(params)
-	if st != StatusOK {
-		return st
-	}
-	router := r.Machine.Router()
-	callID := r.nextCall.Add(1)
-
-	// The merged tuple must arrive at a mailbox this process hosts. The
-	// caller usually qualifies, but a program may name a remote caller
-	// (climate's atmosphere call is issued "from" the atmosphere group's
-	// first processor, which lives in another part): receive at any
-	// locally hosted processor instead — the tag, not the mailbox,
-	// identifies the call.
-	resultProc := caller
-	if !router.Local(resultProc) {
-		resultProc = router.LocalProcs()[0]
-	}
-
-	rank0Local := router.Local(groupProcs[0])
-	var result *defval.Var[tuple]
-	if rank0Local {
-		result = defval.New[tuple]()
-	}
-	spawnTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindSpawn}
-	for i := range groupProcs {
-		i := i
-		if router.Local(groupProcs[i]) {
-			r.Machine.Go(groupProcs[i], func(proc int) {
-				r.runWrapper(proc, groupProcs, i, callID, body, params,
-					defaultStatusCombine, result, resultProc)
-			})
-			continue
-		}
-		w := &wireSpawn{Program: program, Procs: groupProcs, Index: i,
-			CallID: callID, Params: wps, ResultProc: resultProc}
-		if err := router.Send(caller, groupProcs[i], spawnTag, w); err != nil {
-			// The group cannot assemble; peers that did spawn will fail
-			// their combine receives when the router closes. Surface the
-			// send failure rather than hanging.
-			return StatusError
-		}
-	}
-	if rank0Local {
-		return result.Value().Status
-	}
-	resultTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult}
-	m, err := router.RecvFrom(resultProc, groupProcs[0], resultTag)
-	if err != nil {
-		return StatusError
-	}
-	t, ok := m.Data.(tuple)
-	if !ok {
-		return StatusError
-	}
-	return t.Status
 }
 
 // defaultStatusCombine is the paper's default status merge: max.

@@ -20,6 +20,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/msg"
@@ -193,30 +194,47 @@ func (w *World) Barrier() error {
 // may be nil for pure synchronisation. Returns the combined value at rank
 // 0; other ranks return their partial value.
 func (w *World) treeGather(kind int, val any, combine func(a, b any) any) (any, error) {
-	p := len(w.procs)
-	me := w.index
-	for step := 1; step < p; step *= 2 {
-		if me%(2*step) == 0 {
-			src := me + step
-			if src < p {
-				m, err := w.recvInternal(src, kind)
-				if err != nil {
-					return nil, err
-				}
-				if combine != nil {
-					val = combine(val, m.Data)
-				}
-			}
-		} else {
-			dst := me - step
-			if err := w.sendInternal(dst, kind, val); err != nil {
-				return nil, err
-			}
-			break
+	for src := range TreeChildren(len(w.procs), w.index) {
+		m, err := w.recvInternal(src, kind)
+		if err != nil {
+			return nil, err
+		}
+		if combine != nil {
+			val = combine(val, m.Data)
+		}
+	}
+	if w.index != 0 {
+		if err := w.sendInternal(TreeParent(w.index), kind, val); err != nil {
+			return nil, err
 		}
 	}
 	return val, nil
 }
+
+// TreeChildren is the one binomial combining tree rooted at rank 0, as
+// seen by rank me of a group of p ranks: it yields, in the order they
+// must be combined, the ranks whose partial values me receives before
+// it sends its own to TreeParent(me). Combining each child's value as
+// the right operand keeps the lower rank on the left, so any associative
+// operator is valid. Callers move the values with their own send and
+// receive, which fixes their tags, deadlines and message class; the
+// tree is an inlinable iterator rather than a function taking send and
+// receive callbacks because those two extra frames made every combining
+// goroutine copy a larger stack when it grew.
+func TreeChildren(p, me int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for s := 1; s < p && me&s == 0; s <<= 1 {
+			if me+s < p && !yield(me+s) {
+				return
+			}
+		}
+	}
+}
+
+// TreeParent is the rank that rank me (> 0) of the binomial tree sends
+// its combined value to, and receives a broadcast from: me with its
+// lowest set bit cleared.
+func TreeParent(me int) int { return me & (me - 1) }
 
 // treeBcast distributes val from rank 0 down a binomial tree; every rank
 // returns the broadcast value.
@@ -229,11 +247,7 @@ func (w *World) treeBcast(kind int, val any) (any, error) {
 		step *= 2
 	}
 	if me != 0 {
-		// Receive from parent: the parent of rank r is r with its lowest
-		// set bit cleared, at the step equal to that bit.
-		low := me & -me
-		parent := me - low
-		m, err := w.recvInternal(parent, kind)
+		m, err := w.recvInternal(TreeParent(me), kind)
 		if err != nil {
 			return nil, err
 		}
