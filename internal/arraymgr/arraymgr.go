@@ -255,9 +255,11 @@ type Manager struct {
 	closed bool
 }
 
-// kindAMRequest is the reserved task-class message kind carrying
-// array-manager requests.
-const kindAMRequest = -100
+// kindAM is the reserved task-class message kind of every array-manager
+// message: a request or ship order (*request) and, from another OS
+// process, a reply or ack (*wireResponse). serve tells them apart by
+// payload type.
+const kindAM = -100
 
 // opCode names an array-manager operation; it crosses the wire as one
 // byte. The zero value is no operation: owner routines a coordinator
@@ -422,22 +424,16 @@ func (m *Manager) serve(proc int) {
 	router := m.machine.Router()
 	var dedup deduper
 	for {
-		message, err := router.Recv(proc, func(mm msg.Message) bool {
-			if mm.Tag.Class != msg.ClassTask {
-				return false
-			}
-			return mm.Tag.Kind == kindAMRequest || mm.Tag.Kind == kindAMReply
-		})
+		message, err := router.RecvFrom(proc, msg.AnySource, msg.Tag{Class: msg.ClassTask, Kind: kindAM})
 		if err != nil {
 			return // router closed (or this processor killed)
 		}
-		if message.Tag.Kind == kindAMReply {
+		if w, ok := message.Data.(*wireResponse); ok {
 			// A wire reply or ack addressed to a coordinator on this
 			// processor goes straight into the completion table.
 			// An answer nobody takes any more returns its decoded
 			// payload to the pool.
-			if w, ok := message.Data.(*wireResponse); ok &&
-				!m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair}) {
+			if !m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair}) {
 				putBuf(w.Vals)
 			}
 			continue

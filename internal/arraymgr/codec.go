@@ -315,8 +315,8 @@ func sizeRequest(v any) int {
 }
 
 // readRequest decodes a request. Its ids answer the same way as an
-// in-process request's: complete sends a kindAMReply, since the waiter's
-// processor is hosted elsewhere.
+// in-process request's: complete sends a *wireResponse under the same
+// kindAM tag, since the waiter's processor is hosted elsewhere.
 func readRequest(b []byte) (any, []byte, error) {
 	var err error
 	r := &request{}

@@ -9,8 +9,8 @@
 //     order as (ackProc, ackID), and no field a handler reads holds a
 //     channel. A handler answers by id alone (complete): straight into
 //     the table when the waiter's processor is hosted in this process
-//     (no router message), as a *wireResponse message (kindAMReply)
-//     addressed to that processor otherwise. Delivery never blocks, so
+//     (no router message), as a *wireResponse message (kindAM, the
+//     requests' kind) addressed to that processor otherwise. Delivery never blocks, so
 //     a late or duplicate answer is dropped at the table;
 //   - pooled buffers never cross: the Transport contract says Send
 //     serializes synchronously, so an owner's reply buffer or a ship
@@ -32,11 +32,6 @@ import (
 
 	"repro/internal/msg"
 )
-
-// kindAMReply carries replies and redistribution acks to a completion
-// table in another OS process; an answer to a waiter hosted in the
-// answering process goes into the table without a message.
-const kindAMReply = -103
 
 // wireResponse is one reply or redistribution ack travelling back over
 // the wire; ID is the completion-table id it answers. Section never
@@ -98,7 +93,7 @@ func (m *Manager) deliver(id uint64, r response) bool {
 
 // complete answers completion-table entry id, whose waiter runs on
 // processor dst: straight into the table when dst is hosted in this
-// process, as a kindAMReply message from proc otherwise. Id 0 means
+// process, as a *wireResponse message from proc otherwise. Id 0 means
 // nobody waits. It reports whether a waiter in this process took the
 // answer; when none did, the answer's buffers are the caller's again.
 // Section results never cross (Find is local-only).
@@ -111,7 +106,7 @@ func (m *Manager) complete(proc, dst int, id uint64, r response) bool {
 		return m.deliver(id, r)
 	}
 	w := &wireResponse{ID: id, Status: r.status, Vals: r.vals, Info: r.info, Pair: r.pair}
-	_ = router.Send(proc, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMReply}, w)
+	_ = router.Send(proc, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAM}, w)
 	return false
 }
 
@@ -121,7 +116,7 @@ func (m *Manager) complete(proc, dst int, id uint64, r response) bool {
 // caller may recycle the request and its buffers as soon as post
 // returns.
 func (m *Manager) post(src, dst int, req *request) error {
-	return m.machine.Router().Send(src, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAMRequest}, req)
+	return m.machine.Router().Send(src, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAM}, req)
 }
 
 // sendStatus maps a router send failure to a status: a closed router is

@@ -64,7 +64,7 @@ func TestUnknownOpFromWire(t *testing.T) {
 }
 
 // TestLateAckDropped drives redistribution acks through the wire path
-// (kindAMReply) into the completion table after their channel filled up
+// (kindAM) into the completion table after their channel filled up
 // and after their coordinator unregistered: both are dropped, and the
 // serve loop that received them goes on serving.
 func TestLateAckDropped(t *testing.T) {
@@ -72,7 +72,7 @@ func TestLateAckDropped(t *testing.T) {
 	ack := make(chan response, 1)
 	id := m.register(ack)
 	ack <- response{status: StatusOK, pair: 0}
-	tag := msg.Tag{Class: msg.ClassTask, Kind: kindAMReply}
+	tag := msg.Tag{Class: msg.ClassTask, Kind: kindAM}
 	send := func(pair int) {
 		if err := machine.Router().Send(0, 0, tag, &wireResponse{ID: id, Status: StatusOK, Pair: pair}); err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func (o *wrongLengthOwner) Send(mm msg.Message) error {
 	if err != nil {
 		return err
 	}
-	return o.router.Inject(msg.Message{Src: mm.Dst, Dst: mm.Src, Tag: msg.Tag{Class: msg.ClassTask, Kind: kindAMReply}, Data: v})
+	return o.router.Inject(msg.Message{Src: mm.Dst, Dst: mm.Src, Tag: msg.Tag{Class: msg.ClassTask, Kind: kindAM}, Data: v})
 }
 
 func (o *wrongLengthOwner) Close() error { return nil }

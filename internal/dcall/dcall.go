@@ -163,6 +163,15 @@ type Options struct {
 	StatusCombine func(a, b int) int
 }
 
+// statusCombine is the call's status merge, max by default. It is
+// computed once, so the wrapper closures capture it by value.
+func (o Options) statusCombine() func(a, b int) int {
+	if o.StatusCombine != nil {
+		return o.StatusCombine
+	}
+	return func(a, b int) int { return max(a, b) }
+}
+
 // Runtime executes distributed calls against a machine and its array
 // manager, and owns the program registry (the analogue of PCN's module
 // loading, §B.2: linking data-parallel object code into the runtime).
@@ -282,10 +291,7 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	statusCombine := opt.StatusCombine
-	if statusCombine == nil {
-		statusCombine = defaultStatusCombine
-	}
+	statusCombine := opt.statusCombine()
 	// Validate parameter list: at most one status (§4.3.1 precondition).
 	nStatus := 0
 	for _, prm := range params {
@@ -335,7 +341,6 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	// process hosts, a spawn order to any other — and wait for the merged
 	// result tuple from rank 0: the caller "suspends execution while the
 	// copies execute" (Fig 3.2).
-	spawnTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindSpawn}
 	for i := range groupProcs {
 		i := i
 		if router.Local(groupProcs[i]) {
@@ -346,7 +351,7 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 		}
 		w := &wireSpawn{Program: program, Procs: groupProcs, Index: i,
 			CallID: callID, Params: wps, ResultProc: resultProc}
-		if err := router.Send(caller, groupProcs[i], spawnTag, w); err != nil {
+		if err := router.Send(caller, groupProcs[i], msg.Tag{Class: msg.ClassTask, Kind: kindSpawn}, w); err != nil {
 			// The group cannot assemble; peers that did spawn will fail
 			// their combine receives when the router closes. Surface the
 			// send failure rather than hanging.

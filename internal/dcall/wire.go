@@ -28,9 +28,10 @@ import (
 	"repro/internal/msg/wire"
 )
 
-// kindSpawn carries spawn orders to remote group members; kindResult
+// kindSpawn carries spawn orders to remote group members, under one tag
+// whatever the call (the call id travels in wireSpawn.CallID); kindResult
 // carries the merged tuple from a remote rank 0 back to the caller.
-// (-100..-104 are the array manager's, -101 is kindCombine.)
+// (-100 is the array manager's, -101 is kindCombine.)
 const (
 	kindSpawn  = -105
 	kindResult = -106
@@ -117,9 +118,7 @@ func (r *Runtime) SetCallBase(base uint64) { r.nextCall.Store(base + 1) }
 func (r *Runtime) spawnServe(proc int) {
 	router := r.Machine.Router()
 	for {
-		m, err := router.Recv(proc, func(mm msg.Message) bool {
-			return mm.Tag.Class == msg.ClassTask && mm.Tag.Kind == kindSpawn
-		})
+		m, err := router.RecvFrom(proc, msg.AnySource, msg.Tag{Class: msg.ClassTask, Kind: kindSpawn})
 		if err != nil {
 			return // router closed (or this processor killed)
 		}
@@ -136,15 +135,7 @@ func (r *Runtime) spawnServe(proc int) {
 			// wrapper: it contributes StatusInvalid to the combine tree
 			// instead of hanging every peer rank.
 			r.runWrapper(proc, w.Procs, w.Index, w.CallID, body, w.params(),
-				defaultStatusCombine, nil, w.ResultProc)
+				Options{}.statusCombine(), nil, w.ResultProc)
 		})
 	}
-}
-
-// defaultStatusCombine is the paper's default status merge: max.
-func defaultStatusCombine(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -105,12 +105,11 @@ func FuzzIntersectRect(f *testing.F) {
 
 // FuzzStridedRectEnumeration: ForEachStridedRect visits exactly
 // StridedRectSize lattice points, in packed row-major order, each in range
-// and on the lattice; and IntersectStridedRect with a dense box agrees
-// with brute-force membership.
+// and on the lattice.
 func FuzzStridedRectEnumeration(f *testing.F) {
-	f.Add(uint8(1), uint8(9), uint8(3), uint8(0), uint8(7), uint8(2), uint8(2), uint8(6))
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(2), uint8(7), uint8(0), uint8(15))
-	f.Fuzz(func(t *testing.T, l0, e0, s0, l1, e1, s1, b0, b1 uint8) {
+	f.Add(uint8(1), uint8(9), uint8(3), uint8(0), uint8(7), uint8(2))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, l0, e0, s0, l1, e1, s1 uint8) {
 		lo := []int{int(l0 % 12), int(l1 % 12)}
 		hi := []int{lo[0] + 1 + int(e0%12), lo[1] + 1 + int(e1%12)}
 		step := []int{int(s0%4) + 1, int(s1%4) + 1}
@@ -144,27 +143,6 @@ func FuzzStridedRectEnumeration(f *testing.F) {
 		}
 		if want := StridedRectSize(lo, hi, step); count != want {
 			t.Fatalf("enumerated %d points, StridedRectSize %d", count, want)
-		}
-
-		// Intersection with a dense box agrees with brute force.
-		blo := []int{int(b0 % 16), int(b1 % 16)}
-		bhi := []int{blo[0] + 4, blo[1] + 4}
-		olo, ohi, ok := IntersectStridedRect(lo, hi, step, blo, bhi)
-		want := 0
-		_ = ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
-			if idx[0] >= blo[0] && idx[0] < bhi[0] && idx[1] >= blo[1] && idx[1] < bhi[1] {
-				want++
-			}
-			return nil
-		})
-		if !ok {
-			if want != 0 {
-				t.Fatalf("intersection reported empty, brute force found %d", want)
-			}
-			return
-		}
-		if got := StridedRectSize(olo, ohi, step); got != want {
-			t.Fatalf("intersection [%v,%v) step %v has %d points, brute force %d", olo, ohi, step, got, want)
 		}
 	})
 }

@@ -536,31 +536,6 @@ func StridedRectSize(lo, hi, step []int) int {
 	return s
 }
 
-// IntersectStridedRect intersects the strided rectangle (lo, hi, step) with
-// the dense box [blo, bhi). The intersection is itself a strided rectangle
-// with the same step whose olo lies on the original lattice (so anchors
-// stay congruent: a point is in the result iff it is in both inputs); ok
-// reports whether it is non-empty.
-func IntersectStridedRect(lo, hi, step, blo, bhi []int) (olo, ohi []int, ok bool) {
-	olo = make([]int, len(lo))
-	ohi = make([]int, len(lo))
-	for i := range lo {
-		l := max(lo[i], blo[i])
-		h := min(hi[i], bhi[i])
-		// Align l up to the lattice anchored at lo[i].
-		st := StepAt(step, i)
-		if rem := (l - lo[i]) % st; rem != 0 {
-			l += st - rem
-		}
-		if l >= h {
-			return nil, nil, false
-		}
-		olo[i] = l
-		ohi[i] = h
-	}
-	return olo, ohi, true
-}
-
 // ForEachStridedRect enumerates the lattice points of (lo, hi, step) in
 // row-major order (last dimension fastest), calling f with each tuple and
 // its position k in that order — the canonical linearization of packed

@@ -42,75 +42,6 @@ func TestStridedRectDimsSize(t *testing.T) {
 	}
 }
 
-// TestIntersectStridedRect checks the strided intersection against brute
-// force: a point is in the result iff it is on the lattice and in both
-// boxes, and the result's lo stays lattice-aligned.
-func TestIntersectStridedRect(t *testing.T) {
-	lo, hi, step := []int{1, 0}, []int{11, 9}, []int{3, 2}
-	boxes := []struct{ blo, bhi []int }{
-		{[]int{0, 0}, []int{5, 5}},
-		{[]int{5, 4}, []int{11, 9}},
-		{[]int{2, 1}, []int{3, 2}},   // between lattice points in dim 0: {nothing} unless aligned
-		{[]int{11, 0}, []int{12, 9}}, // outside
-	}
-	inLattice := func(idx []int) bool {
-		for i := range idx {
-			if idx[i] < lo[i] || idx[i] >= hi[i] || (idx[i]-lo[i])%step[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	inBox := func(idx, blo, bhi []int) bool {
-		for i := range idx {
-			if idx[i] < blo[i] || idx[i] >= bhi[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, b := range boxes {
-		olo, ohi, ok := IntersectStridedRect(lo, hi, step, b.blo, b.bhi)
-		want := make(map[string]bool)
-		_ = ForEachStridedRect(lo, hi, step, func(idx []int, k int) error {
-			if inBox(idx, b.blo, b.bhi) {
-				want[fmtIdx(idx)] = true
-			}
-			return nil
-		})
-		if !ok {
-			if len(want) != 0 {
-				t.Fatalf("box [%v,%v): reported empty, brute force found %d points", b.blo, b.bhi, len(want))
-			}
-			continue
-		}
-		if (olo[0]-lo[0])%step[0] != 0 || (olo[1]-lo[1])%step[1] != 0 {
-			t.Fatalf("box [%v,%v): result lo %v off the lattice", b.blo, b.bhi, olo)
-		}
-		got := make(map[string]bool)
-		if err := ForEachStridedRect(olo, ohi, step, func(idx []int, k int) error {
-			if !inLattice(idx) || !inBox(idx, b.blo, b.bhi) {
-				t.Fatalf("box [%v,%v): result point %v not in both inputs", b.blo, b.bhi, idx)
-			}
-			got[fmtIdx(idx)] = true
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("box [%v,%v): result %v points, brute force %v", b.blo, b.bhi, len(got), len(want))
-		}
-	}
-}
-
-func fmtIdx(idx []int) string {
-	s := ""
-	for _, x := range idx {
-		s += string(rune('0'+x)) + ","
-	}
-	return s
-}
-
 // TestForEachStridedRectOrder checks that enumeration order matches the
 // row-major linearization of the lattice coordinates, that the count equals
 // StridedRectSize, and that step 1 matches ForEachRect exactly.

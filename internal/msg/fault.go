@@ -11,7 +11,7 @@
 // built around.
 //
 // A duplicate is a codec copy (msg/wire) of the payload made at send
-// time, queued behind its original and deliverable no earlier: receivers
+// time, due no earlier than its original and queued behind it: receivers
 // see the original first, and no receiver can reach the sender's object
 // twice, so the layers above keep their buffer pools on under any plan.
 package msg
@@ -41,7 +41,8 @@ type FaultRule struct {
 	Jitter time.Duration
 	// Reorder is the probability a delivered message is enqueued ahead
 	// of the message queued just before it (a one-slot swap, which under
-	// selective receive is enough to break FIFO between a pair).
+	// selective receive is enough to break FIFO between a pair), made
+	// when the message is queued: a delayed one's when it is due.
 	Reorder float64
 }
 
@@ -81,7 +82,7 @@ type faultState struct {
 type FaultStats struct {
 	Dropped     uint64 // messages discarded by a Drop rule
 	Duplicated  uint64 // extra copies enqueued by a Dup rule
-	Reordered   uint64 // messages enqueued out of order by a Reorder rule
+	Reordered   uint64 // swaps a Reorder rule made, counted at the put that swapped
 	DownDropped uint64 // messages discarded because the destination was killed
 }
 
@@ -93,7 +94,7 @@ type faultCounters struct {
 }
 
 // SetFaultPlan installs (or, with nil, removes) a fault plan. It applies
-// from the next send; messages already queued keep their delivery times.
+// from the next send; delayed messages keep their due times.
 func (r *Router) SetFaultPlan(p *FaultPlan) {
 	if p == nil {
 		r.fault.Store(nil)
@@ -115,6 +116,8 @@ func (r *Router) FaultStats() FaultStats {
 // KillProcessor marks processor p dead mid-call: its queued messages are
 // discarded, its blocked and future receives return ErrProcessorDown, and
 // messages sent to it are silently dropped (a dead peer cannot nack).
+// A message still in the delay line at the kill is dropped when due, like
+// a queued one: it stays in Sent and is not counted in DownDropped.
 // Peers discover the death by timeout plus Router.Down.
 func (r *Router) KillProcessor(p int) error {
 	if p < 0 || p >= len(r.boxes) {
@@ -134,13 +137,14 @@ func (r *Router) Down(p int) bool {
 	if pt := r.part.Load(); pt != nil && !pt.hosted[p] {
 		return pt.remoteDown[p].Load()
 	}
-	return r.boxes[p].isDown()
+	down, _ := r.boxes[p].state()
+	return down
 }
 
 // sendFaulty applies the plan's rule for (src, dst) to one message and
-// enqueues the surviving copies. The duplicate's payload is encoded
-// before the original is queued, while the sender still owns it.
-func (r *Router) sendFaulty(fs *faultState, box *mailbox, m Message) error {
+// admits the surviving copies, due d plus their jitter from now. The
+// duplicate's payload is encoded while the sender still owns it.
+func (r *Router) sendFaulty(fs *faultState, m Message, d time.Duration) error {
 	rule := fs.plan.rule(m.Src, m.Dst)
 	var drop, dup, reorder bool
 	var j1, j2 time.Duration
@@ -171,17 +175,16 @@ func (r *Router) sendFaulty(fs *faultState, box *mailbox, m Message) error {
 	if dup {
 		copied, dup = copyPayload(m.Data)
 	}
-	m = delay(m, j1)
-	if err := r.deliver(box, m, reorder); err != nil {
+	if err := r.admit(m, d+j1, reorder); err != nil {
 		return err
 	}
 	if dup {
 		r.stats.duplicated.Add(1)
 		m.Data = copied
-		// The original is queued, so the send has succeeded. A copy that
+		// The original is accepted, so the send has succeeded. A copy that
 		// finds the router closed meanwhile is lost, not an error: on an
 		// error the sender would recycle what the receiver already holds.
-		_ = r.deliver(box, delay(m, j2), false)
+		_ = r.admit(m, d+j1+j2, false)
 	}
 	return nil
 }
@@ -196,33 +199,4 @@ func copyPayload(v any) (c any, ok bool) {
 	}
 	c, _, err = wire.ReadAny(b)
 	return c, err == nil
-}
-
-// delay pushes m's delivery time back by jitter, counted from its
-// current readyAt (from now when it was receivable at once).
-func delay(m Message, jitter time.Duration) Message {
-	if jitter > 0 {
-		if m.readyAt.IsZero() {
-			m.readyAt = time.Now()
-		}
-		m.readyAt = m.readyAt.Add(jitter)
-	}
-	return m
-}
-
-// deliver enqueues one copy, its delivery time already stamped.
-func (r *Router) deliver(box *mailbox, m Message, reorder bool) error {
-	stored, swapped, err := box.put(m, reorder)
-	if err != nil {
-		return err
-	}
-	if !stored {
-		r.stats.downDropped.Add(1)
-		return nil
-	}
-	r.sent.Add(1)
-	if swapped {
-		r.stats.reordered.Add(1)
-	}
-	return nil
 }

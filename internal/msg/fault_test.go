@@ -47,7 +47,7 @@ func TestFaultDupAll(t *testing.T) {
 	// Both copies are received independently.
 	seen := map[int]int{}
 	for i := 0; i < 10; i++ {
-		m, err := r.Recv(1, func(m Message) bool { return true })
+		m, err := r.RecvFrom(1, AnySource, tag(1))
 		if err != nil {
 			t.Fatalf("recv: %v", err)
 		}
@@ -92,14 +92,14 @@ func TestFaultDupIsCodecCopy(t *testing.T) {
 		t.Fatalf("send: %v", err)
 	}
 	orig.vals[0] = 99
-	first, err := r.Recv(1, func(m Message) bool { return true })
+	first, err := r.RecvFrom(1, AnySource, tag(1))
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
 	if first.Data != orig {
 		t.Fatalf("first delivery is %v, want the original object", first.Data)
 	}
-	second, err := r.Recv(1, func(m Message) bool { return true })
+	second, err := r.RecvFrom(1, AnySource, tag(1))
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestFaultDupOriginalFirst(t *testing.T) {
 		}
 		gotOrig := make([]bool, n)
 		for k := 0; k < 2*n; k++ {
-			m, err := r.RecvTimeout(1, func(m Message) bool { return true }, time.Second)
+			m, err := r.RecvFromTimeout(1, AnySource, tag(1), time.Second)
 			if err != nil {
 				t.Fatalf("seed %d: recv %d: %v", seed, k, err)
 			}
@@ -167,7 +167,7 @@ func TestFaultDupUnencodable(t *testing.T) {
 	if st := r.FaultStats(); st.Duplicated != 0 || r.Sent() != 1 {
 		t.Fatalf("Duplicated = %d, Sent = %d, want 0 and 1", st.Duplicated, r.Sent())
 	}
-	if m, err := r.Recv(1, func(m Message) bool { return true }); err != nil || m.Data != any(ch) {
+	if m, err := r.RecvFrom(1, AnySource, tag(1)); err != nil || m.Data != any(ch) {
 		t.Fatalf("recv: %v %v, want the original channel", m.Data, err)
 	}
 }
@@ -183,7 +183,7 @@ func TestFaultReorderSwapsNeighbours(t *testing.T) {
 	// Every put swaps with its predecessor: [0] -> [1,0] -> [1,2,0].
 	want := []int{1, 2, 0}
 	for _, w := range want {
-		m, err := r.Recv(1, func(m Message) bool { return true })
+		m, err := r.RecvFrom(1, AnySource, tag(1))
 		if err != nil {
 			t.Fatalf("recv: %v", err)
 		}
@@ -207,7 +207,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 		}
 		var got []int
 		for r.Pending(1) > 0 {
-			m, err := r.Recv(1, func(m Message) bool { return true })
+			m, err := r.RecvFrom(1, AnySource, tag(1))
 			if err != nil {
 				t.Fatalf("recv: %v", err)
 			}
@@ -256,7 +256,7 @@ func TestKillProcessor(t *testing.T) {
 	// ErrProcessorDown.
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.Recv(1, func(m Message) bool { return true })
+		_, err := r.RecvFrom(1, AnySource, tag(1))
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -292,7 +292,7 @@ func TestKillProcessor(t *testing.T) {
 	if err := r.Send(0, 2, tag(1), "y"); err != nil {
 		t.Fatalf("send to live proc: %v", err)
 	}
-	if m, err := r.Recv(2, func(m Message) bool { return true }); err != nil || m.Data != "y" {
+	if m, err := r.RecvFrom(2, AnySource, tag(1)); err != nil || m.Data != "y" {
 		t.Fatalf("live proc recv: %v %v", m.Data, err)
 	}
 }
@@ -300,7 +300,7 @@ func TestKillProcessor(t *testing.T) {
 func TestRecvTimeout(t *testing.T) {
 	r := NewRouter(2)
 	start := time.Now()
-	_, err := r.RecvTimeout(1, func(m Message) bool { return true }, 30*time.Millisecond)
+	_, err := r.RecvFromTimeout(1, AnySource, tag(1), 30*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
@@ -331,10 +331,9 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
-// TestReadyMessageNotStarvedByDelayed pins the mailbox.get scan fix: a
-// deliverable match queued behind a delayed match must be returned
-// immediately, not starved until the delayed one's readyAt (the old scan
-// stopped at the first match under the constant-latency assumption).
+// TestReadyMessageNotStarvedByDelayed: a ready match sent after a delayed
+// match must be returned immediately, not starved until the delayed one
+// is due (the delayed one waits in the delay line, not in the queue).
 func TestReadyMessageNotStarvedByDelayed(t *testing.T) {
 	r := NewRouter(2)
 	r.SetLatency(300 * time.Millisecond)
@@ -361,18 +360,18 @@ func TestReadyMessageNotStarvedByDelayed(t *testing.T) {
 	}
 }
 
-// TestLatencyRecvAllocs pins the reusable wait-timer: a latency-mode
-// send/receive round must not allocate a fresh time.AfterFunc per wait
-// iteration. Steady state is 0 allocs/op; allow 1 for runtime noise.
+// TestLatencyRecvAllocs pins the reusable delay-line timer and waiter
+// records: a latency-mode send/receive round must not allocate a timer
+// or a waiter per message. Steady state is 0 allocs/op; allow 1 for
+// runtime noise.
 func TestLatencyRecvAllocs(t *testing.T) {
 	r := NewRouter(2)
 	r.SetLatency(50 * time.Microsecond)
-	match := func(m Message) bool { return true }
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := r.Send(0, 1, tag(1), nil); err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		if _, err := r.Recv(1, match); err != nil {
+		if _, err := r.RecvFrom(1, AnySource, tag(1)); err != nil {
 			t.Fatalf("recv: %v", err)
 		}
 	})
@@ -401,10 +400,10 @@ func TestCloseSemantics(t *testing.T) {
 	if err := r.Send(0, 1, tag(1), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Send after Close: %v, want ErrClosed", err)
 	}
-	if _, err := r.Recv(1, func(m Message) bool { return true }); !errors.Is(err, ErrClosed) {
+	if _, err := r.RecvFrom(1, AnySource, tag(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Recv after Close: %v, want ErrClosed", err)
 	}
-	if _, err := r.RecvTimeout(1, func(m Message) bool { return true }, time.Second); !errors.Is(err, ErrClosed) {
+	if _, err := r.RecvFromTimeout(1, AnySource, tag(1), time.Second); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RecvTimeout after Close: %v, want ErrClosed", err)
 	}
 }

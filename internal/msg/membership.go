@@ -22,11 +22,11 @@ import (
 	"time"
 )
 
-// Reserved task-class kinds for membership traffic, disjoint from the
-// array-manager kinds (-100 requests, -103 replies) and every data-class kind.
-const (
-	kindPing = -210
-	kindPong = -211
+// Membership traffic's tags, under reserved task-class kinds disjoint
+// from the array manager's (-100) and every data-class kind.
+var (
+	pingTag = Tag{Class: ClassTask, Kind: -210}
+	pongTag = Tag{Class: ClassTask, Kind: -211}
 )
 
 // MemberState is the monitor's belief about one processor.
@@ -62,9 +62,10 @@ type MemberEvent struct {
 }
 
 // MembershipConfig parameterizes a Membership monitor. SuspectAfter and
-// DeadAfter are measured from the last received echo; they should be a
-// few multiples of Period (a single dropped ping must not mark a peer
-// Suspect if the next echo arrives in time).
+// DeadAfter are measured from the last received echo, over the time the
+// monitor was running; they should be a few multiples of Period (a single
+// dropped ping must not mark a peer Suspect if the next echo arrives in
+// time).
 type MembershipConfig struct {
 	Home         int           // processor running the monitor
 	Period       time.Duration // base ping period (jittered ±20%)
@@ -89,9 +90,10 @@ type Membership struct {
 	r   *Router
 	cfg MembershipConfig
 
-	mu      sync.Mutex
-	state   []MemberState
-	lastAck []time.Time
+	mu       sync.Mutex
+	state    []MemberState
+	lastAck  []time.Time
+	lastTick time.Time // when tick last ran; only tick uses it
 
 	events chan MemberEvent
 
@@ -131,16 +133,16 @@ func NewMembership(r *Router, cfg MembershipConfig) (*Membership, error) {
 		stop:    make(chan struct{}),
 	}
 	now := time.Now()
+	m.lastTick = now
 	for i := range m.lastAck {
 		m.lastAck[i] = now
 	}
-	pingTag := Tag{Class: ClassTask, Kind: kindPing}
 	for proc := 0; proc < p; proc++ {
 		if proc == cfg.Home {
 			continue
 		}
 		m.wg.Add(1)
-		go m.respond(proc, pingTag)
+		go m.respond(proc)
 	}
 	m.wg.Add(2)
 	go m.collect()
@@ -150,9 +152,8 @@ func NewMembership(r *Router, cfg MembershipConfig) (*Membership, error) {
 
 // respond echoes pings at one processor until the mailbox dies (kill or
 // close) — exactly the lifetime of the processor it represents.
-func (m *Membership) respond(proc int, pingTag Tag) {
+func (m *Membership) respond(proc int) {
 	defer m.wg.Done()
-	pongTag := Tag{Class: ClassTask, Kind: kindPong}
 	for {
 		if _, err := m.r.RecvFrom(proc, m.cfg.Home, pingTag); err != nil {
 			return
@@ -166,9 +167,8 @@ func (m *Membership) respond(proc int, pingTag Tag) {
 // collect records echo arrival times at Home.
 func (m *Membership) collect() {
 	defer m.wg.Done()
-	pongTag := Tag{Class: ClassTask, Kind: kindPong}
 	for {
-		msg, err := m.r.Recv(m.cfg.Home, func(mm Message) bool { return mm.Tag == pongTag })
+		msg, err := m.r.RecvFrom(m.cfg.Home, AnySource, pongTag)
 		if err != nil {
 			return
 		}
@@ -184,7 +184,8 @@ func (m *Membership) collect() {
 func (m *Membership) probe() {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	timer := time.NewTimer(m.jittered(rng))
+	d := m.jittered(rng)
+	timer := time.NewTimer(d)
 	defer timer.Stop()
 	for {
 		select {
@@ -194,8 +195,9 @@ func (m *Membership) probe() {
 			return
 		case <-timer.C:
 		}
-		m.tick()
-		timer.Reset(m.jittered(rng))
+		m.tick(d)
+		d = m.jittered(rng)
+		timer.Reset(d)
 	}
 }
 
@@ -203,15 +205,22 @@ func (m *Membership) jittered(rng *rand.Rand) time.Duration {
 	return time.Duration(float64(m.cfg.Period) * (0.8 + 0.4*rng.Float64()))
 }
 
-// tick pings every non-dead peer and re-evaluates states.
-func (m *Membership) tick() {
-	pingTag := Tag{Class: ClassTask, Kind: kindPing}
+// tick pings every non-dead peer and re-evaluates states, period after
+// the previous tick. Any longer gap is a stall of the monitor's own
+// process, which held back the pings and echoes too: it is no peer's
+// silence, so it is not held against any.
+func (m *Membership) tick(period time.Duration) {
 	now := time.Now()
+	stall := now.Sub(m.lastTick) - period
+	m.lastTick = now
 	for proc := 0; proc < m.r.P(); proc++ {
 		if proc == m.cfg.Home {
 			continue
 		}
 		m.mu.Lock()
+		if stall > 0 {
+			m.lastAck[proc] = m.lastAck[proc].Add(stall)
+		}
 		st := m.state[proc]
 		age := now.Sub(m.lastAck[proc])
 		m.mu.Unlock()

@@ -145,3 +145,52 @@ func TestMembershipHomeAndRangeDefaults(t *testing.T) {
 		t.Fatal("out-of-range home accepted")
 	}
 }
+
+// TestMembershipOwnStallNotHeldAgainstPeers: ticks further apart than
+// their period mean the monitor's own process was not running, so echoes
+// that were current before the stall do not turn a peer Dead; a peer
+// silent while the monitor ticked on time still turns Dead.
+func TestMembershipOwnStallNotHeldAgainstPeers(t *testing.T) {
+	r := NewRouter(3)
+	defer r.Close()
+	// An hour's period keeps the prober out of the way: ticks are driven
+	// by hand, one millisecond apart unless a stall is staged.
+	m, err := NewMembership(r, MembershipConfig{Home: 0, Period: time.Hour,
+		SuspectAfter: 3 * time.Millisecond, DeadAfter: 8 * time.Millisecond, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	stage := func(sinceTick time.Duration, ages ...time.Duration) {
+		m.lastTick = time.Now().Add(-sinceTick)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for i, age := range ages {
+			m.lastAck[i+1] = time.Now().Add(-age)
+		}
+	}
+
+	// The whole process stopped for 20 ms: the tick and the echoes alike.
+	stage(21*time.Millisecond, 22*time.Millisecond, 22*time.Millisecond)
+	m.tick(time.Millisecond)
+	for _, p := range []int{1, 2} {
+		if st := m.State(p); st != StateAlive {
+			t.Fatalf("after a monitor stall, proc %d: state %v, want alive", p, st)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); m.Stats().Acks < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the tick's pings were never answered")
+		}
+	}
+
+	// The monitor ticked on time; proc 2 alone went 20 ms without an echo.
+	stage(time.Millisecond, 0, 20*time.Millisecond)
+	m.tick(time.Millisecond)
+	if st := m.State(2); st != StateDead {
+		t.Fatalf("silent proc 2: state %v, want dead", st)
+	}
+	if st := m.State(1); st != StateAlive {
+		t.Fatalf("proc 1: state %v, want alive", st)
+	}
+}

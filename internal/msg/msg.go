@@ -11,14 +11,16 @@
 // Every message carries a Tag consisting of a Class (task-parallel traffic
 // vs data-parallel traffic), a Call instance identifier (so concurrently
 // executing distributed calls can never intercept each other's messages),
-// and a user Kind. Receivers select messages by predicate; non-matching
-// messages remain queued. Delivery between a fixed (source, destination,
-// tag) pair is FIFO.
+// and a user Kind. A receive names a tag and a source (or any source) and
+// takes the oldest queued match; other messages stay queued. Delivery
+// between a fixed (source, destination, tag) pair is FIFO.
 package msg
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,19 +70,16 @@ type Message struct {
 	Dst  int
 	Tag  Tag
 	Data any
-	// readyAt is the simulated delivery time (zero: immediately
-	// receivable). See Router.SetLatency.
-	readyAt time.Time
 }
 
-// ErrClosed is returned by Send/Recv after the router has been shut down.
+// ErrClosed is returned by Send/RecvFrom after the router has been shut down.
 var ErrClosed = errors.New("msg: router closed")
 
 // ErrBadProcessor is returned for out-of-range processor numbers.
 var ErrBadProcessor = errors.New("msg: processor number out of range")
 
-// ErrTimeout is returned by the deadline-aware receives when no matching
-// message becomes deliverable before the deadline.
+// ErrTimeout is returned by RecvFromTimeout when no matching message is
+// queued before the deadline.
 var ErrTimeout = errors.New("msg: receive timed out")
 
 // ErrProcessorDown is returned by receives at a processor that has been
@@ -92,7 +91,10 @@ var ErrProcessorDown = errors.New("msg: processor down")
 type Router struct {
 	boxes   []*mailbox
 	sent    atomic.Uint64
-	latency atomic.Int64 // simulated per-message delivery latency, ns
+	latency atomic.Int64 // modeled per-message delivery latency, ns
+	lineMu  sync.Mutex
+	line    []delayed   // not yet due, by due time, ties in send order
+	timer   *time.Timer // armed for line[0]
 	fault   atomic.Pointer[faultState]
 	part    atomic.Pointer[partition] // nil: single-process (the fast path)
 	stats   faultCounters
@@ -108,8 +110,10 @@ func NewRouter(p int) *Router {
 	}
 	r := &Router{boxes: make([]*mailbox, p), done: make(chan struct{})}
 	for i := range r.boxes {
-		r.boxes[i] = newMailbox()
+		r.boxes[i] = &mailbox{reordered: &r.stats.reordered}
 	}
+	r.timer = time.AfterFunc(time.Hour, r.release)
+	r.timer.Stop()
 	return r
 }
 
@@ -123,6 +127,7 @@ func (r *Router) Send(src, dst int, tag Tag, data any) error {
 	if dst < 0 || dst >= len(r.boxes) || src < 0 || src >= len(r.boxes) {
 		return fmt.Errorf("%w: send %d -> %d (P=%d)", ErrBadProcessor, src, dst, len(r.boxes))
 	}
+	m := Message{Src: src, Dst: dst, Tag: tag, Data: data}
 	if pt := r.part.Load(); pt != nil && !pt.hosted[dst] {
 		// The destination lives in another OS process: hand the message to
 		// the transport, which serializes the payload before returning
@@ -132,20 +137,32 @@ func (r *Router) Send(src, dst int, tag Tag, data any) error {
 			r.stats.downDropped.Add(1)
 			return nil
 		}
-		if err := pt.tr.Send(Message{Src: src, Dst: dst, Tag: tag, Data: data}); err != nil {
+		if err := pt.tr.Send(m); err != nil {
 			return err
 		}
 		r.sent.Add(1)
 		return nil
 	}
-	m := Message{Src: src, Dst: dst, Tag: tag, Data: data}
-	if d := r.latency.Load(); d > 0 {
-		m.readyAt = time.Now().Add(time.Duration(d))
-	}
+	d := time.Duration(r.latency.Load())
 	if fs := r.fault.Load(); fs != nil {
-		return r.sendFaulty(fs, r.boxes[dst], m)
+		return r.sendFaulty(fs, m, d)
 	}
-	stored, _, err := r.boxes[dst].put(m, false)
+	return r.admit(m, d, false)
+}
+
+// admit hands one copy of an accepted message to its mailbox: at once,
+// or through the delay line when it is due d from now. It counts the
+// copy in Sent, or in DownDropped when the destination is dead.
+func (r *Router) admit(m Message, d time.Duration, reorder bool) error {
+	box := r.boxes[m.Dst]
+	var stored, down bool
+	var err error
+	if d <= 0 {
+		stored, err = box.put(m, reorder)
+	} else if down, err = box.state(); err == nil && !down {
+		stored = true
+		r.delayUntil(m, time.Now().Add(d), reorder)
+	}
 	if err != nil {
 		return err
 	}
@@ -158,14 +175,14 @@ func (r *Router) Send(src, dst int, tag Tag, data any) error {
 }
 
 // SetLatency installs a simulated per-message delivery latency: a message
-// sent at time T becomes receivable at T+d. The in-process machine
-// otherwise delivers in nanoseconds, which hides the phenomenon the
-// paper's multicomputer runtime actually contends with — per-hop
-// interconnect latency that serial request chains accumulate and
-// overlapped requests hide. Modeling experiments (E22) use it to measure
-// latency hiding; zero (the default) delivers immediately. Set it before
-// traffic starts: lowering it while messages are in flight may reorder
-// delivery between a fixed (src, dst, tag) pair.
+// sent at time T waits in the router's delay line and is queued at T+d.
+// The in-process machine otherwise delivers in nanoseconds, which hides
+// the phenomenon the paper's multicomputer runtime actually contends with
+// — per-hop interconnect latency that serial request chains accumulate
+// and overlapped requests hide. Modeling experiments (E22) use it to
+// measure latency hiding; zero (the default) delivers immediately. Set it
+// before traffic starts: lowering it while messages are in flight lets
+// later ones overtake them between a fixed (src, dst, tag) pair.
 func (r *Router) SetLatency(d time.Duration) { r.latency.Store(int64(d)) }
 
 // Sent returns the total number of messages accepted by Send since the
@@ -174,24 +191,19 @@ func (r *Router) SetLatency(d time.Duration) { r.latency.Store(int64(d)) }
 // processor rather than one per element).
 func (r *Router) Sent() uint64 { return r.sent.Load() }
 
-// Recv performs a selective receive at processor dst: it suspends until a
-// message matching the predicate is available and removes and returns the
-// oldest such message. Messages not matching remain queued for other
-// receivers.
-func (r *Router) Recv(dst int, match func(Message) bool) (Message, error) {
-	if dst < 0 || dst >= len(r.boxes) {
-		return Message{}, fmt.Errorf("%w: recv at %d (P=%d)", ErrBadProcessor, dst, len(r.boxes))
-	}
-	if pt := r.part.Load(); pt != nil && !pt.hosted[dst] {
-		return Message{}, fmt.Errorf("%w: recv at non-hosted processor %d", ErrBadProcessor, dst)
-	}
-	return r.boxes[dst].get(match, time.Time{})
+// AnySource matches any sending processor in RecvFrom.
+const AnySource = -1
+
+// RecvFrom is the selective receive at processor dst: it suspends until a
+// message with tag from src (any sender with AnySource) is queued, and
+// removes and returns the oldest; other messages stay queued.
+func (r *Router) RecvFrom(dst, src int, tag Tag) (Message, error) {
+	return r.RecvFromTimeout(dst, src, tag, 0)
 }
 
-// RecvTimeout is Recv with a deadline: if no matching message becomes
-// deliverable within d it returns ErrTimeout. d <= 0 waits forever
-// (identical to Recv).
-func (r *Router) RecvTimeout(dst int, match func(Message) bool, d time.Duration) (Message, error) {
+// RecvFromTimeout is RecvFrom with a deadline: if no matching message is
+// queued within d it returns ErrTimeout. d <= 0 waits forever.
+func (r *Router) RecvFromTimeout(dst, src int, tag Tag, d time.Duration) (Message, error) {
 	if dst < 0 || dst >= len(r.boxes) {
 		return Message{}, fmt.Errorf("%w: recv at %d (P=%d)", ErrBadProcessor, dst, len(r.boxes))
 	}
@@ -202,30 +214,11 @@ func (r *Router) RecvTimeout(dst int, match func(Message) bool, d time.Duration)
 	if d > 0 {
 		deadline = time.Now().Add(d)
 	}
-	return r.boxes[dst].get(match, deadline)
+	return r.boxes[dst].get(src, tag, deadline)
 }
-
-// RecvFrom receives the oldest message at dst with exactly the given source
-// and tag — the common selective-receive pattern of SPMD programs. Pass
-// src = AnySource to match any sender.
-func (r *Router) RecvFrom(dst, src int, tag Tag) (Message, error) {
-	return r.Recv(dst, func(m Message) bool {
-		return m.Tag == tag && (src == AnySource || m.Src == src)
-	})
-}
-
-// RecvFromTimeout is RecvFrom with a deadline; see RecvTimeout.
-func (r *Router) RecvFromTimeout(dst, src int, tag Tag, d time.Duration) (Message, error) {
-	return r.RecvTimeout(dst, func(m Message) bool {
-		return m.Tag == tag && (src == AnySource || m.Src == src)
-	}, d)
-}
-
-// AnySource matches any sending processor in RecvFrom.
-const AnySource = -1
 
 // Pending reports the number of undelivered messages queued at dst
-// (diagnostics and tests only).
+// (diagnostics and tests only); the delay line's are not queued yet.
 func (r *Router) Pending(dst int) int {
 	if dst < 0 || dst >= len(r.boxes) {
 		return 0
@@ -233,9 +226,9 @@ func (r *Router) Pending(dst int) int {
 	return r.boxes[dst].pending()
 }
 
-// Close shuts the router down: queued messages are discarded and all
-// blocked and future Recv/Send calls return ErrClosed. Close is
-// idempotent.
+// Close shuts the router down: queued and delayed messages are discarded
+// and all blocked and future receives and sends return ErrClosed. Close
+// is idempotent.
 func (r *Router) Close() {
 	r.closeMu.Lock()
 	if !r.closed {
@@ -246,6 +239,10 @@ func (r *Router) Close() {
 	for _, b := range r.boxes {
 		b.close()
 	}
+	r.lineMu.Lock()
+	r.line = nil
+	r.timer.Stop()
+	r.lineMu.Unlock()
 }
 
 // Done returns a channel closed when the router is closed. Coordinators
@@ -253,144 +250,183 @@ func (r *Router) Close() {
 // shutdown surfaces as a clean error instead of a deadlock.
 func (r *Router) Done() <-chan struct{} { return r.done }
 
-// mailbox is an unbounded queue with predicate-based removal.
+// delayed is a message in the delay line, queued by release when due.
+type delayed struct {
+	m       Message
+	due     time.Time
+	reorder bool // the fault plane's swap, made at that put
+}
+
+// delayUntil enters m behind every message due no later than due.
+func (r *Router) delayUntil(m Message, due time.Time, reorder bool) {
+	r.lineMu.Lock()
+	defer r.lineMu.Unlock()
+	i := sort.Search(len(r.line), func(i int) bool { return r.line[i].due.After(due) })
+	r.line = slices.Insert(r.line, i, delayed{m: m, due: due, reorder: reorder})
+	if i == 0 {
+		r.timer.Reset(time.Until(due))
+	}
+}
+
+// release puts every due message into its mailbox in due order and
+// re-arms the timer for the next. A message whose processor was killed
+// while it waited is dropped, like one queued at the kill; so is one due
+// after Close, which put refuses with ErrClosed.
+func (r *Router) release() {
+	r.lineMu.Lock()
+	defer r.lineMu.Unlock()
+	now := time.Now()
+	n := 0
+	for ; n < len(r.line) && !r.line[n].due.After(now); n++ {
+		d := &r.line[n]
+		_, _ = r.boxes[d.m.Dst].put(d.m, d.reorder)
+	}
+	r.line = slices.Delete(r.line, 0, n)
+	if len(r.line) > 0 {
+		r.timer.Reset(r.line[0].due.Sub(now))
+	}
+}
+
+// mailbox is one processor's FIFO queue. A receiver that finds no match
+// parks on a waiter record for its tag; a put wakes only the receivers of
+// the tag it queued, kill and close wake them all.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-	down   bool // processor killed: senders drop, receivers error
-	// timers is a free list of stopped wake-up timers whose callback
-	// broadcasts on cond; get reuses one per wait loop instead of
-	// allocating a time.AfterFunc per iteration. Guarded by mu.
-	timers []*time.Timer
+	mu        sync.Mutex
+	queue     []Message
+	waiters   []*waiter // one per parked receiver
+	spare     []*waiter // released records, so a fresh tag allocates nothing
+	closed    bool
+	down      bool           // processor killed: senders drop, receivers error
+	reordered *atomic.Uint64 // the router's count of reorder swaps
 }
 
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// waiter is one parked receiver and the tag it waits for.
+type waiter struct {
+	tag  Tag
+	cond sync.Cond
 }
 
-// put enqueues one message. It reports stored=false (and no error) when
-// the processor is down: a dead peer silently eats traffic. reorder asks
-// for the fault plane's one-slot swap with the previously queued message;
-// swapped reports whether the swap actually happened.
-func (b *mailbox) put(m Message, reorder bool) (stored, swapped bool, err error) {
+// state reports whether the processor is down, and ErrClosed after Close.
+func (b *mailbox) state() (down bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return false, false, ErrClosed
+		err = ErrClosed
 	}
-	if b.down {
-		return false, false, nil
-	}
-	b.queue = append(b.queue, m)
-	if reorder && len(b.queue) >= 2 {
-		n := len(b.queue)
-		b.queue[n-1], b.queue[n-2] = b.queue[n-2], b.queue[n-1]
-		swapped = true
-	}
-	b.cond.Broadcast()
-	return true, swapped, nil
+	return b.down, err
 }
 
-// waitTimer pops (or creates) a stopped timer whose callback broadcasts
-// on b.cond. The callback takes b.mu before broadcasting so it cannot
-// fire in the window between arming the timer and Wait registering the
-// receiving goroutine (a lost wakeup would hang the receiver until the
-// next unrelated put). Callers hold b.mu.
-func (b *mailbox) waitTimer() *time.Timer {
-	if n := len(b.timers); n > 0 {
-		t := b.timers[n-1]
-		b.timers = b.timers[:n-1]
-		return t
-	}
-	t := time.AfterFunc(time.Hour, func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		b.cond.Broadcast()
-	})
-	t.Stop()
-	return t
-}
-
-// releaseTimer returns a wait timer to the free list (a stray pending
-// broadcast from it is a tolerated spurious wakeup). Callers hold b.mu.
-func (b *mailbox) releaseTimer(t *time.Timer) {
-	t.Stop()
-	if len(b.timers) < 8 {
-		b.timers = append(b.timers, t)
-	}
-}
-
-func (b *mailbox) get(match func(Message) bool, deadline time.Time) (Message, error) {
+// put enqueues one message. It reports false (and no error) when the
+// processor is down: a dead peer silently eats traffic. reorder asks for
+// the fault plane's one-slot swap with the previously queued message,
+// counted when there is one.
+func (b *mailbox) put(m Message, reorder bool) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return false, ErrClosed
+	}
+	if b.down {
+		return false, nil
+	}
+	b.queue = append(b.queue, m)
+	if n := len(b.queue); reorder && n >= 2 {
+		b.queue[n-1], b.queue[n-2] = b.queue[n-2], b.queue[n-1]
+		b.reordered.Add(1)
+	}
+	b.wake(m.Tag)
+	return true, nil
+}
+
+// get removes and returns the oldest queued message with tag from src,
+// parking until one is queued, the deadline (zero: none) passes or the
+// processor dies.
+func (b *mailbox) get(src int, tag Tag, deadline time.Time) (m Message, err error) {
+	b.mu.Lock()
+	var w *waiter
 	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			b.releaseTimer(timer)
-		}
-	}()
 	for {
 		if b.closed {
-			return Message{}, ErrClosed
+			err = ErrClosed
+			break
 		}
 		if b.down {
-			return Message{}, ErrProcessorDown
+			err = ErrProcessorDown
+			break
 		}
-		// Find the oldest deliverable matching message. Jitter makes
-		// per-message delay non-uniform, so a later match may become
-		// deliverable earlier than an earlier one: scan all matches and
-		// arm a wake-up at the earliest matched delivery time.
-		found := -1
-		var now, wakeAt time.Time
-		for i, m := range b.queue {
-			if !match(m) {
-				continue
-			}
-			if m.readyAt.IsZero() {
-				found = i
-				break
-			}
-			if now.IsZero() {
-				now = time.Now()
-			}
-			if !m.readyAt.After(now) {
-				found = i
-				break
-			}
-			if wakeAt.IsZero() || m.readyAt.Before(wakeAt) {
-				wakeAt = m.readyAt
-			}
-		}
-		if found >= 0 {
-			m := b.queue[found]
-			b.queue = append(b.queue[:found], b.queue[found+1:]...)
-			return m, nil
+		i := slices.IndexFunc(b.queue, func(q Message) bool {
+			return q.Tag == tag && (src == AnySource || q.Src == src)
+		})
+		if i >= 0 {
+			m = b.queue[i]
+			b.queue = slices.Delete(b.queue, i, i+1)
+			break
 		}
 		if !deadline.IsZero() {
-			if now.IsZero() {
-				now = time.Now()
+			left := time.Until(deadline)
+			if left <= 0 {
+				err = ErrTimeout
+				break
 			}
-			if !now.Before(deadline) {
-				return Message{}, ErrTimeout
-			}
-			if wakeAt.IsZero() || deadline.Before(wakeAt) {
-				wakeAt = deadline
-			}
-		}
-		if !wakeAt.IsZero() {
 			if timer == nil {
-				timer = b.waitTimer()
+				timer = time.AfterFunc(left, func() {
+					b.mu.Lock()
+					defer b.mu.Unlock()
+					b.wake(tag)
+				})
 			}
-			timer.Reset(time.Until(wakeAt))
-			b.cond.Wait()
-			timer.Stop()
-		} else {
-			b.cond.Wait()
 		}
+		if w == nil {
+			w = b.park(tag)
+		}
+		w.cond.Wait()
+	}
+	if timer != nil {
+		timer.Stop()
+	}
+	if w != nil {
+		b.unpark(w)
+	}
+	b.mu.Unlock()
+	return m, err
+}
+
+// wake rouses the receivers parked on tag. Callers hold b.mu.
+func (b *mailbox) wake(tag Tag) {
+	for _, w := range b.waiters {
+		if w.tag == tag {
+			w.cond.Signal()
+		}
+	}
+}
+
+// park enters a waiter record for tag, a spare one when there is one.
+// Callers hold b.mu.
+func (b *mailbox) park(tag Tag) *waiter {
+	var w *waiter
+	if n := len(b.spare); n > 0 {
+		w, b.spare = b.spare[n-1], b.spare[:n-1]
+	} else {
+		w = &waiter{}
+		w.cond.L = &b.mu
+	}
+	w.tag = tag
+	b.waiters = append(b.waiters, w)
+	return w
+}
+
+// unpark moves w to the spares. Callers hold b.mu.
+func (b *mailbox) unpark(w *waiter) {
+	i := slices.Index(b.waiters, w)
+	b.waiters = slices.Delete(b.waiters, i, i+1)
+	b.spare = append(b.spare, w)
+}
+
+// stop discards the queue and wakes every receiver. Callers hold b.mu.
+func (b *mailbox) stop() {
+	b.queue = nil
+	for _, w := range b.waiters {
+		w.cond.Signal()
 	}
 }
 
@@ -403,14 +439,7 @@ func (b *mailbox) kill() {
 		return
 	}
 	b.down = true
-	b.queue = nil
-	b.cond.Broadcast()
-}
-
-func (b *mailbox) isDown() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.down
+	b.stop()
 }
 
 func (b *mailbox) pending() int {
@@ -423,6 +452,5 @@ func (b *mailbox) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
-	b.queue = nil
-	b.cond.Broadcast()
+	b.stop()
 }

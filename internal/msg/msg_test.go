@@ -2,6 +2,9 @@ package msg
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -135,7 +138,7 @@ func TestBadProcessorNumbers(t *testing.T) {
 	if err := r.Send(-1, 0, Tag{Class: ClassTask}, nil); !errors.Is(err, ErrBadProcessor) {
 		t.Fatalf("Send from bad src: %v", err)
 	}
-	if _, err := r.Recv(9, func(Message) bool { return true }); !errors.Is(err, ErrBadProcessor) {
+	if _, err := r.RecvFrom(9, AnySource, Tag{Class: ClassTask}); !errors.Is(err, ErrBadProcessor) {
 		t.Fatalf("Recv at bad dst: %v", err)
 	}
 }
@@ -144,7 +147,7 @@ func TestCloseWakesBlockedReceivers(t *testing.T) {
 	r := NewRouter(1)
 	errs := make(chan error, 1)
 	go func() {
-		_, err := r.Recv(0, func(Message) bool { return true })
+		_, err := r.RecvFrom(0, AnySource, Tag{Class: ClassTask})
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -296,5 +299,168 @@ func TestSetLatency(t *testing.T) {
 	}
 	if m, err := r.RecvFrom(0, 1, tag); err != nil || m.Data != "c" {
 		t.Fatalf("zero-latency delivery: %v, %v", m, err)
+	}
+}
+
+// waitParked returns once a receiver is parked on tag at b.
+func waitParked(b *mailbox, tag Tag) {
+	for {
+		b.mu.Lock()
+		i := slices.IndexFunc(b.waiters, func(w *waiter) bool { return w.tag == tag })
+		b.mu.Unlock()
+		if i >= 0 {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestWaiterRecordsReused: receivers parked one at a time on 1000
+// distinct call-salted tags leave no waiter record behind and reuse one
+// record throughout, so the spare list is no longer than the peak number
+// of tags waited on at once.
+func TestWaiterRecordsReused(t *testing.T) {
+	r := NewRouter(2)
+	defer r.Close()
+	b := r.boxes[1]
+	for call := uint64(1); call <= 1000; call++ {
+		tag := Tag{Class: ClassData, Call: call, Kind: 1}
+		go func() {
+			waitParked(b, tag)
+			if err := r.Send(0, 1, tag, call); err != nil {
+				t.Error(err)
+			}
+		}()
+		m, err := r.RecvFrom(1, 0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Data.(uint64) != call {
+			t.Fatalf("call %d received %v", call, m.Data)
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.waiters) != 0 || len(b.spare) > 1 {
+		t.Fatalf("%d waiter records left, %d spares; want 0 and at most 1", len(b.waiters), len(b.spare))
+	}
+}
+
+// TestLatencyKeepsSendOrder: under a constant modeled latency the delay
+// line releases messages in send order, so each of two interleaved tags
+// from one sender arrives in order.
+func TestLatencyKeepsSendOrder(t *testing.T) {
+	r := NewRouter(2)
+	defer r.Close()
+	r.SetLatency(50 * time.Microsecond)
+	const n = 1000
+	tags := []Tag{{Class: ClassData, Kind: 1}, {Class: ClassData, Kind: 2}}
+	var wg sync.WaitGroup
+	for _, tag := range tags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				m, err := r.RecvFrom(1, 0, tag)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m.Data.(int) != i {
+					t.Errorf("tag %v: message %d arrived at position %d", tag, m.Data, i)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		for _, tag := range tags {
+			if err := r.Send(0, 1, tag, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
+	if r.Sent() != 2*n {
+		t.Fatalf("Sent = %d, want %d", r.Sent(), 2*n)
+	}
+}
+
+// TestDelayedToKilledProcessor: a message Send accepted before its
+// processor was killed, still in the delay line at the kill, is never
+// queued. It stays counted in Sent and not in DownDropped; a send after
+// the kill is refused and counted in DownDropped instead.
+func TestDelayedToKilledProcessor(t *testing.T) {
+	r := NewRouter(2)
+	defer r.Close()
+	r.SetLatency(20 * time.Millisecond)
+	if err := r.Send(0, 1, tag(1), "delayed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.KillProcessor(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Send(0, 1, tag(1), "refused"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if n := r.Pending(1); n != 0 {
+		t.Fatalf("pending = %d at a killed processor", n)
+	}
+	if _, err := r.RecvFromTimeout(1, AnySource, tag(1), 10*time.Millisecond); !errors.Is(err, ErrProcessorDown) {
+		t.Fatalf("recv at killed processor: %v, want ErrProcessorDown", err)
+	}
+	if st := r.FaultStats(); r.Sent() != 1 || st.DownDropped != 1 {
+		t.Fatalf("Sent = %d, DownDropped = %d; want 1 and 1", r.Sent(), st.DownDropped)
+	}
+	r.lineMu.Lock()
+	defer r.lineMu.Unlock()
+	if len(r.line) != 0 {
+		t.Fatalf("%d messages left in the delay line", len(r.line))
+	}
+}
+
+// BenchmarkRecvFromParked prices a 0<->1 ping-pong on one tag with
+// receivers parked on other tags at both processors: a put wakes only
+// the receivers of its own tag, so the parked ones should cost nothing.
+func BenchmarkRecvFromParked(b *testing.B) {
+	for _, parked := range []int{0, 6} {
+		b.Run(fmt.Sprintf("parked=%d", parked), func(b *testing.B) {
+			r := NewRouter(2)
+			var wg sync.WaitGroup
+			for i := 0; i < parked; i++ {
+				other := Tag{Class: ClassData, Call: uint64(i + 1), Kind: 2}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, _ = r.RecvFrom(i%2, AnySource, other)
+				}()
+				waitParked(r.boxes[i%2], other)
+			}
+			ping := Tag{Class: ClassData, Kind: 1}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					m, err := r.RecvFrom(1, 0, ping)
+					if err != nil || r.Send(1, 0, ping, m.Data) != nil {
+						return
+					}
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.Send(0, 1, ping, nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.RecvFrom(0, 1, ping); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			r.Close()
+			wg.Wait()
+		})
 	}
 }

@@ -345,7 +345,7 @@ func TestKillPropagates(t *testing.T) {
 			// Hosting part: the kill notice travels the wire; receives at
 			// the dead processor fail with ErrProcessorDown once it lands.
 			waitDown(t, parts[1], 3)
-			_, err := parts[1].r.RecvTimeout(3, func(msg.Message) bool { return true }, time.Second)
+			_, err := parts[1].r.RecvFromTimeout(3, msg.AnySource, msg.Tag{Class: msg.ClassData}, time.Second)
 			if !errors.Is(err, msg.ErrProcessorDown) {
 				t.Fatalf("recv at killed processor: %v, want ErrProcessorDown", err)
 			}
@@ -393,7 +393,7 @@ func TestKillFloodReachesAllMeshPeers(t *testing.T) {
 	for rank := 0; rank < 3; rank++ {
 		waitDown(t, parts[rank], 2)
 	}
-	_, err := parts[2].r.RecvTimeout(2, func(msg.Message) bool { return true }, time.Second)
+	_, err := parts[2].r.RecvFromTimeout(2, msg.AnySource, msg.Tag{Class: msg.ClassData}, time.Second)
 	if !errors.Is(err, msg.ErrProcessorDown) {
 		t.Fatalf("recv at killed processor: %v, want ErrProcessorDown", err)
 	}

@@ -3,7 +3,7 @@
 // transport implements to carry messages between them.
 //
 // The in-process Router stays the fast path: with no transport installed
-// (the default), Send/Recv behave exactly as before — one atomic load on
+// (the default), Send/RecvFrom behave exactly as before — one atomic load on
 // the healthy path, zero new allocations. With SetTransport, each part
 // hosts a contiguous subset of the processors: sends to hosted
 // destinations use the in-memory mailbox switch unchanged, sends to
@@ -101,7 +101,7 @@ func (r *Router) Inject(m Message) error {
 	if pt := r.part.Load(); pt != nil && !pt.hosted[m.Dst] {
 		return fmt.Errorf("%w: inject at non-hosted processor %d", ErrBadProcessor, m.Dst)
 	}
-	stored, _, err := r.boxes[m.Dst].put(m, false)
+	stored, err := r.boxes[m.Dst].put(m, false)
 	if err != nil {
 		return err
 	}
