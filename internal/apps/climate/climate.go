@@ -7,11 +7,13 @@
 // Each simulation evolves a rows x cols field with a damped Jacobi
 // diffusion step. The two fields are coupled: the ocean's surface (its
 // "above" boundary) is the atmosphere's bottom edge row, and the
-// atmosphere's bottom boundary is the ocean's top edge row. The two
-// distributed calls of each time step execute concurrently on disjoint
-// processor groups; the boundary rows move between the two distributed
-// arrays only through the task level (read_element / global constants),
-// exactly the discipline Fig 3.4 demands.
+// atmosphere's bottom boundary is the ocean's top edge row. Each
+// simulation is one resident distributed call on its own processor group,
+// stepped once per time step, and the two steps execute concurrently.
+// The boundary rows move between the two distributed arrays only through
+// the task level, exactly the discipline Fig 3.4 demands: out of one
+// simulation's step as a reduction, into the other's next step as a
+// global constant.
 package climate
 
 import (
@@ -34,16 +36,37 @@ const ProgDiffuse = "climate:diffuse"
 
 // ProgDiffuseChan is the channel-coupled variant implementing the §7.2.1
 // extension: the two simulations exchange boundary rows directly over
-// channels defined by the task-parallel caller, instead of through
-// task-level element reads.
+// channels defined by the task-parallel caller, instead of through the
+// task level.
 const ProgDiffuseChan = "climate:diffuse_chan"
 
-// RegisterPrograms registers the diffusion steps with the machine.
+// EdgesCombine is the registered name of the combiner that merges the
+// copies' edge rows (ProgDiffuse's edges reduction).
+const EdgesCombine = "climate:edges"
+
+// edges merges two edge-row reductions, each a top row then a bottom
+// row: the left operand (lower ranks, higher rows) keeps its top row and
+// the right operand its bottom one, so up the rank-ordered tree the
+// group's global top and bottom rows survive. It copies and computes
+// nothing, so the rows stay bit-identical.
+func edges(a, b []float64) []float64 {
+	out := make([]float64, len(a))
+	h := len(a) / 2
+	copy(out[:h], a[:h])
+	copy(out[h:], b[h:])
+	return out
+}
+
+// RegisterPrograms registers the diffusion steps and the edges combiner
+// with the machine.
 //
-// ProgDiffuse parameters: (rows, cols, alpha, above, below, local(field)).
-// above and below are the global boundary rows (the other simulation's
-// edge row); interior block boundaries are exchanged between the copies
-// directly.
+// ProgDiffuse parameters: (rows, cols, alpha, above, below, local(field),
+// edges). above and below are the global boundary rows (the other
+// simulation's edge row); interior block boundaries are exchanged between
+// the copies directly. edges is a ReduceNamed(2*cols, EdgesCombine, ...)
+// reduction: each copy returns its first and last interior rows after
+// the update, and the merge leaves the field's global top and bottom
+// rows.
 //
 // ProgDiffuseChan parameters: (rows, cols, alpha, coupleAtTop, fixed,
 // send, recv, local(field)). coupleAtTop selects which global edge is the
@@ -58,10 +81,13 @@ func RegisterPrograms(m *core.Machine) error {
 		above := a.Const(3).([]float64)
 		below := a.Const(4).([]float64)
 		field := a.Section(5)
-		if err := diffuseStep(w, field, rows, cols, alpha, above, below); err != nil {
+		if err := diffuseStep(w, field, rows, cols, alpha, above, below, a.Reduction(6)); err != nil {
 			panic(err)
 		}
 	}, borderFn(5)); err != nil {
+		return err
+	}
+	if err := m.RegisterCombine(EdgesCombine, edges); err != nil {
 		return err
 	}
 	return m.RegisterWithBorders(ProgDiffuseChan, func(w *spmd.World, a *dcall.Args) {
@@ -131,12 +157,13 @@ func checkField(w *spmd.World, sec *darray.Section, rows, cols int) (l int, err 
 // rows: the interior neighbours' edge rows arrive in the section's halo
 // rows through HaloExchange, the physical edges take the supplied global
 // boundary rows, and the update then reads only this copy's storage.
-func diffuseStep(w *spmd.World, sec *darray.Section, rows, cols int, alpha float64, above, below []float64) error {
+// The updated first and last interior rows are copied into out.
+func diffuseStep(w *spmd.World, sec *darray.Section, rows, cols int, alpha float64, above, below, out []float64) error {
 	l, err := checkField(w, sec, rows, cols)
 	if err != nil {
 		return err
 	}
-	if len(above) != cols || len(below) != cols {
+	if len(above) != cols || len(below) != cols || len(out) != 2*cols {
 		return fmt.Errorf("climate: boundary rows must have %d columns", cols)
 	}
 	p, me, f := w.Size(), w.Rank(), sec.F
@@ -150,6 +177,8 @@ func diffuseStep(w *spmd.World, sec *darray.Section, rows, cols int, alpha float
 		copy(f[(l+1)*cols:(l+2)*cols], below)
 	}
 	jacobiUpdate(f, l, cols, alpha)
+	copy(out[:cols], f[cols:2*cols])
+	copy(out[cols:], f[l*cols:(l+1)*cols])
 	return nil
 }
 
@@ -313,42 +342,54 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// One bulk transfer fetches the whole coupling row (one message per
-	// owning processor; with row-block distribution, exactly one).
+	// The coupling rows are read once, one bulk transfer each (one
+	// message to the row's owner). Every step returns the next ones as its
+	// edges reduction, so a step is one step order down and one merged
+	// tuple up per group, with no array reads and no spawns.
 	readRow := func(a *core.Array, row int) ([]float64, error) {
 		return a.ReadBlock([]int{row, 0}, []int{row + 1, cfg.Cols})
 	}
+	oceanTop, err := readRow(ocean, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	atmosBottom, err := readRow(atmos, cfg.Rows-1)
+	if err != nil {
+		return Result{}, err
+	}
 
-	// The fixed boundary rows are built once; the programs only read them.
+	// The fixed boundary rows travel once, when the sessions open; the
+	// coupling edge is each step's value.
 	deep, strato := oceanDeepRow(cfg), atmosTopRow(cfg)
+	params := func(above, below dcall.Param, field *core.Array) []dcall.Param {
+		return []dcall.Param{dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
+			above, below, field.Param(), dcall.ReduceNamed(2*cfg.Cols, EdgesCombine, nil)}
+	}
+	oceanRun, err := m.Open(oceanProcs, ProgDiffuse, params(
+		dcall.StepConst(), // above the ocean: the atmosphere's bottom edge
+		dcall.Const(deep), // below the ocean: fixed deep water
+		ocean)...)
+	if err != nil {
+		return Result{}, err
+	}
+	defer oceanRun.Close()
+	atmosRun, err := m.OpenOn(half, atmosProcs, ProgDiffuse, params(
+		dcall.Const(strato), // above the atmosphere: fixed stratosphere
+		dcall.StepConst(),   // below the atmosphere: the ocean's surface
+		atmos)...)
+	if err != nil {
+		return Result{}, err
+	}
+	defer atmosRun.Close()
+
 	for step := 0; step < cfg.Steps; step++ {
 		// Exchange of boundary data through the task-parallel top level:
-		// read each simulation's coupling edge, then run both time steps
-		// concurrently with the other's edge as boundary.
-		oceanTop, err := readRow(ocean, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		atmosBottom, err := readRow(atmos, cfg.Rows-1)
-		if err != nil {
-			return Result{}, err
-		}
+		// both time steps run concurrently, each with the other's edge.
+		var oceanEdges, atmosEdges [][]float64
 		var errO, errA error
 		compose.Par(
-			func() {
-				errO = m.Call(oceanProcs, ProgDiffuse,
-					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
-					dcall.Const(atmosBottom), // above the ocean: the atmosphere's bottom edge
-					dcall.Const(deep),        // below the ocean: fixed deep water
-					ocean.Param())
-			},
-			func() {
-				errA = m.CallOn(half, atmosProcs, ProgDiffuse,
-					dcall.Const(cfg.Rows), dcall.Const(cfg.Cols), dcall.Const(cfg.Alpha),
-					dcall.Const(strato),   // above the atmosphere: fixed stratosphere
-					dcall.Const(oceanTop), // below the atmosphere: the ocean's surface
-					atmos.Param())
-			},
+			func() { oceanEdges, errO = oceanRun.Step(atmosBottom) },
+			func() { atmosEdges, errA = atmosRun.Step(oceanTop) },
 		)
 		if errO != nil {
 			return Result{}, fmt.Errorf("ocean step %d: %w", step, errO)
@@ -356,6 +397,7 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 		if errA != nil {
 			return Result{}, fmt.Errorf("atmosphere step %d: %w", step, errA)
 		}
+		oceanTop, atmosBottom = oceanEdges[0][:cfg.Cols], atmosEdges[0][cfg.Cols:]
 	}
 
 	oSnap, err := ocean.Snapshot()
@@ -372,7 +414,7 @@ func Run(m *core.Machine, cfg Config) (Result, error) {
 // RunChanneled executes the coupled simulation using the §7.2.1 extension:
 // per-step boundary exchange happens directly between the two
 // data-parallel programs over a channel pair created here, removing the
-// task-level read/forward bottleneck. The numerical evolution is identical
+// task level's forwarding of the rows from every step. The numerical evolution is identical
 // to Run and RunSequential.
 func RunChanneled(m *core.Machine, cfg Config) (Result, error) {
 	p := m.P()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dcall"
+	"repro/internal/defval"
 	"repro/internal/grid"
 )
 
@@ -147,7 +148,7 @@ func TestHaloMessageBudget(t *testing.T) {
 	if err := m.Call(procs, ProgDiffuse,
 		dcall.Const(rows), dcall.Const(cols), dcall.Const(0.4),
 		dcall.Const(row), dcall.Const(row),
-		field.Param()); err != nil {
+		field.Param(), dcall.ReduceNamed(2*cols, EdgesCombine, defval.New[[]float64]())); err != nil {
 		t.Fatal(err)
 	}
 	// p find_local requests + 2*(p-1) halo rows + p-1 combines.
@@ -186,7 +187,7 @@ func TestForeignBordersVerify(t *testing.T) {
 		return m.Call(procs, ProgDiffuse,
 			dcall.Const(rows), dcall.Const(cols), dcall.Const(0.4),
 			dcall.Const(row), dcall.Const(row),
-			field.Param())
+			field.Param(), dcall.ReduceNamed(2*cols, EdgesCombine, defval.New[[]float64]()))
 	}
 	if err := call(); err == nil {
 		t.Fatal("call on a borderless field must fail")

@@ -54,8 +54,8 @@ func (l *codecLink) Close() error { return nil }
 // TestClimateWireNoGob runs the coupled model on a machine split into
 // two parts and requires every payload that crosses between them —
 // array creation with its Meta, the coupling reads, the spawn orders of
-// both simulations' calls, the combine and result tuples, the halo
-// slabs — to take a binary codec, never the gob fallback, and the fields
+// both simulations' sessions, their step and close orders, the combine
+// and result tuples, the halo slabs — to take a binary codec, never the gob fallback, and the fields
 // to stay bit-identical to the sequential reference.
 func TestClimateWireNoGob(t *testing.T) {
 	const p = 4
@@ -95,7 +95,7 @@ func TestClimateWireNoGob(t *testing.T) {
 	if len(rec.gobbish) > 0 {
 		t.Fatalf("payloads with bytes Size does not count (a nested gob value): %v", rec.gobbish)
 	}
-	for _, name := range []string{"*dcall.wireSpawn", "dcall.tuple", "*arraymgr.request", "*arraymgr.wireResponse"} {
+	for _, name := range []string{"*dcall.wireSpawn", "*dcall.stepOrder", "dcall.tuple", "*arraymgr.request", "*arraymgr.wireResponse"} {
 		codes := rec.codes[name]
 		if len(codes) == 0 {
 			t.Errorf("no %s crossed between the parts", name)

@@ -522,6 +522,12 @@ func (m *Machine) RegisterWithBorders(name string, body dcall.Program, borders d
 	return m.RT.Register(dcall.Registered{Name: name, Body: body, Borders: borders})
 }
 
+// RegisterCombine registers a named reduction combiner for
+// dcall.ReduceNamed, the combiner counterpart of Register.
+func (m *Machine) RegisterCombine(name string, combine func(a, b []float64) []float64) error {
+	return m.RT.RegisterCombine(name, combine)
+}
+
 // Call makes a distributed call to a registered program on the given
 // processors from processor 0 and converts the merged status to an error.
 func (m *Machine) Call(procs []int, program string, params ...dcall.Param) error {
@@ -549,6 +555,39 @@ func (m *Machine) CallStatus(procs []int, program string, params ...dcall.Param)
 func (m *Machine) CallFnStatus(procs []int, body dcall.Program, params ...dcall.Param) int {
 	return m.RT.CallFn(0, procs, body, params)
 }
+
+// Session is a resident distributed call (dcall.Session): spawned once,
+// stepped many times, its merged status converted to an error as Call
+// does.
+type Session struct {
+	s       *dcall.Session
+	program string
+}
+
+// Open starts a resident distributed call to a registered program on
+// the given processors from processor 0 (dcall.Runtime.Open).
+func (m *Machine) Open(procs []int, program string, params ...dcall.Param) (*Session, error) {
+	return m.OpenOn(0, procs, program, params...)
+}
+
+// OpenOn is Open from an explicit calling processor.
+func (m *Machine) OpenOn(caller int, procs []int, program string, params ...dcall.Param) (*Session, error) {
+	s, st := m.RT.Open(caller, procs, program, params)
+	if st != dcall.StatusOK {
+		return nil, callStatusErr(program, st)
+	}
+	return &Session{s: s, program: program}, nil
+}
+
+// Step runs the program once with vals bound to its StepConst
+// parameters and returns the merged reductions in parameter order.
+func (s *Session) Step(vals ...any) ([][]float64, error) {
+	st, reductions := s.s.Step(vals...)
+	return reductions, callStatusErr(s.program, st)
+}
+
+// Close ends the session's copies.
+func (s *Session) Close() { s.s.Close() }
 
 func callStatusErr(program string, st int) error {
 	if st == dcall.StatusOK {

@@ -27,6 +27,11 @@
 // other receives a spawn order (wire.go). The pairwise merge runs up
 // spmd's binomial tree (spmd.TreeChildren) in group-rank order, so any
 // associative operator is acceptable, exactly as specified.
+//
+// A resident call (Open, session.go) takes the same spawn path once and
+// then runs the same wrapper once per Session.Step, so a time-stepping
+// task-level loop pays one order down and one merged tuple up per step
+// instead of a spawn.
 package dcall
 
 import (
@@ -51,6 +56,7 @@ const (
 	StatusInvalid  = int(arraymgr.StatusInvalid)
 	StatusNotFound = int(arraymgr.StatusNotFound)
 	StatusError    = int(arraymgr.StatusError)
+	StatusDown     = int(arraymgr.StatusDown)
 )
 
 // Program is the body of a data-parallel SPMD program: each copy receives
@@ -80,17 +86,20 @@ type constParam struct{ v any }
 type localParam struct{ id darray.ID }
 type indexParam struct{}
 type statusParam struct{}
+type stepConstParam struct{}
 type reduceParam struct {
 	length  int
+	name    string // a registered combiner (ReduceNamed); "" with combine
 	combine func(a, b []float64) []float64
 	out     *defval.Var[[]float64]
 }
 
-func (constParam) isParam()  {}
-func (localParam) isParam()  {}
-func (indexParam) isParam()  {}
-func (statusParam) isParam() {}
-func (reduceParam) isParam() {}
+func (constParam) isParam()     {}
+func (localParam) isParam()     {}
+func (indexParam) isParam()     {}
+func (statusParam) isParam()    {}
+func (stepConstParam) isParam() {}
+func (reduceParam) isParam()    {}
 
 // Const passes a global constant: every copy receives the same value,
 // usable as input only.
@@ -100,6 +109,11 @@ func Const(v any) Param { return constParam{v: v} }
 // ID: each copy receives its own section, usable as input and/or output.
 // The array must be distributed over the call's processors.
 func Local(id darray.ID) Param { return localParam{id: id} }
+
+// StepConst passes a global constant whose value each Session.Step
+// supplies: the step's values bind to the StepConst parameters in
+// parameter order. Only a session (Open) takes one.
+func StepConst() Param { return stepConstParam{} }
 
 // Index passes an integer index: copy i receives i, its position in the
 // call's processor array. Input only.
@@ -116,6 +130,16 @@ func Status() Param { return statusParam{} }
 // in rank order with combine, and the result defines out.
 func Reduce(length int, combine func(a, b []float64) []float64, out *defval.Var[[]float64]) Param {
 	return reduceParam{length: length, combine: combine, out: out}
+}
+
+// ReduceNamed is Reduce with a combiner registered under name
+// (RegisterCombine). The parameter ships as its length and name, and
+// every copy resolves the name in its own runtime's registry, so unlike
+// Reduce it crosses a process boundary; a copy that does not know the
+// name contributes StatusInvalid. In a session out is nil: Step returns
+// the merged reductions instead.
+func ReduceNamed(length int, name string, out *defval.Var[[]float64]) Param {
+	return reduceParam{length: length, name: name, out: out}
 }
 
 // Args is the resolved argument list one program copy receives. Accessors
@@ -179,16 +203,18 @@ type Runtime struct {
 	Machine *vp.Machine
 	AM      *arraymgr.Manager
 
-	mu       sync.Mutex
-	programs map[string]Registered
-	nextCall atomic.Uint64
+	mu        sync.Mutex
+	programs  map[string]Registered
+	combiners map[string]func(a, b []float64) []float64
+	nextCall  atomic.Uint64
 }
 
 // NewRuntime creates a runtime and installs its registry as the array
 // manager's border resolver, so foreign_borders array creation consults
 // registered programs.
 func NewRuntime(machine *vp.Machine, am *arraymgr.Manager) *Runtime {
-	r := &Runtime{Machine: machine, AM: am, programs: make(map[string]Registered)}
+	r := &Runtime{Machine: machine, AM: am, programs: make(map[string]Registered),
+		combiners: make(map[string]func(a, b []float64) []float64)}
 	r.nextCall.Store(1)
 	am.SetBorderResolver(func(program string, parmNum, ndims int) ([]int, error) {
 		p, ok := r.Lookup(program)
@@ -225,6 +251,33 @@ func (r *Runtime) Register(p Registered) error {
 	}
 	r.programs[p.Name] = p
 	return nil
+}
+
+// RegisterCombine adds a named reduction combiner for ReduceNamed. Like
+// a program, it must be registered under the same name in every process
+// a call's group spans, and re-registering a name is an error.
+func (r *Runtime) RegisterCombine(name string, combine func(a, b []float64) []float64) error {
+	if name == "" || combine == nil {
+		return fmt.Errorf("dcall: combiner needs a name and a function")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.combiners[name]; dup {
+		return fmt.Errorf("dcall: combiner %q already registered", name)
+	}
+	r.combiners[name] = combine
+	return nil
+}
+
+// combiner is a reduction's combine function: its own, or the one
+// registered under its name (nil if unknown).
+func (r *Runtime) combiner(q reduceParam) func(a, b []float64) []float64 {
+	if q.name == "" {
+		return q.combine
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.combiners[q.name]
 }
 
 // Lookup finds a registered program by name.
@@ -274,105 +327,28 @@ func (r *Runtime) CallFn(caller int, procs []int, body Program, params []Param, 
 // across OS processes: program is the registered name ("" for CallFn),
 // which is what a spawn order carries to a member hosted elsewhere.
 func (r *Runtime) call(caller int, procs []int, program string, body Program, params []Param, opts ...Options) int {
-	if r.Machine.CheckProc(caller) != nil || body == nil {
-		return StatusInvalid
-	}
-	if len(procs) == 0 {
-		return StatusInvalid
-	}
-	seen := make(map[int]bool, len(procs))
-	for _, pr := range procs {
-		if r.Machine.CheckProc(pr) != nil || seen[pr] {
-			return StatusInvalid
-		}
-		seen[pr] = true
-	}
 	var opt Options
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	statusCombine := opt.statusCombine()
-	// Validate parameter list: at most one status (§4.3.1 precondition).
-	nStatus := 0
-	for _, prm := range params {
-		switch q := prm.(type) {
-		case statusParam:
-			nStatus++
-		case reduceParam:
-			if q.length < 1 || q.combine == nil || q.out == nil {
-				return StatusInvalid
-			}
-		case constParam, localParam, indexParam:
-		default:
-			return StatusInvalid
-		}
+	wps, st := r.check(caller, procs, program, body, params, opt, false)
+	if st != StatusOK {
+		return st
 	}
-	if nStatus > 1 {
-		return StatusInvalid
-	}
-
-	groupProcs := append([]int(nil), procs...)
-	router := r.Machine.Router()
-
-	// A member hosted by another OS process is reached by a spawn order,
-	// which carries a registered name, shippable parameters and the
-	// default status merge only: check all three before anything is
-	// spawned.
-	var wps []wireParam
-	for _, pr := range groupProcs {
-		if router.Local(pr) {
-			continue
-		}
-		if program == "" || opt.StatusCombine != nil {
-			return StatusInvalid
-		}
-		var st int
-		if wps, st = wireParams(params); st != StatusOK {
-			return st
-		}
-		break
-	}
-
+	group := append([]int(nil), procs...)
 	callID := r.nextCall.Add(1)
-
-	result, resultProc := r.resultSink(caller, groupProcs[0])
-
-	// Launch one wrapper per group member — a goroutine on a member this
-	// process hosts, a spawn order to any other — and wait for the merged
-	// result tuple from rank 0: the caller "suspends execution while the
-	// copies execute" (Fig 3.2).
-	for i := range groupProcs {
-		i := i
-		if router.Local(groupProcs[i]) {
-			r.Machine.Go(groupProcs[i], func(proc int) {
-				r.runWrapper(proc, groupProcs, i, callID, body, params, statusCombine, result, resultProc)
-			})
-			continue
-		}
-		w := &wireSpawn{Program: program, Procs: groupProcs, Index: i,
-			CallID: callID, Params: wps, ResultProc: resultProc}
-		if err := router.Send(caller, groupProcs[i], msg.Tag{Class: msg.ClassTask, Kind: kindSpawn}, w); err != nil {
-			// The group cannot assemble; peers that did spawn will fail
-			// their combine receives when the router closes. Surface the
-			// send failure rather than hanging.
-			return StatusError
-		}
+	resultProc := r.resultProc(caller)
+	// The merged tuple arrives in result when rank 0 runs on a processor
+	// this process hosts, and otherwise as a kindResult message.
+	var result *defval.Var[tuple]
+	if r.Machine.Router().Local(group[0]) {
+		result = defval.New[tuple]()
 	}
-	var merged tuple
-	if result != nil {
-		merged = result.Value()
-	} else {
-		resultTag := msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult}
-		m, err := router.RecvFrom(resultProc, groupProcs[0], resultTag)
-		if err != nil {
-			return StatusError
-		}
-		t, ok := m.Data.(tuple)
-		if !ok {
-			return StatusError
-		}
-		merged = t
+	// The caller "suspends execution while the copies execute" (Fig 3.2).
+	if st := r.spawn(caller, group, program, body, params, wps, opt.statusCombine(), callID, result, resultProc, false); st != StatusOK {
+		return st
 	}
+	merged := r.await(result, resultProc, group[0], callID)
 
 	// Assign reduction outputs in parameter order.
 	k := 0
@@ -385,26 +361,126 @@ func (r *Runtime) call(caller int, procs []int, program string, body Program, pa
 	return merged.Status
 }
 
-// resultSink says where a call's merged tuple arrives: in the returned
-// defval when rank 0 runs on a processor this process hosts, and
-// otherwise (nil defval) as a kindResult message at resultProc. That
+// check validates a call (resident false) or a session (resident true)
+// before anything is sent: the caller, the group, the parameter list, no
+// member Router.Down reports (StatusDown), and, when a member is hosted
+// by another OS process, what a spawn order can carry — a registered
+// name, shippable parameters and the default status merge. It returns
+// the shippable parameters when a member is remote, nil otherwise.
+func (r *Runtime) check(caller int, procs []int, program string, body Program, params []Param, opt Options, resident bool) ([]wireParam, int) {
+	if r.Machine.CheckProc(caller) != nil || body == nil || len(procs) == 0 {
+		return nil, StatusInvalid
+	}
+	seen := make(map[int]bool, len(procs))
+	for _, pr := range procs {
+		if r.Machine.CheckProc(pr) != nil || seen[pr] {
+			return nil, StatusInvalid
+		}
+		seen[pr] = true
+	}
+	// At most one status (§4.3.1 precondition). A call defines each
+	// reduction's out; a session's Step returns them, and only a session
+	// has step values to bind.
+	nStatus := 0
+	for _, prm := range params {
+		switch q := prm.(type) {
+		case statusParam:
+			nStatus++
+		case reduceParam:
+			if q.length < 1 || (q.combine == nil) == (q.name == "") || (q.out == nil) != resident {
+				return nil, StatusInvalid
+			}
+		case stepConstParam:
+			if !resident {
+				return nil, StatusInvalid
+			}
+		case constParam, localParam, indexParam:
+		default:
+			return nil, StatusInvalid
+		}
+	}
+	if nStatus > 1 {
+		return nil, StatusInvalid
+	}
+	router := r.Machine.Router()
+	for _, pr := range procs {
+		if router.Down(pr) {
+			return nil, StatusDown
+		}
+	}
+	for _, pr := range procs {
+		if router.Local(pr) {
+			continue
+		}
+		if program == "" || opt.StatusCombine != nil {
+			return nil, StatusInvalid
+		}
+		return wireParams(params)
+	}
+	return nil, StatusOK
+}
+
+// spawn launches one wrapper per group member — a goroutine on a member
+// this process hosts, a spawn order to any other. A one-shot wrapper
+// (runWrapper) answers once; a resident one (serveSteps) runs the same
+// wrapper once per step order.
+func (r *Runtime) spawn(caller int, procs []int, program string, body Program, params []Param, wps []wireParam,
+	statusCombine func(a, b int) int, callID uint64, result *defval.Var[tuple], resultProc int, resident bool) int {
+	router := r.Machine.Router()
+	for i := range procs {
+		i := i
+		if !router.Local(procs[i]) {
+			w := &wireSpawn{Program: program, Procs: procs, Index: i, CallID: callID,
+				Params: wps, ResultProc: resultProc, Resident: resident}
+			if err := router.Send(caller, procs[i], msg.Tag{Class: msg.ClassTask, Kind: kindSpawn}, w); err != nil {
+				// The group cannot assemble; peers that did spawn will fail
+				// their receives when the router closes. Surface the send
+				// failure rather than hanging.
+				return StatusError
+			}
+		} else if resident {
+			r.Machine.Go(procs[i], func(proc int) {
+				r.serveSteps(proc, procs, i, callID, body, params, statusCombine, resultProc)
+			})
+		} else {
+			r.Machine.Go(procs[i], func(proc int) {
+				r.runWrapper(proc, procs, i, callID, body, params, statusCombine, result, resultProc)
+			})
+		}
+	}
+	return StatusOK
+}
+
+// await returns the merged tuple of one call or step: from result when
+// rank 0 runs here and defines it, otherwise as the kindResult message
+// rank 0 sends to resultProc. A failed receive is StatusError.
+func (r *Runtime) await(result *defval.Var[tuple], resultProc, rank0 int, callID uint64) tuple {
+	if result != nil {
+		return result.Value()
+	}
+	m, err := r.Machine.Router().RecvFrom(resultProc, rank0, msg.Tag{Class: msg.ClassTask, Call: callID, Kind: kindResult})
+	if err != nil {
+		return tuple{Status: StatusError}
+	}
+	t, ok := m.Data.(tuple)
+	if !ok {
+		return tuple{Status: StatusError}
+	}
+	return t
+}
+
+// resultProc is where a kindResult tuple for this caller arrives. That
 // mailbox must be hosted here. The caller usually qualifies, but a
 // program may name a remote caller (climate's atmosphere call is issued
 // "from" the atmosphere group's first processor, which lives in another
 // part): receive at any locally hosted processor instead — the tag, not
-// the mailbox, identifies the call. Computed here rather than assigned
-// in place in call, so the wrapper closures capture both by value and
-// neither moves to the heap on every call.
-func (r *Runtime) resultSink(caller, rank0 int) (result *defval.Var[tuple], resultProc int) {
+// the mailbox, identifies the call.
+func (r *Runtime) resultProc(caller int) int {
 	router := r.Machine.Router()
-	resultProc = caller
-	if !router.Local(caller) {
-		resultProc = router.LocalProcs()[0]
+	if router.Local(caller) {
+		return caller
 	}
-	if router.Local(rank0) {
-		result = defval.New[tuple]()
-	}
-	return result, resultProc
+	return router.LocalProcs()[0]
 }
 
 // tuple is the {status, reductions...} record each wrapper produces and the
@@ -424,9 +500,10 @@ const kindCombine = -101
 // reduction variables, calls the data-parallel program, and participates in
 // the pairwise merge of result tuples. Rank 0 delivers the merged tuple
 // into result when non-nil (the caller is in this process), otherwise as
-// a kindResult message to resultProc (the caller is in another one). A
-// nil body — a spawn order naming a program this process never
-// registered — contributes StatusInvalid instead of hanging the tree.
+// a kindResult message to resultProc (the caller is in another one, or
+// this is a session's step). A nil body — a spawn order naming a program
+// this process never registered — or an unknown named combiner
+// contributes StatusInvalid instead of hanging the tree.
 func (r *Runtime) runWrapper(proc int, procs []int, index int, callID uint64,
 	body Program, params []Param, statusCombine func(a, b int) int,
 	result *defval.Var[tuple], resultProc int) {
@@ -461,6 +538,13 @@ func (r *Runtime) runWrapper(proc int, procs []int, index int, callID uint64,
 			s := make([]float64, q.length)
 			args.vals[i] = s
 			reductionSlices = append(reductionSlices, s)
+			if r.combiner(q) == nil && wrapperStatus == StatusOK {
+				wrapperStatus = StatusInvalid // a combiner this process never registered
+			}
+		default: // a StepConst no step value was bound to
+			if wrapperStatus == StatusOK {
+				wrapperStatus = StatusInvalid
+			}
 		}
 	}
 
@@ -495,11 +579,15 @@ func (r *Runtime) runWrapper(proc int, procs []int, index int, callID uint64,
 			for _, prm := range params {
 				if q, ok := prm.(reduceParam); ok {
 					if kk == k {
-						cmb = q.combine
+						cmb = r.combiner(q)
 						break
 					}
 					kk++
 				}
+			}
+			if cmb == nil { // this copy's status is already StatusInvalid
+				out.Reductions[k] = a.Reductions[k]
+				continue
 			}
 			out.Reductions[k] = cmb(a.Reductions[k], b.Reductions[k])
 		}

@@ -20,9 +20,13 @@ import (
 // codec on its way across, as the TCP transport does, so a call that
 // spans the parts runs the same spawn orders, tuples and array-manager
 // requests a cluster would, with no sockets.
-type codecLink struct{ peer *msg.Router }
+type codecLink struct {
+	peer *msg.Router
+	sent atomic.Int64 // messages carried across
+}
 
 func (l *codecLink) Send(m msg.Message) error {
+	l.sent.Add(1)
 	b, err := wire.AppendAny(nil, m.Data, false)
 	if err != nil {
 		return err
@@ -40,6 +44,15 @@ func (l *codecLink) Close() error { return nil }
 // progs in both, as every part of a cluster registers the same
 // programs. It returns part 0's runtime, the one the tests call from.
 func newParts(t *testing.T, progs ...Registered) *Runtime {
+	t.Helper()
+	rts, _ := newPartsLinks(t, progs...)
+	return rts[0]
+}
+
+// newPartsLinks is newParts returning both parts' runtimes and both
+// links: links[0] carries part 0's messages to part 1, links[1] the
+// reverse.
+func newPartsLinks(t *testing.T, progs ...Registered) ([2]*Runtime, [2]*codecLink) {
 	t.Helper()
 	const p = 4
 	links := [2]*codecLink{{}, {}}
@@ -61,7 +74,7 @@ func newParts(t *testing.T, progs ...Registered) *Runtime {
 		}
 	}
 	links[0].peer, links[1].peer = rts[1].Machine.Router(), rts[0].Machine.Router()
-	return rts[0]
+	return rts, links
 }
 
 // fillBody writes c*100 + 10*rank + i into element i of its section and

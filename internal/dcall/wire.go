@@ -9,17 +9,19 @@
 // merged result changes shape: a remote rank 0 sends it back as a
 // kindResult message instead of defining the caller's local defval.
 //
-// Two parameter kinds cannot cross a process boundary, because they
-// carry caller-side functions or variables: Reduce (a combine func and
-// an output defval) and Options.StatusCombine; nor can an anonymous
-// CallFn body. A call with a remote member that uses any of them fails
-// cleanly with StatusInvalid before anything is spawned; everything the
-// paper's climate and stencil drivers need — Const, Local, Index,
-// Status — ships. Spawn orders and tuples have binary codecs
-// (codec.go); a Const travels through the wire's any-payload encoding,
-// so a user-defined constant type must be gob.Register'd, and one that
-// cannot be encoded fails the call with StatusError before any order is
-// sent.
+// What cannot cross a process boundary is what carries a caller-side
+// function or variable: an anonymous Reduce (a combine func),
+// Options.StatusCombine, and an anonymous CallFn body. A call with a
+// remote member that uses any of them fails cleanly with StatusInvalid
+// before anything is spawned. Everything else ships — Const, Local,
+// Index, Status, a session's StepConst, and ReduceNamed, whose combiner
+// each part resolves by name in its own registry, as it does the
+// program. Spawn orders, step orders and tuples have binary codecs
+// (codec.go); a Const or a step value travels through the wire's
+// any-payload encoding, so a user-defined constant type must be
+// gob.Register'd, and one that cannot be encoded fails the call or the
+// step with StatusError before any order is sent. A resident member
+// (Open, session.go) is spawned by the same order with Resident set.
 package dcall
 
 import (
@@ -43,14 +45,20 @@ const (
 	paramLocal
 	paramIndex
 	paramStatus
+	paramStepConst
+	paramReduce // named: Length and Name
+	paramKinds  // the number of kinds
 )
 
 // wireParam is one shippable parameter: a global constant, a local
-// section reference, the index parameter, or the status variable.
+// section reference, the index parameter, the status variable, a step
+// constant, or a named reduction.
 type wireParam struct {
-	Kind  int // paramConst, paramLocal, paramIndex or paramStatus
-	Const any
-	ID    darray.ID
+	Kind   int // paramConst ... paramReduce
+	Const  any
+	ID     darray.ID
+	Length int
+	Name   string
 }
 
 // wireSpawn is one remote group member's spawn order.
@@ -60,7 +68,8 @@ type wireSpawn struct {
 	Index      int
 	CallID     uint64
 	Params     []wireParam
-	ResultProc int // rank 0 only: where the merged tuple goes
+	ResultProc int  // rank 0 only: where the merged tuple goes
+	Resident   bool // a session member (serveSteps), not a one-shot wrapper
 }
 
 // wireParams converts a shippable parameter list. It fails with
@@ -81,6 +90,13 @@ func wireParams(params []Param) ([]wireParam, int) {
 			out[i] = wireParam{Kind: paramIndex}
 		case statusParam:
 			out[i] = wireParam{Kind: paramStatus}
+		case stepConstParam:
+			out[i] = wireParam{Kind: paramStepConst}
+		case reduceParam:
+			if q.name == "" {
+				return nil, StatusInvalid
+			}
+			out[i] = wireParam{Kind: paramReduce, Length: q.length, Name: q.name}
 		default:
 			return nil, StatusInvalid
 		}
@@ -99,6 +115,10 @@ func (w *wireSpawn) params() []Param {
 			out[i] = localParam{id: p.ID}
 		case paramIndex:
 			out[i] = indexParam{}
+		case paramStepConst:
+			out[i] = stepConstParam{}
+		case paramReduce:
+			out[i] = reduceParam{length: p.Length, name: p.Name}
 		default:
 			out[i] = statusParam{}
 		}
@@ -134,6 +154,11 @@ func (r *Runtime) spawnServe(proc int) {
 			// A nil body (name not registered here) still runs the
 			// wrapper: it contributes StatusInvalid to the combine tree
 			// instead of hanging every peer rank.
+			if w.Resident {
+				r.serveSteps(proc, w.Procs, w.Index, w.CallID, body, w.params(),
+					Options{}.statusCombine(), w.ResultProc)
+				return
+			}
 			r.runWrapper(proc, w.Procs, w.Index, w.CallID, body, w.params(),
 				Options{}.statusCombine(), nil, w.ResultProc)
 		})

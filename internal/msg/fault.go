@@ -137,8 +137,7 @@ func (r *Router) Down(p int) bool {
 	if pt := r.part.Load(); pt != nil && !pt.hosted[p] {
 		return pt.remoteDown[p].Load()
 	}
-	down, _ := r.boxes[p].state()
-	return down
+	return r.boxes[p].down.Load()
 }
 
 // sendFaulty applies the plan's rule for (src, dst) to one message and

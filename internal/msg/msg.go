@@ -296,7 +296,7 @@ type mailbox struct {
 	waiters   []*waiter // one per parked receiver
 	spare     []*waiter // released records, so a fresh tag allocates nothing
 	closed    bool
-	down      bool           // processor killed: senders drop, receivers error
+	down      atomic.Bool    // processor killed: senders drop, receivers error (set under mu; Down reads it lock-free)
 	reordered *atomic.Uint64 // the router's count of reorder swaps
 }
 
@@ -313,7 +313,7 @@ func (b *mailbox) state() (down bool, err error) {
 	if b.closed {
 		err = ErrClosed
 	}
-	return b.down, err
+	return b.down.Load(), err
 }
 
 // put enqueues one message. It reports false (and no error) when the
@@ -326,7 +326,7 @@ func (b *mailbox) put(m Message, reorder bool) (bool, error) {
 	if b.closed {
 		return false, ErrClosed
 	}
-	if b.down {
+	if b.down.Load() {
 		return false, nil
 	}
 	b.queue = append(b.queue, m)
@@ -350,7 +350,7 @@ func (b *mailbox) get(src int, tag Tag, deadline time.Time) (m Message, err erro
 			err = ErrClosed
 			break
 		}
-		if b.down {
+		if b.down.Load() {
 			err = ErrProcessorDown
 			break
 		}
@@ -435,10 +435,10 @@ func (b *mailbox) stop() {
 func (b *mailbox) kill() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed || b.down {
+	if b.closed || b.down.Load() {
 		return
 	}
-	b.down = true
+	b.down.Store(true)
 	b.stop()
 }
 
