@@ -390,10 +390,10 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 		fmt.Printf("  %3d -> %-3d %-11s %-9s %-9s %9d %10d  %s\n",
 			e.SrcProc, e.DstProc, runs, stepString(e.SrcStep), stepString(e.DstStep), elems, bytes, transport)
 	}
-	// The direct plane's budget for a caller on processor 0: the
-	// coordinator request, one ship order per remote source owner, one
-	// ship per cross-processor pair (the pinned formula of
-	// arraymgr.TestRedistributeMessageBudget).
+	// The direct plane's budget for a caller on processor 0, whose
+	// coordinator runs on the caller and sends nothing itself: one ship
+	// order per remote source owner, one ship per cross-processor pair
+	// (the pinned formula of arraymgr.TestRedistributeMessageBudget).
 	remoteSrc, remoteDst := 0, 0
 	for o := range srcOwners {
 		if o != 0 {
@@ -405,20 +405,10 @@ func showRedist(dimsArg, pArg, srcArg, dstArg string) error {
 			remoteDst++
 		}
 	}
-	direct := 1 + remoteSrc + crossPairs
-	if len(srcOwners) == 1 && len(dstOwners) == 1 && crossPairs == 0 && srcOwners[0] && dstOwners[0] {
-		direct = 0 // wholly local on the caller: the zero-message fast path
-	}
-	// The bounce pays a read (coordinator + remote source owners) plus a
-	// write (coordinator + remote destination owners), each phase free
-	// only when wholly local to the caller.
-	bounce := 0
-	if remoteSrc > 0 || len(srcOwners) > 1 || !srcOwners[0] {
-		bounce += 1 + remoteSrc
-	}
-	if remoteDst > 0 || len(dstOwners) > 1 || !dstOwners[0] {
-		bounce += 1 + remoteDst
-	}
+	direct := remoteSrc + crossPairs
+	// The bounce pays a read (one request per remote source owner) plus
+	// a write (one per remote destination owner).
+	bounce := remoteSrc + remoteDst
 	fmt.Printf("  total: %d owner pairs (%d with several runs in a dimension), %d elements, %d wire bytes, %d source owner(s), %d destination owner(s)\n",
 		len(sched.Blocks), multi, totalElems, totalBytes, len(srcOwners), len(dstOwners))
 	fmt.Printf("  messages (caller on processor 0): direct %d, gather-then-scatter bounce %d\n", direct, bounce)

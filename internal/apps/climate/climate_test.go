@@ -119,8 +119,9 @@ func TestRunValidation(t *testing.T) {
 
 // TestHaloMessageBudget pins the diffusion step's halo traffic: one
 // ProgDiffuse call on P copies exchanges exactly one message per
-// neighbour — plus the fixed call overhead of one find_local per copy and
-// the P-1 combine-tree messages — however wide the field.
+// neighbour — plus the fixed call overhead of the P-1 combine-tree
+// messages (each copy's find_local runs on its own goroutine and sends
+// nothing) — however wide the field.
 func TestHaloMessageBudget(t *testing.T) {
 	const rows, cols, p = 16, 8, 4
 	m := core.New(p)
@@ -151,8 +152,8 @@ func TestHaloMessageBudget(t *testing.T) {
 		field.Param(), dcall.ReduceNamed(2*cols, EdgesCombine, defval.New[[]float64]())); err != nil {
 		t.Fatal(err)
 	}
-	// p find_local requests + 2*(p-1) halo rows + p-1 combines.
-	want := uint64(p + 2*(p-1) + (p - 1))
+	// 2*(p-1) halo rows + p-1 combines.
+	want := uint64(2*(p-1) + (p - 1))
 	if got := router.Sent() - before; got != want {
 		t.Fatalf("diffuse call sent %d messages, want %d (one halo message per neighbour per step)", got, want)
 	}

@@ -257,22 +257,24 @@ func RunPanelHandoff(m *core.Machine, cfg PanelConfig) (*PanelResult, error) {
 			if err := w.WriteBlock(lo, hi, buf); err != nil {
 				return nil, err
 			}
-			// Read: the wholly-local fast path is free; a remote panel
-			// costs the coordinator self-send plus the owner request
-			// (replies ride in-process channels, not the router).
+			// Hops are charged as the wire charges them, replies and
+			// acks included, though in one process those ride the
+			// completion table rather than the router. Read: the
+			// wholly-local fast path is free; a remote panel costs the
+			// owner request and its reply.
 			if !srcLocal {
 				hops += 2
 			}
-			// Write: coordinator self-send, then the per-owner writes
-			// overlap into one hop.
+			// Write: the per-owner writes overlap into one hop, and
+			// their acks into another.
 			hops += 2
 		} else {
 			if err := w.RedistributeFrom(a, lo, hi); err != nil {
 				return nil, err
 			}
-			// Coordinator self-send, then (for a remote panel) the ship
-			// order to the source owner, then the overlapped
-			// owner-to-owner ships.
+			// For a remote panel the ship order to the source owner,
+			// then the overlapped owner-to-owner ships, then their acks
+			// back to the caller.
 			hops += 2
 			if !srcLocal {
 				hops++

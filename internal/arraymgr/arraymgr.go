@@ -2,14 +2,15 @@
 // runtime support for distributed arrays.
 //
 // The array manager consists of one array-manager server per virtual
-// processor. All requests by task-parallel programs to create or manipulate
-// distributed arrays are handled by the *local* array-manager server, which
-// communicates with the array-manager servers on other processors as needed
-// to fulfil the request (e.g. array creation touches every processor over
-// which the array is distributed; reading an element touches the processor
-// owning it). Requests travel over the machine's message router using
-// task-parallel-class tags, keeping array-manager traffic disjoint from
-// data-parallel program traffic per §3.4.1.
+// processor. An operation a task-parallel program invokes on a processor
+// to create or manipulate distributed arrays is coordinated there, on the
+// calling goroutine itself, against that processor's server state; the
+// coordinator sends owner requests to the servers on other processors as
+// needed to fulfil it (e.g. array creation touches every processor over
+// which the array is distributed; reading an element touches the
+// processor owning it). Requests travel over the machine's message router
+// using task-parallel-class tags, keeping array-manager traffic disjoint
+// from data-parallel program traffic per §3.4.1.
 //
 // Each server keeps a list of array entries. An entry is added on every
 // processor over which an array is distributed as well as on the creating
@@ -261,50 +262,35 @@ type Manager struct {
 // payload type.
 const kindAM = -100
 
-// opCode names an array-manager operation; it crosses the wire as one
-// byte. The zero value is no operation: owner routines a coordinator
-// calls directly leave it unset.
+// opCode names an owner operation, the one thing a request asks of the
+// server it is sent to; it crosses the wire as one byte. The zero value
+// is no operation: owner routines a coordinator calls directly leave it
+// unset.
 type opCode uint8
 
 const (
-	opCreateArray opCode = iota + 1
-	opCreateLocal
-	opFreeArray
+	opCreateLocal opCode = iota + 1
 	opFreeLocal
-	opRead       // read coordinator: a rectangle or an index vector
-	opReadLocal  // owner read of one piece
-	opWrite      // write coordinator
-	opWriteLocal // owner write of one piece
-	opMirrorWrite
-	opRedistribute
-	opRedistSrc
-	opRedistShip
-	opFindLocal
-	opFindInfo
-	opVerifyArray
 	opCopyLocal
 	opUpdateMeta
+	opReadLocal
+	opWriteLocal
+	opMirrorWrite
+	opRedistSrc
+	opRedistShip
 )
 
 // opNames are the operation names of the paper's am_debug trace lines.
 var opNames = [...]string{
-	opCreateArray:  "create_array",
-	opCreateLocal:  "create_local",
-	opFreeArray:    "free_array",
-	opFreeLocal:    "free_local",
-	opRead:         "read",
-	opReadLocal:    "read_local",
-	opWrite:        "write",
-	opWriteLocal:   "write_local",
-	opMirrorWrite:  "mirror_write",
-	opRedistribute: "redistribute",
-	opRedistSrc:    "redist_src",
-	opRedistShip:   "redist_ship",
-	opFindLocal:    "find_local",
-	opFindInfo:     "find_info",
-	opVerifyArray:  "verify_array",
-	opCopyLocal:    "copy_local",
-	opUpdateMeta:   "update_meta",
+	opCreateLocal: "create_local",
+	opFreeLocal:   "free_local",
+	opCopyLocal:   "copy_local",
+	opUpdateMeta:  "update_meta",
+	opReadLocal:   "read_local",
+	opWriteLocal:  "write_local",
+	opMirrorWrite: "mirror_write",
+	opRedistSrc:   "redist_src",
+	opRedistShip:  "redist_ship",
 }
 
 func (o opCode) String() string {
@@ -314,50 +300,40 @@ func (o opCode) String() string {
 	return fmt.Sprintf("op(%d)", o)
 }
 
-// request is one array-manager request in flight. It is answered by
-// completion-table id (replyID, or a ship's ackID), never through a
+// request is one owner request in flight: the message a server
+// receives from a coordinator, or from another owner (a mirror or a
+// shipped piece). Coordinators run on the goroutine that invoked the
+// public operation and never receive a request. A request is answered
+// by completion-table id (replyID, or a ship's ackID), never through a
 // channel it carries, so the same value serves in-process and decoded
 // off the wire.
 type request struct {
-	op    opCode
-	id    darray.ID
-	spec  *CreateSpec
-	meta  *darray.Meta // for create_local / update_meta
-	gidx  []int        // copy_local: new borders
-	gidxs [][]int      // read/write coordinator: an index vector (nil for a rectangle)
-	offs  []int        // owner read/write: an offset-set piece's storage offsets
-	lo    []int        // read/write: rectangle bounds (global at the
-	hi    []int        // coordinator, interior-local at the owner)
-	step  []int        // read/write: per-dimension stride (>= 1; nil = dense)
-	runs  []int        // owner read/write: runs per dimension of lo/hi/step (nil = one each)
-	vals  []float64    // write data
-	out   []float64    // read coordinator: optional caller buffer (never encoded)
-	slot  int          // owner ops: the grid slot the payload addresses,
+	op   opCode
+	id   darray.ID
+	meta *darray.Meta // for create_local / update_meta
+	gidx []int        // copy_local: new borders
+	offs []int        // owner read/write: an offset-set piece's storage offsets
+	lo   []int        // owner read/write: interior-local rectangle bounds
+	hi   []int
+	step []int     // read/write: per-dimension stride (>= 1; nil = dense)
+	runs []int     // owner read/write: runs per dimension of lo/hi/step (nil = one each)
+	vals []float64 // write data
+	slot int       // owner ops: the grid slot the payload addresses,
 	// set by every coordinator split site so a processor serving several
 	// slots after a promotion routes to the right storage (sectionFor)
-	which string // find_info selector
-	node  int    // redist_ship: the source owner that shipped the piece
-	// verify parameters
-	ndims    int
-	borders  BorderSpec
-	indexing grid.Indexing
-	// redistribution parameters: the coordinator request names the
-	// destination array in id and the source in id2, with lo/hi the
-	// destination rectangle and lo2 the source origin; redist_src
-	// requests carry the per-pair ships, acknowledged by
-	// (ackProc, ackID) below (see redist.go).
+	node int // redist_ship: the source owner that shipped the piece
+	// redist_src: id names the source array and id2 the destination;
+	// ships carries the source owner's pairs, acknowledged by (ackProc,
+	// ackID) below (see redist.go).
 	id2   darray.ID
-	lo2   []int
 	ships []redistShip
 
 	// Recovery identity (resilient.go): seq is the per-request dedup id
 	// (0 in reliable mode), call/pair identify one redistribution ship,
 	// and src/dst let await retransmit the same request object. Handlers
 	// treat requests as read-only, so a retransmitted delivery may alias
-	// the original safely. The one thing a handler writes through, a read
-	// coordinator's out, stays off the wire (coordinator requests never
-	// leave their process), so the fault plane's encode of a duplicated
-	// retransmit never reads it while the first delivery fills it.
+	// the original safely, and the fault plane's encode of a duplicated
+	// retransmit never races a handler.
 	seq  uint64
 	call uint64
 	pair int
@@ -375,11 +351,9 @@ type request struct {
 }
 
 type response struct {
-	status  Status
-	vals    []float64
-	section *darray.Section
-	info    any
-	pair    int // redistribution acks: which ship this acknowledges
+	status Status
+	vals   []float64
+	pair   int // redistribution acks: which ship this acknowledges
 }
 
 // New starts an array manager on every processor of the machine (the
@@ -416,10 +390,11 @@ func (m *Manager) borderResolver() BorderResolver {
 	return m.resolver
 }
 
-// serve is one array-manager server loop: it receives requests addressed to
-// this processor and services each in its own goroutine (the PCN server
-// spawns a process per request, so concurrent requests never deadlock the
-// server).
+// serve is one array-manager server loop: it receives the owner requests
+// addressed to this processor and services each in its own goroutine
+// (the PCN server spawns a process per request, so concurrent requests
+// never deadlock the server), and files the wire replies and acks
+// addressed to this processor's coordinators.
 func (m *Manager) serve(proc int) {
 	router := m.machine.Router()
 	var dedup deduper
@@ -433,7 +408,7 @@ func (m *Manager) serve(proc int) {
 			// processor goes straight into the completion table.
 			// An answer nobody takes any more returns its decoded
 			// payload to the pool.
-			if !m.deliver(w.ID, response{status: w.Status, vals: w.Vals, info: w.Info, pair: w.Pair}) {
+			if !m.deliver(w.ID, response{status: w.Status, vals: w.Vals, pair: w.Pair}) {
 				putBuf(w.Vals)
 			}
 			continue
@@ -454,16 +429,16 @@ func (m *Manager) serve(proc int) {
 	}
 }
 
-// sendAsync routes a request to the server on processor dst and returns
-// immediately; the server's response is collected with await. Router
-// sends never block, so a coordinator can scatter requests to any number
-// of owners before gathering a single reply — the async request/reply
-// facility behind the concurrent data-plane coordinators and the flat
-// control fan-out. The reply channel is entered in the completion
-// table, wherever dst lives; await unregisters it. Under a call policy
-// the request is stamped with a fresh dedup id and a known-dead
-// destination is refused up front (saving a full timeout per dead
-// target when an owner is down).
+// sendAsync routes an owner request to the server on processor dst and
+// returns immediately; the server's response is collected with await.
+// Router sends never block, so a coordinator can scatter requests to any
+// number of owners before gathering a single reply — the async
+// request/reply facility behind the data-plane coordinators, the flat
+// control fan-out and the replicated write's mirrors. The reply channel
+// is entered in the completion table, wherever dst lives; await
+// unregisters it. Under a call policy the request is stamped with a
+// fresh dedup id and a known-dead destination is refused up front
+// (saving a full timeout per dead target when an owner is down).
 func (m *Manager) sendAsync(src, dst int, req *request) waiter {
 	w := waiter{req: req, done: make(chan response, 1)}
 	req.src, req.dst = src, dst
@@ -486,37 +461,22 @@ func (m *Manager) sendAsync(src, dst int, req *request) waiter {
 	return w
 }
 
-// send routes a request to the server on processor dst and waits for its
-// response.
-func (m *Manager) send(src, dst int, req *request) response {
-	return m.await(m.sendAsync(src, dst, req))
-}
-
-// handle dispatches one request at the server on proc. With tracing at
-// Ops level the manager behaves like the paper's am_debug build, emitting
-// one trace message per operation (§B.3).
+// handle dispatches one owner request at the server on proc. With
+// tracing at Ops level the manager behaves like the paper's am_debug
+// build, emitting one trace message per operation (§B.3). An op byte
+// that names no owner operation is answered StatusError.
 func (m *Manager) handle(proc int, req *request) {
 	if trace.Enabled(trace.Ops) {
 		trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
 	}
 	var resp response
 	switch req.op {
-	case opCreateArray:
-		resp = m.doCreate(proc, req)
 	case opCreateLocal, opFreeLocal, opCopyLocal, opUpdateMeta:
 		resp = m.control(proc, req)
-	case opFreeArray:
-		resp = m.doFree(proc, req)
-	case opRead:
-		resp = m.doRead(proc, req)
 	case opReadLocal:
 		resp = m.doReadLocal(proc, req)
-	case opWrite:
-		resp = m.doWrite(proc, req)
 	case opWriteLocal, opMirrorWrite:
 		resp = m.doWriteLocal(proc, req)
-	case opRedistribute:
-		resp = m.doRedistribute(proc, req)
 	case opRedistSrc:
 		// One-way ship traffic answers its pairs by ack id, not by a reply.
 		m.doRedistSrc(proc, req)
@@ -525,12 +485,6 @@ func (m *Manager) handle(proc int, req *request) {
 	case opRedistShip:
 		m.doRedistShip(proc, req)
 		return
-	case opFindLocal:
-		resp = m.doFindLocal(proc, req)
-	case opFindInfo:
-		resp = m.doFindInfo(proc, req)
-	case opVerifyArray:
-		resp = m.doVerify(proc, req)
 	default:
 		resp = response{status: StatusError}
 	}
@@ -552,6 +506,31 @@ func (m *Manager) handle(proc int, req *request) {
 			putBuf(req.vals)
 		}
 	}
+}
+
+// enter guards an operation invoked on processor onProc (§3.2.1.5), whose
+// coordinator then runs on the calling goroutine: onProc must be hosted
+// in this process (StatusInvalid otherwise, out of range included),
+// alive (StatusDown) and the machine open (StatusClosed). With tracing
+// at Ops level it emits the operation's am_debug line, as handle does
+// for an owner's.
+func (m *Manager) enter(onProc int, op string, id darray.ID) Status {
+	router := m.machine.Router()
+	if !router.Local(onProc) {
+		return StatusInvalid
+	}
+	if router.Down(onProc) {
+		return StatusDown
+	}
+	select {
+	case <-router.Done():
+		return StatusClosed
+	default:
+	}
+	if trace.Enabled(trace.Ops) {
+		trace.Logf(trace.Ops, onProc, "am: %s %v", op, id)
+	}
+	return StatusOK
 }
 
 // --- coordinator operations ---
@@ -616,56 +595,56 @@ func (m *Manager) resolveBorders(spec BorderSpec, ndims int) ([]int, Status) {
 	}
 }
 
-func (m *Manager) doCreate(proc int, req *request) response {
-	spec := req.spec
-	if spec == nil || len(spec.Dims) == 0 || len(spec.Procs) == 0 {
-		return response{status: StatusInvalid}
+// doCreate is the create_array coordinator.
+func (m *Manager) doCreate(proc int, spec *CreateSpec) (darray.ID, Status) {
+	if len(spec.Dims) == 0 || len(spec.Procs) == 0 {
+		return darray.ID{}, StatusInvalid
 	}
 	for _, d := range spec.Dims {
 		if d < 1 {
-			return response{status: StatusInvalid}
+			return darray.ID{}, StatusInvalid
 		}
 	}
 	seen := make(map[int]bool, len(spec.Procs))
 	for _, p := range spec.Procs {
 		if m.machine.CheckProc(p) != nil || seen[p] {
-			return response{status: StatusInvalid}
+			return darray.ID{}, StatusInvalid
 		}
 		seen[p] = true
 	}
 	if len(spec.Distrib) != len(spec.Dims) {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	gridDims, err := grid.GridDims(len(spec.Procs), spec.Distrib)
 	if err != nil {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	dists, err := grid.ResolveDists(spec.Dims, gridDims, spec.Distrib)
 	if err != nil {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	// Sections are sized uniformly at the fullest cell's extent; the
 	// divide-evenly restriction of the paper's prototype (§3.2.1.1) is
 	// gone — trailing blocks may be short or empty.
 	localDims, err := grid.StorageDims(spec.Dims, gridDims, dists)
 	if err != nil {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	borders, st := m.resolveBorders(spec.Borders, len(spec.Dims))
 	if st != StatusOK {
-		return response{status: st}
+		return darray.ID{}, st
 	}
 	if !bordersAllowed(borders, spec.Dims, gridDims, dists) {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	plus, err := darray.DimsPlus(localDims, borders)
 	if err != nil {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 	// Replication needs k distinct buddy slots following each slot, so k
 	// must leave at least one non-buddy: 0 <= k < grid size.
 	if spec.Replicas < 0 || spec.Replicas >= grid.Size(gridDims) {
-		return response{status: StatusInvalid}
+		return darray.ID{}, StatusInvalid
 	}
 
 	srv := m.servers[proc]
@@ -697,9 +676,9 @@ func (m *Manager) doCreate(proc int, req *request) response {
 		targets[p] = true
 	}
 	if st := m.fanout(proc, &request{op: opCreateLocal, id: id, meta: meta}, targets); st != StatusOK {
-		return response{status: st}
+		return darray.ID{}, st
 	}
-	return response{status: StatusOK, info: id}
+	return id, StatusOK
 }
 
 // fanout delivers one control request (create_local, free_local,
@@ -812,18 +791,19 @@ func (m *Manager) lookup(proc int, id darray.ID) (*entry, Status) {
 	return e, StatusOK
 }
 
-func (m *Manager) doFree(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+// doFree is the free_array coordinator.
+func (m *Manager) doFree(proc int, id darray.ID) Status {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
-		return response{status: st}
+		return st
 	}
-	targets := map[int]bool{proc: true, req.id.Proc: true}
+	targets := map[int]bool{proc: true, id.Proc: true}
 	for _, p := range e.meta.SectionProcs() {
 		targets[p] = true
 	}
 	// A target that already lost its entry reports STATUS_NOT_FOUND,
 	// which fanout counts as done (freeing is idempotent).
-	return response{status: m.fanout(proc, &request{op: opFreeLocal, id: req.id}, targets)}
+	return m.fanout(proc, &request{op: opFreeLocal, id: id}, targets)
 }
 
 func (m *Manager) doFreeLocal(proc int, req *request) response {
@@ -857,10 +837,10 @@ func (m *Manager) unsnapshot(owner int, st Status, vals []float64) {
 	putBuf(vals)
 }
 
-func (m *Manager) doFindLocal(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+func (m *Manager) doFindLocal(proc int, id darray.ID) (*darray.Section, Status) {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
-		return response{status: st}
+		return nil, st
 	}
 	srv := m.servers[proc]
 	srv.mu.Lock()
@@ -868,19 +848,19 @@ func (m *Manager) doFindLocal(proc int, req *request) response {
 	if e.section == nil {
 		// find_local requires a local view: only processors holding a
 		// section may ask (§5.1.4).
-		return response{status: StatusNotFound}
+		return nil, StatusNotFound
 	}
-	return response{status: StatusOK, section: e.section}
+	return e.section, StatusOK
 }
 
-func (m *Manager) doFindInfo(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+func (m *Manager) doFindInfo(proc int, id darray.ID, which string) (any, Status) {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
-		return response{status: st}
+		return nil, st
 	}
 	meta := e.meta
 	var out any
-	switch req.which {
+	switch which {
 	case "type":
 		out = meta.Type.String()
 	case "dimensions":
@@ -904,47 +884,48 @@ func (m *Manager) doFindInfo(proc int, req *request) response {
 	case "meta":
 		out = meta.Clone() // full metadata, a convenience beyond the paper
 	default:
-		return response{status: StatusInvalid}
+		return nil, StatusInvalid
 	}
-	return response{status: StatusOK, info: out}
+	return out, StatusOK
 }
 
-func (m *Manager) doVerify(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+// doVerify is the verify_array coordinator.
+func (m *Manager) doVerify(proc int, id darray.ID, ndims int, borders BorderSpec, indexing grid.Indexing) Status {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
-		return response{status: st}
+		return st
 	}
 	meta := e.meta
-	if req.ndims != meta.NDims() {
-		return response{status: StatusInvalid}
+	if ndims != meta.NDims() {
+		return StatusInvalid
 	}
-	if req.indexing != meta.Indexing {
+	if indexing != meta.Indexing {
 		// The indexing type cannot be corrected by reallocation; a
 		// mismatch is an invalid request (§4.2.7's third example).
-		return response{status: StatusInvalid}
+		return StatusInvalid
 	}
-	expected, bst := m.resolveBorders(req.borders, meta.NDims())
+	expected, bst := m.resolveBorders(borders, meta.NDims())
 	if bst != StatusOK {
-		return response{status: bst}
+		return bst
 	}
 	// Verification may not retrofit borders onto a layout that could not
 	// have been created with them (the same block-only contract as
 	// create_array).
 	if !bordersAllowed(expected, meta.Dims, meta.GridDims, meta.ResolvedDists()) {
-		return response{status: StatusInvalid}
+		return StatusInvalid
 	}
 	if darray.EqualInts(expected, meta.Borders) {
-		return response{status: StatusOK}
+		return StatusOK
 	}
 	// Mismatch: reallocate every local section with the expected borders,
 	// copying interior data, and update metadata everywhere an entry
 	// exists (section holders + creator + this coordinator). The
 	// reallocation fans out like create/free.
-	targets := map[int]bool{proc: true, req.id.Proc: true}
+	targets := map[int]bool{proc: true, id.Proc: true}
 	for _, p := range meta.SectionProcs() {
 		targets[p] = true
 	}
-	return response{status: m.fanout(proc, &request{op: opCopyLocal, id: req.id, gidx: expected}, targets)}
+	return m.fanout(proc, &request{op: opCopyLocal, id: id, gidx: expected}, targets)
 }
 
 // doCopyLocal reallocates this processor's local section with new borders
@@ -1006,22 +987,18 @@ func (m *Manager) doUpdateMeta(proc int, req *request) response {
 // CreateArray services a create_array request made on processor onProc and
 // returns the new array's globally unique ID.
 func (m *Manager) CreateArray(onProc int, spec CreateSpec) (darray.ID, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return darray.ID{}, StatusInvalid
+	if st := m.enter(onProc, "create_array", darray.ID{}); st != StatusOK {
+		return darray.ID{}, st
 	}
-	r := m.send(onProc, onProc, &request{op: opCreateArray, spec: &spec})
-	if r.status != StatusOK {
-		return darray.ID{}, r.status
-	}
-	return r.info.(darray.ID), StatusOK
+	return m.doCreate(onProc, &spec)
 }
 
 // FreeArray deletes the array and frees all its local sections.
 func (m *Manager) FreeArray(onProc int, id darray.ID) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "free_array", id); st != StatusOK {
+		return st
 	}
-	return m.send(onProc, onProc, &request{op: opFreeArray, id: id}).status
+	return m.doFree(onProc, id)
 }
 
 // GatherElements reads the elements at the given global index tuples,
@@ -1030,9 +1007,6 @@ func (m *Manager) FreeArray(onProc int, id darray.ID) Status {
 // owner holds — the indexed companion of ReadBlock for access patterns
 // with no rectangular structure.
 func (m *Manager) GatherElements(onProc int, id darray.ID, indices [][]int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
-	}
 	out := make([]float64, len(indices))
 	if st := m.GatherElementsInto(onProc, id, indices, out); st != StatusOK {
 		return nil, st
@@ -1044,15 +1018,15 @@ func (m *Manager) GatherElements(onProc int, id darray.ID, indices [][]int) ([]f
 // must hold exactly len(indices) elements and receives the values in
 // place. dst is owned by the caller throughout.
 func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localVectorFast(onProc, id, indices, true, dst); ok {
 		return st
 	}
-	indices = vector(indices)
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, gidxs: indices, out: dst}
+	rg := region{idx: vector(indices)}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doRead(onProc, id, rg, dst)
 	}).status
 }
 
@@ -1062,17 +1036,17 @@ func (m *Manager) GatherElementsInto(onProc int, id darray.ID, indices [][]int, 
 // wins). vals is never retained; remote owners receive their own
 // snapshots.
 func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "write", id); st != StatusOK {
+		return st
 	}
 	if len(indices) == len(vals) {
 		if st, ok := m.localVectorFast(onProc, id, indices, false, vals); ok {
 			return st
 		}
 	}
-	indices = vector(indices)
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWrite, id: id, gidxs: indices, vals: vals}
+	rg := region{idx: vector(indices)}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doWrite(onProc, id, rg, vals)
 	}).status
 }
 
@@ -1081,16 +1055,16 @@ func (m *Manager) ScatterElements(onProc int, id darray.ID, indices [][]int, val
 // scratch pool and a wholly-local element takes the router-free fast path,
 // so local element reads allocate nothing.
 func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return 0, StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return 0, st
 	}
 	s := elemScratchPool.Get().(*elemScratch)
 	s.idx[0] = indices
 	s.val[0] = 0 // failed reads report 0, not a stale pooled value
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, true, s.val[:])
 	if !ok {
-		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: opRead, id: id, gidxs: s.gidxs, out: s.val[:]}
+		st = m.sendData(onProc, []darray.ID{id}, func() response {
+			return m.doRead(onProc, id, region{idx: s.gidxs}, s.val[:])
 		}).status
 	}
 	v := s.val[0]
@@ -1106,16 +1080,16 @@ func (m *Manager) ReadElement(onProc int, id darray.ID, indices []int) (float64,
 // degenerate case of ScatterElements, sharing ReadElement's scratch pool
 // and local fast path.
 func (m *Manager) WriteElement(onProc int, id darray.ID, indices []int, v float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "write", id); st != StatusOK {
+		return st
 	}
 	s := elemScratchPool.Get().(*elemScratch)
 	s.idx[0] = indices
 	s.val[0] = v
 	st, ok := m.localVectorFast(onProc, id, s.gidxs, false, s.val[:])
 	if !ok {
-		st = m.sendData(onProc, []darray.ID{id}, func() *request {
-			return &request{op: opWrite, id: id, gidxs: s.gidxs, vals: s.val[:]}
+		st = m.sendData(onProc, []darray.ID{id}, func() response {
+			return m.doWrite(onProc, id, region{idx: s.gidxs}, s.val[:])
 		}).status
 	}
 	s.idx[0] = nil
@@ -1249,8 +1223,8 @@ var elemScratchPool = sync.Pool{New: func() any {
 }}
 
 // vector marks an index list as one for the coordinator, which tells an
-// index vector from a rectangle by a non-nil gidxs: a nil list becomes
-// the empty vector.
+// index vector from a rectangle by a non-nil region.idx: a nil list
+// becomes the empty vector.
 func vector(indices [][]int) [][]int {
 	if indices == nil {
 		return [][]int{}
@@ -1264,11 +1238,11 @@ func vector(indices [][]int) [][]int {
 // message per remote owner concurrently, regardless of the rectangle's
 // element count, and gathers the replies.
 func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return nil, st
 	}
-	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi}
+	r := m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doRead(onProc, id, region{lo: lo, hi: hi}, nil)
 	})
 	return r.vals, r.status
 }
@@ -1281,14 +1255,14 @@ func (m *Manager) ReadBlock(onProc int, id darray.ID, lo, hi []int) ([]float64, 
 // assembles the remote pieces directly into dst. dst is owned by the
 // caller throughout — the manager retains no reference to it.
 func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, nil, true, dst); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi, out: dst}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doRead(onProc, id, region{lo: lo, hi: hi}, dst)
 	}).status
 }
 
@@ -1300,14 +1274,14 @@ func (m *Manager) ReadBlockInto(onProc int, id darray.ID, lo, hi []int, dst []fl
 // receive their own snapshots, so the caller may reuse the buffer as soon
 // as WriteBlock returns.
 func (m *Manager) WriteBlock(onProc int, id darray.ID, lo, hi []int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "write", id); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, nil, false, vals); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWrite, id: id, lo: lo, hi: hi, vals: vals}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doWrite(onProc, id, region{lo: lo, hi: hi}, vals)
 	}).status
 }
 
@@ -1319,11 +1293,11 @@ func (m *Manager) WriteBlock(onProc int, id darray.ID, lo, hi []int, vals []floa
 // O(#owners) messages instead of an index vector with one offset per
 // element.
 func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int) ([]float64, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return nil, st
 	}
-	r := m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step}
+	r := m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doRead(onProc, id, region{lo: lo, hi: hi, step: step}, nil)
 	})
 	return r.vals, r.status
 }
@@ -1334,14 +1308,14 @@ func (m *Manager) ReadBlockStrided(onProc int, id darray.ID, lo, hi, step []int)
 // storage with no message and zero heap allocations (up to
 // darray.MaxFastDims dimensions); dst is owned by the caller throughout.
 func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []int, dst []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "read", id); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, true, dst); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opRead, id: id, lo: lo, hi: hi, step: step, out: dst}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doRead(onProc, id, region{lo: lo, hi: hi, step: step}, dst)
 	}).status
 }
 
@@ -1351,14 +1325,14 @@ func (m *Manager) ReadBlockStridedInto(onProc int, id darray.ID, lo, hi, step []
 // concurrent message per remote owning processor otherwise. Elements off
 // the lattice are untouched; vals is never retained.
 func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int, vals []float64) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "write", id); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localBlockFast(onProc, id, lo, hi, step, false, vals); ok {
 		return st
 	}
-	return m.sendData(onProc, []darray.ID{id}, func() *request {
-		return &request{op: opWrite, id: id, lo: lo, hi: hi, step: step, vals: vals}
+	return m.sendData(onProc, []darray.ID{id}, func() response {
+		return m.doWrite(onProc, id, region{lo: lo, hi: hi, step: step}, vals)
 	}).status
 }
 
@@ -1366,11 +1340,10 @@ func (m *Manager) WriteBlockStrided(onProc int, id darray.ID, lo, hi, step []int
 // suitable for passing to a data-parallel program. Only processors holding
 // a section may call it.
 func (m *Manager) FindLocal(onProc int, id darray.ID) (*darray.Section, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
+	if st := m.enter(onProc, "find_local", id); st != StatusOK {
+		return nil, st
 	}
-	r := m.send(onProc, onProc, &request{op: opFindLocal, id: id})
-	return r.section, r.status
+	return m.doFindLocal(onProc, id)
 }
 
 // FindInfo returns information about the array; which is one of the §4.2.6
@@ -1379,11 +1352,10 @@ func (m *Manager) FindLocal(onProc int, id darray.ID) (*darray.Section, Status) 
 // "grid_indexing_type"), "distribution" for the per-dimension
 // distributions ([]grid.Dist), or "meta" for the full metadata.
 func (m *Manager) FindInfo(onProc int, id darray.ID, which string) (any, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
+	if st := m.enter(onProc, "find_info", id); st != StatusOK {
+		return nil, st
 	}
-	r := m.send(onProc, onProc, &request{op: opFindInfo, id: id, which: which})
-	return r.info, r.status
+	return m.doFindInfo(onProc, id, which)
 }
 
 // Meta returns the full metadata of an array (convenience wrapper over
@@ -1400,10 +1372,8 @@ func (m *Manager) Meta(onProc int, id darray.ID) (*darray.Meta, Status) {
 // borders, reallocating and copying local sections if the borders differ
 // (§4.2.7).
 func (m *Manager) VerifyArray(onProc int, id darray.ID, ndims int, borders BorderSpec, indexing grid.Indexing) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "verify_array", id); st != StatusOK {
+		return st
 	}
-	return m.send(onProc, onProc, &request{
-		op: opVerifyArray, id: id, ndims: ndims, borders: borders, indexing: indexing,
-	}).status
+	return m.doVerify(onProc, id, ndims, borders, indexing)
 }

@@ -625,8 +625,8 @@ func TestOpsTracing(t *testing.T) {
 // BenchmarkRemoteReadInproc prices an 8 KiB remote read on one in-process
 // machine: processor 0 reads the whole piece owned by processor 1 of a
 // block array over 4, so the coordinator's split, the owner's
-// validation and copy, and the request goroutine's stack all sit on the
-// measured path.
+// validation and copy, and the owner's request goroutine all sit on the
+// measured path; the coordinator runs on the benchmark's goroutine.
 func BenchmarkRemoteReadInproc(b *testing.B) {
 	const p, piece = 4, 1024
 	machine := vp.NewMachine(p)

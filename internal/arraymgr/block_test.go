@@ -57,8 +57,9 @@ func TestBlockElementEquivalence(t *testing.T) {
 }
 
 // TestBlockOneMessagePerOwner verifies the bulk data plane's message
-// budget: a block transfer issues exactly one coordinator request plus one
-// request per remote owning processor, independent of element count.
+// budget: a block transfer issues exactly one request per remote owning
+// processor, independent of element count; the coordinator runs on the
+// caller and costs none.
 func TestBlockOneMessagePerOwner(t *testing.T) {
 	machine, m := newTestManager(t, 4)
 	spec := basicSpec(4)
@@ -74,7 +75,7 @@ func TestBlockOneMessagePerOwner(t *testing.T) {
 		t.Fatalf("ReadBlock: %v", st)
 	}
 	got := machine.Router().Sent() - before
-	if want := uint64(1 + remote); got != want {
+	if want := uint64(remote); got != want {
 		t.Fatalf("ReadBlock of 1024 elements sent %d messages, want %d", got, want)
 	}
 
@@ -83,7 +84,7 @@ func TestBlockOneMessagePerOwner(t *testing.T) {
 		t.Fatalf("WriteBlock: %v", st)
 	}
 	got = machine.Router().Sent() - before
-	if want := uint64(1 + remote); got != want {
+	if want := uint64(remote); got != want {
 		t.Fatalf("WriteBlock of 1024 elements sent %d messages, want %d", got, want)
 	}
 }

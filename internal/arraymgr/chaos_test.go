@@ -543,9 +543,9 @@ func TestKillMidRedistribute(t *testing.T) {
 // TestCloseMidCallSurfacesError closes the whole machine while a
 // coordinator is waiting on remote replies or acks — even with no retry
 // policy installed, the wait must observe the router's shutdown and
-// return an error status rather than deadlock. The read waits in await;
-// the redistribution runs its coordinator directly, so the close lands
-// in the ack gather. (The msg-level Close semantics are pinned in the
+// return an error status rather than deadlock. The read waits in await,
+// the redistribution in its ack gather; both coordinators run on the
+// calling goroutine. (The msg-level Close semantics are pinned in the
 // msg package; this is the coordinator half.)
 func TestCloseMidCallSurfacesError(t *testing.T) {
 	cases := []struct {
@@ -557,8 +557,7 @@ func TestCloseMidCallSurfacesError(t *testing.T) {
 			return st
 		}},
 		{"Redistribute", func(m *Manager, src, dst darray.ID) Status {
-			return m.doRedistribute(0, &request{op: opRedistribute, id: dst, id2: src,
-				lo: []int{0}, hi: []int{24}, lo2: []int{0}}).status
+			return m.Redistribute(0, dst, src, []int{0}, []int{24})
 		}},
 	}
 	for _, c := range cases {
@@ -583,5 +582,38 @@ func TestCloseMidCallSurfacesError(t *testing.T) {
 				t.Fatalf("%s hung across Close", c.name)
 			}
 		})
+	}
+}
+
+// TestCallOnKilledProcessorDown invokes operations on a killed processor
+// with no call policy installed. Each returns STATUS_DOWN at once: the
+// caller's goroutine runs the coordinator, and the guard refuses a dead
+// processor before any coordinator work. (A coordinator reached by a
+// message to the dead processor's own mailbox would never be served.)
+func TestCallOnKilledProcessorDown(t *testing.T) {
+	machine, m := newTestManager(t, 4)
+	id := mustCreate(t, m, 0, killSpec())
+	if err := machine.Router().KillProcessor(1); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func() Status
+	}{
+		{"ReadBlock", func() Status { _, st := m.ReadBlock(1, id, []int{0}, []int{24}); return st }},
+		{"FindLocal", func() Status { _, st := m.FindLocal(1, id); return st }},
+		{"CreateArray", func() Status { _, st := m.CreateArray(1, killSpec()); return st }},
+	}
+	for _, c := range calls {
+		done := make(chan Status, 1)
+		go func() { done <- c.call() }()
+		select {
+		case st := <-done:
+			if st != StatusDown {
+				t.Fatalf("%s on a killed processor: %v, want %v", c.name, st, StatusDown)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s on a killed processor still blocked after 1 s", c.name)
+		}
 	}
 }

@@ -11,11 +11,10 @@
 // The encoding is deterministic, so re-encoding an unchanged request
 // (a retransmit) reproduces the same bytes. A request's *darray.Meta
 // (create_local, update_meta) is encoded in place; a reply's Info is
-// polymorphic and recurses through wire.AppendAny, where every value a
-// handler answers with has a codec or a built-in shape: *darray.Meta
-// (find_info "meta"), darray.ID (create_array), []grid.Dist
-// ("distribution"), []int and string. No array-manager payload takes
-// the gob fallback. Each codec's Size walks the same fields as its
+// polymorphic and recurses through wire.AppendAny, where *darray.Meta,
+// darray.ID and []grid.Dist have codecs of their own (a distributed
+// call's tuples carry them too). No array-manager payload takes the gob
+// fallback. Each codec's Size walks the same fields as its
 // Append, so the transport draws a frame that holds the whole encoding;
 // payloads decode into the float-buffer pool (getBuf), and whoever
 // consumes them returns them there.
@@ -238,11 +237,10 @@ func readOp(b []byte) (opCode, []byte, error) {
 	return opCode(b[0]), b[1:], nil
 }
 
-// appendRequest encodes every request field an op that can target a
-// remote owner uses, among them the completion-table ids the handler
-// answers: replyID, or a ship's (ackProc, ackID). spec, ndims, borders and indexing are never encoded:
-// they belong to create_array and verify_array, which are always
-// coordinator self-sends and so never cross the wire.
+// appendRequest encodes every field of an owner request, among them the
+// completion-table ids the handler answers: replyID, or a ship's
+// (ackProc, ackID). A request is only ever an owner's message, so the
+// whole struct crosses.
 func appendRequest(b []byte, v any) []byte {
 	r := v.(*request)
 	b = append(b, byte(r.op))
@@ -253,16 +251,13 @@ func appendRequest(b []byte, v any) []byte {
 		b = appendMeta(b, r.meta)
 	}
 	b = wire.AppendInts(b, r.gidx)
-	b = wire.AppendIntRows(b, r.gidxs)
 	b = wire.AppendInts(b, r.offs)
 	b = wire.AppendInts(b, r.lo)
 	b = wire.AppendInts(b, r.hi)
 	b = wire.AppendInts(b, r.step)
 	b = wire.AppendInts(b, r.runs)
-	b = wire.AppendInts(b, r.lo2)
 	b = wire.AppendFloat64s(b, r.vals)
 	b = wire.AppendInt(b, r.slot)
-	b = wire.AppendString(b, r.which)
 	b = wire.AppendInt(b, r.node)
 	b = wire.AppendUvarint(b, uint64(len(r.ships)))
 	for i := range r.ships {
@@ -298,9 +293,9 @@ func sizeRequest(v any) int {
 	if r.meta != nil {
 		n += sizeMeta(r.meta)
 	}
-	n += wire.SizeInts(r.gidx) + wire.SizeIntRows(r.gidxs) + wire.SizeInts(r.offs) +
-		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.runs) + wire.SizeInts(r.lo2) +
-		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) + wire.SizeString(r.which) +
+	n += wire.SizeInts(r.gidx) + wire.SizeInts(r.offs) +
+		wire.SizeInts(r.lo) + wire.SizeInts(r.hi) + wire.SizeInts(r.step) + wire.SizeInts(r.runs) +
+		wire.SizeFloat64s(r.vals) + wire.SizeInt(r.slot) +
 		wire.SizeInt(r.node) + wire.SizeUvarint(uint64(len(r.ships)))
 	for i := range r.ships {
 		sh := &r.ships[i]
@@ -341,9 +336,6 @@ func readRequest(b []byte) (any, []byte, error) {
 	if r.gidx, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if r.gidxs, b, err = wire.ReadIntRows(b); err != nil {
-		return nil, b, err
-	}
 	if r.offs, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
@@ -359,16 +351,10 @@ func readRequest(b []byte) (any, []byte, error) {
 	if r.runs, b, err = wire.ReadInts(b); err != nil {
 		return nil, b, err
 	}
-	if r.lo2, b, err = wire.ReadInts(b); err != nil {
-		return nil, b, err
-	}
 	if r.vals, b, err = wire.ReadFloat64sWith(b, getBuf); err != nil {
 		return nil, b, err
 	}
 	if r.slot, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
-	if r.which, b, err = wire.ReadString(b); err != nil {
 		return nil, b, err
 	}
 	if r.node, b, err = wire.ReadInt(b); err != nil {

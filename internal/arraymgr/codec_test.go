@@ -68,12 +68,11 @@ func randMeta(rng *rand.Rand) *darray.Meta {
 	}
 }
 
-// randRequest draws a request with every field the codec carries set at
-// random; the coordinator-only fields (spec, ndims, borders, indexing)
-// and the channels stay zero, as on any request that crosses the wire.
+// randRequest draws a request with every field set at random: a request
+// is an owner's message, and the codec carries all of it.
 func randRequest(rng *rand.Rand) *request {
 	r := &request{
-		op:      opCode(rng.Intn(int(opUpdateMeta) + 1)),
+		op:      opCode(rng.Intn(len(opNames))),
 		id:      darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
 		id2:     darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
 		gidx:    randInts(rng, 3),
@@ -82,10 +81,8 @@ func randRequest(rng *rand.Rand) *request {
 		hi:      randInts(rng, 3),
 		step:    randInts(rng, 3),
 		runs:    randInts(rng, 2),
-		lo2:     randInts(rng, 3),
 		vals:    randFloats(rng, 32),
 		slot:    rng.Intn(16),
-		which:   []string{"", "meta", "borders"}[rng.Intn(3)],
 		node:    rng.Intn(8),
 		seq:     rng.Uint64() >> rng.Intn(64),
 		call:    rng.Uint64() >> rng.Intn(64),
@@ -99,9 +96,6 @@ func randRequest(rng *rand.Rand) *request {
 	}
 	if rng.Intn(3) == 0 {
 		r.meta = randMeta(rng)
-	}
-	if rng.Intn(3) == 0 {
-		r.gidxs = [][]int{randInts(rng, 3), randInts(rng, 3)}
 	}
 	for i := rng.Intn(4); i > 0; i-- {
 		r.ships = append(r.ships, randShip(rng))

@@ -22,9 +22,8 @@ func cyclicSpec(n, p int) CreateSpec {
 
 // TestCyclicMessageBudget pins the cyclic coordinators' message budget:
 // rectangle transfers on a cyclic or block-cyclic array still cost one
-// coordinator request plus one request per remote owning processor,
-// independent of element count, and owners the stride skips are never
-// contacted.
+// request per remote owning processor, independent of element count, and
+// owners the stride skips are never contacted.
 func TestCyclicMessageBudget(t *testing.T) {
 	const p, n = 4, 32
 	machine, m := newTestManager(t, p)
@@ -37,7 +36,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if st := m.WriteBlock(0, id, lo, hi, vals); st != StatusOK {
 		t.Fatalf("WriteBlock: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+(p-1)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("cyclic WriteBlock sent %d messages, want %d", got, want)
 	}
 
@@ -45,7 +44,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlock(0, id, lo, hi); st != StatusOK {
 		t.Fatalf("ReadBlock: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+(p-1)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("cyclic ReadBlock sent %d messages, want %d", got, want)
 	}
 
@@ -55,7 +54,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{2}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("cyclic strided read sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
@@ -68,7 +67,7 @@ func TestCyclicMessageBudget(t *testing.T) {
 	for _, c := range []struct {
 		step []int
 		want uint64
-	}{{nil, 1 + (p - 1)}, {[]int{6}, 1 + 1}} {
+	}{{nil, p - 1}, {[]int{6}, 1}} {
 		before = machine.Router().Sent()
 		if st := m.WriteBlockStrided(0, bid, lo, hi, c.step, vals[:grid.StridedRectSize(lo, hi, c.step)]); st != StatusOK {
 			t.Fatalf("block-cyclic WriteBlockStrided step %v: %v", c.step, st)
@@ -82,13 +81,13 @@ func TestCyclicMessageBudget(t *testing.T) {
 	}
 
 	// Indexed gather of elements all owned by one remote processor: one
-	// coordinator request plus one owner request.
+	// owner request.
 	indices := [][]int{{1}, {5}, {9}}
 	before = machine.Router().Sent()
 	if _, st := m.GatherElements(0, id, indices); st != StatusOK {
 		t.Fatalf("GatherElements: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("cyclic gather sent %d messages, want %d", got, want)
 	}
 }

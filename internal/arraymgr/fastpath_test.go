@@ -201,9 +201,9 @@ func TestReadBlockIntoMatchesReadBlock(t *testing.T) {
 
 // TestControlFanoutBudget asserts the message budget of the flat control
 // fan-out: creating or freeing an array distributed over P processors
-// costs exactly one user request plus P-1 control messages (every target
-// but the coordinator receives one; the coordinator's own copy runs in
-// place).
+// costs exactly P-1 control messages (every target but the coordinator
+// receives one; the coordinator's own copy runs in place, and the
+// coordinator itself runs on the caller).
 func TestControlFanoutBudget(t *testing.T) {
 	const p = 8
 	machine, m := newTestManager(t, p)
@@ -213,7 +213,7 @@ func TestControlFanoutBudget(t *testing.T) {
 
 	before := machine.Router().Sent()
 	id := mustCreate(t, m, 0, spec)
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("create over %d processors sent %d messages, want %d", p, got, want)
 	}
 
@@ -221,7 +221,7 @@ func TestControlFanoutBudget(t *testing.T) {
 	if st := m.FreeArray(0, id); st != StatusOK {
 		t.Fatalf("FreeArray: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("free over %d processors sent %d messages, want %d", p, got, want)
 	}
 

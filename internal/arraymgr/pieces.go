@@ -21,6 +21,14 @@ import (
 	"repro/internal/grid"
 )
 
+// region is what one read or write moves: the lattice (lo, hi, step) of
+// a global rectangle, nil step meaning dense, or (idx non-nil) an index
+// vector, one global index tuple per value.
+type region struct {
+	lo, hi, step []int
+	idx          [][]int
+}
+
 // piece is one owner's part of a transfer, on the section at grid slot
 // slot of processor proc: a rectangle's schedule block, whose source
 // side is interior-local at the owner and whose destination side is its
@@ -73,18 +81,17 @@ func (p *piece) ownerReq(op opCode, id darray.ID, vals []float64) *request {
 	return r
 }
 
-// split divides a coordinator request into owner pieces, returning the
-// request buffer's length and, for a rectangle, its lattice shape. An
-// index vector (gidxs non-nil) splits by OwnerIndices, sets ordered by
-// first appearance so repeated indices keep last-writer-wins; a rectangle
-// splits by Split.
-func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size int, err error) {
-	if req.gidxs == nil {
-		blocks, err := meta.Split(req.lo, req.hi, req.step)
+// split divides a region into owner pieces, returning the request
+// buffer's length and, for a rectangle, its lattice shape. An index
+// vector splits by OwnerIndices, sets ordered by first appearance so
+// repeated indices keep last-writer-wins; a rectangle splits by Split.
+func split(meta *darray.Meta, rg region) (pieces []piece, sdims []int, size int, err error) {
+	if rg.idx == nil {
+		blocks, err := meta.Split(rg.lo, rg.hi, rg.step)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		sdims = grid.StridedRectDims(req.lo, req.hi, req.step)
+		sdims = grid.StridedRectDims(rg.lo, rg.hi, rg.step)
 		pieces = make([]piece, len(blocks))
 		for i := range blocks {
 			b := &blocks[i]
@@ -92,7 +99,7 @@ func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size i
 		}
 		return pieces, sdims, grid.Size(sdims), nil
 	}
-	sets, err := meta.OwnerIndices(req.gidxs)
+	sets, err := meta.OwnerIndices(rg.idx)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -100,27 +107,26 @@ func split(meta *darray.Meta, req *request) (pieces []piece, sdims []int, size i
 	for i, s := range sets {
 		pieces[i] = piece{proc: s.Proc, slot: s.Slot, offs: s.Offs, pos: s.Pos}
 	}
-	return pieces, sdims, len(req.gidxs), nil
+	return pieces, sdims, len(rg.idx), nil
 }
 
-// doRead is the read coordinator: it splits the request, scatters one
+// doRead is the read coordinator: it splits the region, scatters one
 // read_local request to every remote owner before waiting on any reply,
 // services its own pieces while the remote owners work, then places each
-// reply into the result — the caller's buffer when the request carries
-// one. Latency is one round trip to the slowest owner, and a transfer
-// costs one request/reply pair per owner, never one per element. A reply
-// whose length does not match its piece (possible only off the wire) is
+// reply into the result — out when the caller passed a buffer. Latency
+// is one round trip to the slowest owner, and a transfer costs one
+// request/reply pair per owner, never one per element. A reply whose
+// length does not match its piece (possible only off the wire) is
 // refused with StatusError rather than indexed out of range.
-func (m *Manager) doRead(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+func (m *Manager) doRead(proc int, id darray.ID, rg region, out []float64) response {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
 		return response{status: st}
 	}
-	pieces, sdims, size, err := split(e.meta, req)
+	pieces, sdims, size, err := split(e.meta, rg)
 	if err != nil {
 		return response{status: StatusInvalid}
 	}
-	out := req.out
 	if out != nil && len(out) != size {
 		return response{status: StatusInvalid}
 	}
@@ -130,7 +136,7 @@ func (m *Manager) doRead(proc int, req *request) response {
 	replies := make([]waiter, len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
-			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opReadLocal, req.id, nil))
+			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opReadLocal, id, nil))
 		}
 	}
 	status := StatusOK
@@ -150,7 +156,7 @@ func (m *Manager) doRead(proc int, req *request) response {
 	// "local" is not necessarily unique.
 	for i := range pieces {
 		if replies[i].req == nil {
-			unpack(&pieces[i], m.doReadLocal(proc, pieces[i].ownerReq(opReadLocal, req.id, nil)))
+			unpack(&pieces[i], m.doReadLocal(proc, pieces[i].ownerReq(opReadLocal, id, nil)))
 		}
 	}
 	// Drain every reply even after a failure, so no owner's response is
@@ -166,33 +172,33 @@ func (m *Manager) doRead(proc int, req *request) response {
 	return response{status: StatusOK, vals: out}
 }
 
-// doWrite is the write coordinator: it splits the request, sends each
+// doWrite is the write coordinator: it splits the region, sends each
 // remote owner one write_local request carrying a packed snapshot of its
 // piece's values, all posted before any reply is awaited, writes its own
 // pieces in place and gathers the statuses. Offsets within an offset set
 // keep request order, so an index repeated in one vector takes the value
 // at its last occurrence, as a sequential loop of write_element calls
 // would leave it.
-func (m *Manager) doWrite(proc int, req *request) response {
-	e, st := m.lookup(proc, req.id)
+func (m *Manager) doWrite(proc int, id darray.ID, rg region, vals []float64) response {
+	e, st := m.lookup(proc, id)
 	if st != StatusOK {
 		return response{status: st}
 	}
-	pieces, sdims, size, err := split(e.meta, req)
-	if err != nil || len(req.vals) != size {
+	pieces, sdims, size, err := split(e.meta, rg)
+	if err != nil || len(vals) != size {
 		return response{status: StatusInvalid}
 	}
 	// pack draws one piece's snapshot: messages carry copies, never views.
 	// The pieces come from split, so placing them cannot fail.
 	pack := func(p *piece) []float64 {
 		sub := getBuf(p.size(sdims))
-		_ = p.place(false, req.vals, sub, sdims)
+		_ = p.place(false, vals, sub, sdims)
 		return sub
 	}
 	replies := make([]waiter, len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
-			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opWriteLocal, req.id, pack(p)))
+			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opWriteLocal, id, pack(p)))
 		}
 	}
 	status := StatusOK
@@ -200,12 +206,12 @@ func (m *Manager) doWrite(proc int, req *request) response {
 		if replies[i].req != nil {
 			continue
 		}
-		vals := pack(&pieces[i])
-		r := m.doWriteLocal(proc, pieces[i].ownerReq(opWriteLocal, req.id, vals))
+		sub := pack(&pieces[i])
+		r := m.doWriteLocal(proc, pieces[i].ownerReq(opWriteLocal, id, sub))
 		if r.status != StatusOK {
 			status = r.status
 		}
-		m.unsnapshot(proc, r.status, vals)
+		m.unsnapshot(proc, r.status, sub)
 	}
 	for i := range pieces {
 		if replies[i].req == nil {

@@ -18,7 +18,7 @@
 // The promoted processor already holds the slot's bytes (its buddy
 // copy); owner routing by grid slot (request.slot + entry.sectionFor)
 // makes the copy authoritative without moving a single element. The
-// failed call is then replayed with a fresh request id.
+// failed coordinator then runs again, with fresh request ids.
 package arraymgr
 
 import (
@@ -120,6 +120,9 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 // processors (possibly with nothing to do); StatusDown means some slot
 // lost its primary and every buddy — checkpoint/restart territory.
 func (m *Manager) RecoverArray(onProc int, id darray.ID) Status {
+	if st := m.enter(onProc, "recover_array", id); st != StatusOK {
+		return st
+	}
 	_, st := m.recoverArray(onProc, id)
 	return st
 }
@@ -127,9 +130,6 @@ func (m *Manager) RecoverArray(onProc int, id darray.ID) Status {
 // recoverArray is RecoverArray reporting how many slots were promoted,
 // which the replay wrapper uses to decide whether replaying can help.
 func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return 0, StatusInvalid
-	}
 	e, st := m.lookup(onProc, id)
 	if st != StatusOK {
 		return 0, st
@@ -188,16 +188,17 @@ func (m *Manager) recoverArray(onProc int, id darray.ID) (int, Status) {
 // and P is finite.
 const maxRecoverAttempts = 3
 
-// sendData issues one data-plane coordinator call with transparent
-// failover: when the call fails because an owner died (StatusDown, or a
-// StatusTimeout that turns out to be a kill), the arrays' dead owners
-// are promoted and the call is replayed with a fresh request. Replays
-// re-execute any partial work of the failed attempt; every data-plane
-// op is idempotent (same payload, same destination state), so the
-// result is bit-identical to an undisturbed run. With no policy
-// installed there is no failure detection, hence no replay.
-func (m *Manager) sendData(onProc int, ids []darray.ID, build func() *request) response {
-	r := m.send(onProc, onProc, build())
+// sendData runs one data-plane coordinator call on the calling
+// goroutine with transparent failover: when the call fails because an
+// owner died (StatusDown, or a StatusTimeout that turns out to be a
+// kill), the arrays' dead owners are promoted and the coordinator runs
+// again, drawing fresh owner requests. Replays re-execute any partial
+// work of the failed attempt; every data-plane op is idempotent (same
+// payload, same destination state), so the result is bit-identical to
+// an undisturbed run. With no policy installed there is no failure
+// detection, hence no replay.
+func (m *Manager) sendData(onProc int, ids []darray.ID, run func() response) response {
+	r := run()
 	if m.policy.Load() == nil {
 		return r
 	}
@@ -213,7 +214,7 @@ func (m *Manager) sendData(onProc int, ids []darray.ID, build func() *request) r
 			break
 		}
 		m.replays.Add(1)
-		r = m.send(onProc, onProc, build())
+		r = run()
 	}
 	return r
 }
@@ -239,9 +240,6 @@ type CheckpointImage struct {
 // read plane: one request per owning processor, assembled into one dense
 // buffer on onProc.
 func (m *Manager) Checkpoint(onProc int, id darray.ID) (*CheckpointImage, Status) {
-	if m.machine.CheckProc(onProc) != nil {
-		return nil, StatusInvalid
-	}
 	meta, st := m.Meta(onProc, id)
 	if st != StatusOK {
 		return nil, st
@@ -285,7 +283,7 @@ func (m *Manager) Checkpoint(onProc int, id darray.ID) (*CheckpointImage, Status
 // count. It returns the new array's ID: restart is re-creation, so the
 // old ID stays dead.
 func (m *Manager) Restore(onProc int, img *CheckpointImage, procs []int) (darray.ID, Status) {
-	if img == nil || m.machine.CheckProc(onProc) != nil {
+	if img == nil {
 		return darray.ID{}, StatusInvalid
 	}
 	if procs == nil {

@@ -385,9 +385,9 @@ func TestReplicatedWriteBudget(t *testing.T) {
 	}
 	replMsgs := machine2.Router().Sent() - before
 
-	// Plain: 1 coordinator request + P-1 remote owner requests. k=1
-	// replication adds exactly one mirror per each of the P owners.
-	if want := uint64(1 + p - 1); plainMsgs != want {
+	// Plain: P-1 remote owner requests. k=1 replication adds exactly one
+	// mirror per each of the P owners.
+	if want := uint64(p - 1); plainMsgs != want {
 		t.Errorf("plain whole-array write sent %d messages, want %d", plainMsgs, want)
 	}
 	if want := plainMsgs + p; replMsgs != want {

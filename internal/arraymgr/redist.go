@@ -87,34 +87,34 @@ func putShipReq(r *request) {
 }
 
 // doRedistribute is the redistribution coordinator: it computes the
-// owner-pair schedule for copying the source rectangle (origin req.lo2)
-// of array req.id2 onto the destination rectangle (req.lo, req.hi) of
-// array req.id, groups the pairs by source owner, sends each remote
-// source owner one redist_src request (servicing its own group inline),
-// and waits for one ack per pair on a shared buffered channel entered
-// in the completion table. Sends and deliveries never block, so the
+// owner-pair schedule for copying the source lattice (origin srcLo) of
+// array src onto the destination lattice (lo, hi, step) of array dst,
+// groups the pairs by source owner, sends each remote source owner one
+// redist_src request (servicing its own group inline), and waits for
+// one ack per pair on a shared buffered channel entered in the
+// completion table. Sends and deliveries never block, so the
 // protocol cannot deadlock; the merged status is the worst any pair
 // reported.
-func (m *Manager) doRedistribute(proc int, req *request) response {
-	if req.id == req.id2 {
+func (m *Manager) doRedistribute(proc int, dst, src darray.ID, lo, hi, srcLo, step []int) response {
+	if dst == src {
 		return response{status: StatusInvalid} // aliasing copies are undefined
 	}
-	de, st := m.lookup(proc, req.id)
+	de, st := m.lookup(proc, dst)
 	if st != StatusOK {
 		return response{status: st}
 	}
-	se, st := m.lookup(proc, req.id2)
+	se, st := m.lookup(proc, src)
 	if st != StatusOK {
 		return response{status: st}
 	}
-	if len(req.hi) != len(req.lo) || len(req.lo2) != len(req.lo) {
+	if len(hi) != len(lo) || len(srcLo) != len(lo) {
 		return response{status: StatusInvalid}
 	}
-	dims := make([]int, len(req.lo))
+	dims := make([]int, len(lo))
 	for i := range dims {
-		dims[i] = req.hi[i] - req.lo[i]
+		dims[i] = hi[i] - lo[i]
 	}
-	sched, err := de.meta.TransferSchedule(se.meta, req.lo, req.lo2, dims, req.step)
+	sched, err := de.meta.TransferSchedule(se.meta, lo, srcLo, dims, step)
 	if err != nil {
 		return response{status: StatusInvalid}
 	}
@@ -163,12 +163,12 @@ func (m *Manager) doRedistribute(proc int, req *request) response {
 		}
 		for _, sp := range order {
 			if sp == proc {
-				m.doRedistSrc(proc, &request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
+				m.doRedistSrc(proc, &request{op: opRedistSrc, id: src, id2: dst, ships: bySrc[sp],
 					call: call, origin: proc, ackProc: proc, ackID: ackID})
 				continue
 			}
 			sreq := getShipReq()
-			*sreq = request{op: opRedistSrc, id: req.id2, id2: req.id, ships: bySrc[sp],
+			*sreq = request{op: opRedistSrc, id: src, id2: dst, ships: bySrc[sp],
 				call: call, origin: proc, ackProc: proc, ackID: ackID}
 			if pol != nil {
 				sreq.seq = m.nextSeq()
@@ -492,8 +492,8 @@ func (m *Manager) localRedistFast(proc int, dstID, srcID darray.ID, dstLo, srcLo
 // wholly-local transfer moves section-to-section with no message and
 // zero heap allocations.
 func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "redistribute", dst); st != StatusOK {
+		return st
 	}
 	n := len(lo)
 	if len(hi) == n && n <= darray.MaxFastDims {
@@ -512,8 +512,8 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 			}
 		}
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: opRedistribute, id: dst, id2: src, lo: lo, hi: hi, lo2: lo}
+	return m.sendData(onProc, []darray.ID{dst, src}, func() response {
+		return m.doRedistribute(onProc, dst, src, lo, hi, lo, nil)
 	}).status
 }
 
@@ -523,8 +523,8 @@ func (m *Manager) Redistribute(onProc int, dst, src darray.ID, lo, hi []int) Sta
 // origin in the destination array (a panel handoff into column 0, a
 // shifted copy).
 func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo, dims []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "redistribute", dst); st != StatusOK {
+		return st
 	}
 	if st, ok := m.localRedistFast(onProc, dst, src, dstLo, srcLo, dims, nil); ok {
 		return st
@@ -535,8 +535,8 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 			hi[i] = dstLo[i] + dims[i]
 		}
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: opRedistribute, id: dst, id2: src, lo: dstLo, hi: hi, lo2: srcLo}
+	return m.sendData(onProc, []darray.ID{dst, src}, func() response {
+		return m.doRedistribute(onProc, dst, src, dstLo, hi, srcLo, nil)
 	}).status
 }
 
@@ -544,8 +544,8 @@ func (m *Manager) RedistributeRect(onProc int, dst, src darray.ID, dstLo, srcLo,
 // rectangle [lo, hi) of array src onto the matching lattice of array
 // dst.
 func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, step []int) Status {
-	if m.machine.CheckProc(onProc) != nil {
-		return StatusInvalid
+	if st := m.enter(onProc, "redistribute", dst); st != StatusOK {
+		return st
 	}
 	n := len(lo)
 	if len(hi) == n && len(step) == n && n <= darray.MaxFastDims {
@@ -564,7 +564,7 @@ func (m *Manager) RedistributeStrided(onProc int, dst, src darray.ID, lo, hi, st
 			}
 		}
 	}
-	return m.sendData(onProc, []darray.ID{dst, src}, func() *request {
-		return &request{op: opRedistribute, id: dst, id2: src, lo: lo, hi: hi, lo2: lo, step: step}
+	return m.sendData(onProc, []darray.ID{dst, src}, func() response {
+		return m.doRedistribute(onProc, dst, src, lo, hi, lo, step)
 	}).status
 }

@@ -220,9 +220,11 @@ func TestRedistributeRectOrigins(t *testing.T) {
 }
 
 // TestRedistributeMessageBudget pins the direct plane's message count:
-// 1 coordinator self-send, plus one redist_src per remote source owner,
-// plus one redist_ship per cross-process owner pair — and nothing else.
-// The bounce reference on the same transfer is strictly worse.
+// one redist_src per remote source owner plus one redist_ship per
+// cross-process owner pair — and nothing else (the coordinator runs on
+// the caller).
+// The bounce on the same transfer is pinned too: fewer messages, but
+// every byte crosses twice, through the caller.
 func TestRedistributeMessageBudget(t *testing.T) {
 	const p, n = 4, 16
 	machine, m := newTestManager(t, p)
@@ -235,30 +237,30 @@ func TestRedistributeMessageBudget(t *testing.T) {
 
 	// Whole array, block→cyclic: every one of the 16 (src,dst) owner
 	// pairs is non-empty; 4 pairs are same-process. Budget:
-	// 1 (API) + 3 (remote src owners) + 12 (cross pairs) = 16.
+	// 3 (remote src owners) + 12 (cross pairs) = 15.
 	before := machine.Router().Sent()
 	if st := m.Redistribute(0, dst, src, []int{0}, []int{n}); st != StatusOK {
 		t.Fatalf("Redistribute: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+3+12); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+12); got != want {
 		t.Errorf("block->cyclic whole-array redistribute sent %d messages, want %d", got, want)
 	}
 
 	// Step 2: lattice {0,2,...,14}. Each source owner holds two points,
 	// landing on destination owners 0 and 2 only: 8 pairs, 2 of them
-	// same-process. Budget: 1 + 3 + 6 = 10.
+	// same-process. Budget: 3 + 6 = 9.
 	before = machine.Router().Sent()
 	if st := m.RedistributeStrided(0, dst, src, []int{0}, []int{n}, []int{2}); st != StatusOK {
 		t.Fatalf("RedistributeStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+3+6); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+6); got != want {
 		t.Errorf("strided redistribute sent %d messages, want %d (skipped owners must stay uncontacted)", got, want)
 	}
 
 	// Block-cyclic sides ship run lists, still one message per pair.
 	// block → block_cyclic(3): 8 non-empty pairs, 3 same-process.
 	// block_cyclic(2) → block_cyclic(3): 11 pairs, 2 same-process.
-	// Budgets: 1 + 3 + 5 = 9 and 1 + 3 + 9 = 13; both land every value.
+	// Budgets: 3 + 5 = 8 and 3 + 9 = 12; both land every value.
 	bc2 := mustCreate(t, m, 0, distSpec(n, p, grid.BlockCyclicOf(2), darray.Double))
 	bc3 := mustCreate(t, m, 0, distSpec(n, p, grid.BlockCyclicOf(3), darray.Double))
 	for i := range vals {
@@ -268,7 +270,7 @@ func TestRedistributeMessageBudget(t *testing.T) {
 		name     string
 		dst, src darray.ID
 		want     uint64
-	}{{"block->block_cyclic(3)", bc3, src, 1 + 3 + 5}, {"block_cyclic(2)->block_cyclic(3)", bc3, bc2, 1 + 3 + 9}} {
+	}{{"block->block_cyclic(3)", bc3, src, 3 + 5}, {"block_cyclic(2)->block_cyclic(3)", bc3, bc2, 3 + 9}} {
 		if st := m.WriteBlock(0, c.src, []int{0}, []int{n}, vals); st != StatusOK {
 			t.Fatalf("%s: fill: %v", c.name, st)
 		}
@@ -293,7 +295,7 @@ func TestRedistributeMessageBudget(t *testing.T) {
 	// The panel handoff, (*,block) → (cyclic,*): columns [4,8) of a 16x16
 	// array live on source owner 1 and fan out over the 4 cyclic row
 	// owners: 4 descriptor pairs, 1 of them same-process. Budget:
-	// 1 + 1 (remote src owner) + 3 (cross pairs) = 5.
+	// 1 (remote src owner) + 3 (cross pairs) = 4.
 	pa := mustCreate(t, m, 0, panelSpec(grid.NoDecomp(), grid.BlockDefault()))
 	pw := mustCreate(t, m, 0, panelSpec(grid.CyclicDefault(), grid.NoDecomp()))
 	panel := make([]float64, 16*4)
@@ -307,7 +309,7 @@ func TestRedistributeMessageBudget(t *testing.T) {
 	if st := m.Redistribute(0, pw, pa, []int{0, 4}, []int{16, 8}); st != StatusOK {
 		t.Fatalf("panel Redistribute: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1+3); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1+3); got != want {
 		t.Errorf("(*,block)->(cyclic,*) panel redistribute sent %d messages, want %d", got, want)
 	}
 	got, st := m.ReadBlock(0, pw, []int{0, 4}, []int{16, 8})
@@ -320,9 +322,9 @@ func TestRedistributeMessageBudget(t *testing.T) {
 		}
 	}
 
-	// The bounce on the same whole-array transfer: a read round (1
-	// coordinator + 3 remote owners) plus a write round (1 + 3) = 8
-	// messages against 16 — but serialized through one process and
+	// The bounce on the same whole-array transfer: a read round (3
+	// remote owners) plus a write round (3) = 6 messages against 15 —
+	// but serialized through one process and
 	// carrying every byte twice. On the panel shapes of E26 the direct
 	// plane wins on messages too; here we only pin that the budget
 	// formula holds exactly.
@@ -334,7 +336,7 @@ func TestRedistributeMessageBudget(t *testing.T) {
 	if st := m.WriteBlock(0, dst, []int{0}, []int{n}, buf); st != StatusOK {
 		t.Fatalf("bounce write: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64((1+3)+(1+3)); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(3+3); got != want {
 		t.Errorf("bounce sent %d messages, want %d", got, want)
 	}
 }

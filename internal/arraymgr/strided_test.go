@@ -172,8 +172,8 @@ func TestStridedUnitStepDelegates(t *testing.T) {
 }
 
 // TestStridedMessageBudget asserts the strided plane's budget: fetching
-// every k-th row across P owning processors costs one coordinator request
-// plus one request per remote owner holding a lattice point — never one
+// every k-th row across P owning processors costs one request per remote
+// owner holding a lattice point — never one
 // message (or one index) per element, and owners the stride skips are
 // never contacted.
 func TestStridedMessageBudget(t *testing.T) {
@@ -186,12 +186,12 @@ func TestStridedMessageBudget(t *testing.T) {
 
 	lo, hi := []int{0, 0}, []int{32, 16}
 
-	// Every 2nd row touches all 4 owners: 1 coordinator + 3 remote requests.
+	// Every 2nd row touches all 4 owners: 3 remote requests.
 	before := machine.Router().Sent()
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{2, 1}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("every-2nd-row read sent %d messages, want %d", got, want)
 	}
 
@@ -199,7 +199,7 @@ func TestStridedMessageBudget(t *testing.T) {
 	if st := m.WriteBlockStrided(0, id, lo, hi, []int{2, 1}, make([]float64, 16*16)); st != StatusOK {
 		t.Fatalf("WriteBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+p-1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(p-1); got != want {
 		t.Errorf("every-2nd-row write sent %d messages, want %d", got, want)
 	}
 
@@ -209,7 +209,7 @@ func TestStridedMessageBudget(t *testing.T) {
 	if _, st := m.ReadBlockStrided(0, id, lo, hi, []int{16, 1}); st != StatusOK {
 		t.Fatalf("ReadBlockStrided: %v", st)
 	}
-	if got, want := machine.Router().Sent()-before, uint64(1+1); got != want {
+	if got, want := machine.Router().Sent()-before, uint64(1); got != want {
 		t.Errorf("every-16th-row read sent %d messages, want %d (skipped owners contacted?)", got, want)
 	}
 }
@@ -262,7 +262,7 @@ func TestCopyShareZeroAllocs(t *testing.T) {
 			t.Fatalf("Meta: %v", st)
 		}
 		lo, hi, step := []int{1, 0}, []int{12, 9}, []int{2, 1}
-		pieces, sdims, size, err := split(meta, &request{lo: lo, hi: hi, step: step})
+		pieces, sdims, size, err := split(meta, region{lo: lo, hi: hi, step: step})
 		if err != nil || len(pieces) == 0 {
 			t.Fatalf("split: %d pieces, %v", len(pieces), err)
 		}

@@ -120,14 +120,14 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 	id := mustCreate(t, m, 0, spec)
 
 	// 32 indices spread over all 4 owners, from processor 0 (itself an
-	// owner): 1 coordinator request + 3 remote owner requests.
+	// owner): 3 remote owner requests.
 	indices := make([][]int, 32)
 	vals := make([]float64, len(indices))
 	for i := range indices {
 		indices[i] = []int{(i * 7) % 64}
 		vals[i] = float64(i)
 	}
-	budget := uint64(1 + p - 1)
+	budget := uint64(p - 1)
 
 	before := machine.Router().Sent()
 	if st := m.ScatterElements(0, id, indices, vals); st != StatusOK {
@@ -145,8 +145,8 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 		t.Errorf("%d-element gather across %d owners sent %d messages, budget %d", len(indices), p, got, budget)
 	}
 
-	// All indices on one remote owner: exactly two messages (coordinator +
-	// that owner), regardless of k.
+	// All indices on one remote owner: exactly one message, to that
+	// owner, regardless of k.
 	remote := make([][]int, 16)
 	for i := range remote {
 		remote[i] = []int{48 + i%16}
@@ -155,8 +155,8 @@ func TestGatherScatterMessageBudget(t *testing.T) {
 	if _, st := m.GatherElements(0, id, remote); st != StatusOK {
 		t.Fatalf("GatherElements: %v", st)
 	}
-	if got := machine.Router().Sent() - before; got != 2 {
-		t.Errorf("single-owner gather sent %d messages, want 2", got)
+	if got := machine.Router().Sent() - before; got != 1 {
+		t.Errorf("single-owner gather sent %d messages, want 1", got)
 	}
 }
 

@@ -34,8 +34,10 @@ import (
 )
 
 // wireResponse is one reply or redistribution ack travelling back over
-// the wire; ID is the completion-table id it answers. Section never
-// crosses: Find is a local-address-space operation (§5.1.4).
+// the wire; ID is the completion-table id it answers. Info is part of
+// the reply format, but no owner op answers with one: the ops that
+// return a value (create_array's ID, find_info) are coordinators, which
+// run in their caller's process.
 type wireResponse struct {
 	ID     uint64
 	Status Status
@@ -96,7 +98,6 @@ func (m *Manager) deliver(id uint64, r response) bool {
 // process, as a *wireResponse message from proc otherwise. Id 0 means
 // nobody waits. It reports whether a waiter in this process took the
 // answer; when none did, the answer's buffers are the caller's again.
-// Section results never cross (Find is local-only).
 func (m *Manager) complete(proc, dst int, id uint64, r response) bool {
 	if id == 0 {
 		return false
@@ -105,7 +106,7 @@ func (m *Manager) complete(proc, dst int, id uint64, r response) bool {
 	if router.Local(dst) {
 		return m.deliver(id, r)
 	}
-	w := &wireResponse{ID: id, Status: r.status, Vals: r.vals, Info: r.info, Pair: r.pair}
+	w := &wireResponse{ID: id, Status: r.status, Vals: r.vals, Pair: r.pair}
 	_ = router.Send(proc, dst, msg.Tag{Class: msg.ClassTask, Kind: kindAM}, w)
 	return false
 }

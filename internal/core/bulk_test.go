@@ -181,8 +181,8 @@ func TestBulkPerElementEquivalence(t *testing.T) {
 
 // TestBulkMessageBudget is the acceptance criterion of the bulk data
 // plane: Fill and Snapshot issue at most one array-manager message per
-// owning processor (plus the metadata fetch and the coordinator request),
-// not one per element.
+// remote owning processor, not one per element. The metadata fetch and
+// the coordinator run on the caller and send nothing.
 func TestBulkMessageBudget(t *testing.T) {
 	const p = 4
 	m := newMachine(t, p)
@@ -191,8 +191,8 @@ func TestBulkMessageBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	owners := p
-	// find_info(meta) + coordinator request + one request per remote owner.
-	budget := uint64(2 + owners - 1)
+	// One request per remote owner.
+	budget := uint64(owners - 1)
 	router := m.VM.Router()
 
 	before := router.Sent()
@@ -462,8 +462,8 @@ func TestGatherScatterElements(t *testing.T) {
 }
 
 // TestGatherMessageBudget bounds the indexed plane at the public API: a
-// k-element gather or scatter costs one coordinator request plus at most
-// one request per remote owner — never one per element.
+// k-element gather or scatter costs at most one request per remote owner
+// — never one per element.
 func TestGatherMessageBudget(t *testing.T) {
 	const p = 4
 	m := newMachine(t, p)
@@ -478,7 +478,7 @@ func TestGatherMessageBudget(t *testing.T) {
 		indices[i] = []int{(i * 11) % 256}
 		vals[i] = float64(i)
 	}
-	budget := uint64(1 + p - 1)
+	budget := uint64(p - 1)
 	router := m.VM.Router()
 
 	before := router.Sent()

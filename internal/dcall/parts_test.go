@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arraymgr"
 	"repro/internal/darray"
@@ -116,6 +117,37 @@ func TestCallAcrossParts(t *testing.T) {
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("call over %v left %v, the part-local group %v", procs, got, want)
 		}
+	}
+}
+
+// TestAMCallerInOtherPartInvalid invokes an array operation on a
+// processor the other part hosts. It returns STATUS_INVALID at once: an
+// array operation's coordinator runs on the goroutine that invokes it,
+// so the processor it is invoked on must be hosted by the caller's part.
+// (A coordinator request sent across would be answered into the other
+// part's completion table, where nobody waits.)
+func TestAMCallerInOtherPartInvalid(t *testing.T) {
+	r := newParts(t)
+	id, st := r.AM.CreateArray(0, arraymgr.CreateSpec{
+		Type: darray.Double, Dims: []int{8}, Procs: []int{0, 1, 2, 3},
+		Distrib: []grid.Decomp{grid.BlockDefault()}, Borders: arraymgr.NoBorderSpec{},
+		Indexing: grid.RowMajor,
+	})
+	if st != arraymgr.StatusOK {
+		t.Fatalf("create: %v", st)
+	}
+	done := make(chan arraymgr.Status, 1)
+	go func() {
+		_, st := r.AM.ReadBlock(2, id, []int{0}, []int{8})
+		done <- st
+	}()
+	select {
+	case st := <-done:
+		if st != arraymgr.StatusInvalid {
+			t.Fatalf("ReadBlock on processor 2 from part 0: %v, want %v", st, arraymgr.StatusInvalid)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ReadBlock on processor 2 from part 0 still blocked after 1 s")
 	}
 }
 

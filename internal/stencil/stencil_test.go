@@ -159,8 +159,9 @@ func TestIndivisibleRows(t *testing.T) {
 
 // TestHaloMessageBudget pins the stencil's halo traffic: one distributed
 // call running S Jacobi steps on P copies exchanges exactly one message
-// per neighbour per step — plus the fixed call overhead of one find_local
-// per copy and the P-1 combine-tree messages — however large the field.
+// per neighbour per step — plus the fixed call overhead of the P-1
+// combine-tree messages (each copy's find_local sends nothing) — however
+// large the field.
 func TestHaloMessageBudget(t *testing.T) {
 	const rows, cols, steps, p = 16, 8, 5, 4
 	m := core.New(p)
@@ -189,8 +190,8 @@ func TestHaloMessageBudget(t *testing.T) {
 		field.Param()); err != nil {
 		t.Fatal(err)
 	}
-	// p find_local requests + steps * 2*(p-1) halo slabs + p-1 combines.
-	want := uint64(p + steps*2*(p-1) + (p - 1))
+	// steps * 2*(p-1) halo slabs + p-1 combines.
+	want := uint64(steps*2*(p-1) + (p - 1))
 	if got := router.Sent() - before; got != want {
 		t.Fatalf("stencil call sent %d messages, want %d (one halo message per neighbour per step)", got, want)
 	}
