@@ -814,8 +814,15 @@ func (m *Manager) doFreeLocal(proc int, req *request) response {
 	if !ok || e.freed {
 		return response{status: StatusNotFound}
 	}
+	// The entry leaves the table, so the array's storage and metadata
+	// go with it (the paper's explicit free). freed tells a handler that
+	// looked the entry up before the free and still holds it. A
+	// duplicate or retransmitted create_local that arrives after the
+	// free is dropped by the serve loop's dedup window (dedupWindow),
+	// so it cannot bring the entry back.
+	delete(srv.entries, req.id)
 	e.freed = true
-	e.section = nil // release the storage (the paper's explicit free)
+	e.section = nil
 	e.replicas = nil
 	return response{status: StatusOK}
 }

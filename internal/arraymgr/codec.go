@@ -1,6 +1,6 @@
 // Binary wire codecs for the array-manager protocol: the *request
-// itself, the reply envelope, and the array metadata and Info values
-// they carry. They dominate the data plane's byte stream (every remote
+// itself, the reply envelope, and the array metadata a request carries.
+// They dominate the data plane's byte stream (every remote
 // request, reply and redistribution ack is one of them), so they get
 // custom wire.Codec entries instead of riding the gob fallback:
 // field-by-field varint/raw encoding of the unexported fields, with none
@@ -10,11 +10,10 @@
 // every part runs the same binary, so both sides agree by construction.
 // The encoding is deterministic, so re-encoding an unchanged request
 // (a retransmit) reproduces the same bytes. A request's *darray.Meta
-// (create_local, update_meta) is encoded in place; a reply's Info is
-// polymorphic and recurses through wire.AppendAny, where *darray.Meta,
-// darray.ID and []grid.Dist have codecs of their own (a distributed
-// call's tuples carry them too). No array-manager payload takes the gob
-// fallback. Each codec's Size walks the same fields as its
+// (create_local, update_meta) is encoded in place; *darray.Meta,
+// darray.ID and []grid.Dist also have codecs of their own, because a
+// distributed call's tuples carry them. No array-manager payload takes
+// the gob fallback. Each codec's Size walks the same fields as its
 // Append, so the transport draws a frame that holds the whole encoding;
 // payloads decode into the float-buffer pool (getBuf), and whoever
 // consumes them returns them there.
@@ -81,18 +80,6 @@ func retAny[T any](v T, rest []byte, err error) (any, []byte, error) {
 		return nil, rest, err
 	}
 	return v, rest, nil
-}
-
-// appendNested encodes a polymorphic field via the any-payload encoding.
-// Codec Append cannot return an error; an unencodable nested value is a
-// protocol bug of the same class as a codec-ID collision, so it panics
-// rather than silently corrupting the stream.
-func appendNested(b []byte, v any, what string) []byte {
-	b, err := wire.AppendAny(b, v, false)
-	if err != nil {
-		panic(fmt.Sprintf("arraymgr: unencodable %s: %v", what, err))
-	}
-	return b
 }
 
 func appendID(b []byte, id darray.ID) []byte {
@@ -445,14 +432,12 @@ func appendResponse(b []byte, v any) []byte {
 	b = wire.AppendUvarint(b, w.ID)
 	b = wire.AppendInt(b, int(w.Status))
 	b = wire.AppendFloat64s(b, w.Vals)
-	b = appendNested(b, w.Info, "response info")
 	return wire.AppendInt(b, w.Pair)
 }
 
 func sizeResponse(v any) int {
 	w := v.(*wireResponse)
-	return wire.SizeUvarint(w.ID) + wire.SizeInt(int(w.Status)) + wire.SizeFloat64s(w.Vals) +
-		wire.SizeAny(w.Info) + wire.SizeInt(w.Pair)
+	return wire.SizeUvarint(w.ID) + wire.SizeInt(int(w.Status)) + wire.SizeFloat64s(w.Vals) + wire.SizeInt(w.Pair)
 }
 
 func readResponse(b []byte) (any, []byte, error) {
@@ -467,9 +452,6 @@ func readResponse(b []byte) (any, []byte, error) {
 	}
 	w.Status = Status(status)
 	if w.Vals, b, err = wire.ReadFloat64sWith(b, getBuf); err != nil {
-		return nil, b, err
-	}
-	if w.Info, b, err = wire.ReadAny(b); err != nil {
 		return nil, b, err
 	}
 	if w.Pair, b, err = wire.ReadInt(b); err != nil {

@@ -136,21 +136,6 @@ func randResponse(rng *rand.Rand) *wireResponse {
 		Vals:   randFloats(rng, 32),
 		Pair:   rng.Intn(8),
 	}
-	// Every Info shape a handler answers with (doFindInfo, doCreate).
-	switch rng.Intn(7) {
-	case 0:
-		w.Info = randMeta(rng)
-	case 1:
-		w.Info = darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)}
-	case 2:
-		w.Info = randDists(rng, 3)
-	case 3:
-		w.Info = randInts(rng, 3)
-	case 4:
-		w.Info = []string{"double", "int", "row", "column"}[rng.Intn(4)]
-	case 5:
-		w.Info = rng.Intn(100)
-	}
 	return w
 }
 
@@ -200,11 +185,8 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	}})
 	// An owner request for a multi-run piece.
 	roundTrip(t, &request{op: opReadLocal, lo: []int{0, 3}, hi: []int{7, 6}, step: []int{6, 6}, runs: []int{2}, slot: 1})
-	// The reply envelope with every Info shape a reply carries.
-	for _, info := range []any{nil, 42, "double", []int{4, 4}, randMeta(rng), darray.ID{Proc: 1, Seq: 9},
-		[]grid.Dist{{Kind: grid.DistBlockCyclic, B: 3}}} {
-		roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Info: info, Pair: 3})
-	}
+	// The reply envelope.
+	roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Pair: 3})
 	// The metadata codecs on their own, a Meta with nil Dists (pure
 	// block) and nil Origins (never promoted) among them.
 	roundTrip(t, &darray.Meta{})
@@ -222,16 +204,17 @@ func TestAMCodecRoundTrip(t *testing.T) {
 }
 
 // TestAMCodecNoGob pins the array-creation payloads to their codecs: a
-// create_local request carrying the array's Meta and a create reply
-// carrying its darray.ID encode under their codec IDs, never the gob
-// fallback's type code, and Size counts every byte of them (it counts a
-// nested gob value as its type code alone).
+// create_local request carrying the array's Meta, its reply, and the
+// Meta, darray.ID and []grid.Dist values a distributed call's tuples
+// carry encode under their codec IDs, never the gob fallback's type
+// code, and Size counts every byte of them (it counts a nested gob value
+// as its type code alone).
 func TestAMCodecNoGob(t *testing.T) {
 	meta := &darray.Meta{ID: darray.ID{Proc: 0, Seq: 4}, Dims: []int{128, 128}, Procs: []int{0, 1, 2, 3},
 		GridDims: []int{4, 1}, Dists: []grid.Dist{{Kind: grid.DistBlock}, {Kind: grid.DistBlock}},
 		LocalDims: []int{32, 128}, Borders: []int{1, 1, 0, 0}, LocalDimsPlus: []int{34, 128}}
 	create := &request{op: opCreateLocal, id: meta.ID, meta: meta, src: 0, replyID: 5}
-	reply := &wireResponse{ID: 5, Status: StatusOK, Info: meta.ID}
+	reply := &wireResponse{ID: 5, Status: StatusOK}
 	for _, c := range []struct {
 		v    any
 		code byte
@@ -244,12 +227,6 @@ func TestAMCodecNoGob(t *testing.T) {
 			t.Fatalf("%T: type code %d (want %d), Size %d of %d bytes", c.v, b[0], c.code, wire.SizeAny(c.v), len(b))
 		}
 	}
-	// The reply's Info follows its id, status and empty payload.
-	b, _ := wire.AppendAny(nil, reply, false)
-	at := 1 + wire.SizeUvarint(reply.ID) + wire.SizeInt(int(reply.Status)) + wire.SizeFloat64s(nil)
-	if b[at] != codecID {
-		t.Fatalf("create reply's darray.ID encoded under type code %d, want %d", b[at], codecID)
-	}
 }
 
 // TestAMReplyGolden pins the reply envelope's bytes, payload words
@@ -257,8 +234,8 @@ func TestAMCodecNoGob(t *testing.T) {
 // decoding into pooled buffers changed where the bytes go, not which
 // bytes a reply (or its retransmitted twin) puts on the wire.
 func TestAMReplyGolden(t *testing.T) {
-	w := &wireResponse{ID: 300, Status: StatusInvalid, Vals: []float64{0.5, math.Copysign(0, -1), 1e300}, Info: 7, Pair: -2}
-	want, _ := hex.DecodeString("21ac020203000000000000e03f00000000000000809c7500883ce4377e070e03")
+	w := &wireResponse{ID: 300, Status: StatusInvalid, Vals: []float64{0.5, math.Copysign(0, -1), 1e300}, Pair: -2}
+	want, _ := hex.DecodeString("21ac020203000000000000e03f00000000000000809c7500883ce4377e03")
 	got, err := wire.AppendAny(nil, w, false)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("reply encodes as %x (%v), want %x", got, err, want)
@@ -274,7 +251,7 @@ func TestAMCodecTruncated(t *testing.T) {
 	create := randRequest(rng)
 	create.meta = meta
 	for _, v := range []any{randRequest(rng), create, meta, meta.ID, meta.Dists,
-		&wireResponse{ID: 3, Info: meta}, &wireResponse{ID: 4, Info: meta.Dists}} {
+		&wireResponse{ID: 3, Vals: []float64{1}, Pair: 2}} {
 		full, err := wire.AppendAny(nil, v, false)
 		if err != nil {
 			t.Fatal(err)

@@ -3,11 +3,14 @@ package arraymgr
 import (
 	"bytes"
 	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/msg"
 	"repro/internal/trace"
 )
 
@@ -277,6 +280,79 @@ func TestFanoutReachesLiveTargets(t *testing.T) {
 	for _, proc := range []int{0, 2, 3} {
 		if _, st := m.FindLocal(proc, id); st != StatusNotFound {
 			t.Errorf("processor %d still holds the freed array's entry (FindLocal: %v)", proc, st)
+		}
+	}
+}
+
+// entryCounts reports how many entries each server of m holds.
+func entryCounts(m *Manager) []int {
+	counts := make([]int, len(m.servers))
+	for proc, srv := range m.servers {
+		srv.mu.Lock()
+		counts[proc] = len(srv.entries)
+		srv.mu.Unlock()
+	}
+	return counts
+}
+
+// TestFreedEntryLeavesNothing creates and frees a 512-element array
+// 10 000 times: a free must take each server's entry, cloned metadata
+// included, out of its table, so the table sizes and the live heap end
+// where they started.
+func TestFreedEntryLeavesNothing(t *testing.T) {
+	const p, cycles = 4, 10000
+	_, m := newTestManager(t, p)
+	spec := basicSpec(p)
+	spec.Dims = []int{512}
+	spec.Distrib = []grid.Decomp{grid.BlockDefault()}
+	cycle := func(onProc int) {
+		id := mustCreate(t, m, onProc, spec)
+		if st := m.FreeArray(onProc, id); st != StatusOK {
+			t.Fatalf("FreeArray: %v", st)
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the buffer pools and the maps' buckets
+		cycle(i % p)
+	}
+	before := entryCounts(m)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heap := ms.HeapAlloc
+	for i := 0; i < cycles; i++ {
+		cycle(i % p)
+	}
+	if after := entryCounts(m); !reflect.DeepEqual(after, before) {
+		t.Fatalf("entries per server went %v -> %v over %d create/free cycles", before, after, cycles)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if grew := int64(ms.HeapAlloc) - int64(heap); grew > 64<<10 {
+		t.Fatalf("live heap grew %d bytes over %d create/free cycles, want at most 64 KiB", grew, cycles)
+	}
+}
+
+// TestChaosFreedEntryUnderDup runs create/free under a plan that
+// duplicates every message: no duplicated create_local or free_local
+// may leave an entry behind or bring a freed one back.
+func TestChaosFreedEntryUnderDup(t *testing.T) {
+	const p = 4
+	machine, m := newTestManager(t, p)
+	machine.Router().SetFaultPlan(&msg.FaultPlan{Seed: 5, Rule: msg.FaultRule{Dup: 1}})
+	m.SetCallPolicy(calmPolicy())
+	spec := basicSpec(p)
+	for i := 0; i < 200; i++ {
+		id := mustCreate(t, m, i%p, spec)
+		if st := m.FreeArray((i+1)%p, id); st != StatusOK {
+			t.Fatalf("FreeArray: %v", st)
+		}
+	}
+	if fs := machine.Router().FaultStats(); fs.Duplicated == 0 {
+		t.Fatal("the plan duplicated no messages")
+	}
+	for proc, n := range entryCounts(m) {
+		if n != 0 {
+			t.Errorf("processor %d holds %d entries after every array was freed", proc, n)
 		}
 	}
 }

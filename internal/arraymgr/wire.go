@@ -34,15 +34,13 @@ import (
 )
 
 // wireResponse is one reply or redistribution ack travelling back over
-// the wire; ID is the completion-table id it answers. Info is part of
-// the reply format, but no owner op answers with one: the ops that
-// return a value (create_array's ID, find_info) are coordinators, which
-// run in their caller's process.
+// the wire; ID is the completion-table id it answers. It has no slot
+// for a polymorphic value: the ops that return one (create_array's ID,
+// find_info) are coordinators, which run in their caller's process.
 type wireResponse struct {
 	ID     uint64
 	Status Status
 	Vals   []float64
-	Info   any
 	Pair   int
 }
 

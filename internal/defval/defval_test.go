@@ -2,6 +2,7 @@ package defval
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,5 +173,100 @@ func TestZeroValueVarUsable(t *testing.T) {
 	go v.MustDefine(2.5)
 	if got := v.Value(); got != 2.5 {
 		t.Fatalf("Value = %v, want 2.5", got)
+	}
+}
+
+// A defined variable is read without a lock or a channel: Value, Try,
+// IsDefined and Defined allocate nothing, and a variable defined before
+// anyone waits costs only its own allocation.
+func TestDefinedReadsZeroAllocs(t *testing.T) {
+	v := New[[]float64]()
+	v.MustDefine([]float64{1, 2})
+	reads := map[string]func(){
+		"Value":     func() { _ = v.Value() },
+		"Try":       func() { _, _ = v.Try() },
+		"IsDefined": func() { _ = v.IsDefined() },
+		"Defined":   func() { <-v.Defined() },
+	}
+	for name, read := range reads {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s on a defined variable: %v allocs, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		w := New[[2]float64]()
+		w.MustDefine([2]float64{3, 4})
+		_ = w.Value()
+	}); n != 1 {
+		t.Errorf("New+Define+Value with no waiter: %v allocs, want 1", n)
+	}
+}
+
+// Two definers race while 64 readers use every read path at once:
+// exactly one definition wins and every reader sees its value.
+func TestDefineRaceStress(t *testing.T) {
+	const readers = 64
+	for round := 0; round < 50; round++ {
+		v := New[int]()
+		var wins atomic.Int32
+		var winner atomic.Int64
+		seen := make([]int, readers)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				got := -1
+				switch r % 4 {
+				case 0:
+					got = v.Value()
+				case 1:
+					for {
+						if x, ok := v.Try(); ok {
+							got = x
+							break
+						}
+						runtime.Gosched()
+					}
+				case 2:
+					for !v.IsDefined() {
+						runtime.Gosched()
+					}
+					got = v.Value()
+				case 3:
+					select {
+					case <-v.Defined():
+					case <-time.After(10 * time.Second):
+						t.Errorf("reader %d: Defined never closed", r)
+						return
+					}
+					got, _ = v.Try()
+				}
+				seen[r] = got
+			}(r)
+		}
+		for d := 1; d <= 2; d++ {
+			wg.Add(1)
+			go func(x int) {
+				defer wg.Done()
+				<-start
+				if v.Define(x) == nil {
+					wins.Add(1)
+					winner.Store(int64(x))
+				}
+			}(round*10 + d)
+		}
+		close(start)
+		wg.Wait()
+		if wins.Load() != 1 {
+			t.Fatalf("round %d: %d definitions succeeded, want 1", round, wins.Load())
+		}
+		for r, x := range seen {
+			if x != int(winner.Load()) {
+				t.Fatalf("round %d: reader %d saw %d, want %d", round, r, x, winner.Load())
+			}
+		}
 	}
 }

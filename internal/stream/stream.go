@@ -11,6 +11,15 @@
 // Stream[T] is one cell of such a list. Each cell is a definitional variable
 // that is eventually defined either as a cons (head value + new tail cell) or
 // as the end of the stream (PCN's []).
+//
+// Cost model: a cell is a defval.Var, so sending on a cell nobody is
+// waiting on makes no channel, and receiving from a cell that is already
+// defined is one atomic load. Stream.Send allocates one cell per call. A
+// Writer takes its cells from a slab of slabCells cells allocated
+// together, one allocation per slabCells elements; the price is that
+// while any later cell of a slab is still referenced, the up to
+// slabCells-1 cells before it in the slab stay reachable too, consumed
+// or not.
 package stream
 
 import (
@@ -82,17 +91,29 @@ func (s Stream[T]) TryRecv() (v T, rest Stream[T], ok, defined bool) {
 // analogue of a PCN data guard on the stream variable.
 func (s Stream[T]) Defined() <-chan struct{} { return s.cell.Defined() }
 
+// slabCells is how many cells a Writer allocates at once.
+const slabCells = 64
+
 // Writer is a convenience producer handle that tracks the current tail so
 // callers can write sequentially without threading the tail by hand.
 type Writer[T any] struct {
 	tail Stream[T]
+	slab []defval.Var[cellval[T]] // cells not yet handed out
 }
 
 // NewWriter returns a writer producing into s.
 func NewWriter[T any](s Stream[T]) *Writer[T] { return &Writer[T]{tail: s} }
 
 // Put appends v to the stream.
-func (w *Writer[T]) Put(v T) { w.tail = w.tail.Send(v) }
+func (w *Writer[T]) Put(v T) {
+	if len(w.slab) == 0 {
+		w.slab = make([]defval.Var[cellval[T]], slabCells)
+	}
+	next := Stream[T]{cell: &w.slab[0]}
+	w.slab = w.slab[1:]
+	w.tail.cell.MustDefine(cellval[T]{head: v, tail: next})
+	w.tail = next
+}
 
 // End closes the stream.
 func (w *Writer[T]) End() { w.tail.Close() }
@@ -106,7 +127,15 @@ func (w *Writer[T]) Tail() Stream[T] { return w.tail }
 // from other: it sends nothing, instead forwarding every element of other
 // into the current tail. It runs synchronously until other is closed.
 func (w *Writer[T]) SpliceTo(other Stream[T]) {
-	Forward(other, w.tail)
+	for {
+		v, rest, ok := other.Recv()
+		if !ok {
+			w.End()
+			return
+		}
+		w.Put(v)
+		other = rest
+	}
 }
 
 // Reader is a convenience consumer handle.
@@ -172,17 +201,7 @@ func CollectN[T any](s Stream[T], n int) ([]T, Stream[T], bool) {
 
 // Forward copies every element of src into dst and closes dst when src
 // ends. It is the stream analogue of io.Copy.
-func Forward[T any](src, dst Stream[T]) {
-	for {
-		v, rest, ok := src.Recv()
-		if !ok {
-			dst.Close()
-			return
-		}
-		dst = dst.Send(v)
-		src = rest
-	}
-}
+func Forward[T any](src, dst Stream[T]) { NewWriter(dst).SpliceTo(src) }
 
 // Map produces a new stream applying f to each element of src; the result
 // stream is produced concurrently.

@@ -192,3 +192,22 @@ func TestConcurrentConsumersSameView(t *testing.T) {
 		}
 	}
 }
+
+// A Writer allocates its cells a slab at a time, and neither Put nor
+// Next makes a channel when the reader does not wait.
+func TestWriterSlabAllocs(t *testing.T) {
+	const n = 4096
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New[float64]()
+		w, r := NewWriter(s), NewReader(s)
+		for i := 0; i < n; i++ {
+			w.Put(float64(i))
+			if v, ok := r.Next(); !ok || v != float64(i) {
+				t.Fatalf("Next = (%v,%v), want (%d,true)", v, ok, i)
+			}
+		}
+	})
+	if max := float64(n/slabCells + 4); allocs > max {
+		t.Fatalf("%d Put/Next pairs: %v allocs, want at most %v", n, allocs, max)
+	}
+}
