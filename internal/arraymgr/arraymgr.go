@@ -223,11 +223,9 @@ type Manager struct {
 	servers  []*server
 	resolver BorderResolver
 
-	// Recovery state (resilient.go): the installed retry policy, the
-	// request-id counter, and the recovery counters. All zero-cost when
-	// no policy is installed.
+	// Recovery state (resilient.go): the installed retry policy and the
+	// recovery counters. All zero-cost when no policy is installed.
 	policy      atomic.Pointer[CallPolicy]
-	seq         atomic.Uint64
 	retransmits atomic.Uint64
 	timeouts    atomic.Uint64
 
@@ -245,15 +243,14 @@ type Manager struct {
 	jmu  sync.Mutex
 	jrng *rand.Rand
 
-	// Completion table (wire.go): every awaited request's reply channel
-	// and every redistribution's ack channel, by id. Handlers answer
-	// the id, in-process or across the wire.
-	pendMu    sync.Mutex
-	pending   map[uint64]chan response
-	nextReply atomic.Uint64
+	// Completion table (wire.go): one entry per coordinator call in
+	// flight, by id. Handlers answer (id, index), in-process or across
+	// the wire.
+	pendMu   sync.Mutex
+	pending  map[uint64]call
+	nextCall atomic.Uint64
 
-	mu     sync.Mutex
-	closed bool
+	mu sync.Mutex
 }
 
 // kindAM is the reserved task-class message kind of every array-manager
@@ -304,9 +301,9 @@ func (o opCode) String() string {
 // receives from a coordinator, or from another owner (a mirror or a
 // shipped piece). Coordinators run on the goroutine that invoked the
 // public operation and never receive a request. A request is answered
-// by completion-table id (replyID, or a ship's ackID), never through a
-// channel it carries, so the same value serves in-process and decoded
-// off the wire.
+// by its call's completion-table identity, never through a channel it
+// carries, so the same value serves in-process and decoded off the
+// wire.
 type request struct {
 	op   opCode
 	id   darray.ID
@@ -323,37 +320,32 @@ type request struct {
 	// slots after a promotion routes to the right storage (sectionFor)
 	node int // redist_ship: the source owner that shipped the piece
 	// redist_src: id names the source array and id2 the destination;
-	// ships carries the source owner's pairs, acknowledged by (ackProc,
-	// ackID) below (see redist.go).
+	// ships carries the source owner's pairs, each answering its pair
+	// index of the call below (see redist.go).
 	id2   darray.ID
 	ships []redistShip
 
-	// Recovery identity (resilient.go): seq is the per-request dedup id
-	// (0 in reliable mode), call/pair identify one redistribution ship,
-	// and src/dst let await retransmit the same request object. Handlers
-	// treat requests as read-only, so a retransmitted delivery may alias
-	// the original safely, and the fault plane's encode of a duplicated
-	// retransmit never races a handler.
-	seq  uint64
-	call uint64
-	pair int
-	src  int
-	dst  int
-
-	// Completion identity (wire.go): origin scopes the dedup window to
-	// the issuing processor; replyID names the waiter on processor src,
-	// (ackProc, ackID) a redistribution's ack channel, both entries of
-	// the completion table.
-	origin  int
-	replyID uint64
-	ackProc int
-	ackID   uint64
+	// Identity (wire.go): the call the request belongs to — origin, the
+	// coordinator's processor, and cid, its completion-table entry — and
+	// idx, the answer it gives there (a ship: its pair; a redist_src
+	// order, which answers through its ships: -1 minus its send
+	// generation). The same triple is the owner's dedup key, checked
+	// when dedup is set: for every request sent under a call policy
+	// (resilient.go). Handlers treat requests as read-only, so a re-sent
+	// delivery may alias the original safely, and the fault plane's
+	// encode of a duplicated re-send never races a handler. dst, the
+	// processor it was posted to, stays with the sender for re-sends and
+	// does not cross the wire.
+	origin int
+	cid    uint64
+	idx    int
+	dedup  bool
+	dst    int
 }
 
 type response struct {
 	status Status
 	vals   []float64
-	pair   int // redistribution acks: which ship this acknowledges
 }
 
 // New starts an array manager on every processor of the machine (the
@@ -364,7 +356,7 @@ type response struct {
 // coordinator code indexes it uniformly.
 func New(machine *vp.Machine) *Manager {
 	m := &Manager{machine: machine, servers: make([]*server, machine.P()),
-		pending: make(map[uint64]chan response)}
+		pending: make(map[uint64]call)}
 	router := machine.Router()
 	for p := 0; p < machine.P(); p++ {
 		m.servers[p] = &server{entries: make(map[darray.ID]*entry)}
@@ -393,8 +385,8 @@ func (m *Manager) borderResolver() BorderResolver {
 // serve is one array-manager server loop: it receives the owner requests
 // addressed to this processor and services each in its own goroutine
 // (the PCN server spawns a process per request, so concurrent requests
-// never deadlock the server), and files the wire replies and acks
-// addressed to this processor's coordinators.
+// never deadlock the server), and files the wire answers addressed to
+// this processor's coordinators.
 func (m *Manager) serve(proc int) {
 	router := m.machine.Router()
 	var dedup deduper
@@ -404,11 +396,11 @@ func (m *Manager) serve(proc int) {
 			return // router closed (or this processor killed)
 		}
 		if w, ok := message.Data.(*wireResponse); ok {
-			// A wire reply or ack addressed to a coordinator on this
+			// A wire answer addressed to a coordinator on this
 			// processor goes straight into the completion table.
-			// An answer nobody takes any more returns its decoded
-			// payload to the pool.
-			if !m.deliver(w.ID, response{status: w.Status, vals: w.Vals, pair: w.Pair}) {
+			// An answer the table refuses returns its decoded payload
+			// to the pool.
+			if !m.deliver(w.ID, w.Idx, response{status: w.Status, vals: w.Vals}) {
 				putBuf(w.Vals)
 			}
 			continue
@@ -421,44 +413,12 @@ func (m *Manager) serve(proc int) {
 		// dispatched request are dropped here, before any handler runs —
 		// at-most-once execution is what keeps the data-plane ops
 		// idempotent. The filter is owned by this goroutine (no lock)
-		// and engages only for requests carrying a recovery id.
+		// and engages only for requests sent under a call policy.
 		if k, ok := dedupKeyOf(req); ok && dedup.dup(k) {
 			continue
 		}
 		go m.handle(proc, req)
 	}
-}
-
-// sendAsync routes an owner request to the server on processor dst and
-// returns immediately; the server's response is collected with await.
-// Router sends never block, so a coordinator can scatter requests to any
-// number of owners before gathering a single reply — the async
-// request/reply facility behind the data-plane coordinators, the flat
-// control fan-out and the replicated write's mirrors. The reply channel
-// is entered in the completion table, wherever dst lives; await
-// unregisters it. Under a call policy the request is stamped with a
-// fresh dedup id and a known-dead destination is refused up front
-// (saving a full timeout per dead target when an owner is down).
-func (m *Manager) sendAsync(src, dst int, req *request) waiter {
-	w := waiter{req: req, done: make(chan response, 1)}
-	req.src, req.dst = src, dst
-	req.origin = src
-	req.replyID = m.register(w.done)
-	if m.policy.Load() != nil {
-		req.seq = m.nextSeq()
-		// A membership view fails known-dead destinations proactively,
-		// without waiting for a per-call timeout against a peer the
-		// heartbeat already declared dead.
-		mem := m.membership.Load()
-		if m.machine.Router().Down(dst) || mem != nil && mem.State(dst) == msg.StateDead {
-			w.done <- response{status: StatusDown}
-			return w
-		}
-	}
-	if err := m.post(src, dst, req); err != nil {
-		w.done <- response{status: sendStatus(err)}
-	}
-	return w
 }
 
 // handle dispatches one owner request at the server on proc. With
@@ -478,7 +438,7 @@ func (m *Manager) handle(proc int, req *request) {
 	case opWriteLocal, opMirrorWrite:
 		resp = m.doWriteLocal(proc, req)
 	case opRedistSrc:
-		// One-way ship traffic answers its pairs by ack id, not by a reply.
+		// One-way ship traffic answers its pairs through its ships.
 		m.doRedistSrc(proc, req)
 		putShipReq(req)
 		return
@@ -495,14 +455,14 @@ func (m *Manager) handle(proc int, req *request) {
 	// pool, was spent before the op answered (mirrors included, as
 	// doRedistShip's landing relies on too); in-process the coordinator
 	// owns the write's share.
-	taken := m.complete(proc, req.src, req.replyID, resp)
+	taken := m.complete(proc, req, req.idx, resp)
 	switch req.op {
 	case opReadLocal:
 		if !taken {
 			putBuf(resp.vals)
 		}
 	case opWriteLocal, opMirrorWrite:
-		if !m.machine.Router().Local(req.src) {
+		if !m.machine.Router().Local(req.origin) {
 			putBuf(req.vals)
 		}
 	}
@@ -684,9 +644,10 @@ func (m *Manager) doCreate(proc int, spec *CreateSpec) (darray.ID, Status) {
 // fanout delivers one control request (create_local, free_local,
 // copy_local or update_meta, named by req.op, carrying req's id, meta
 // and borders) to every processor in targets the way the data-plane
-// coordinators reach their owners: it posts one request to every other
-// target before awaiting any, services its own copy in place while they
-// work, then awaits every reply and keeps the highest status. P targets
+// coordinators reach their owners: one call, one index per target; it
+// posts one request to every other target before waiting on any,
+// services its own copy in place while they work, then gathers every
+// answer and keeps the highest status. P targets
 // cost P-1 messages and one round trip of depth, and a dead target
 // strands no other. Targets are posted in processor order, so a fault
 // plan's seeded draws repeat from run to run. Two per-op rules apply:
@@ -703,14 +664,14 @@ func (m *Manager) fanout(proc int, req *request, targets map[int]bool) Status {
 		}
 	}
 	sort.Ints(list)
-	replies := make([]waiter, 0, len(list))
-	self := false
-	for _, p := range list {
+	c := m.open(len(list))
+	self := -1
+	for i, p := range list {
 		if p == proc {
-			self = true
+			self = i
 			continue
 		}
-		replies = append(replies, m.sendAsync(proc, p, &request{op: req.op, id: req.id, meta: req.meta, gidx: req.gidx}))
+		m.send(c, i, proc, p, &request{op: req.op, id: req.id, meta: req.meta, gidx: req.gidx})
 	}
 	status := StatusOK
 	keep := func(st Status) {
@@ -720,17 +681,15 @@ func (m *Manager) fanout(proc int, req *request, targets map[int]bool) Status {
 			status = st
 		}
 	}
-	if self {
+	if self >= 0 {
 		// handle traces each other target's copy; the own copy gets the
 		// same am_debug line.
 		if trace.Enabled(trace.Ops) {
 			trace.Logf(trace.Ops, proc, "am: %s %v", req.op, req.id)
 		}
-		keep(m.control(proc, req).status)
+		m.deliver(c.id, self, m.control(proc, req))
 	}
-	for _, w := range replies {
-		keep(m.await(w).status)
-	}
+	m.gather(c, nil, func(_ int, r response) { keep(r.status) })
 	return status
 }
 
@@ -828,15 +787,15 @@ func (m *Manager) doFreeLocal(proc int, req *request) response {
 }
 
 // unsnapshot releases one owner's share of a write (a pooled buffer:
-// messages carry copies, never views) once the write's await (or direct
-// call) has returned with status st. A share sent to another OS process
-// is free by then: the transport serialized it on every send, await's
-// retransmit included, which is why it is not released after the send.
-// An owner in this process reads the share itself, so an await that
-// stopped waiting on it (down, timed out, closed) leaves the buffer to
-// the garbage collector. A fault plan changes none of this: a delayed
-// retransmit of the same request is dropped by the owner's dedup filter
-// before any handler reads the share, and a duplicate is a codec copy.
+// messages carry copies, never views) once the write's gather has its
+// answer, with status st. A share sent to another OS process is free by
+// then: the transport serialized it on every send, gather's re-sends
+// included, which is why it is not released after the send. An owner in
+// this process reads the share itself, so a gather that stopped waiting
+// on it (down, timed out, closed) leaves the buffer to the garbage
+// collector. A fault plan changes none of this: a delayed re-send of
+// the same request is dropped by the owner's dedup filter before any
+// handler reads the share, and a duplicate is a codec copy.
 func (m *Manager) unsnapshot(owner int, st Status, vals []float64) {
 	if m.machine.Router().Local(owner) && (st == StatusDown || st == StatusTimeout || st == StatusClosed) {
 		return

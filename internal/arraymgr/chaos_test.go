@@ -462,6 +462,53 @@ func TestChaosDupEveryOp(t *testing.T) {
 	}
 }
 
+// TestChaosDupNoPolicyRedistribute duplicates every message with no
+// call policy installed and runs 200 block→cyclic redistributions of 64
+// elements over four processors. Without a policy nothing is deduped,
+// so duplicated redist_src orders and ships answer their pairs twice;
+// the completion table takes one answer per pair index and refuses the
+// rest, so every call returns, within 2 s, with the right values. (A
+// shared ack channel sized one per pair filled up with the extra
+// answers and dropped a real one, and the gather waited forever.)
+func TestChaosDupNoPolicyRedistribute(t *testing.T) {
+	const p, n = 4, 64
+	machine, m := newTestManager(t, p)
+	src := mustCreate(t, m, 0, distSpec(n, p, grid.BlockDefault(), darray.Double))
+	dst := mustCreate(t, m, 0, distSpec(n, p, grid.CyclicDefault(), darray.Double))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i + 1)
+	}
+	if st := m.WriteBlock(0, src, []int{0}, []int{n}, vals); st != StatusOK {
+		t.Fatalf("fill: %v", st)
+	}
+	machine.Router().SetFaultPlan(&msg.FaultPlan{Seed: 9, Rule: msg.FaultRule{Dup: 1}})
+	for it := 0; it < 200; it++ {
+		done := make(chan Status, 1)
+		go func() { done <- m.Redistribute(it%p, dst, src, []int{0}, []int{n}) }()
+		select {
+		case st := <-done:
+			if st != StatusOK {
+				t.Fatalf("iteration %d: Redistribute: %v", it, st)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: Redistribute still blocked after 2 s", it)
+		}
+	}
+	if fs := machine.Router().FaultStats(); fs.Duplicated == 0 {
+		t.Fatal("the plan duplicated no messages")
+	}
+	got, st := m.ReadBlock(1, dst, []int{0}, []int{n})
+	if st != StatusOK {
+		t.Fatalf("readback: %v", st)
+	}
+	for i := range vals {
+		if got[i] != vals[i] {
+			t.Fatalf("dst[%d] = %v, want %v", i, got[i], vals[i])
+		}
+	}
+}
+
 // killSpec builds a 1d block array over all four processors whose piece
 // boundaries are known, so a full-range gather necessarily touches the
 // processor the test kills.
@@ -543,9 +590,9 @@ func TestKillMidRedistribute(t *testing.T) {
 // TestCloseMidCallSurfacesError closes the whole machine while a
 // coordinator is waiting on remote replies or acks — even with no retry
 // policy installed, the wait must observe the router's shutdown and
-// return an error status rather than deadlock. The read waits in await,
-// the redistribution in its ack gather; both coordinators run on the
-// calling goroutine. (The msg-level Close semantics are pinned in the
+// return an error status rather than deadlock. The read and the
+// redistribution wait in the same gather loop, on the calling
+// goroutine. (The msg-level Close semantics are pinned in the
 // msg package; this is the coordinator half.)
 func TestCloseMidCallSurfacesError(t *testing.T) {
 	cases := []struct {

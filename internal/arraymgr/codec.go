@@ -1,7 +1,7 @@
 // Binary wire codecs for the array-manager protocol: the *request
 // itself, the reply envelope, and the array metadata a request carries.
 // They dominate the data plane's byte stream (every remote
-// request, reply and redistribution ack is one of them), so they get
+// request and answer is one of them), so they get
 // custom wire.Codec entries instead of riding the gob fallback:
 // field-by-field varint/raw encoding of the unexported fields, with none
 // of gob's per-message type description or reflect walk.
@@ -224,10 +224,11 @@ func readOp(b []byte) (opCode, []byte, error) {
 	return opCode(b[0]), b[1:], nil
 }
 
-// appendRequest encodes every field of an owner request, among them the
-// completion-table ids the handler answers: replyID, or a ship's
-// (ackProc, ackID). A request is only ever an owner's message, so the
-// whole struct crosses.
+// appendRequest encodes every field of an owner request but dst (the
+// sender's own record of where it went), among them the identity the
+// handler answers and the owner dedups by: (origin, cid, idx) and the
+// dedup flag. A request is only ever an owner's message, so the rest of
+// the struct crosses whole.
 func appendRequest(b []byte, v any) []byte {
 	r := v.(*request)
 	b = append(b, byte(r.op))
@@ -262,15 +263,10 @@ func appendRequest(b []byte, v any) []byte {
 		b = wire.AppendInt(b, sh.DstSlot)
 		b = wire.AppendInt(b, sh.pair)
 	}
-	b = wire.AppendUvarint(b, r.seq)
-	b = wire.AppendUvarint(b, r.call)
-	b = wire.AppendInt(b, r.pair)
-	b = wire.AppendInt(b, r.src)
-	b = wire.AppendInt(b, r.dst)
 	b = wire.AppendInt(b, r.origin)
-	b = wire.AppendUvarint(b, r.replyID)
-	b = wire.AppendInt(b, r.ackProc)
-	return wire.AppendUvarint(b, r.ackID)
+	b = wire.AppendUvarint(b, r.cid)
+	b = wire.AppendInt(b, r.idx)
+	return wire.AppendBool(b, r.dedup)
 }
 
 // sizeRequest returns the bytes appendRequest writes for v.
@@ -291,14 +287,12 @@ func sizeRequest(v any) int {
 			wire.SizeInts(sh.DstStep) + wire.SizeInts(sh.Runs) +
 			wire.SizeInt(sh.SrcSlot) + wire.SizeInt(sh.DstSlot) + wire.SizeInt(sh.pair)
 	}
-	return n + wire.SizeUvarint(r.seq) + wire.SizeUvarint(r.call) + wire.SizeInt(r.pair) +
-		wire.SizeInt(r.src) + wire.SizeInt(r.dst) + wire.SizeInt(r.origin) +
-		wire.SizeUvarint(r.replyID) + wire.SizeInt(r.ackProc) + wire.SizeUvarint(r.ackID)
+	return n + wire.SizeInt(r.origin) + wire.SizeUvarint(r.cid) + wire.SizeInt(r.idx) + 1
 }
 
-// readRequest decodes a request. Its ids answer the same way as an
-// in-process request's: complete sends a *wireResponse under the same
-// kindAM tag, since the waiter's processor is hosted elsewhere.
+// readRequest decodes a request. Its identity answers the same way as
+// an in-process request's: complete sends a *wireResponse under the same
+// kindAM tag, since the call's origin is hosted elsewhere.
 func readRequest(b []byte) (any, []byte, error) {
 	var err error
 	r := &request{}
@@ -397,31 +391,16 @@ func readRequest(b []byte) (any, []byte, error) {
 			}
 		}
 	}
-	if r.seq, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, b, err
-	}
-	if r.call, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, b, err
-	}
-	if r.pair, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
-	if r.src, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
-	if r.dst, b, err = wire.ReadInt(b); err != nil {
-		return nil, b, err
-	}
 	if r.origin, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if r.replyID, b, err = wire.ReadUvarint(b); err != nil {
+	if r.cid, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, b, err
 	}
-	if r.ackProc, b, err = wire.ReadInt(b); err != nil {
+	if r.idx, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
-	if r.ackID, b, err = wire.ReadUvarint(b); err != nil {
+	if r.dedup, b, err = wire.ReadBool(b); err != nil {
 		return nil, b, err
 	}
 	return r, b, nil
@@ -432,12 +411,12 @@ func appendResponse(b []byte, v any) []byte {
 	b = wire.AppendUvarint(b, w.ID)
 	b = wire.AppendInt(b, int(w.Status))
 	b = wire.AppendFloat64s(b, w.Vals)
-	return wire.AppendInt(b, w.Pair)
+	return wire.AppendInt(b, w.Idx)
 }
 
 func sizeResponse(v any) int {
 	w := v.(*wireResponse)
-	return wire.SizeUvarint(w.ID) + wire.SizeInt(int(w.Status)) + wire.SizeFloat64s(w.Vals) + wire.SizeInt(w.Pair)
+	return wire.SizeUvarint(w.ID) + wire.SizeInt(int(w.Status)) + wire.SizeFloat64s(w.Vals) + wire.SizeInt(w.Idx)
 }
 
 func readResponse(b []byte) (any, []byte, error) {
@@ -454,7 +433,7 @@ func readResponse(b []byte) (any, []byte, error) {
 	if w.Vals, b, err = wire.ReadFloat64sWith(b, getBuf); err != nil {
 		return nil, b, err
 	}
-	if w.Pair, b, err = wire.ReadInt(b); err != nil {
+	if w.Idx, b, err = wire.ReadInt(b); err != nil {
 		return nil, b, err
 	}
 	return w, b, nil

@@ -69,30 +69,26 @@ func randMeta(rng *rand.Rand) *darray.Meta {
 }
 
 // randRequest draws a request with every field set at random: a request
-// is an owner's message, and the codec carries all of it.
+// is an owner's message, and the codec carries all of it but dst, the
+// sender's own record of where it went.
 func randRequest(rng *rand.Rand) *request {
 	r := &request{
-		op:      opCode(rng.Intn(len(opNames))),
-		id:      darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
-		id2:     darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
-		gidx:    randInts(rng, 3),
-		offs:    randInts(rng, 8),
-		lo:      randInts(rng, 3),
-		hi:      randInts(rng, 3),
-		step:    randInts(rng, 3),
-		runs:    randInts(rng, 2),
-		vals:    randFloats(rng, 32),
-		slot:    rng.Intn(16),
-		node:    rng.Intn(8),
-		seq:     rng.Uint64() >> rng.Intn(64),
-		call:    rng.Uint64() >> rng.Intn(64),
-		pair:    rng.Intn(8),
-		src:     rng.Intn(8),
-		dst:     rng.Intn(8),
-		origin:  rng.Intn(8),
-		replyID: rng.Uint64() >> rng.Intn(64),
-		ackProc: rng.Intn(8),
-		ackID:   rng.Uint64() >> rng.Intn(64),
+		op:     opCode(rng.Intn(len(opNames))),
+		id:     darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
+		id2:    darray.ID{Proc: rng.Intn(8), Seq: rng.Intn(1000)},
+		gidx:   randInts(rng, 3),
+		offs:   randInts(rng, 8),
+		lo:     randInts(rng, 3),
+		hi:     randInts(rng, 3),
+		step:   randInts(rng, 3),
+		runs:   randInts(rng, 2),
+		vals:   randFloats(rng, 32),
+		slot:   rng.Intn(16),
+		node:   rng.Intn(8),
+		origin: rng.Intn(8),
+		cid:    rng.Uint64() >> rng.Intn(64),
+		idx:    rng.Intn(16) - 8,
+		dedup:  rng.Intn(2) == 0,
 	}
 	if rng.Intn(3) == 0 {
 		r.meta = randMeta(rng)
@@ -134,7 +130,7 @@ func randResponse(rng *rand.Rand) *wireResponse {
 		ID:     rng.Uint64() >> rng.Intn(64),
 		Status: Status(rng.Intn(8)),
 		Vals:   randFloats(rng, 32),
-		Pair:   rng.Intn(8),
+		Idx:    rng.Intn(8),
 	}
 	return w
 }
@@ -186,7 +182,7 @@ func TestAMCodecRoundTrip(t *testing.T) {
 	// An owner request for a multi-run piece.
 	roundTrip(t, &request{op: opReadLocal, lo: []int{0, 3}, hi: []int{7, 6}, step: []int{6, 6}, runs: []int{2}, slot: 1})
 	// The reply envelope.
-	roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Pair: 3})
+	roundTrip(t, &wireResponse{ID: 7, Status: StatusOK, Vals: []float64{1, 2}, Idx: 3})
 	// The metadata codecs on their own, a Meta with nil Dists (pure
 	// block) and nil Origins (never promoted) among them.
 	roundTrip(t, &darray.Meta{})
@@ -213,7 +209,7 @@ func TestAMCodecNoGob(t *testing.T) {
 	meta := &darray.Meta{ID: darray.ID{Proc: 0, Seq: 4}, Dims: []int{128, 128}, Procs: []int{0, 1, 2, 3},
 		GridDims: []int{4, 1}, Dists: []grid.Dist{{Kind: grid.DistBlock}, {Kind: grid.DistBlock}},
 		LocalDims: []int{32, 128}, Borders: []int{1, 1, 0, 0}, LocalDimsPlus: []int{34, 128}}
-	create := &request{op: opCreateLocal, id: meta.ID, meta: meta, src: 0, replyID: 5}
+	create := &request{op: opCreateLocal, id: meta.ID, meta: meta, origin: 0, cid: 5}
 	reply := &wireResponse{ID: 5, Status: StatusOK}
 	for _, c := range []struct {
 		v    any
@@ -234,7 +230,7 @@ func TestAMCodecNoGob(t *testing.T) {
 // decoding into pooled buffers changed where the bytes go, not which
 // bytes a reply (or its retransmitted twin) puts on the wire.
 func TestAMReplyGolden(t *testing.T) {
-	w := &wireResponse{ID: 300, Status: StatusInvalid, Vals: []float64{0.5, math.Copysign(0, -1), 1e300}, Pair: -2}
+	w := &wireResponse{ID: 300, Status: StatusInvalid, Vals: []float64{0.5, math.Copysign(0, -1), 1e300}, Idx: -2}
 	want, _ := hex.DecodeString("21ac020203000000000000e03f00000000000000809c7500883ce4377e03")
 	got, err := wire.AppendAny(nil, w, false)
 	if err != nil || !bytes.Equal(got, want) {
@@ -251,7 +247,7 @@ func TestAMCodecTruncated(t *testing.T) {
 	create := randRequest(rng)
 	create.meta = meta
 	for _, v := range []any{randRequest(rng), create, meta, meta.ID, meta.Dists,
-		&wireResponse{ID: 3, Vals: []float64{1}, Pair: 2}} {
+		&wireResponse{ID: 3, Vals: []float64{1}, Idx: 2}} {
 		full, err := wire.AppendAny(nil, v, false)
 		if err != nil {
 			t.Fatal(err)

@@ -110,10 +110,11 @@ func split(meta *darray.Meta, rg region) (pieces []piece, sdims []int, size int,
 	return pieces, sdims, len(rg.idx), nil
 }
 
-// doRead is the read coordinator: it splits the region, scatters one
-// read_local request to every remote owner before waiting on any reply,
-// services its own pieces while the remote owners work, then places each
-// reply into the result — out when the caller passed a buffer. Latency
+// doRead is the read coordinator: it splits the region, opens one call
+// with an index per piece, scatters one read_local request to every
+// remote owner before waiting on any reply, services its own pieces
+// while the remote owners work, then places each reply into the result
+// as it arrives — out when the caller passed a buffer. Latency
 // is one round trip to the slowest owner, and a transfer costs one
 // request/reply pair per owner, never one per element. A reply whose
 // length does not match its piece (possible only off the wire) is
@@ -133,16 +134,25 @@ func (m *Manager) doRead(proc int, id darray.ID, rg region, out []float64) respo
 	if out == nil {
 		out = make([]float64, size)
 	}
-	replies := make([]waiter, len(pieces))
+	c := m.open(len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
-			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opReadLocal, id, nil))
+			m.send(c, i, proc, p.proc, p.ownerReq(opReadLocal, id, nil))
 		}
 	}
+	// After a failover promotion one processor can own several slots, so
+	// "local" is not necessarily unique.
+	for i := range pieces {
+		if p := &pieces[i]; p.proc == proc {
+			m.deliver(c.id, i, m.doReadLocal(proc, p.ownerReq(opReadLocal, id, nil)))
+		}
+	}
+	// Every reply is drained even after a failure, so no owner's
+	// response is left dangling: each is checked against its piece,
+	// placed, and its pooled buffer returned.
 	status := StatusOK
-	// unpack checks one owner's reply against its piece, places it and
-	// returns the pooled reply buffer.
-	unpack := func(p *piece, r response) {
+	m.gather(c, nil, func(i int, r response) {
+		p := &pieces[i]
 		switch {
 		case r.status != StatusOK:
 			status = r.status
@@ -151,31 +161,18 @@ func (m *Manager) doRead(proc int, id darray.ID, rg region, out []float64) respo
 			status = StatusError
 		}
 		putBuf(r.vals)
-	}
-	// After a failover promotion one processor can own several slots, so
-	// "local" is not necessarily unique.
-	for i := range pieces {
-		if replies[i].req == nil {
-			unpack(&pieces[i], m.doReadLocal(proc, pieces[i].ownerReq(opReadLocal, id, nil)))
-		}
-	}
-	// Drain every reply even after a failure, so no owner's response is
-	// left dangling.
-	for i := range pieces {
-		if replies[i].req != nil {
-			unpack(&pieces[i], m.await(replies[i]))
-		}
-	}
+	})
 	if status != StatusOK {
 		return response{status: status}
 	}
 	return response{status: StatusOK, vals: out}
 }
 
-// doWrite is the write coordinator: it splits the region, sends each
-// remote owner one write_local request carrying a packed snapshot of its
-// piece's values, all posted before any reply is awaited, writes its own
-// pieces in place and gathers the statuses. Offsets within an offset set
+// doWrite is the write coordinator: it splits the region, opens one
+// call with an index per piece, sends each remote owner one write_local
+// request carrying a packed snapshot of its piece's values, all posted
+// before any reply is awaited, writes its own pieces in place and
+// gathers the statuses. Offsets within an offset set
 // keep request order, so an index repeated in one vector takes the value
 // at its last occurrence, as a sequential loop of write_element calls
 // would leave it.
@@ -195,34 +192,29 @@ func (m *Manager) doWrite(proc int, id darray.ID, rg region, vals []float64) res
 		_ = p.place(false, vals, sub, sdims)
 		return sub
 	}
-	replies := make([]waiter, len(pieces))
+	c := m.open(len(pieces))
 	for i := range pieces {
 		if p := &pieces[i]; p.proc != proc {
-			replies[i] = m.sendAsync(proc, p.proc, p.ownerReq(opWriteLocal, id, pack(p)))
+			m.send(c, i, proc, p.proc, p.ownerReq(opWriteLocal, id, pack(p)))
+		}
+	}
+	for i := range pieces {
+		if p := &pieces[i]; p.proc == proc {
+			sub := pack(p)
+			r := m.doWriteLocal(proc, p.ownerReq(opWriteLocal, id, sub))
+			m.unsnapshot(proc, r.status, sub)
+			m.deliver(c.id, i, r)
 		}
 	}
 	status := StatusOK
-	for i := range pieces {
-		if replies[i].req != nil {
-			continue
-		}
-		sub := pack(&pieces[i])
-		r := m.doWriteLocal(proc, pieces[i].ownerReq(opWriteLocal, id, sub))
+	m.gather(c, nil, func(i int, r response) {
 		if r.status != StatusOK {
 			status = r.status
 		}
-		m.unsnapshot(proc, r.status, sub)
-	}
-	for i := range pieces {
-		if replies[i].req == nil {
-			continue
+		if req := c.slots[i].req; req != nil { // a remote owner's share
+			m.unsnapshot(req.dst, r.status, req.vals)
 		}
-		r := m.await(replies[i])
-		if r.status != StatusOK {
-			status = r.status
-		}
-		m.unsnapshot(pieces[i].proc, r.status, replies[i].req.vals)
-	}
+	})
 	return response{status: status}
 }
 

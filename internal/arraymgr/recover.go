@@ -18,7 +18,7 @@
 // The promoted processor already holds the slot's bytes (its buddy
 // copy); owner routing by grid slot (request.slot + entry.sectionFor)
 // makes the copy authoritative without moving a single element. The
-// failed coordinator then runs again, with fresh request ids.
+// failed coordinator then runs again, under a fresh completion entry.
 package arraymgr
 
 import (
@@ -78,7 +78,7 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 		return StatusOK
 	}
 	router := m.machine.Router()
-	var replies []waiter
+	var buddies []int
 	for j := 1; j <= meta.Replicas; j++ {
 		buddy := meta.BuddyOwner(req.slot, j)
 		if buddy == proc {
@@ -88,16 +88,22 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 			m.mirrorFailures.Add(1)
 			continue
 		}
+		buddies = append(buddies, buddy)
+	}
+	if len(buddies) == 0 {
+		return StatusOK
+	}
+	c := m.open(len(buddies))
+	for i, buddy := range buddies {
 		m.mirrors.Add(1)
-		replies = append(replies, m.sendAsync(proc, buddy, &request{
+		m.send(c, i, proc, buddy, &request{
 			op: opMirrorWrite, id: req.id, slot: req.slot,
 			lo: req.lo, hi: req.hi, step: req.step, runs: req.runs, offs: req.offs, vals: req.vals,
-		}))
+		})
 	}
 	st := StatusOK
-	for _, r := range replies {
-		rr := m.await(r)
-		switch rr.status {
+	m.gather(c, nil, func(_ int, r response) {
+		switch r.status {
 		case StatusOK:
 		case StatusDown, StatusTimeout:
 			// The buddy died (or went silent) mid-mirror: fail-stop says
@@ -105,11 +111,11 @@ func (m *Manager) mirrorWrite(proc int, meta *darray.Meta, req *request) Status 
 			// produce a divergent result — degrade and carry on.
 			m.mirrorFailures.Add(1)
 		default:
-			if rr.status > st {
-				st = rr.status
+			if r.status > st {
+				st = r.status
 			}
 		}
-	}
+	})
 	return st
 }
 

@@ -463,7 +463,7 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 // by design), and the tracked state never exceeds the window.
 func TestDeduperWindowOverflow(t *testing.T) {
 	var d deduper
-	key := func(i int) dedupKey { return dedupKey{origin: 0, a: uint64(i + 1), b: 0} }
+	key := func(i int) dedupKey { return dedupKey{origin: 0, id: uint64(i + 1)} }
 	const extra = 100
 	for i := 0; i < dedupWindow+extra; i++ {
 		if d.dup(key(i)) {

@@ -23,16 +23,17 @@
 //
 // That is ≤1 message per non-empty owner pair (plus the per-owner
 // redist_src fan-out), against read+write coordinator rounds for the
-// bounce. Completion is one ack channel shared by all pairs and entered
-// in the completion table; each pair is acknowledged by that id
-// (complete, wire.go), so an ack from an owner in the coordinator's
-// process costs no message. Ship traffic is one-way: it travels as an
+// bounce. Completion is the one every coordinator uses: one call in the
+// completion table with an index per pair, each pair answered at its
+// index (complete, wire.go), so an answer from an owner in the
+// coordinator's process costs no message, and the one gather loop
+// waits. Under a call policy it re-sends unanswered pairs regrouped
+// under their source owners. Ship traffic is one-way: it travels as an
 // ordinary request, and handle dispatches its two ops without a reply.
 package arraymgr
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/darray"
 	"repro/internal/grid"
@@ -42,8 +43,8 @@ import (
 // to the source owner: the schedule block, whose slots route each side
 // to the right section (after a failover promotion a processor may own
 // several slots), and the pair's index in the coordinator's pair list —
-// the ack identity of the resilient protocol and, with the coordinator's
-// call id, the dedup identity at the destination.
+// the index of the call it answers, and so part of its ship's identity
+// and dedup key at the destination.
 type redistShip struct {
 	darray.PairBlock
 	pair int
@@ -89,12 +90,11 @@ func putShipReq(r *request) {
 // doRedistribute is the redistribution coordinator: it computes the
 // owner-pair schedule for copying the source lattice (origin srcLo) of
 // array src onto the destination lattice (lo, hi, step) of array dst,
-// groups the pairs by source owner, sends each remote source owner one
-// redist_src request (servicing its own group inline), and waits for
-// one ack per pair on a shared buffered channel entered in the
-// completion table. Sends and deliveries never block, so the
-// protocol cannot deadlock; the merged status is the worst any pair
-// reported.
+// opens one call with an index per pair, groups the pairs by source
+// owner, sends each remote source owner one redist_src request
+// (servicing its own group inline), and gathers one answer per pair.
+// Sends and deliveries never block, so the protocol cannot deadlock;
+// the merged status is the worst any pair reported.
 func (m *Manager) doRedistribute(proc int, dst, src darray.ID, lo, hi, srcLo, step []int) response {
 	if dst == src {
 		return response{status: StatusInvalid} // aliasing copies are undefined
@@ -122,151 +122,90 @@ func (m *Manager) doRedistribute(proc int, dst, src darray.ID, lo, hi, srcLo, st
 	if npairs == 0 {
 		return response{status: StatusOK}
 	}
-	pol := m.policy.Load()
-	router := m.machine.Router()
 	// The pair list, flattened in schedule order; a pair's index is its
-	// ack identity. Under a call policy the whole operation also gets a
-	// call id, which with the pair index lets destination owners dedup
-	// re-shipped pieces across retransmit attempts.
-	var call uint64
-	ackCap := npairs
-	if pol != nil {
-		call = m.nextSeq()
-		// Every attempt can produce at most one ack per pair; size the
-		// channel so even a fully retried run (plus stragglers landing
-		// after abandonment) can never block a server goroutine.
-		ackCap = npairs * (pol.Retries + 3)
-	}
-	ack := make(chan response, ackCap)
-	// Every owner acknowledges through the completion table;
-	// deliver's non-blocking send plus the acked[] filter below make a
-	// straggler or a duplicate harmless.
-	ackID := m.register(ack)
-	defer m.unregister(ackID)
-	pairs := make([]redistShip, npairs)
-	for i, pb := range sched.Blocks {
-		pairs[i] = redistShip{pb, i}
-	}
-	// sendGroups (re)issues the listed pairs, grouped by source owner in
-	// schedule order: one redist_src per remote owner, the local group
-	// serviced inline. A send refused up front (dead or closed) acks its
-	// pairs immediately so the gather never waits on it.
-	sendGroups := func(todo []int) {
-		order := make([]int, 0, 8)
-		bySrc := make(map[int][]redistShip)
-		for _, pi := range todo {
-			sp := pairs[pi].SrcProc
-			if _, ok := bySrc[sp]; !ok {
-				order = append(order, sp)
-			}
-			bySrc[sp] = append(bySrc[sp], pairs[pi])
-		}
-		for _, sp := range order {
-			if sp == proc {
-				m.doRedistSrc(proc, &request{op: opRedistSrc, id: src, id2: dst, ships: bySrc[sp],
-					call: call, origin: proc, ackProc: proc, ackID: ackID})
-				continue
-			}
-			sreq := getShipReq()
-			*sreq = request{op: opRedistSrc, id: src, id2: dst, ships: bySrc[sp],
-				call: call, origin: proc, ackProc: proc, ackID: ackID}
-			if pol != nil {
-				sreq.seq = m.nextSeq()
-			}
-			if router.Down(sp) {
-				for _, sh := range bySrc[sp] {
-					ack <- response{status: StatusDown, pair: sh.pair}
-				}
-				putShipReq(sreq)
-				continue
-			}
-			if err := m.post(proc, sp, sreq); err != nil {
-				for _, sh := range bySrc[sp] {
-					ack <- response{status: sendStatus(err), pair: sh.pair}
-				}
-				putShipReq(sreq)
-			} else if !router.Local(sp) {
-				// A remote send serialized the request before returning,
-				// so the object is already free.
-				putShipReq(sreq)
-			}
-		}
-	}
+	// index in the call.
+	rc := &redistCall{m: m, c: m.open(npairs), proc: proc, src: src, dst: dst,
+		pairs: make([]redistShip, npairs), dedup: m.policy.Load() != nil}
 	all := make([]int, npairs)
-	for i := range all {
+	for i, pb := range sched.Blocks {
+		rc.pairs[i] = redistShip{pb, i}
 		all[i] = i
 	}
-	sendGroups(all)
-	// Gather acks by pair identity; selecting on Done keeps a mid-call
-	// shutdown from deadlocking the gather. With no policy the deadline
-	// channel is nil and exactly one ack arrives per pair. Under a policy
-	// each attempt has a deadline: unacked pairs with a dead endpoint
-	// fail as StatusDown, the rest are re-sent (bounded exponential
-	// backoff) until the retry budget is spent.
-	acked := make([]bool, npairs)
-	remaining := npairs
+	rc.resend(all)
 	status := StatusOK
-	var timer *time.Timer
-	var deadline <-chan time.Time
-	var backoff time.Duration
-	if pol != nil {
-		timer = time.NewTimer(pol.Timeout)
-		defer timer.Stop()
-		deadline, backoff = timer.C, pol.Backoff
+	m.gather(rc.c, rc, func(_ int, r response) {
+		if r.status > status {
+			status = r.status
+		}
+	})
+	return response{status: status}
+}
+
+// redistCall is one redistribution in flight and its resend hook: the
+// pairs of call c, (re)sent grouped by source owner.
+type redistCall struct {
+	m        *Manager
+	c        call
+	proc     int // the coordinator
+	src, dst darray.ID
+	pairs    []redistShip
+	dedup    bool // sent under a call policy
+	sends    int  // send generations so far
+}
+
+// lost reports whether pair i has a dead endpoint.
+func (rc *redistCall) lost(i int) bool {
+	router := rc.m.machine.Router()
+	return router.Down(rc.pairs[i].SrcProc) || router.Down(rc.pairs[i].DstProc)
+}
+
+// resend (re)issues the listed pairs, grouped by source owner in
+// schedule order: one redist_src per remote owner, the local group
+// serviced inline. Each generation's orders take index -1-generation,
+// so a source owner's dedup filter tells a duplicated order from a
+// re-send while its ships keep their pair indexes. A send refused up
+// front (dead or closed) answers its pairs at once, so gather never
+// waits on them.
+func (rc *redistCall) resend(todo []int) {
+	m, proc := rc.m, rc.proc
+	router := m.machine.Router()
+	gen := rc.sends
+	rc.sends++
+	order := make([]int, 0, 8)
+	bySrc := make(map[int][]redistShip)
+	for _, pi := range todo {
+		sp := rc.pairs[pi].SrcProc
+		if _, ok := bySrc[sp]; !ok {
+			order = append(order, sp)
+		}
+		bySrc[sp] = append(bySrc[sp], rc.pairs[pi])
 	}
-	for attempt := 0; ; attempt++ {
-		expired := false
-		for remaining > 0 && !expired {
-			select {
-			case r := <-ack:
-				if r.pair >= 0 && r.pair < npairs && !acked[r.pair] {
-					acked[r.pair] = true
-					remaining--
-					if r.status > status {
-						status = r.status
-					}
-				}
-			case <-router.Done():
-				return response{status: StatusClosed}
-			case <-deadline:
-				expired = true
-			}
+	fail := func(ships []redistShip, st Status) {
+		for _, sh := range ships {
+			m.deliver(rc.c.id, sh.pair, response{status: st})
 		}
-		if remaining == 0 {
-			return response{status: status}
+	}
+	for _, sp := range order {
+		oreq := request{op: opRedistSrc, id: rc.src, id2: rc.dst, ships: bySrc[sp],
+			origin: proc, cid: rc.c.id, idx: -1 - gen, dedup: rc.dedup}
+		if sp == proc {
+			m.doRedistSrc(proc, &oreq)
+			continue
 		}
-		m.timeouts.Add(1)
-		todo := make([]int, 0, remaining)
-		for i := range pairs {
-			if acked[i] {
-				continue
-			}
-			if router.Down(pairs[i].SrcProc) || router.Down(pairs[i].DstProc) {
-				acked[i] = true
-				remaining--
-				if StatusDown > status {
-					status = StatusDown
-				}
-				continue
-			}
-			todo = append(todo, i)
+		if router.Down(sp) {
+			fail(oreq.ships, StatusDown)
+			continue
 		}
-		if remaining == 0 {
-			return response{status: status}
+		sreq := getShipReq()
+		*sreq = oreq
+		if err := m.post(proc, sp, sreq); err != nil {
+			fail(oreq.ships, sendStatus(err))
+			putShipReq(sreq)
+		} else if !router.Local(sp) {
+			// A remote send serialized the request before returning,
+			// so the object is already free.
+			putShipReq(sreq)
 		}
-		if attempt >= pol.Retries {
-			if StatusTimeout > status {
-				status = StatusTimeout
-			}
-			return response{status: status}
-		}
-		if backoff > 0 {
-			time.Sleep(m.jitterBackoff(backoff))
-			backoff *= 2
-		}
-		m.retransmits.Add(uint64(len(todo)))
-		sendGroups(todo)
-		timer.Reset(pol.Timeout)
 	}
 }
 
@@ -275,7 +214,7 @@ func (m *Manager) doRedistribute(proc int, dst, src darray.ID, lo, hi, srcLo, st
 // whose destination is this same processor is copied in place under the
 // server lock; every other pair is read into a pooled buffer and
 // forwarded to its destination owner as one redist_ship message.
-// Exactly one ack is produced per pair — by this routine on a local
+// Exactly one answer is produced per pair — by this routine on a local
 // copy or any failure, by the destination owner otherwise.
 func (m *Manager) doRedistSrc(proc int, req *request) {
 	e, st := m.lookup(proc, req.id)
@@ -283,11 +222,11 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 	router := m.machine.Router()
 	for _, sh := range req.ships {
 		if st != StatusOK {
-			m.complete(proc, req.ackProc, req.ackID, response{status: st, pair: sh.pair})
+			m.complete(proc, req, sh.pair, response{status: st})
 			continue
 		}
 		if sh.DstProc == proc {
-			m.complete(proc, req.ackProc, req.ackID, response{status: m.redistLocalPair(proc, req.id2, e, sh), pair: sh.pair})
+			m.complete(proc, req, sh.pair, response{status: m.redistLocalPair(proc, req.id2, e, sh)})
 			continue
 		}
 		var vals []float64
@@ -309,18 +248,18 @@ func (m *Manager) doRedistSrc(proc int, req *request) {
 		srv.mu.Unlock()
 		if fail != StatusOK {
 			putBuf(vals)
-			m.complete(proc, req.ackProc, req.ackID, response{status: fail, pair: sh.pair})
+			m.complete(proc, req, sh.pair, response{status: fail})
 			continue
 		}
 		dreq := getShipReq()
 		*dreq = request{op: opRedistShip, id: req.id2, slot: sh.DstSlot,
 			lo: sh.DstLo, hi: sh.DstHi, step: sh.DstStep, runs: sh.Runs,
-			vals: vals, node: proc, call: req.call, pair: sh.pair,
-			origin: req.origin, ackProc: req.ackProc, ackID: req.ackID}
+			vals: vals, node: proc,
+			origin: req.origin, cid: req.cid, idx: sh.pair, dedup: req.dedup}
 		if err := m.post(proc, sh.DstProc, dreq); err != nil {
 			putBuf(vals)
 			putShipReq(dreq)
-			m.complete(proc, req.ackProc, req.ackID, response{status: sendStatus(err), pair: sh.pair})
+			m.complete(proc, req, sh.pair, response{status: sendStatus(err)})
 		} else if !router.Local(sh.DstProc) {
 			// Remote ship: the transport serialized the piece before
 			// returning, so the buffer and request recycle immediately.
@@ -374,8 +313,8 @@ func (m *Manager) redistLocalPair(proc int, dstID darray.ID, srcE *entry, sh red
 
 // doRedistShip lands one shipped piece at its destination owner: the
 // packed values are written to the destination run lists, the pair is
-// acknowledged, and the buffer is returned to the pool of the source
-// owner that drew it.
+// answered, and the buffer is returned to the pool of the source owner
+// that drew it.
 func (m *Manager) doRedistShip(proc int, req *request) {
 	node, vals := req.node, req.vals
 	var meta *darray.Meta
@@ -394,14 +333,14 @@ func (m *Manager) doRedistShip(proc int, req *request) {
 		srv.mu.Unlock()
 	}
 	if meta != nil && meta.Replicas > 0 {
-		// Mirror before acking and before any recycling: the ack releases
-		// the coordinator, and the free lists must not reuse vals or req
-		// while a mirror is still reading them.
+		// Mirror before answering and before any recycling: the answer
+		// releases the coordinator, and the free lists must not reuse
+		// vals or req while a mirror is still reading them.
 		if mst := m.mirrorWrite(proc, meta, req); mst > st {
 			st = mst
 		}
 	}
-	m.complete(proc, req.ackProc, req.ackID, response{status: st, pair: req.pair})
+	m.complete(proc, req, req.idx, response{status: st})
 	// The piece came from the float-buffer pool either way: drawn by the
 	// source owner in this process, or by the codec that decoded it (off
 	// the wire, or into a fault-plane duplicate). Only a request whose

@@ -408,16 +408,26 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 		t.Fatalf("fill: %v", st)
 	}
 	srv := m.servers[0]
-	ack := make(chan response, 1)
-	ackID := m.register(ack)
+	// One entry answers every iteration below, each at a fresh index
+	// (four owner routines, 3 warm-up runs and 201 measured ones each).
+	c := m.open(4 * 204)
+	defer m.close(c.id)
+	next := 0
+	// answered takes the next index of c and returns the answer the
+	// owner routine filed there.
+	answered := func() response {
+		next++
+		i := <-c.ready
+		return c.slots[i].r
+	}
 	lo, hi := []int{0}, []int{4}
 
 	ship := func() {
 		req := getShipReq()
 		buf := getBuf(4)
-		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, ackID: ackID}
+		*req = request{op: opRedistShip, id: dst, lo: lo, hi: hi, vals: buf, node: 0, cid: c.id, idx: next}
 		m.doRedistShip(0, req)
-		if r := <-ack; r.status != StatusOK {
+		if r := answered(); r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)
 		}
 	}
@@ -433,10 +443,11 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	// so one request drives every iteration.
 	pairReq := &request{id: src, id2: dst,
 		ships: []redistShip{{PairBlock: darray.PairBlock{SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi}}},
-		ackID: ackID}
+		cid:   c.id}
 	local := func() {
+		pairReq.ships[0].pair = next
 		m.doRedistSrc(0, pairReq)
-		if r := <-ack; r.status != StatusOK {
+		if r := answered(); r.status != StatusOK {
 			t.Errorf("doRedistSrc: %v", r.status)
 		}
 	}
@@ -475,10 +486,11 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 	}
 	stridedReq := &request{id: pa, id2: pw,
 		ships: []redistShip{{PairBlock: pb}},
-		ackID: ackID}
+		cid:   c.id}
 	stridedLocal := func() {
+		stridedReq.ships[0].pair = next
 		m.doRedistSrc(0, stridedReq)
-		if r := <-ack; r.status != StatusOK {
+		if r := answered(); r.status != StatusOK {
 			t.Errorf("doRedistSrc: %v", r.status)
 		}
 	}
@@ -499,9 +511,9 @@ func TestRedistOwnerServerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := getShipReq()
-		*req = request{op: opRedistShip, id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, ackID: ackID}
+		*req = request{op: opRedistShip, id: pw, slot: pb.DstSlot, lo: pb.DstLo, hi: pb.DstHi, vals: buf, node: 0, cid: c.id, idx: next}
 		m.doRedistShip(0, req)
-		if r := <-ack; r.status != StatusOK {
+		if r := answered(); r.status != StatusOK {
 			t.Errorf("doRedistShip: %v", r.status)
 		}
 	}

@@ -1,19 +1,22 @@
-// Recovery machinery for unreliable request delivery: per-request
-// sequence ids, owner-side retransmit deduplication, and timeout +
-// bounded-exponential-backoff retry in the coordinators.
+// Recovery machinery for unreliable request delivery: the one gather
+// loop every coordinator call waits in, with timeout +
+// bounded-exponential-backoff re-sends under a call policy, and the
+// owner-side retransmit filter keyed by the one request identity.
 //
 // The asymmetry the protocol is built around: requests travel over the
 // router (lossy under a fault plan), while a handler answers by
-// completion-table id, straight into the table when its waiter is hosted
-// in the same process (wire.go), where the fault plane never acts. So a
-// lost or delayed request is recovered by retransmitting the same
-// *request object; the owner's dedup window guarantees at most one
-// execution, which keeps every data-plane op idempotent even where blind
+// completion-table identity, straight into the table when its call is
+// hosted in the same process (wire.go), where the fault plane never
+// acts. So a lost or delayed request is recovered by re-sending it —
+// the same *request object, or a redistribution pair regrouped under
+// its source owner — with its identity (origin, entry id, index)
+// unchanged; the owner's dedup window guarantees at most one execution,
+// which keeps every data-plane op idempotent even where blind
 // re-execution would not be (pooled reply buffers, redistribution
-// ships). A peer that never answers is distinguished from a slow one by
-// Router.Down: killed owner -> StatusDown, retries exhausted ->
-// StatusTimeout — both surfaced as core.Status errors instead of a hung
-// coordinator.
+// ships), and the table takes at most one answer per index. A peer that
+// never answers is distinguished from a slow one by Router.Down: killed
+// owner -> StatusDown, retries exhausted -> StatusTimeout — both
+// surfaced as core.Status errors instead of a hung coordinator.
 package arraymgr
 
 import (
@@ -37,7 +40,7 @@ const (
 // request is retransmitted up to Retries times, Timeout apart, with an
 // extra Backoff sleep doubling per attempt. Nil policy (the default)
 // waits forever — correct on the reliable in-process router and
-// zero-overhead (no sequence ids, no dedup state, no timers).
+// zero-overhead (no dedup state, no timers).
 type CallPolicy struct {
 	// Timeout is the per-attempt reply deadline. It must comfortably
 	// exceed the router's modeled latency plus the fault plan's jitter
@@ -107,40 +110,25 @@ func (s RetryStats) Stats() []trace.Stat {
 	}
 }
 
-// nextSeq draws a fresh nonzero request id. Ids are manager-global —
-// every coordinator in one process draws from the same counter — and
-// scoped by origin processor in the dedup key, so two managers in
-// different processes drawing the same number never collide. Zero is
-// skipped explicitly on wraparound: it means "no recovery id" in every
-// filter, so a wrapped counter must not mint it.
-func (m *Manager) nextSeq() uint64 {
-	for {
-		if s := m.seq.Add(1); s != 0 {
-			return s
-		}
-	}
-}
-
 // dedupWindow bounds the per-server window of recently dispatched
-// request ids; ids older than the window are forgotten (a retransmit
-// that stale would have long since been answered or abandoned).
+// request identities; ones older than the window are forgotten (a
+// re-send that stale would have long since been answered or abandoned).
 const dedupWindow = 4096
 
-// dedupKey identifies one logical request: {origin, seq, 0} for
-// request/reply traffic, {origin, call, pair+1} for one-way
-// redistribution ships (the +1 keeps the two spaces disjoint). origin —
-// the processor whose manager drew the id — scopes the window: seq
-// counters are per-process, so once managers span OS processes two
-// coordinators can legitimately mint the same number, and an unscoped
-// window would false-dedup the second arrival.
+// dedupKey identifies one logical request: its call's origin
+// processor and completion-table entry, and the answer it gives there.
+// origin scopes the window: entry ids are per-process, so once managers
+// span OS processes two coordinators can legitimately mint the same
+// number, and an unscoped window would false-dedup the second arrival.
 type dedupKey struct {
 	origin int
-	a, b   uint64
+	id     uint64
+	idx    int
 }
 
 // deduper is the owner-side retransmit filter. It is owned by a single
 // serve goroutine, so it needs no lock; state is allocated lazily so
-// reliable-mode servers (no seq ids ever seen) pay nothing.
+// reliable-mode servers (no request sent under a policy) pay nothing.
 type deduper struct {
 	seen map[dedupKey]struct{}
 	ring []dedupKey
@@ -167,29 +155,56 @@ func (d *deduper) dup(k dedupKey) bool {
 	return false
 }
 
-// dedupKeyOf extracts the request's dedup identity; ok=false (reliable
-// mode: no ids assigned) disables filtering.
+// dedupKeyOf extracts the request's dedup identity; ok=false (a request
+// sent with no call policy) disables filtering.
 func dedupKeyOf(req *request) (dedupKey, bool) {
-	if req.op == opRedistShip && req.call != 0 {
-		return dedupKey{req.origin, req.call, uint64(req.pair) + 1}, true
-	}
-	if req.seq != 0 {
-		return dedupKey{req.origin, req.seq, 0}, true
-	}
-	return dedupKey{}, false
+	return dedupKey{req.origin, req.cid, req.idx}, req.dedup
 }
 
-// await waits for w's reply, or router shutdown (a mid-call Close
-// surfaces as StatusClosed, never a deadlock), and unregisters its
-// completion-table entry. With no policy the deadline channel is nil,
-// so it waits for nothing else. With a policy it retransmits the same
-// request object on each expired deadline — the owner's dedup window
-// guarantees at most one execution — and converts a killed peer into
-// StatusDown and an exhausted retry budget into StatusTimeout.
-func (m *Manager) await(w waiter) response {
-	req := w.req
-	router := m.machine.Router()
-	defer m.unregister(req.replyID)
+// resender is a call's resend hook: how gather re-sends the indexes
+// still unanswered when a deadline passes.
+type resender interface {
+	// lost reports whether index i waits on a processor that is down.
+	lost(i int) bool
+	// resend sends the listed indexes again.
+	resend(todo []int)
+}
+
+// posts is the resend hook of a call whose every index is one owner
+// request: the same request object is posted again — in-process the
+// same pointer, over the wire the same bytes (it is read-only once sent
+// and the codec is deterministic).
+type posts struct {
+	m *Manager
+	c call
+}
+
+func (p posts) lost(i int) bool { return p.m.machine.Router().Down(p.c.slots[i].req.dst) }
+
+func (p posts) resend(todo []int) {
+	for _, i := range todo {
+		req := p.c.slots[i].req
+		if err := p.m.post(req.origin, req.dst, req); err != nil {
+			p.m.deliver(p.c.id, i, response{status: sendStatus(err)})
+		}
+	}
+}
+
+// gather is the one wait of every coordinator call: it waits until
+// each index of c is answered, folds every answer into the caller's
+// result as it arrives, and closes the entry. Router shutdown answers
+// every index still open StatusClosed (a mid-call Close surfaces as an
+// error, never a deadlock; an answer that raced it is already taken and
+// wins). With no policy nothing else ends the wait. With a policy each
+// attempt has a deadline; when it passes, an unanswered index whose
+// processor is down is answered StatusDown, and the rest are re-sent
+// through the call's resend hook — rs, or for nil the request in each
+// index's slot, which the owner's dedup filter executes at most once —
+// after a jittered backoff that doubles per attempt, until the retry
+// budget is spent and they are answered StatusTimeout. Every synthetic
+// answer goes through the table, so a real one that beat it is kept.
+func (m *Manager) gather(c call, rs resender, fold func(i int, r response)) {
+	defer m.close(c.id)
 	pol := m.policy.Load()
 	var timer *time.Timer
 	var deadline <-chan time.Time
@@ -199,38 +214,47 @@ func (m *Manager) await(w waiter) response {
 		defer timer.Stop()
 		deadline, backoff = timer.C, pol.Backoff
 	}
-	for attempt := 0; ; attempt++ {
+	done := m.machine.Router().Done()
+	for left, attempt := len(c.slots), 0; left > 0; {
 		select {
-		case r := <-w.done:
-			return r
-		case <-router.Done():
-			// Prefer a reply that raced shutdown.
-			select {
-			case r := <-w.done:
-				return r
-			default:
-				return response{status: StatusClosed}
+		case i := <-c.ready:
+			fold(i, c.slots[i].r)
+			left--
+			continue
+		case <-done:
+			for _, i := range m.unanswered(c) {
+				m.deliver(c.id, i, response{status: StatusClosed})
 			}
+			done, deadline = nil, nil
+			continue
 		case <-deadline:
 		}
 		m.timeouts.Add(1)
-		if router.Down(req.dst) {
-			return response{status: StatusDown}
+		if rs == nil {
+			rs = posts{m, c}
+		}
+		var todo []int
+		for _, i := range m.unanswered(c) {
+			if rs.lost(i) {
+				m.deliver(c.id, i, response{status: StatusDown})
+			} else {
+				todo = append(todo, i)
+			}
 		}
 		if attempt >= pol.Retries {
-			return response{status: StatusTimeout}
+			for _, i := range todo {
+				m.deliver(c.id, i, response{status: StatusTimeout})
+			}
+			deadline = nil
+			continue
 		}
+		attempt++
 		if backoff > 0 {
 			time.Sleep(m.jitterBackoff(backoff))
 			backoff *= 2
 		}
-		m.retransmits.Add(1)
-		// The same request object again: in-process the same pointer, over
-		// the wire the same bytes (it is read-only once sent and the codec
-		// is deterministic).
-		if err := m.post(req.src, req.dst, req); err != nil {
-			return response{status: sendStatus(err)}
-		}
+		m.retransmits.Add(uint64(len(todo)))
+		rs.resend(todo)
 		timer.Reset(pol.Timeout)
 	}
 }

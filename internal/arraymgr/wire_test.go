@@ -35,9 +35,9 @@ func TestUnknownOpFromWire(t *testing.T) {
 	if got := bad.String(); got != "op(200)" {
 		t.Fatalf("String() = %q, want op(200)", got)
 	}
-	reply := make(chan response, 1)
-	replyID := m.register(reply)
-	b, err := wire.AppendAny(nil, &request{op: bad, src: 1, replyID: replyID}, false)
+	c := m.open(1)
+	defer m.close(c.id)
+	b, err := wire.AppendAny(nil, &request{op: bad, origin: 1, cid: c.id}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func TestUnknownOpFromWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := v.(*request)
-	if req.op != bad || req.replyID != replyID {
-		t.Fatalf("decoded op %v, reply id %d, want %v and %d", req.op, req.replyID, bad, replyID)
+	if req.op != bad || req.cid != c.id {
+		t.Fatalf("decoded op %v, entry id %d, want %v and %d", req.op, req.cid, bad, c.id)
 	}
 	m.handle(0, req)
 	select {
-	case r := <-reply:
-		if r.status != StatusError {
+	case i := <-c.ready:
+		if r := c.slots[i].r; r.status != StatusError {
 			t.Fatalf("unknown op answered %v, want %v", r.status, StatusError)
 		}
 	case <-time.After(5 * time.Second):
@@ -63,24 +63,25 @@ func TestUnknownOpFromWire(t *testing.T) {
 	}
 }
 
-// TestLateAckDropped drives redistribution acks through the wire path
-// (kindAM) into the completion table after their channel filled up
-// and after their coordinator unregistered: both are dropped, and the
-// serve loop that received them goes on serving.
+// TestLateAckDropped drives redistribution answers through the wire
+// path (kindAM) into the completion table: one to an index already
+// answered, one to an index the entry does not have, and one after the
+// coordinator closed the entry. All are refused, the serve loop that
+// received them goes on serving, and the entry keeps its first answer.
 func TestLateAckDropped(t *testing.T) {
 	machine, m := newTestManager(t, 2)
-	ack := make(chan response, 1)
-	id := m.register(ack)
-	ack <- response{status: StatusOK, pair: 0}
+	c := m.open(1)
+	m.deliver(c.id, 0, response{status: StatusNotFound})
 	tag := msg.Tag{Class: msg.ClassTask, Kind: kindAM}
-	send := func(pair int) {
-		if err := machine.Router().Send(0, 0, tag, &wireResponse{ID: id, Status: StatusOK, Pair: pair}); err != nil {
+	send := func(idx int) {
+		if err := machine.Router().Send(0, 0, tag, &wireResponse{ID: c.id, Status: StatusOK, Idx: idx}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(1) // channel full
-	m.unregister(id)
-	send(2) // id unknown
+	send(0) // already answered
+	send(1) // no such index
+	m.close(c.id)
+	send(0) // entry closed
 
 	done := make(chan Status, 1)
 	go func() {
@@ -95,18 +96,21 @@ func TestLateAckDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve loop blocked on a late ack")
 	}
-	if len(ack) != 1 || (<-ack).pair != 0 {
-		t.Fatal("a late ack reached the channel")
+	if len(c.ready) != 1 || c.slots[0].r.status != StatusNotFound {
+		t.Fatal("a late ack reached the entry")
 	}
 }
 
 // TestLateReplyDroppedInProcess is TestLateAckDropped without the wire:
-// handlers answer, in the process their waiters live in, one id that was
-// already answered and one its waiter unregistered — a read reply, a
-// write's reply and a redistribution ack to each. Every answer is
-// dropped at the table without blocking its handler, the answered
-// waiter keeps its first answer, no answer reaches another waiter, and
-// both dropped read replies return their buffers to the pool.
+// handlers answer, in the process their calls live in, an index that
+// was already answered and an entry its coordinator closed — a read
+// reply, a write's reply and a redistribution answer to each — and then
+// a read answers another index of the answered entry. The table takes
+// at most one answer per index: every late answer is refused without
+// blocking its handler, the answered index keeps its first answer, no
+// answer reaches another entry, both refused read replies return their
+// buffers to the pool, and the answer to the other index is taken,
+// buffer and all.
 func TestLateReplyDroppedInProcess(t *testing.T) {
 	machine, m := newTestManager(t, 2)
 	id := mustCreate(t, m, 0, distSpec(8, 2, grid.BlockDefault(), darray.Double))
@@ -124,49 +128,58 @@ func TestLateReplyDroppedInProcess(t *testing.T) {
 		return len(floatPool[class].bufs)
 	}
 	var afterRead []int
-	answered := make(chan response, 1)
-	answeredID := m.register(answered)
-	answered <- response{status: StatusOK, pair: -1}
-	gone := make(chan response, 1)
-	goneID := m.register(gone)
-	m.unregister(goneID)
-	other := make(chan response, 8)
-	defer m.unregister(m.register(other))
+	answered := m.open(2)
+	defer m.close(answered.id)
+	m.deliver(answered.id, 0, response{status: StatusNotFound})
+	gone := m.open(1)
+	m.close(gone.id)
+	other := m.open(8)
+	defer m.close(other.id)
 
+	read := func(cid uint64, idx int) {
+		m.handle(1, &request{op: opReadLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, origin: 0, cid: cid, idx: idx})
+	}
 	before := machine.Router().Sent()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for _, rid := range []uint64{answeredID, goneID} {
-			m.handle(1, &request{op: opReadLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, src: 0, replyID: rid})
+		for _, cid := range []uint64{answered.id, gone.id} {
+			read(cid, 0)
 			afterRead = append(afterRead, pooled())
-			m.handle(1, &request{op: opWriteLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, vals: make([]float64, 4), src: 0, replyID: rid})
-			m.doRedistSrc(1, &request{op: opRedistSrc, id: darray.ID{Proc: 0, Seq: 99}, ships: []redistShip{{pair: 0}}, ackProc: 0, ackID: rid})
+			m.handle(1, &request{op: opWriteLocal, id: id, slot: 1, lo: []int{0}, hi: []int{4}, vals: make([]float64, 4), origin: 0, cid: cid})
+			m.doRedistSrc(1, &request{op: opRedistSrc, id: darray.ID{Proc: 0, Seq: 99}, ships: []redistShip{{pair: 0}}, origin: 0, cid: cid})
 		}
+		read(answered.id, 1)
+		afterRead = append(afterRead, pooled())
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a handler blocked on a late answer")
 	}
-	if len(answered) != 1 || (<-answered).pair != -1 {
+	if len(answered.ready) != 2 || answered.slots[0].r.status != StatusNotFound {
 		t.Fatal("a late answer displaced the first one")
 	}
-	if len(gone) != 0 || len(other) != 0 {
-		t.Fatalf("late answers reached %d (unregistered) and %d (another waiter) channels", len(gone), len(other))
+	if r := answered.slots[1].r; !answered.slots[1].taken || r.status != StatusOK || len(r.vals) != 4 {
+		t.Fatalf("the answer to another index of the entry: taken %v, %v with %d values; want taken, %v with 4",
+			answered.slots[1].taken, r.status, len(r.vals), StatusOK)
+	}
+	if len(gone.ready) != 0 || len(other.ready) != 0 {
+		t.Fatalf("late answers reached %d (closed) and %d (another entry) indexes", len(gone.ready), len(other.ready))
 	}
 	if sent := machine.Router().Sent() - before; sent != 0 {
 		t.Fatalf("in-process answers sent %d messages, want 0", sent)
 	}
 	// The second read draws the buffer the first returned, so each
-	// dropped reply leaves exactly one buffer in the class.
-	if afterRead[0] != 1 || afterRead[1] != 1 {
-		t.Fatalf("the reply class held %v buffers after each dropped read reply, want [1 1]", afterRead)
+	// refused reply leaves exactly one buffer in the class; the taken
+	// reply draws it and leaves none.
+	if afterRead[0] != 1 || afterRead[1] != 1 || afterRead[2] != 0 {
+		t.Fatalf("the reply class held %v buffers after each read reply, want [1 1 0]", afterRead)
 	}
 }
 
-// TestWireOwnerReplyRecycled pins the owner side of a read whose
-// waiter is hosted in another part: the transport serializes the reply
+// TestWireOwnerReplyRecycled pins the owner side of a read whose call's
+// origin is hosted in another part: the transport serializes the reply
 // before Send returns, so the owner returns its pooled reply buffer as
 // soon as the reply is sent, and at a steady state a wire-served
 // read_local allocates only its small reply envelope, never the
@@ -179,7 +192,7 @@ func TestWireOwnerReplyRecycled(t *testing.T) {
 	machine.Router().SetTransport(dropTransport{}, []bool{true, false})
 	m := New(machine)
 	id := mustCreate(t, m, 0, distSpec(perProc, 1, grid.BlockDefault(), darray.Double))
-	req := &request{op: opReadLocal, id: id, lo: []int{0}, hi: []int{perProc}, src: 1, replyID: 1 << 40}
+	req := &request{op: opReadLocal, id: id, lo: []int{0}, hi: []int{perProc}, origin: 1, cid: 1 << 40}
 	for i := 0; i < 3; i++ { // warm the pool
 		m.handle(0, req)
 	}
@@ -215,7 +228,7 @@ func (o *wrongLengthOwner) Send(mm msg.Message) error {
 	if !ok {
 		return nil
 	}
-	w := &wireResponse{ID: req.replyID, Status: StatusOK}
+	w := &wireResponse{ID: req.cid, Status: StatusOK, Idx: req.idx}
 	if req.op == opReadLocal {
 		n := len(req.offs)
 		if req.offs == nil {
@@ -291,10 +304,11 @@ func TestRepeatedRunsRefused(t *testing.T) {
 		t.Fatalf("read_local over %d copies of the section: %v with %d values, want %v and no reply buffer",
 			k, r.status, len(r.vals), StatusInvalid)
 	}
-	ack := make(chan response, 1)
-	m.doRedistSrc(0, &request{op: opRedistSrc, id: id, id2: dst, ackID: m.register(ack), ships: []redistShip{{PairBlock: darray.PairBlock{
+	c := m.open(1)
+	defer m.close(c.id)
+	m.doRedistSrc(0, &request{op: opRedistSrc, id: id, id2: dst, cid: c.id, ships: []redistShip{{PairBlock: darray.PairBlock{
 		DstProc: 1, SrcLo: lo, SrcHi: hi, DstLo: lo, DstHi: hi, Runs: []int{k}}}}})
-	if r := <-ack; r.status != StatusInvalid {
+	if r := c.slots[<-c.ready].r; r.status != StatusInvalid {
 		t.Fatalf("redist_src over %d copies of the section: ack %v, want %v", k, r.status, StatusInvalid)
 	}
 }
